@@ -10,7 +10,8 @@ eigenvalue, and curvature residuals.
 
 Modules:
 
-- ``expr``      expression language with exact dual-number derivatives
+- ``expr``      expression language with exact derivatives: dual numbers
+                and compiled value+gradient jets
 - ``model``     block structures, separation matrices, twisted systems
 - ``dynamics``  adaptive Runge-Kutta integration, clocks, orbit comparison
 - ``geometry``  tensor calculus residuals (Killing, torsion, curvature)

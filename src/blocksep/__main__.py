@@ -1,0 +1,8 @@
+"""``python -m blocksep``: the command line of :mod:`blocksep.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -195,6 +195,8 @@ def _load_catalog(cfg: RunConfig):
         raise ConfigError(
             f"bad parameters for catalog entry {cfg.system_name!r}: {ex}"
         ) from None
+    except ModelError as ex:
+        raise ConfigError(str(ex)) from None
 
 
 def _resolve_dynamic(cfg: RunConfig) -> _Resolved:
@@ -626,14 +628,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                            rtol=args.rtol, atol=args.atol,
                            block=args.block,
                            svg=True if args.svg else None)
-        return _COMMANDS[args.command](cfg)
     except (ConfigError, CatalogError, ModelError) as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return EXIT_CONFIG
-    except DynamicsError as ex:
-        print(f"numerical failure: {ex}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (_expr.ExprError, _geo.GeometryError) as ex:
+    try:
+        return _COMMANDS[args.command](cfg)
+    except (ConfigError, CatalogError) as ex:
+        print(f"config error: {ex}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (ModelError, DynamicsError, _expr.ExprError,
+            _geo.GeometryError) as ex:
+        # the system was built, so a model error here comes from
+        # evaluating it (a singular matrix at a probe, say)
         print(f"numerical failure: {ex}", file=sys.stderr)
         return EXIT_NUMERIC
 

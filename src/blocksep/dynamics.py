@@ -310,95 +310,43 @@ def _initial_step(f, t0, y0, f0, direction, cfg, span):
 # ---------------------------------------------------------------------------
 # Hamiltonian vector fields
 
-def _twist_inverse(sys: TwistedSystem, env):
-    S = _model.matrix_values(sys.stackel.entries, env)
-    M, _, _ = _model.invert_with_condition(
-        S, point=[env[c] for c in sys.structure.names])
-    return S, M
-
-
-def _block_indices(sys: TwistedSystem):
-    return [list(sys.structure.block_range(r))
-            for r in range(1, sys.n + 1)]
-
-
-def _full_rhs(sys: TwistedSystem, q, p) -> np.ndarray:
-    names = sys.structure.names
-    env = dict(zip(names, (float(x) for x in q)))
-    S, M = _twist_inverse(sys, env)
+def _full_rhs(sys: TwistedSystem, y: list) -> np.ndarray:
+    """Field of H = alpha^r H_r at the phase point y (a list of floats),
+    from one jet call."""
+    n, N = sys.n, sys.dim
+    nn = n * n
+    out = sys.jet.full(y)
+    M, _, _ = _model.invert_with_condition(out[0, :nn].reshape(n, n),
+                                           point=y[:N])
     alpha = M[0]
-    n = sys.n
-    N = sys.dim
-    indices = _block_indices(sys)
-
-    # block energies and block metric values
-    H = np.empty(n)
-    g_vals = []
-    for r in range(n):
-        blk = sys.blocks[r]
-        idx = indices[r]
-        g = _model.matrix_values(blk.metric, env)
-        g_vals.append(g)
-        pb = np.array([p[k] for k in idx])
-        H[r] = 0.5 * float(pb @ g @ pb) + _expr.evaluate(blk.potential, env)
-
-    qdot = np.zeros(N)
-    for r in range(n):
-        idx = indices[r]
-        pb = np.array([p[k] for k in idx])
-        vel = alpha[r] * (g_vals[r] @ pb)
-        for i, k in enumerate(idx):
-            qdot[k] = vel[i]
-
-    pdot = np.zeros(N)
-    for k, name in enumerate(names):
-        dS = _model.matrix_derivative(sys.stackel.entries, env, name)
-        dalpha = -(alpha @ dS) @ M  # row 0 of d(S^{-1})
-        dH = 0.0
-        for r in range(n):
-            blk = sys.blocks[r]
-            idx = indices[r]
-            pb = np.array([p[j] for j in idx])
-            dg = _model.matrix_derivative(blk.metric, env, name)
-            dH_r = (0.5 * float(pb @ dg @ pb)
-                    + _expr.derivative(blk.potential, env, name))
-            dH += dalpha[r] * H[r] + alpha[r] * dH_r
-        pdot[k] = -dH
-    return np.concatenate([qdot, pdot])
+    # row 0 of d(S^{-1}) = -S^{-1} (dS) S^{-1}, for every position
+    dalpha = -(alpha @ out[1:N + 1, :nn].reshape(N, n, n)) @ M
+    grad = out[1:, nn:] @ alpha  # sum_r alpha^r dH_r
+    grad[:N] += dalpha @ out[0, nn:]  # + sum_r d(alpha^r) H_r
+    return np.concatenate([grad[N:], -grad[:N]])
 
 
 def full_field(sys: TwistedSystem, point: PhasePoint) -> np.ndarray:
     """Hamiltonian vector field of H = alpha^r H_r: (dq/dt, dp/dt)."""
-    return _full_rhs(sys, point.q, point.p)
+    return _full_rhs(sys, list(point.q + point.p))
 
 
 def full_field_callable(sys: TwistedSystem) -> Callable:
     """(t, y) -> y' closure over the full phase space, for integrate."""
-    N = sys.dim
+    sys.jet.full  # compile now, not inside the first step
 
     def rhs(t, y):
-        return _full_rhs(sys, y[:N], y[N:])
+        return _full_rhs(sys, np.asarray(y, dtype=float).tolist())
 
     return rhs
 
 
-def _reduced_rhs(sys: TwistedSystem, r: int, c, qb, pb) -> np.ndarray:
-    blk = sys.blocks[r - 1]
-    names = sys.structure.coords[r - 1]
-    env = dict(zip(names, (float(x) for x in qb)))
-    g = _model.matrix_values(blk.metric, env)
-    pb = np.asarray(pb, dtype=float)
-    qdot = g @ pb
-    srow = sys.stackel.entries[r - 1]
-    m = len(names)
-    pdot = np.empty(m)
-    for i, name in enumerate(names):
-        dg = _model.matrix_derivative(blk.metric, env, name)
-        dV = _expr.derivative(blk.potential, env, name)
-        dS = sum(c[a] * _expr.derivative(srow[a], env, name)
-                 for a in range(sys.n))
-        pdot[i] = -(0.5 * float(pb @ dg @ pb) + dV - dS)
-    return np.concatenate([qdot, pdot])
+def _reduced_rhs(sys: TwistedSystem, r: int, c, y: list) -> np.ndarray:
+    n = sys.n
+    m = len(y) // 2
+    out = sys.jet.block(r)(y)
+    grad = out[1:, n] - out[1:, :n] @ c  # d(H_r - c_a S[r][a])
+    return np.concatenate([grad[m:], -grad[:m]])
 
 
 def reduced_field(sys: TwistedSystem, r: int, c: Sequence[float],
@@ -413,15 +361,15 @@ def reduced_field(sys: TwistedSystem, r: int, c: Sequence[float],
     if c.shape != (sys.n,):
         raise _model.DimensionMismatchError(
             f"expected {sys.n} separation constants, got shape {c.shape}")
-    return _reduced_rhs(sys, r, c, point.q, point.p)
+    return _reduced_rhs(sys, r, c, list(point.q + point.p))
 
 
 def reduced_field_callable(sys: TwistedSystem, r: int, c) -> Callable:
     c = np.asarray(c, dtype=float)
-    m = sys.structure.sizes[r - 1]
+    sys.jet.block(r)  # compile now, not inside the first step
 
     def rhs(t, y):
-        return _reduced_rhs(sys, r, c, y[:m], y[m:])
+        return _reduced_rhs(sys, r, c, np.asarray(y, dtype=float).tolist())
 
     return rhs
 
@@ -452,10 +400,10 @@ def _alpha_on_trajectory(sys: TwistedSystem, trajectory: Trajectory, r: int):
     e1 = np.zeros(sys.n)
     e1[0] = 1.0
 
+    stackel = sys.jet.stackel
+
     def alpha(t):
-        q = trajectory.sample(t)[:N]
-        env = dict(zip(sys.structure.names, q))
-        S = _model.matrix_values(sys.stackel.entries, env)
+        S = stackel(trajectory.sample(t)[:N].tolist())
         # first row of S^{-1} without forming the full inverse
         row = np.linalg.solve(S.T, e1)
         return float(row[r - 1])

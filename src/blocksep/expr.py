@@ -5,6 +5,9 @@ variables, the binary operators ``+ - * / ^``, unary negation, and the
 functions ``sin cos tan exp ln sqrt abs``.  Evaluation is deterministic
 IEEE double arithmetic; first and second partial derivatives are exact,
 computed with forward-mode dual numbers, never finite differences.
+:func:`compile` turns a list of expressions into one straight-line
+function that returns every value and first partial in a single call,
+with the same results as the dual-number tree walker.
 
 Grammar (EBNF)::
 
@@ -35,6 +38,8 @@ requires a positive base.
 
 from __future__ import annotations
 
+import builtins as _builtins
+import math as _math
 import re as _re
 from typing import Mapping
 
@@ -433,6 +438,246 @@ def second_derivative(e: Expression, p: Mapping[str, float],
 
 def free_variables(e: Expression) -> frozenset:
     return e.free_variables()
+
+
+# ---------------------------------------------------------------------------
+# compiled jets
+
+_JET_GLOBALS = {
+    "_sin": _math.sin, "_cos": _math.cos, "_tan": _math.tan,
+    "_exp": _math.exp, "_log": _math.log, "_sqrt": _math.sqrt,
+    "_DomainError": DomainError, "_Unbound": UnboundVariableError,
+}
+
+_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
+def _times(x: str, y: str) -> str:
+    # x * 1.0 == x bitwise, so unit seeds vanish from the source
+    if x == "1.0":
+        return y
+    if y == "1.0":
+        return x
+    return f"{x} * {y}"
+
+
+class _JetSource:
+    """Straight-line source for :func:`compile`.
+
+    Every node becomes one assignment in the value section and, per
+    differentiation variable that reaches it, one assignment in the
+    tangent section.  The tangent formulas are those of :mod:`dual`
+    with only that variable seeded, operand side for operand side, so
+    each scalar rounds exactly as :func:`derivative` does.  A node is
+    visited once per distinct operation on distinct operands, which
+    shares repeated sub-expressions; the first occurrence keeps its
+    source offset, and it is also the first to fail.
+    """
+
+    def __init__(self, names, wrt):
+        self.args = {name: f"x{i}" for i, name in enumerate(names)}
+        self.wrt = wrt
+        self.values: list[str] = []
+        self.tangents: list[str] = []
+        self.consts: dict[str, float] = {}
+        self.memo: dict = {}
+        self.count = 0
+
+    def temp(self, lines: list, code: str) -> str:
+        name = f"t{self.count}"
+        self.count += 1
+        lines.append(f"{name} = {code}")
+        return name
+
+    def const(self, value: float) -> str:
+        if not _math.isfinite(value):
+            name = f"_c{len(self.consts)}"
+            self.consts[name] = value
+            return name
+        text = repr(value)
+        return f"({text})" if text.startswith("-") else text
+
+    def node(self, e):
+        """(value reference, {variable: tangent reference}) of a node;
+        a variable missing from the dict has a structurally zero
+        tangent there."""
+        t = type(e)
+        if t is Num:
+            return self.const(e.value), {}
+        if t is Var:
+            arg = self.args.get(e.name)
+            if arg is None:
+                self.values.append(f"raise _Unbound({e.name!r}, {e.offset!r})")
+                return "0.0", {}
+            return arg, ({e.name: "1.0"} if e.name in self.wrt else {})
+        if t is Neg or t is Call:
+            kids = (self.node(e.arg),)
+        elif t is Pow and e._k is not None:
+            kids = (self.node(e.lhs),)
+        else:
+            kids = (self.node(e.lhs), self.node(e.rhs))
+        extra = e.fn if t is Call else e._k if t is Pow else None
+        key = (t, extra) + tuple(v for v, _ in kids)
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = self.emit(t, e, kids)
+        return out
+
+    def emit(self, t, e, kids):
+        V, D = self.values, self.tangents
+        temp = self.temp
+
+        def fail(lines, cond, message):
+            lines.append(f"if {cond}: raise _DomainError({message!r}, "
+                         f"{e.offset!r})")
+
+        tan = {}
+        if t in _BINARY_OPS:
+            (a, da), (b, db) = kids
+            if t is Div:
+                fail(V, f"{b} == 0.0", "division by zero")
+            v = temp(V, f"{a} {_BINARY_OPS[t]} {b}")
+            for w in self.wrt:
+                x, y = da.get(w), db.get(w)
+                if x is None and y is None:
+                    continue
+                if t is Add:
+                    tan[w] = (x if y is None else y if x is None
+                              else temp(D, f"{x} + {y}"))
+                elif t is Sub:
+                    tan[w] = x if y is None else temp(
+                        D, f"-{y}" if x is None else f"{x} - {y}")
+                elif t is Mul:
+                    tan[w] = temp(D, _times(x, b) if y is None else
+                                  _times(a, y) if x is None else
+                                  f"{_times(a, y)} + {_times(x, b)}")
+                elif y is None:
+                    tan[w] = temp(D, f"{x} / {b}")
+                elif x is None:
+                    tan[w] = temp(D, f"-{_times(v, y)} / {b}")
+                else:
+                    tan[w] = temp(D, f"({x} - {_times(v, y)}) / {b}")
+            return v, tan
+
+        if t is Neg:
+            (a, da), = kids
+            return temp(V, f"-{a}"), {w: temp(D, f"-{x}")
+                                      for w, x in da.items()}
+
+        if t is Pow and e._k is not None:
+            (b, db), = kids
+            k = e._k
+            if not float(k).is_integer():
+                fail(V, f"{b} < 0.0", "fractional power of a negative base")
+            if k < 0.0:
+                fail(V, f"{b} == 0.0", "zero raised to a negative power")
+            if k == 0:
+                return "1.0", {}
+            v = temp(V, f"{b} ** {self.const(k)}")
+            if db:
+                if k - 1 == 0:
+                    coef = self.const(k * 1.0)
+                else:
+                    if k - 1 < 0.0:
+                        fail(D, f"{b} == 0.0",
+                             "power has no derivative at zero base")
+                    coef = temp(D, f"{self.const(k)} * {b} ** "
+                                   f"{self.const(k - 1)}")
+                tan = {w: temp(D, _times(coef, x)) for w, x in db.items()}
+            return v, tan
+
+        if t is Pow:
+            (b, db), (g, dg) = kids
+            fail(V, f"{b} <= 0.0",
+                 "non-constant exponent requires a positive base")
+            log_b = temp(V, f"_log({b})")
+            v = temp(V, f"_exp({g} * {log_b})")
+            for w in self.wrt:
+                x, y = db.get(w), dg.get(w)
+                if x is None and y is None:
+                    continue
+                if x is None:
+                    dt = temp(D, _times(y, log_b))
+                else:
+                    dl = temp(D, f"{x} / {b}")
+                    dt = temp(D, _times(g, dl) if y is None else
+                              f"{_times(g, dl)} + {_times(y, log_b)}")
+                tan[w] = temp(D, _times(v, dt))
+            return v, tan
+
+        # Call
+        (a, da), = kids
+        fn = e.fn
+        if fn == "ln":
+            fail(V, f"{a} <= 0.0", "ln of a non-positive value")
+        elif fn == "sqrt":
+            fail(V, f"{a} < 0.0", "sqrt of a negative value")
+        if fn == "abs":
+            v = temp(V, f"abs({a})")
+        else:
+            v = temp(V, f"_{'log' if fn == 'ln' else fn}({a})")
+        if not da:
+            return v, tan
+        if fn == "sin":
+            c = temp(D, f"_cos({a})")
+            tan = {w: temp(D, _times(c, x)) for w, x in da.items()}
+        elif fn == "cos":
+            s = temp(D, f"_sin({a})")
+            tan = {w: temp(D, f"-({_times(s, x)})") for w, x in da.items()}
+        elif fn == "tan":
+            c = temp(D, f"_cos({a})")
+            cc = temp(D, f"{c} * {c}")
+            tan = {w: temp(D, f"{x} / {cc}") for w, x in da.items()}
+        elif fn == "exp":
+            tan = {w: temp(D, _times(v, x)) for w, x in da.items()}
+        elif fn == "ln":
+            tan = {w: temp(D, f"{x} / {a}") for w, x in da.items()}
+        elif fn == "sqrt":
+            fail(D, f"{a} == 0.0", "sqrt has no derivative at zero")
+            s2 = temp(D, f"{v} + {v}")
+            tan = {w: temp(D, f"{x} / {s2}") for w, x in da.items()}
+        else:  # abs: the dual takes the right derivative at 0
+            tan = {w: temp(D, f"{x} if {a} >= 0.0 else -{x}")
+                   for w, x in da.items()}
+        return v, tan
+
+
+def compile(exprs, names, wrt=()):
+    """Compile expressions into one straight-line value+gradient jet.
+
+    Returns a function taking one float per entry of ``names``,
+    positionally, and returning a flat tuple: the values of ``exprs``,
+    then for each variable in ``wrt`` (a subset of ``names``) the first
+    partials of ``exprs`` along it.  Each scalar equals, bit for bit,
+    what :func:`evaluate` or :func:`derivative` returns at the same
+    point (a zero may differ in sign where ``abs`` meets ``-0.0``).
+    Partials that are structurally zero, found from the free variables,
+    are the constant 0.0 and cost nothing.
+
+    Failures keep their type, message and offset: all values are
+    computed first, so a point where :func:`evaluate` fails on some
+    expression raises exactly its error; otherwise the first failure of
+    the tangents raises, which is the error :func:`derivative` raises
+    for some variable in ``wrt``.  A variable missing from ``names``
+    raises :class:`UnboundVariableError` when the function is called.
+    """
+    names = tuple(names)
+    wrt = tuple(wrt)
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate names in {names}")
+    if len(set(wrt)) != len(wrt) or not set(wrt) <= set(names):
+        raise ValueError(f"wrt {wrt} must be distinct entries of {names}")
+    src = _JetSource(names, wrt)
+    roots = [src.node(e) for e in exprs]
+    out = [v for v, _ in roots]
+    out += [d.get(w, "0.0") for w in wrt for _, d in roots]
+    body = src.values + src.tangents + [
+        "return (" + "".join(f"{ref}, " for ref in out) + ")"]
+    code = (f"def _jet({', '.join(src.args.values())}):\n"
+            + "".join(f"    {line}\n" for line in body))
+    namespace = dict(_JET_GLOBALS, **src.consts)
+    exec(_builtins.compile(code, "<expr jet>", "exec"), namespace)
+    return namespace["_jet"]
 
 
 # ---------------------------------------------------------------------------

@@ -265,16 +265,6 @@ class TensorField2:
                 "index shuffling needs an associated metric")
         return self.metric
 
-    def lowered(self, point) -> np.ndarray:
-        """Covariant components at the point."""
-        T = self.values(point)
-        if self.variance == "covariant":
-            return T
-        g = self._need_metric().covariant(point)
-        if self.variance == "contravariant":
-            return g @ T @ g
-        return g @ T
-
     def raised(self, point) -> np.ndarray:
         """Contravariant components at the point."""
         T = self.values(point)

@@ -12,13 +12,15 @@ blocks into the single Hamiltonian
 and the remaining rows of S^{-1} give the companion first integrals
 K_a.  Everything downstream (reduced dynamics, clocks, eigenvalue and
 curvature residuals) is built from the values and the first two
-derivatives of S^{-1}, which are computed analytically from dual-number
-derivatives of S via d(S^{-1}) = -S^{-1} (dS) S^{-1}.
+derivatives of S^{-1}, which are computed analytically from exact
+derivatives of S (dual numbers, or the compiled jets of
+:class:`SystemJet`) via d(S^{-1}) = -S^{-1} (dS) S^{-1}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -255,6 +257,72 @@ class TwistedSystem:
                 f"{len(q)} coordinates for {len(names)} names")
         return dict(zip(names, (float(x) for x in q)))
 
+    @cached_property
+    def jet(self) -> "SystemJet":
+        """Compiled jets of the system's expressions, made on first use
+        and kept with the system."""
+        return SystemJet(self)
+
+
+class SystemJet:
+    """A system's expressions compiled by :func:`expr.compile`.  Each
+    jet is compiled the first time it is asked for, and maps a list of
+    Python floats to an array.
+
+    ``full`` takes the phase point (the N positions, then the N momenta)
+    and returns a (1+2N, n*n+n) array: row 0 holds the values and row
+    1+k the partials along phase coordinate k of the n*n entries of S
+    (row-major), then of the n block energies H_r.  ``block(r)`` does
+    the same on block r's own phase coordinates for S row r and H_r.
+    ``stackel`` takes the N positions and returns the n-by-n values of
+    S alone.
+    """
+
+    def __init__(self, sys: TwistedSystem):
+        self._sys = sys
+        self._blocks = {}
+
+    def _phase(self, r: int):
+        """Block r's phase names and its energy H_r as an expression in
+        them; a momentum is named after its position, in brackets."""
+        coords = self._sys.structure.coords[r - 1]
+        blk = self._sys.blocks[r - 1]
+        p = [_expr.Var(f"p[{c}]") for c in coords]
+        terms = [g * p[i] * p[j] for i, row in enumerate(blk.metric)
+                 for j, g in enumerate(row)]
+        kinetic = sum(terms[1:], terms[0])
+        return coords, tuple(v.name for v in p), 0.5 * kinetic + blk.potential
+
+    @cached_property
+    def full(self):
+        sys = self._sys
+        phase = [self._phase(r) for r in range(1, sys.n + 1)]
+        names = (sys.structure.names
+                 + tuple(name for _, p, _ in phase for name in p))
+        entries = [e for row in sys.stackel.entries for e in row]
+        return _jet_array(entries + [h for _, _, h in phase], names)
+
+    @cached_property
+    def stackel(self):
+        n = self._sys.n
+        fn = _expr.compile([e for row in self._sys.stackel.entries
+                            for e in row], self._sys.structure.names)
+        return lambda q: np.array(fn(*q)).reshape(n, n)
+
+    def block(self, r: int):
+        jet = self._blocks.get(r)
+        if jet is None:
+            coords, p, h = self._phase(r)
+            jet = self._blocks[r] = _jet_array(
+                list(self._sys.stackel.entries[r - 1]) + [h], coords + p)
+        return jet
+
+
+def _jet_array(exprs, names):
+    fn = _expr.compile(exprs, names, names)
+    shape = (len(names) + 1, len(exprs))
+    return lambda y: np.array(fn(*y)).reshape(shape)
+
 
 def _as_expression(e) -> Expression:
     if isinstance(e, Expression):
@@ -303,12 +371,6 @@ def inverse_derivative(M: np.ndarray, dS: np.ndarray) -> np.ndarray:
     return -M @ dS @ M
 
 
-def inverse_second_derivative(M: np.ndarray, dS1: np.ndarray,
-                              dS2: np.ndarray, d2S: np.ndarray) -> np.ndarray:
-    """Second partial of S^{-1}: differentiate -M (dS1) M once more."""
-    return M @ (dS1 @ M @ dS2 + dS2 @ M @ dS1 - d2S) @ M
-
-
 def invert_with_condition(S: np.ndarray, point=None):
     """LU inverse with a 1-norm condition estimate.
 
@@ -319,10 +381,10 @@ def invert_with_condition(S: np.ndarray, point=None):
         M = np.linalg.inv(S)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("matrix is singular", point=point) from None
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise SingularMatrixError("matrix inverse overflowed", point=point)
-    norm1 = float(np.max(np.sum(np.abs(S), axis=0)))
-    norm1_inv = float(np.max(np.sum(np.abs(M), axis=0)))
+    norm1 = float(np.abs(S).sum(axis=0).max())
+    norm1_inv = float(np.abs(M).sum(axis=0).max())
     cond = norm1 * norm1_inv
     if cond > COND_ERROR:
         raise SingularMatrixError("matrix numerically singular",

@@ -6,10 +6,13 @@ and written artifacts are all observable without subprocesses.
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import blocksep
 from blocksep import cli, config
 from blocksep.config import ConfigError, load_config
 
@@ -478,3 +481,36 @@ def test_curvature_rejects_dynamic_entry(tmp_path, capsys):
     path = write_config(tmp_path, PENDULA_BODY)
     assert cli.main(["curvature", "--config", path]) == 2
     assert "not a metric family" in capsys.readouterr().err
+
+
+def test_singular_matrix_while_verifying_exits_numeric(tmp_path, capsys):
+    # a valid two-block system whose probe box reaches its singular set:
+    # at probe seed 6 the separation matrix is numerically singular
+    body = """
+[system]
+blocks = q1 | q2
+
+[stackel]
+row1 = "1", "1"
+row2 = "1", "1+exp(-0.1/abs(q2-0.29))"
+
+[initial]
+q = 0, 0
+p = 0.1, 0.1
+"""
+    path = write_config(tmp_path, body)
+    assert cli.main(["verify", "--config", path, "--seed", "6"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: matrix numerically singular" in err
+    assert "at q=(-0.29466251667873916, 0.287260537311178)" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(blocksep.__file__))))
+    proc = subprocess.run([sys.executable, "-m", "blocksep", "list"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == "pendula"
+    assert proc.stderr == ""

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import PENDULA_P0, make_pendula_like
 
-from blocksep import expr, model
+from blocksep import catalog, expr, model
 from blocksep.dynamics import (
     BlockClock,
     ComparisonReport,
@@ -323,6 +323,76 @@ def test_block_proportionality_seeded_points(pendula):
             den = max(1.0, np.linalg.norm(full_blk))
             worst = max(worst, num / den)
     assert worst <= 1e-9
+
+
+def _reference_full_field(sys, q, p):
+    """H = alpha^r H_r differentiated entry by entry with the tree
+    walker, one coordinate at a time: the oracle for the compiled jet."""
+    env = dict(zip(sys.structure.names, q))
+    S = model.matrix_values(sys.stackel.entries, env)
+    M = np.linalg.inv(S)
+    alpha = M[0]
+    N = sys.dim
+    H = np.empty(sys.n)
+    qdot = np.zeros(N)
+    for r, blk in enumerate(sys.blocks):
+        idx = list(sys.structure.block_range(r + 1))
+        pb = np.array([p[k] for k in idx])
+        g = model.matrix_values(blk.metric, env)
+        H[r] = 0.5 * pb @ g @ pb + expr.evaluate(blk.potential, env)
+        qdot[idx] = alpha[r] * (g @ pb)
+    pdot = np.zeros(N)
+    for k, name in enumerate(sys.structure.names):
+        dS = model.matrix_derivative(sys.stackel.entries, env, name)
+        dalpha = -(alpha @ dS) @ M
+        for r, blk in enumerate(sys.blocks):
+            idx = list(sys.structure.block_range(r + 1))
+            pb = np.array([p[j] for j in idx])
+            dg = model.matrix_derivative(blk.metric, env, name)
+            dH = (0.5 * pb @ dg @ pb
+                  + expr.derivative(blk.potential, env, name))
+            pdot[k] -= dalpha[r] * H[r] + alpha[r] * dH
+    return np.concatenate([qdot, pdot])
+
+
+def _reference_reduced_field(sys, r, c, qb, pb):
+    blk = sys.blocks[r - 1]
+    names = sys.structure.coords[r - 1]
+    env = dict(zip(names, qb))
+    pb = np.asarray(pb)
+    pdot = np.empty(len(names))
+    for i, name in enumerate(names):
+        dg = model.matrix_derivative(blk.metric, env, name)
+        dS = sum(c[a] * expr.derivative(e, env, name)
+                 for a, e in enumerate(sys.stackel.entries[r - 1]))
+        pdot[i] = -(0.5 * pb @ dg @ pb
+                    + expr.derivative(blk.potential, env, name) - dS)
+    return np.concatenate([model.matrix_values(blk.metric, env) @ pb, pdot])
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["pendula", "oscillators", "calogero4"])
+def test_compiled_fields_match_tree_walker(name):
+    entry = catalog.load(name)
+    sys = entry.system
+    rng = np.random.default_rng(11)
+    for q in entry.sample(25, 3):
+        q = [float(x) for x in q]
+        p = rng.uniform(-1.0, 1.0, sys.dim)
+        point = PhasePoint(tuple(q), tuple(p))
+        assert _rel_err(full_field(sys, point),
+                        _reference_full_field(sys, q, p)) <= 1e-14
+        c = rng.uniform(-1.0, 1.0, sys.n)
+        for r in range(1, sys.n + 1):
+            idx = list(sys.structure.block_range(r))
+            qb = [q[k] for k in idx]
+            pb = [p[k] for k in idx]
+            got = reduced_field(sys, r, c, PhasePoint(tuple(qb), tuple(pb)))
+            assert _rel_err(got, _reference_reduced_field(
+                sys, r, c, qb, pb)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
