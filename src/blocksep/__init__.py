@@ -11,7 +11,7 @@ eigenvalue, and curvature residuals.
 Modules:
 
 - ``expr``      expression language with exact derivatives: dual numbers
-                and compiled value+gradient jets
+                and compiled jets of first and second order
 - ``model``     block structures, separation matrices, twisted systems
 - ``dynamics``  adaptive Runge-Kutta integration, clocks, orbit comparison
 - ``geometry``  tensor calculus residuals (Killing, torsion, curvature)

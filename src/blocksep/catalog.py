@@ -536,22 +536,15 @@ def case_i_residuals(c0: float, c1: float, c2: float, c3: float, f,
     scale."""
     fe = _as_profile(f)
     ell = ignorable_direction_scale(c0, c1, c2, c3)
+    leaf = ("v", "w")
+    jet = _expr.compile([ell, fe], leaf, leaf, order=2)
     out = {name: 0.0 for name in
            ("leaf_flatness", "mixed_vv", "mixed_ww", "mixed_vw",
             "reduced_vv", "reduced_ww", "reduced_vw")}
     for pt in points:
         v, w = float(pt[0]), float(pt[1])
-        env = {"v": v, "w": w}
-        l = _expr.evaluate(ell, env)
-        lv = _expr.derivative(ell, env, "v")
-        lw = _expr.derivative(ell, env, "w")
-        lvv = _expr.second_derivative(ell, env, "v", "v")
-        lww = _expr.second_derivative(ell, env, "w", "w")
-        fv = _expr.derivative(fe, env, "v")
-        fw = _expr.derivative(fe, env, "w")
-        fvv = _expr.second_derivative(fe, env, "v", "v")
-        fww = _expr.second_derivative(fe, env, "w", "w")
-        fvw = _expr.second_derivative(fe, env, "v", "w")
+        (l, _, lv, fv, lw, fw,
+         lvv, fvv, _, fvw, lww, fww) = jet(v, w)
         checks = {
             "leaf_flatness": l * (lvv + lww) - lv * lv - lw * lw,
             "mixed_vv": l * fvv - lv * fv + lw * fw,
@@ -615,19 +608,14 @@ def case_ii_residuals(c1: float, c2: float, f, points: Sequence,
     fe = _as_profile(f)
     ell = warped_direction_scale(c1, c2)
     out = {"axis_ode": 0.0, "leaf_profile": 0.0}
+    axis = _expr.compile([ell], ("u",), ("u",), order=2)
     for u in u_values:
-        env = {"u": float(u)}
-        l = _expr.evaluate(ell, env)
-        lu = _expr.derivative(ell, env, "u")
-        luu = _expr.second_derivative(ell, env, "u", "u")
+        l, lu, luu = axis(float(u))
         out["axis_ode"] = max(out["axis_ode"], abs(luu * l - 2 * lu * lu))
+    leaf = ("v", "w")
+    profile = _expr.compile([fe], leaf, leaf, order=2)
     for pt in points:
-        env = {"v": float(pt[0]), "w": float(pt[1])}
-        fval = _expr.evaluate(fe, env)
-        fv = _expr.derivative(fe, env, "v")
-        fw = _expr.derivative(fe, env, "w")
-        fvv = _expr.second_derivative(fe, env, "v", "v")
-        fww = _expr.second_derivative(fe, env, "w", "w")
+        fval, fv, fw, fvv, _, fww = profile(float(pt[0]), float(pt[1]))
         res = fval * (fvv + fww) - fv * fv - fw * fw - c1 * c1
         out["leaf_profile"] = max(out["leaf_profile"], abs(res))
     return out
@@ -689,12 +677,15 @@ def e3_case_ii_family(c1: float = -1.0, c2: float = 0.0,
         return case_ii_residuals(c1, c2, fe, _leaf_points(points),
                                  u_values=us)
 
+    # one grid for every leaf, with u a bound parameter, so that all
+    # leaf metrics share one compiled jet
+    lf2 = ell * ell * fe * fe
+    zero = _expr.Num(0.0)
+    leaf_grid = ((lf2, zero), (zero, lf2))
+
     def leaf_metric(u: float) -> MetricField:
-        lu = _expr.evaluate(ell, {"u": float(u)})
-        lf2 = (lu * lu) * fe * fe
-        zero = _expr.Num(0.0)
-        return MetricField.from_expressions(
-            ("v", "w"), [[lf2, zero], [zero, lf2]])
+        return MetricField.from_expressions(("v", "w"), leaf_grid,
+                                            params={"u": float(u)})
 
     def leaf_scalar_expected(u: float) -> float:
         lu = _expr.evaluate(ell, {"u": float(u)})

@@ -29,7 +29,7 @@ from .dynamics import (DynamicsError, IntegrationError, IntegratorConfig,
                        integrate)
 from .model import ModelError, PhasePoint, StackelMatrix, TwistedSystem
 
-__all__ = ["main", "CheckResult", "VerificationReport",
+__all__ = ["main", "CheckResult", "VerificationReport", "ProbeError",
            "EXIT_OK", "EXIT_VERIFY", "EXIT_CONFIG", "EXIT_NUMERIC"]
 
 EXIT_OK = 0
@@ -84,6 +84,28 @@ class VerificationReport:
             lines.append(f"{c.name},{c.residual:.17g},"
                          f"{c.threshold:.17g},{status},{c.where}")
         return "\n".join(lines)
+
+
+class ProbeError(Exception):
+    """A check could not be evaluated at one of its probe points; the
+    message names the check and the point after the original error."""
+
+    def __init__(self, check: str, q, error: Exception):
+        self.check = check
+        self.point = tuple(float(v) for v in q)
+        self.error = error
+        super().__init__(f"{error} (in check {check} at q={self.point})")
+
+
+_EVALUATION_ERRORS = (ModelError, _expr.ExprError, _geo.GeometryError)
+
+
+def _probe(check: str, q, fn, *args):
+    """fn(*args) for one check at the probe q; a failure names both."""
+    try:
+        return fn(*args)
+    except _EVALUATION_ERRORS as ex:
+        raise ProbeError(check, q, ex) from ex
 
 
 # ---------------------------------------------------------------------------
@@ -437,29 +459,29 @@ def _verify_checks(res: _Resolved, cfg: RunConfig) -> list[CheckResult]:
     probes = _phase_probes(res, cfg)
 
     scalars = [_geo.first_integral_scalar(sys_, a) for a in range(1, n + 1)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            worst = max(abs(_geo.poisson_bracket(scalars[i], scalars[j], P))
-                        for P in probes)
-            left = "H" if i == 0 else f"K_{i + 1}"
-            checks.append(CheckResult(f"bracket({left},K_{j + 1})", worst,
-                                      th["bracket"]))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    labels = [f"bracket({'H' if i == 0 else f'K_{i + 1}'},K_{j + 1})"
+              for i, j in pairs]
+    # probe by probe, so that an integral's gradients at a probe are
+    # computed once for all of its brackets there
+    rows = [[abs(_probe(label, P.q, _geo.poisson_bracket, scalars[i],
+                        scalars[j], P))
+             for (i, j), label in zip(pairs, labels)] for P in probes]
+    for label, column in zip(labels, zip(*rows)):
+        checks.append(CheckResult(label, max(column), th["bracket"]))
 
     positions = [P.q for P in probes]
     for a in range(2, n + 1):
-        worst = max(_geo.block_eisenhart_residual(sys_, a, q)
-                    for q in positions)
-        checks.append(CheckResult(f"eigenvalue-gradient K_{a}", worst,
+        name = f"eigenvalue-gradient K_{a}"
+        worst = max(_probe(name, q, _geo.block_eisenhart_residual, sys_, a,
+                           q) for q in positions)
+        checks.append(CheckResult(name, worst, th["residual"]))
+    outs = [_probe("block-connection", q, _geo.block_levi_civita_residual,
+                   sys_, q) for q in positions]
+    for kind in ("metric", "potential"):
+        worst = max([0.0] + [out[f"{kind}_residual"] for out in outs])
+        checks.append(CheckResult(f"block-connection {kind}", worst,
                                   th["residual"]))
-    worst_m = worst_v = 0.0
-    for q in positions:
-        out = _geo.block_levi_civita_residual(sys_, q)
-        worst_m = max(worst_m, out["metric_residual"])
-        worst_v = max(worst_v, out["potential_residual"])
-    checks.append(CheckResult("block-connection metric", worst_m,
-                              th["residual"]))
-    checks.append(CheckResult("block-connection potential", worst_v,
-                              th["residual"]))
 
     if res.entry is not None and res.entry.cartesian is not None:
         ref = res.entry.cartesian
@@ -475,20 +497,20 @@ def _verify_checks(res: _Resolved, cfg: RunConfig) -> list[CheckResult]:
             k_cov = _geo.TensorField2(ref.coords, grid, "covariant",
                                       metric=flat, symmetric=True)
             k_mix = _geo.TensorField2(ref.coords, grid, "mixed", metric=flat)
-            wk = wt = wh = wc = 0.0
-            for x in pts:
-                wk = max(wk, _geo.killing_residual(flat, k_cov, x))
-                wt = max(wt, max(_geo.tsn_residuals(k_mix, flat, x)))
-                wh = max(wh, _geo.haantjes(k_mix, x)["condition_residual"])
-                wc = max(wc, _geo.characteristic_condition(k_mix, V, flat,
-                                                           x))
-            checks.append(CheckResult(f"killing K_{idx}", wk, th["killing"]))
-            checks.append(CheckResult(f"torsion-normality K_{idx}", wt,
-                                      th["tensor"]))
-            checks.append(CheckResult(f"haantjes-condition K_{idx}", wh,
-                                      th["tensor"]))
-            checks.append(CheckResult(f"characteristic K_{idx}", wc,
-                                      th["tensor"]))
+            battery = (
+                ("killing", th["killing"],
+                 lambda x: _geo.killing_residual(flat, k_cov, x)),
+                ("torsion-normality", th["tensor"],
+                 lambda x: max(_geo.tsn_residuals(k_mix, flat, x))),
+                ("haantjes-condition", th["tensor"],
+                 lambda x: _geo.haantjes(k_mix, x)["condition_residual"]),
+                ("characteristic", th["tensor"],
+                 lambda x: _geo.characteristic_condition(k_mix, V, flat, x)),
+            )
+            for kind, bound, fn in battery:
+                name = f"{kind} K_{idx}"
+                worst = max([0.0] + [_probe(name, x, fn, x) for x in pts])
+                checks.append(CheckResult(name, worst, bound))
     return checks
 
 
@@ -544,11 +566,15 @@ def _curvature_checks(family: MetricFamily, cfg: RunConfig):
     if family.leaf_metric is not None:
         worst = -1.0
         worst_pt = None
-        for q in pts:
+
+        def leaf_error(q):
             u, v, w = (float(q[0]), float(q[1]), float(q[2]))
             want = family.leaf_scalar_expected(u)
             got = _geo.ricci_scalar(family.leaf_metric(u), (v, w))
-            rel = abs(got - want) / max(1.0, abs(want))
+            return abs(got - want) / max(1.0, abs(want))
+
+        for q in pts:
+            rel = _probe("leaf scalar curvature", q, leaf_error, q)
             if rel > worst:
                 worst, worst_pt = rel, q
         where = "" if worst_pt is None else \
@@ -637,7 +663,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {ex}", file=sys.stderr)
         return EXIT_CONFIG
     except (ModelError, DynamicsError, _expr.ExprError,
-            _geo.GeometryError) as ex:
+            _geo.GeometryError, ProbeError) as ex:
         # the system was built, so a model error here comes from
         # evaluating it (a singular matrix at a probe, say)
         print(f"numerical failure: {ex}", file=sys.stderr)

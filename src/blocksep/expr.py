@@ -6,8 +6,13 @@ functions ``sin cos tan exp ln sqrt abs``.  Evaluation is deterministic
 IEEE double arithmetic; first and second partial derivatives are exact,
 computed with forward-mode dual numbers, never finite differences.
 :func:`compile` turns a list of expressions into one straight-line
-function that returns every value and first partial in a single call,
-with the same results as the dual-number tree walker.
+function that returns every value, first partial and, with ``order=2``,
+second partial in a single call, with the same results as the
+dual-number tree walker.  Everything that evaluates expressions at many
+points (the vector fields, the clocks, the geometry and the catalog
+residuals) runs on compiled jets; :func:`evaluate`,
+:func:`derivative` and :func:`second_derivative` walk the tree, and
+serve as the oracle of the jets and for one-off evaluations.
 
 Grammar (EBNF)::
 
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import builtins as _builtins
 import math as _math
+import operator as _operator
 import re as _re
 from typing import Mapping
 
@@ -449,231 +455,364 @@ _JET_GLOBALS = {
     "_DomainError": DomainError, "_Unbound": UnboundVariableError,
 }
 
-_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_FOLD = {"+": _operator.add, "-": _operator.sub, "*": _operator.mul,
+         "/": _operator.truediv, "**": _operator.pow}
+_CALLS = {"sin": _math.sin, "cos": _math.cos, "tan": _math.tan,
+          "exp": _math.exp, "log": _math.log, "sqrt": _math.sqrt,
+          "abs": abs}
 
 
-def _times(x: str, y: str) -> str:
-    # x * 1.0 == x bitwise, so unit seeds vanish from the source
-    if x == "1.0":
-        return y
-    if y == "1.0":
-        return x
-    return f"{x} * {y}"
+class _Sym:
+    """One float of a jet's source: a literal, an argument or a
+    temporary.  Arithmetic on it writes source, so the operators of
+    :class:`Dual` run over nested duals of these write the jet."""
+
+    __slots__ = ("src", "ref", "const")
+
+    def __init__(self, src, ref, const=None):
+        self.src = src
+        self.ref = ref        # source text: a name or a literal
+        self.const = const    # the float of a literal, else None
+
+    def __neg__(self):
+        return self.src.neg(self)
+
+
+def _sym_operator(op: str):
+    """The forward and reflected dunders of a binary operator; a dual
+    operand is left to the :class:`Dual` reflected method."""
+    def forward(self, o):
+        return NotImplemented if isinstance(o, Dual) else \
+            self.src.binary(op, self, o)
+
+    def reflected(self, o):
+        return self.src.binary(op, o, self)
+    return forward, reflected
+
+
+_Sym.__add__, _Sym.__radd__ = _sym_operator("+")
+_Sym.__sub__, _Sym.__rsub__ = _sym_operator("-")
+_Sym.__mul__, _Sym.__rmul__ = _sym_operator("*")
+_Sym.__truediv__, _Sym.__rtruediv__ = _sym_operator("/")
 
 
 class _JetSource:
     """Straight-line source for :func:`compile`.
 
-    Every node becomes one assignment in the value section and, per
-    differentiation variable that reaches it, one assignment in the
-    tangent section.  The tangent formulas are those of :mod:`dual`
-    with only that variable seeded, operand side for operand side, so
-    each scalar rounds exactly as :func:`derivative` does.  A node is
-    visited once per distinct operation on distinct operands, which
-    shares repeated sub-expressions; the first occurrence keeps its
-    source offset, and it is also the first to fail.
+    :meth:`walk` mirrors :func:`_ev` and the functions of :mod:`dual`
+    over :class:`_Sym` leaves, seeded the way :func:`derivative` and
+    :func:`second_derivative` seed, so every emitted operation is one
+    the tree walker performs, operand for operand, and rounds the same.
+    Only exact rewrites are made: operations on literals are folded,
+    ``x * 1.0``, ``1.0 * x``, ``x / 1.0``, ``x - 0.0`` and ``-(-x)`` are
+    ``x``.  Repeated operations on the same operands, and repeated
+    checks of the same condition, are emitted once.  One pass walks the
+    values, then one pass per seeding; a pass shares a node object
+    visited twice and reuses the values of the nodes that do not mention
+    a seeded variable.
     """
 
-    def __init__(self, names, wrt):
-        self.args = {name: f"x{i}" for i, name in enumerate(names)}
-        self.wrt = wrt
-        self.values: list[str] = []
-        self.tangents: list[str] = []
+    def __init__(self, names):
+        self.args = {name: _Sym(self, f"x{i}") for i, name in
+                     enumerate(names)}
+        self.lines: list[str] = []
         self.consts: dict[str, float] = {}
         self.memo: dict = {}
-        self.count = 0
+        self.negated: dict = {}
+        self.values: dict = {}
+        self.nodes: dict = {}
+        self.seeds = None
 
-    def temp(self, lines: list, code: str) -> str:
-        name = f"t{self.count}"
-        self.count += 1
-        lines.append(f"{name} = {code}")
-        return name
+    # -- emission ------------------------------------------------------------
 
-    def const(self, value: float) -> str:
-        if not _math.isfinite(value):
-            name = f"_c{len(self.consts)}"
-            self.consts[name] = value
-            return name
+    def const(self, value: float) -> _Sym:
+        value = float(value)
         text = repr(value)
-        return f"({text})" if text.startswith("-") else text
+        sym = self.memo.get(text)
+        if sym is None:
+            ref = f"({text})" if text.startswith("-") else text
+            if not _math.isfinite(value):
+                ref = f"_c{len(self.consts)}"
+                self.consts[ref] = value
+            sym = self.memo[text] = _Sym(self, ref, value)
+        return sym
 
-    def node(self, e):
-        """(value reference, {variable: tangent reference}) of a node;
-        a variable missing from the dict has a structurally zero
-        tangent there."""
-        t = type(e)
-        if t is Num:
-            return self.const(e.value), {}
-        if t is Var:
-            arg = self.args.get(e.name)
-            if arg is None:
-                self.values.append(f"raise _Unbound({e.name!r}, {e.offset!r})")
-                return "0.0", {}
-            return arg, ({e.name: "1.0"} if e.name in self.wrt else {})
-        if t is Neg or t is Call:
-            kids = (self.node(e.arg),)
-        elif t is Pow and e._k is not None:
-            kids = (self.node(e.lhs),)
-        else:
-            kids = (self.node(e.lhs), self.node(e.rhs))
-        extra = e.fn if t is Call else e._k if t is Pow else None
-        key = (t, extra) + tuple(v for v, _ in kids)
-        out = self.memo.get(key)
-        if out is None:
-            out = self.memo[key] = self.emit(t, e, kids)
+    def sym(self, x) -> _Sym:
+        return x if isinstance(x, _Sym) else self.const(x)
+
+    def emit(self, key, code: str) -> _Sym:
+        sym = self.memo.get(key)
+        if sym is None:
+            sym = self.memo[key] = _Sym(self, f"t{len(self.lines)}")
+            self.lines.append(f"{sym.ref} = {code}")
+        return sym
+
+    def binary(self, op: str, a, b) -> _Sym:
+        a, b = self.sym(a), self.sym(b)
+        ca, cb = a.const, b.const
+        if ca is not None and cb is not None:
+            try:
+                value = _FOLD[op](ca, cb)
+            except ArithmeticError:
+                value = None
+            if type(value) is float:
+                return self.const(value)
+        if op == "*" and ca == 1.0:
+            return b
+        if op in "*/" and cb == 1.0 or (
+                op == "-" and cb == 0.0 and _math.copysign(1.0, cb) > 0.0):
+            return a
+        return self.emit((op, a.ref, b.ref), f"{a.ref} {op} {b.ref}")
+
+    def neg(self, a: _Sym) -> _Sym:
+        if a.const is not None:
+            return self.const(-a.const)
+        inner = self.negated.get(a.ref)
+        if inner is not None:
+            return inner
+        out = self.emit(("neg", a.ref), f"-{a.ref}")
+        self.negated[out.ref] = a
         return out
 
-    def emit(self, t, e, kids):
-        V, D = self.values, self.tangents
-        temp = self.temp
+    def call(self, fn: str, a) -> _Sym:
+        a = self.sym(a)
+        if a.const is not None:
+            try:
+                value = _CALLS[fn](a.const)
+            except (ArithmeticError, ValueError):
+                value = None
+            if type(value) is float:
+                return self.const(value)
+        name = fn if fn == "abs" else "_" + fn
+        return self.emit((fn, a.ref), f"{name}({a.ref})")
 
-        def fail(lines, cond, message):
-            lines.append(f"if {cond}: raise _DomainError({message!r}, "
-                         f"{e.offset!r})")
+    def once(self, key, line: str):
+        if key not in self.memo:
+            self.memo[key] = None
+            self.lines.append(line)
 
-        tan = {}
-        if t in _BINARY_OPS:
-            (a, da), (b, db) = kids
-            if t is Div:
-                fail(V, f"{b} == 0.0", "division by zero")
-            v = temp(V, f"{a} {_BINARY_OPS[t]} {b}")
-            for w in self.wrt:
-                x, y = da.get(w), db.get(w)
-                if x is None and y is None:
-                    continue
-                if t is Add:
-                    tan[w] = (x if y is None else y if x is None
-                              else temp(D, f"{x} + {y}"))
-                elif t is Sub:
-                    tan[w] = x if y is None else temp(
-                        D, f"-{y}" if x is None else f"{x} - {y}")
-                elif t is Mul:
-                    tan[w] = temp(D, _times(x, b) if y is None else
-                                  _times(a, y) if x is None else
-                                  f"{_times(a, y)} + {_times(x, b)}")
-                elif y is None:
-                    tan[w] = temp(D, f"{x} / {b}")
-                elif x is None:
-                    tan[w] = temp(D, f"-{_times(v, y)} / {b}")
-                else:
-                    tan[w] = temp(D, f"({x} - {_times(v, y)}) / {b}")
-            return v, tan
+    def check(self, cond: str, message: str, offset):
+        """Raise ``message`` at run time when ``cond`` holds; a condition
+        already checked cannot hold here, so it is emitted once."""
+        self.once(("check", cond), f"if {cond}: raise _DomainError("
+                                   f"{message!r}, {offset!r})")
 
-        if t is Neg:
-            (a, da), = kids
-            return temp(V, f"-{a}"), {w: temp(D, f"-{x}")
-                                      for w, x in da.items()}
+    # -- the functions of dual.py --------------------------------------------
 
-        if t is Pow and e._k is not None:
-            (b, db), = kids
-            k = e._k
-            if not float(k).is_integer():
-                fail(V, f"{b} < 0.0", "fractional power of a negative base")
-            if k < 0.0:
-                fail(V, f"{b} == 0.0", "zero raised to a negative power")
-            if k == 0:
-                return "1.0", {}
-            v = temp(V, f"{b} ** {self.const(k)}")
-            if db:
-                if k - 1 == 0:
-                    coef = self.const(k * 1.0)
-                else:
-                    if k - 1 < 0.0:
-                        fail(D, f"{b} == 0.0",
-                             "power has no derivative at zero base")
-                    coef = temp(D, f"{self.const(k)} * {b} ** "
-                                   f"{self.const(k - 1)}")
-                tan = {w: temp(D, _times(coef, x)) for w, x in db.items()}
-            return v, tan
+    def powc(self, x, k, offset):
+        if k == 0:
+            return 1.0
+        if isinstance(x, Dual):
+            return Dual(self.powc(x.re, k, offset),
+                        (k * self.powc(x.re, k - 1, offset)) * x.im)
+        if k < 0.0:
+            # float ** raises ZeroDivisionError here, which _ev reports
+            self.check(f"{x.ref} == 0.0",
+                       "power has no derivative at zero base", offset)
+        return self.binary("**", x, k)
 
+    def sin(self, x):
+        if isinstance(x, Dual):
+            return Dual(self.sin(x.re), self.cos(x.re) * x.im)
+        return self.call("sin", x)
+
+    def cos(self, x):
+        if isinstance(x, Dual):
+            return Dual(self.cos(x.re), -(self.sin(x.re) * x.im))
+        return self.call("cos", x)
+
+    def tan(self, x):
+        if isinstance(x, Dual):
+            c = self.cos(x.re)
+            return Dual(self.tan(x.re), x.im / (c * c))
+        return self.call("tan", x)
+
+    def exp(self, x):
+        if isinstance(x, Dual):
+            e = self.exp(x.re)
+            return Dual(e, e * x.im)
+        return self.call("exp", x)
+
+    def ln(self, x):
+        if isinstance(x, Dual):
+            return Dual(self.ln(x.re), x.im / x.re)
+        return self.call("log", x)
+
+    def sqrt(self, x):
+        if isinstance(x, Dual):
+            s = self.sqrt(x.re)
+            return Dual(s, x.im / (s + s))
+        return self.call("sqrt", x)
+
+    def abs(self, x, value, top=True):
+        """Dual.__abs__ without a branch: every component is negated
+        where the value is negative.  The value itself is abs(value), so
+        a -0.0 value loses its sign (the one difference from the tree
+        walker)."""
+        if isinstance(x, Dual):
+            return Dual(self.abs(x.re, value, top),
+                        self.abs(x.im, value, False))
+        if top:
+            return self.call("abs", value)
+        x = self.sym(x)
+        return self.emit(("sel", value.ref, x.ref),
+                         f"{x.ref} if {value.ref} >= 0.0 else -{x.ref}")
+
+    # -- the tree walk -------------------------------------------------------
+
+    def walk(self, e, env):
+        if self.seeds is not None and self.seeds.isdisjoint(
+                e.free_variables()):
+            return self.values[id(e)]
+        out = self.nodes.get(id(e))
+        if out is None:
+            out = self.node(e, env)
+            if not isinstance(out, (_Sym, Dual)):
+                out = self.const(out)
+            self.nodes[id(e)] = out
+        return out
+
+    def node(self, e, env):
+        """One node of :func:`_ev`, over symbolic floats and duals."""
+        t = type(e)
+        if t is Var:
+            x = env.get(e.name)
+            if x is None:
+                self.once(("unbound", e.name),
+                          f"raise _Unbound({e.name!r}, {e.offset!r})")
+                return 0.0
+            return x
+        if t is Num:
+            return e.value
+        if t is Add:
+            return self.walk(e.lhs, env) + self.walk(e.rhs, env)
+        if t is Mul:
+            return self.walk(e.lhs, env) * self.walk(e.rhs, env)
+        if t is Sub:
+            return self.walk(e.lhs, env) - self.walk(e.rhs, env)
+        if t is Div:
+            num = self.walk(e.lhs, env)
+            den = self.walk(e.rhs, env)
+            self.check(f"{_d.real(den).ref} == 0.0", "division by zero",
+                       e.offset)
+            return num / den
         if t is Pow:
-            (b, db), (g, dg) = kids
-            fail(V, f"{b} <= 0.0",
-                 "non-constant exponent requires a positive base")
-            log_b = temp(V, f"_log({b})")
-            v = temp(V, f"_exp({g} * {log_b})")
-            for w in self.wrt:
-                x, y = db.get(w), dg.get(w)
-                if x is None and y is None:
-                    continue
-                if x is None:
-                    dt = temp(D, _times(y, log_b))
-                else:
-                    dl = temp(D, f"{x} / {b}")
-                    dt = temp(D, _times(g, dl) if y is None else
-                              f"{_times(g, dl)} + {_times(y, log_b)}")
-                tan[w] = temp(D, _times(v, dt))
-            return v, tan
+            base = self.walk(e.lhs, env)
+            b = _d.real(base).ref
+            k = e._k
+            if k is not None:
+                if not float(k).is_integer():
+                    self.check(f"{b} < 0.0",
+                               "fractional power of a negative base",
+                               e.offset)
+                if k < 0.0:
+                    self.check(f"{b} == 0.0",
+                               "zero raised to a negative power", e.offset)
+                return self.powc(base, k, e.offset)
+            expo = self.walk(e.rhs, env)
+            self.check(f"{b} <= 0.0",
+                       "non-constant exponent requires a positive base",
+                       e.offset)
+            return self.exp(expo * self.ln(base))
+        if t is Neg:
+            return -self.walk(e.arg, env)
+        if t is Call:
+            a = self.walk(e.arg, env)
+            ra = _d.real(a)
+            fn = e.fn
+            if fn == "ln":
+                self.check(f"{ra.ref} <= 0.0", "ln of a non-positive value",
+                           e.offset)
+                return self.ln(a)
+            if fn == "sqrt":
+                self.check(f"{ra.ref} < 0.0", "sqrt of a negative value",
+                           e.offset)
+                if isinstance(a, Dual):
+                    self.check(f"{ra.ref} == 0.0",
+                               "sqrt has no derivative at zero", e.offset)
+                return self.sqrt(a)
+            if fn == "abs":
+                return self.abs(a, ra)
+            return getattr(self, fn)(a)
+        raise TypeError(f"not an Expression node: {e!r}")
 
-        # Call
-        (a, da), = kids
-        fn = e.fn
-        if fn == "ln":
-            fail(V, f"{a} <= 0.0", "ln of a non-positive value")
-        elif fn == "sqrt":
-            fail(V, f"{a} < 0.0", "sqrt of a negative value")
-        if fn == "abs":
-            v = temp(V, f"abs({a})")
-        else:
-            v = temp(V, f"_{'log' if fn == 'ln' else fn}({a})")
-        if not da:
-            return v, tan
-        if fn == "sin":
-            c = temp(D, f"_cos({a})")
-            tan = {w: temp(D, _times(c, x)) for w, x in da.items()}
-        elif fn == "cos":
-            s = temp(D, f"_sin({a})")
-            tan = {w: temp(D, f"-({_times(s, x)})") for w, x in da.items()}
-        elif fn == "tan":
-            c = temp(D, f"_cos({a})")
-            cc = temp(D, f"{c} * {c}")
-            tan = {w: temp(D, f"{x} / {cc}") for w, x in da.items()}
-        elif fn == "exp":
-            tan = {w: temp(D, _times(v, x)) for w, x in da.items()}
-        elif fn == "ln":
-            tan = {w: temp(D, f"{x} / {a}") for w, x in da.items()}
-        elif fn == "sqrt":
-            fail(D, f"{a} == 0.0", "sqrt has no derivative at zero")
-            s2 = temp(D, f"{v} + {v}")
-            tan = {w: temp(D, f"{x} / {s2}") for w, x in da.items()}
-        else:  # abs: the dual takes the right derivative at 0
-            tan = {w: temp(D, f"{x} if {a} >= 0.0 else -{x}")
-                   for w, x in da.items()}
-        return v, tan
+    def run(self, exprs, seeds=None, env=None):
+        """Walk every expression with ``env`` over the arguments."""
+        self.seeds = seeds
+        self.nodes = {}
+        out = [self.walk(e, env or self.args) for e in exprs]
+        if seeds is None:
+            self.values = self.nodes
+        return out
 
 
-def compile(exprs, names, wrt=()):
-    """Compile expressions into one straight-line value+gradient jet.
+def compile(exprs, names, wrt=(), order=1):
+    """Compile expressions into one straight-line jet.
 
     Returns a function taking one float per entry of ``names``,
-    positionally, and returning a flat tuple: the values of ``exprs``,
+    positionally, and returning a flat tuple: the values of ``exprs``;
     then for each variable in ``wrt`` (a subset of ``names``) the first
-    partials of ``exprs`` along it.  Each scalar equals, bit for bit,
-    what :func:`evaluate` or :func:`derivative` returns at the same
-    point (a zero may differ in sign where ``abs`` meets ``-0.0``).
-    Partials that are structurally zero, found from the free variables,
-    are the constant 0.0 and cost nothing.
+    partials of ``exprs`` along it; then, with ``order=2``, for each
+    pair ``(wrt[i], wrt[j])`` with ``i <= j`` the second partials of
+    ``exprs`` along it.  Each scalar equals, bit for bit, what
+    :func:`evaluate`, :func:`derivative` or :func:`second_derivative`
+    returns at the same point (a zero may differ in sign where ``abs``
+    meets ``-0.0``).  Partials along a variable an expression does not
+    mention are the constant 0.0 and cost nothing.
 
     Failures keep their type, message and offset: all values are
     computed first, so a point where :func:`evaluate` fails on some
-    expression raises exactly its error; otherwise the first failure of
-    the tangents raises, which is the error :func:`derivative` raises
-    for some variable in ``wrt``.  A variable missing from ``names``
-    raises :class:`UnboundVariableError` when the function is called.
+    expression raises exactly its error; otherwise the first failure
+    raises, in order of the first partials and then of the second
+    partials, which is the error :func:`derivative` or
+    :func:`second_derivative` raises for some variable or pair of
+    ``wrt``.  A variable missing from ``names`` raises
+    :class:`UnboundVariableError` when the function is called.
     """
+    exprs = list(exprs)
     names = tuple(names)
     wrt = tuple(wrt)
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate names in {names}")
     if len(set(wrt)) != len(wrt) or not set(wrt) <= set(names):
         raise ValueError(f"wrt {wrt} must be distinct entries of {names}")
-    src = _JetSource(names, wrt)
-    roots = [src.node(e) for e in exprs]
-    out = [v for v, _ in roots]
-    out += [d.get(w, "0.0") for w in wrt for _, d in roots]
-    body = src.values + src.tangents + [
-        "return (" + "".join(f"{ref}, " for ref in out) + ")"]
-    code = (f"def _jet({', '.join(src.args.values())}):\n"
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, not {order!r}")
+    src = _JetSource(names)
+    args = src.args
+    one, zero = src.const(1.0), src.const(0.0)
+    out = src.run(exprs)
+
+    def partials(seeds, env, pick):
+        todo = [e for e in exprs if seeds <= e.free_variables()]
+        got = dict(zip(map(id, todo), src.run(todo, seeds, env)))
+        for e in exprs:
+            r = got.get(id(e))
+            r = pick(r) if isinstance(r, Dual) else None
+            out.append(zero if r is None else src.sym(r))
+
+    for v in wrt:
+        # derivative(): v seeded with tangent 1.0
+        env = dict(args)
+        env[v] = Dual(args[v], one)
+        partials(frozenset((v,)), env, lambda r: r.im)
+    if order == 2:
+        for i, v1 in enumerate(wrt):
+            for v2 in wrt[i:]:
+                # second_derivative(): the smaller name on the outer level
+                a, b = sorted((v1, v2))
+                env = dict(args)
+                if a == b:
+                    env[a] = Dual(Dual(args[a], one), Dual(one, zero))
+                else:
+                    env[a] = Dual(Dual(args[a], zero), Dual(one, zero))
+                    env[b] = Dual(Dual(args[b], one), Dual(zero, zero))
+                partials(frozenset((a, b)), env,
+                         lambda r: _d.real(r.im.im)
+                         if isinstance(r.im, Dual) else None)
+    body = src.lines + ["return (" + "".join(f"{s.ref}, " for s in out)
+                        + ")"]
+    code = (f"def _jet({', '.join(s.ref for s in args.values())}):\n"
             + "".join(f"    {line}\n" for line in body))
     namespace = dict(_JET_GLOBALS, **src.consts)
     exec(_builtins.compile(code, "<expr jet>", "exec"), namespace)

@@ -17,11 +17,21 @@ Index conventions, used throughout and nowhere redefined:
 
 Residual operations return max-norms, never booleans; thresholds are
 the caller's business.
+
+Every expression-backed object (a grid-backed :class:`MetricField`, a
+:class:`TensorField2`, a :class:`PhaseScalar`) compiles one jet with
+:func:`expr.compile` the first time it is evaluated and keeps it, so a
+point costs one call for all values and partials: first partials for
+tensors and phase scalars, second partials as well for metrics.  The
+system residuals read the separation matrix and the potentials from
+:meth:`model.SystemJet.positions`.  Only the system-backed metric
+(:meth:`MetricField.from_system`) still walks expression trees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -71,6 +81,61 @@ def _env_of(coords, point) -> dict:
     return dict(zip(coords, vals))
 
 
+class _GridJet:
+    """A compiled jet of an expression list over coordinates (and fixed
+    parameters after them).  Called with the coordinate values, then the
+    parameter values, it returns the values (m,), the first partials
+    (n, m) and, at order 2, the second partials (n, n, m)."""
+
+    def __init__(self, exprs, coords, params=(), order=1):
+        n, m = len(coords), len(exprs)
+        self.fn = _expr.compile(exprs, tuple(coords) + tuple(params),
+                                coords, order)
+        self.m = m
+        self.n = n
+        self.pair = None
+        if order == 2:
+            self.pair = np.empty((n, n), dtype=int)
+            pairs = [(i, j) for i in range(n) for j in range(i, n)]
+            for k, (i, j) in enumerate(pairs):
+                self.pair[i, j] = self.pair[j, i] = k
+
+    def __call__(self, args):
+        out = np.array(self.fn(*args))
+        m, n = self.m, self.n
+        first = out[m:m + n * m].reshape(n, m)
+        if self.pair is None:
+            return out[:m], first
+        return out[:m], first, out[m + n * m:].reshape(-1, m)[self.pair]
+
+
+_JETS: dict = {}
+_JETS_KEPT = 8
+
+
+def _grid_jet(exprs, coords, params=(), order=1) -> _GridJet:
+    """The jet of an expression list, compiled once and shared by every
+    object built on the same expression objects (the last
+    ``_JETS_KEPT`` lists are kept)."""
+    exprs = tuple(exprs)
+    key = (tuple(map(id, exprs)), tuple(coords), tuple(params), order)
+    hit = _JETS.pop(key, None)
+    if hit is None:
+        # the entry keeps its expressions alive, so their ids stay theirs
+        hit = (exprs, _GridJet(exprs, coords, params, order))
+        if len(_JETS) >= _JETS_KEPT:
+            del _JETS[next(iter(_JETS))]
+    _JETS[key] = hit
+    return hit[1]
+
+
+def _index(coords, name: str) -> int:
+    if name not in coords:
+        raise GeometryError(f"{name!r} is not one of the coordinates "
+                            f"{coords}")
+    return coords.index(name)
+
+
 def _grid_of(entries, n: int | None = None):
     rows = tuple(tuple(_model._as_expression(e) for e in row)
                  for row in entries)
@@ -91,12 +156,18 @@ class MetricField:
     second form the derivatives of alpha come from the analytic
     identities d(S^-1) = -S^-1 (dS) S^-1 and its product-rule
     derivative, so no finite differencing is ever involved.
+
+    A grid may also mention fixed parameters, bound by ``params``
+    (name -> value); they are not coordinates and are never
+    differentiated.  Metrics on the same grid objects share one
+    compiled jet, whatever their parameter values.
     """
 
     def __init__(self, coords, grid=None, system: TwistedSystem | None
-                 = None):
+                 = None, params=None):
         self.coords = tuple(coords)
         self._system = system
+        self.params = dict(params or {})
         if (grid is None) == (system is None):
             raise GeometryError(
                 "provide exactly one of an expression grid or a system")
@@ -113,8 +184,8 @@ class MetricField:
             self._grid = None
 
     @classmethod
-    def from_expressions(cls, coords, grid) -> "MetricField":
-        return cls(coords, grid=grid)
+    def from_expressions(cls, coords, grid, params=None) -> "MetricField":
+        return cls(coords, grid=grid, params=params)
 
     @classmethod
     def from_system(cls, sys: TwistedSystem) -> "MetricField":
@@ -145,10 +216,34 @@ class MetricField:
 
     # -- public evaluation --------------------------------------------------
 
+    @cached_property
+    def _jet(self) -> _GridJet:
+        return _grid_jet([e for row in self._grid for e in row], self.coords,
+                         tuple(self.params), 2)
+
+    def _derivatives(self, env, order: int = 2):
+        """G, then for order >= 1 the stacked dG[k] = d_k G, then for
+        order 2 d2G[m, k] = d_m d_k G."""
+        if self._grid is None:
+            out = [self.contravariant(env)]
+            if order >= 1:
+                out.append(np.array([self.derivative(env, c)
+                                     for c in self.coords]))
+            if order == 2:
+                out.append(np.array([[self.second_derivative(env, a, b)
+                                      for b in self.coords]
+                                     for a in self.coords]))
+            return tuple(out)
+        n = self.n
+        G, dG, d2G = self._jet([env[c] for c in self.coords]
+                               + list(self.params.values()))
+        return (G.reshape(n, n), dG.reshape(n, n, n),
+                d2G.reshape(n, n, n, n))[:order + 1]
+
     def contravariant(self, point) -> np.ndarray:
         env = _env_of(self.coords, point)
         if self._grid is not None:
-            return _model.matrix_values(self._grid, env)
+            return self._derivatives(env, 0)[0]
         sys = self._system
         _, M = self._twist_sm(env)
         g_vals = [_model.matrix_values(blk.metric, env)
@@ -159,7 +254,7 @@ class MetricField:
         """d/d name of the contravariant components."""
         env = _env_of(self.coords, point)
         if self._grid is not None:
-            return _model.matrix_derivative(self._grid, env, name)
+            return self._derivatives(env, 1)[1][_index(self.coords, name)]
         sys = self._system
         _, M = self._twist_sm(env)
         alpha = M[0]
@@ -178,7 +273,8 @@ class MetricField:
     def second_derivative(self, point, n1: str, n2: str) -> np.ndarray:
         env = _env_of(self.coords, point)
         if self._grid is not None:
-            return _model.matrix_second_derivative(self._grid, env, n1, n2)
+            return self._derivatives(env)[2][_index(self.coords, n1),
+                                             _index(self.coords, n2)]
         sys = self._system
         _, M = self._twist_sm(env)
         alpha = M[0]
@@ -251,13 +347,22 @@ class TensorField2:
     def n(self) -> int:
         return len(self.coords)
 
+    @cached_property
+    def _jet(self) -> _GridJet:
+        return _grid_jet([e for row in self.grid for e in row], self.coords)
+
+    def _at(self, env):
+        """Values T and stacked first partials dT[k] = d_k T."""
+        n = self.n
+        T, dT = self._jet([env[c] for c in self.coords])
+        return T.reshape(n, n), dT.reshape(n, n, n)
+
     def values(self, point) -> np.ndarray:
-        env = _env_of(self.coords, point)
-        return _model.matrix_values(self.grid, env)
+        return self._at(_env_of(self.coords, point))[0]
 
     def derivative_values(self, point, name: str) -> np.ndarray:
         env = _env_of(self.coords, point)
-        return _model.matrix_derivative(self.grid, env, name)
+        return self._at(env)[1][_index(self.coords, name)]
 
     def _need_metric(self):
         if self.metric is None:
@@ -334,43 +439,67 @@ class PhaseScalar:
         object.__setattr__(self, "scalar",
                            _model._as_expression(self.scalar))
 
-    def value(self, point: PhasePoint) -> float:
-        env = _env_of(self.coords, point)
-        p = np.asarray(point.p, dtype=float)
-        out = _expr.evaluate(self.scalar, env)
-        if self.linear is not None:
-            out += sum(_expr.evaluate(e, env) * p[i]
-                       for i, e in enumerate(self.linear))
+    @cached_property
+    def _jet(self) -> _GridJet:
+        exprs = [self.scalar, *(self.linear or ())]
         if self.tensor is not None:
-            K = self.tensor.values(env)
+            exprs += [e for row in self.tensor.grid for e in row]
+        return _grid_jet(exprs, self.coords)
+
+    def _at(self, point: PhasePoint):
+        """Momenta, then the scalar W, linear terms L and tensor K with
+        their stacked first partials, from one jet call."""
+        n = len(self.coords)
+        if len(point.q) != n:
+            raise GeometryError(
+                f"point has {len(point.q)} coordinates, expected {n}")
+        vals, first = self._jet(point.q)
+        lin = 1 + len(self.linear or ())
+        K = dK = None
+        if self.tensor is not None:
+            K, dK = vals[lin:].reshape(n, n), first[:, lin:].reshape(n, n, n)
+        return (np.asarray(point.p, dtype=float), vals[0], vals[1:lin], K,
+                first[:, 0], first[:, 1:lin], dK)
+
+    def value(self, point: PhasePoint) -> float:
+        p, out, L, K, _, _, _ = self._at(point)
+        if self.linear is not None:
+            out += sum(L[i] * p[i] for i in range(len(L)))
+        if self.tensor is not None:
             out += 0.5 * float(p @ K @ p)
         return float(out)
 
-    def momentum_gradient(self, point: PhasePoint) -> np.ndarray:
-        env = _env_of(self.coords, point)
-        p = np.asarray(point.p, dtype=float)
-        out = np.zeros(len(self.coords))
+    def _gradients(self, point: PhasePoint):
+        """(d/dq, d/dp) at the point.  The last point's pair is kept,
+        since a bracket check asks for it once per partner; its arrays
+        must not be written to."""
+        last = self.__dict__.get("_last_gradients")
+        if last is not None and last[0] == point:
+            return last[1]
+        p, _, L, K, dW, dL, dK = self._at(point)
+        n = len(self.coords)
+        dp = np.zeros(n)
         if self.tensor is not None:
-            K = self.tensor.values(env)
-            out += 0.5 * (K + K.T) @ p
+            dp += 0.5 * (K + K.T) @ p
         if self.linear is not None:
-            out += np.array([_expr.evaluate(e, env) for e in self.linear])
+            dp += L
+        dq = dW.tolist()
+        if self.linear is not None:
+            for k in range(n):
+                dq[k] += sum(dL[k, i] * p[i] for i in range(len(L)))
+        if self.tensor is not None:
+            pdK = p @ dK  # row k is p @ dK[k]
+            for k in range(n):
+                dq[k] += 0.5 * float(pdK[k] @ p)
+        out = np.array(dq), dp
+        self.__dict__["_last_gradients"] = (point, out)
         return out
 
+    def momentum_gradient(self, point: PhasePoint) -> np.ndarray:
+        return self._gradients(point)[1].copy()
+
     def position_gradient(self, point: PhasePoint) -> np.ndarray:
-        env = _env_of(self.coords, point)
-        p = np.asarray(point.p, dtype=float)
-        out = np.zeros(len(self.coords))
-        for k, name in enumerate(self.coords):
-            acc = _expr.derivative(self.scalar, env, name)
-            if self.linear is not None:
-                acc += sum(_expr.derivative(e, env, name) * p[i]
-                           for i, e in enumerate(self.linear))
-            if self.tensor is not None:
-                dK = self.tensor.derivative_values(env, name)
-                acc += 0.5 * float(p @ dK @ p)
-            out[k] = acc
-        return out
+        return self._gradients(point)[0].copy()
 
 
 def poisson_bracket(F: PhaseScalar, G: PhaseScalar,
@@ -383,54 +512,50 @@ def poisson_bracket(F: PhaseScalar, G: PhaseScalar,
         raise GeometryError(
             f"point has {len(point.q)} coordinates, expected "
             f"{len(F.coords)}")
-    dqF = F.position_gradient(point)
-    dpF = F.momentum_gradient(point)
-    dqG = G.position_gradient(point)
-    dpG = G.momentum_gradient(point)
+    dqF, dpF = F._gradients(point)
+    dqG, dpG = G._gradients(point)
     return float(dqF @ dpG - dpF @ dqG)
 
 
 # ---------------------------------------------------------------------------
 # connection and curvature
 
-def _covariant_derivatives(g: MetricField, env):
-    """gcov, first and second coordinate derivatives of gcov.
+def _covariant_derivatives(g: MetricField, env, order: int = 2):
+    """G, gcov, and the first (and for order 2 second) coordinate
+    derivatives of G and gcov.
 
     Derivatives of the inverse come from the analytic identity
     d(g) = -g (dG) g applied to the contravariant components.
     """
     n = g.n
-    G = g.contravariant(env)
+    G, dG, *d2G = g._derivatives(env, order)
     det = float(np.linalg.det(G))
     if det == 0.0 or not np.isfinite(det):
         raise DegenerateMetricError("metric degenerate at the given point")
     gcov = np.linalg.inv(G)
-    dG = [g.derivative(env, c) for c in g.coords]
-    dg = [-gcov @ dG[k] @ gcov for k in range(n)]
+    dg = -gcov @ dG @ gcov
+    if order < 2:
+        return G, gcov, dG, dg, None
+    m, k = np.tril_indices(n)  # the pairs k <= m
+    val = -(dg[m] @ dG[k] @ gcov + gcov @ d2G[0][m, k] @ gcov
+            + gcov @ dG[k] @ dg[m])
     d2g = np.empty((n, n, n, n))
-    for m in range(n):
-        for k in range(m + 1):
-            d2G = g.second_derivative(env, g.coords[m], g.coords[k])
-            val = -(dg[m] @ dG[k] @ gcov + gcov @ d2G @ gcov
-                    + gcov @ dG[k] @ dg[m])
-            d2g[m, k] = val
-            d2g[k, m] = val
-    return G, gcov, np.array(dG), np.array(dg), d2g
+    d2g[m, k] = val
+    d2g[k, m] = val
+    return G, gcov, dG, dg, d2g
 
 
 def christoffel(g: MetricField, point) -> np.ndarray:
     """Levi-Civita connection coefficients, out[i,j,k] = Gamma^i_jk."""
     env = _env_of(g.coords, point)
-    G, _, _, dg, _ = _covariant_derivatives(g, env)
+    G, _, _, dg, _ = _covariant_derivatives(g, env, 1)
     # A[l,j,k] = d_j g_lk + d_k g_lj - d_l g_jk
     A = (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg)
     return 0.5 * np.einsum("il,ljk->ijk", G, A)
 
 
-def riemann(g: MetricField, point) -> np.ndarray:
-    """Curvature of the Levi-Civita connection, out[i,j,k,l] = R^i_jkl."""
-    env = _env_of(g.coords, point)
-    n = g.n
+def _riemann(g: MetricField, env):
+    """R^i_jkl and the contravariant metric G at the point."""
     G, _, dG, dg, d2g = _covariant_derivatives(g, env)
     A = (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg)
     Gamma = 0.5 * np.einsum("il,ljk->ijk", G, A)
@@ -441,15 +566,19 @@ def riemann(g: MetricField, point) -> np.ndarray:
     R = (dGamma.transpose(1, 2, 0, 3) - dGamma.transpose(1, 2, 3, 0)
          + np.einsum("ikm,mjl->ijkl", Gamma, Gamma)
          - np.einsum("ilm,mjk->ijkl", Gamma, Gamma))
-    return R
+    return R, G
+
+
+def riemann(g: MetricField, point) -> np.ndarray:
+    """Curvature of the Levi-Civita connection, out[i,j,k,l] = R^i_jkl."""
+    return _riemann(g, _env_of(g.coords, point))[0]
 
 
 def ricci_scalar(g: MetricField, point) -> float:
     """Scalar curvature, the double trace of the curvature tensor."""
-    env = _env_of(g.coords, point)
-    R = riemann(g, env)
+    R, G = _riemann(g, _env_of(g.coords, point))
     ric = np.einsum("ijil->jl", R)
-    return float(np.einsum("jl,jl->", g.contravariant(env), ric))
+    return float(np.einsum("jl,jl->", G, ric))
 
 
 def killing_residual(g: MetricField, K: TensorField2, point) -> float:
@@ -457,10 +586,8 @@ def killing_residual(g: MetricField, K: TensorField2, point) -> float:
     if K.variance != "covariant":
         raise VarianceError("killing_residual expects covariant components")
     env = _env_of(g.coords, point)
-    n = g.n
     Gamma = christoffel(g, env)
-    Kv = K.values(env)
-    dK = np.array([K.derivative_values(env, c) for c in K.coords])
+    Kv, dK = K._at(env)
     # nabla[i,j,k] = d_i K_jk - Gamma^l_ij K_lk - Gamma^l_ik K_jl
     nabla = (dK - np.einsum("lij,lk->ijk", Gamma, Kv)
              - np.einsum("lik,jl->ijk", Gamma, Kv))
@@ -477,10 +604,7 @@ def _mixed_components(T: TensorField2, g: MetricField | None, env):
     Converts variance on the fly when a metric is available, using the
     analytic derivative of the inverse for the covariant metric factor.
     """
-    coords = T.coords
-    n = T.n
-    Tv = T.values(env)
-    dT = [T.derivative_values(env, c) for c in coords]
+    Tv, dT = T._at(env)
     if T.variance == "mixed":
         return Tv, dT
     metric = g or T.metric
@@ -488,17 +612,11 @@ def _mixed_components(T: TensorField2, g: MetricField | None, env):
         raise VarianceError(
             f"{T.variance} tensor needs a metric to be used as an "
             "endomorphism")
-    G = metric.contravariant(env)
+    G, dG = metric._derivatives(env, 1)
     gcov = np.linalg.inv(G)
-    dG = [metric.derivative(env, c) for c in coords]
-    dg = [-gcov @ dG[k] @ gcov for k in range(n)]
     if T.variance == "contravariant":
-        mixed = Tv @ gcov
-        dmixed = [dT[k] @ gcov + Tv @ dg[k] for k in range(n)]
-    else:
-        mixed = G @ Tv
-        dmixed = [dG[k] @ Tv + G @ dT[k] for k in range(n)]
-    return mixed, dmixed
+        return Tv @ gcov, dT @ gcov + Tv @ (-gcov @ dG @ gcov)
+    return G @ Tv, dG @ Tv + G @ dT
 
 
 def _torsion_from(Tv: np.ndarray, dT) -> np.ndarray:
@@ -517,10 +635,7 @@ def nijenhuis(T: TensorField2, point) -> np.ndarray:
     """Nijenhuis torsion of a mixed tensor field, out[i,j,k] = N^i_jk."""
     if T.variance != "mixed":
         raise VarianceError("nijenhuis expects mixed components")
-    env = _env_of(T.coords, point)
-    Tv = T.values(env)
-    dT = [T.derivative_values(env, c) for c in T.coords]
-    return _torsion_from(Tv, dT)
+    return _torsion_from(*T._at(_env_of(T.coords, point)))
 
 
 def eigenvalue_groups(values, scale: float = 1e-8):
@@ -591,9 +706,7 @@ def haantjes(T: TensorField2, point) -> dict:
     """
     if T.variance != "mixed":
         raise VarianceError("haantjes expects mixed components")
-    env = _env_of(T.coords, point)
-    Tv = T.values(env)
-    dT = [T.derivative_values(env, c) for c in T.coords]
+    Tv, dT = T._at(_env_of(T.coords, point))
     H = 2.0 * _torsion_from(Tv, dT)
     t1 = np.einsum("kns,nm,sl->kml", H, Tv, Tv)
     t2 = (np.einsum("snl,nm,ks->kml", H, Tv, Tv)
@@ -634,12 +747,14 @@ def tsn_residuals(K: TensorField2, g: MetricField, point):
 # ---------------------------------------------------------------------------
 # block eigenvalues and the separability residuals
 
-def _system_sm(sys: TwistedSystem, point):
+def _twist_at(sys: TwistedSystem, point):
+    """The system's position jet (S, V and their partials) and
+    M = S^-1 at the point."""
     env = _env_of(sys.structure.names, point)
-    S = _model.matrix_values(sys.stackel.entries, env)
-    M, _, _ = _model.invert_with_condition(
-        S, point=[env[c] for c in sys.structure.names])
-    return env, S, M
+    q = [env[c] for c in sys.structure.names]
+    at = sys.jet.positions(q)
+    M, _, _ = _model.invert_with_condition(at.S, point=q)
+    return at, M
 
 
 def block_eigenvalues(sys: TwistedSystem, a: int, point) -> np.ndarray:
@@ -648,7 +763,7 @@ def block_eigenvalues(sys: TwistedSystem, a: int, point) -> np.ndarray:
     if not 1 <= a <= sys.n:
         raise _model.BlockIndexError(
             f"integral index {a} out of range 1..{sys.n}")
-    env, _, M = _system_sm(sys, point)
+    _, M = _twist_at(sys, point)
     alpha = M[0]
     for r in range(sys.n):
         if alpha[r] == 0.0:
@@ -664,7 +779,7 @@ def block_eisenhart_residual(sys: TwistedSystem, a: int, point) -> float:
     if not 1 <= a <= sys.n:
         raise _model.BlockIndexError(
             f"integral index {a} out of range 1..{sys.n}")
-    env, _, M = _system_sm(sys, point)
+    at, M = _twist_at(sys, point)
     alpha = M[0]
     for r in range(sys.n):
         if alpha[r] == 0.0:
@@ -673,10 +788,9 @@ def block_eisenhart_residual(sys: TwistedSystem, a: int, point) -> float:
                 "given point")
     lam = M[a - 1] / alpha
     worst = 0.0
-    for k, name in enumerate(sys.structure.names):
+    for k in range(sys.dim):
         r = sys.structure.block_of(k) - 1
-        dS = _model.matrix_derivative(sys.stackel.entries, env, name)
-        dM = -M @ dS @ M
+        dM = -M @ at.dS[k] @ M
         for s in range(sys.n):
             dlam = (dM[a - 1, s] * alpha[s] - M[a - 1, s] * dM[0, s]) \
                 / alpha[s] ** 2
@@ -695,20 +809,12 @@ def block_levi_civita_residual(sys: TwistedSystem, point) -> dict:
     potential_residual: the same combination with alpha^m replaced by
     the assembled potential V = alpha^m V_m.
     """
-    env, _, M = _system_sm(sys, point)
+    at, M = _twist_at(sys, point)
     alpha = M[0]
     n = sys.n
-    names = sys.structure.names
-    N = len(names)
-    entries = sys.stackel.entries
-
-    dS = [_model.matrix_derivative(entries, env, c) for c in names]
+    N = sys.dim
+    dS, V_m, dV_m = at.dS, at.V, at.dV
     dalpha = [-(alpha @ dS[k]) @ M for k in range(N)]
-
-    V_m = np.array([_expr.evaluate(blk.potential, env)
-                    for blk in sys.blocks])
-    dV_m = np.array([[_expr.derivative(blk.potential, env, c)
-                      for blk in sys.blocks] for c in names])
     dV = np.array([dalpha[k] @ V_m + alpha @ dV_m[k] for k in range(N)])
 
     metric_worst = 0.0
@@ -719,20 +825,15 @@ def block_levi_civita_residual(sys: TwistedSystem, point) -> dict:
             s = sys.structure.block_of(l) - 1
             if s == r:
                 continue
-            d2S = _model.matrix_second_derivative(entries, env, names[k],
-                                                  names[l])
             d2alpha = alpha @ (dS[k] @ M @ dS[l] + dS[l] @ M @ dS[k]
-                               - d2S) @ M
+                               - at.d2S[k, l]) @ M
             for m in range(n):
                 res = (alpha[r] * alpha[s] * d2alpha[m]
                        - alpha[r] * dalpha[k][s] * dalpha[l][m]
                        - alpha[s] * dalpha[l][r] * dalpha[k][m])
                 metric_worst = max(metric_worst, abs(res))
-            d2V_m = np.array([_expr.second_derivative(blk.potential, env,
-                                                      names[k], names[l])
-                              for blk in sys.blocks])
             d2V = (d2alpha @ V_m + dalpha[k] @ dV_m[l]
-                   + dalpha[l] @ dV_m[k] + alpha @ d2V_m)
+                   + dalpha[l] @ dV_m[k] + alpha @ at.d2V[k, l])
             res = (alpha[r] * alpha[s] * d2V
                    - alpha[r] * dalpha[k][s] * dV[l]
                    - alpha[s] * dalpha[l][r] * dV[k])
@@ -749,12 +850,8 @@ def characteristic_condition(T: TensorField2, V, g: MetricField,
     coords = g.coords
     n = len(coords)
     Tv, dT = _mixed_components(T, g, env)
-    dV = np.array([_expr.derivative(V, env, c) for c in coords])
-    d2V = np.empty((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            d2V[i, j] = d2V[j, i] = _expr.second_derivative(
-                V, env, coords[i], coords[j])
+    _, dV, d2V = _grid_jet((V,), coords, (), 2)([env[c] for c in coords])
+    dV, d2V = dV.reshape(n), d2V.reshape(n, n)
     # domega[i, j] = d_i (T dV)_j
     dTarr = np.array(dT)
     domega = (np.einsum("ikj,k->ij", dTarr, dV)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -264,10 +264,26 @@ class TwistedSystem:
         return SystemJet(self)
 
 
+class PositionJet(NamedTuple):
+    """S and the block potentials V_r with their first and second
+    partials at one position: S[r, a], dS[k, r, a] = d_k S[r, a],
+    d2S[k, l, r, a], V[r], dV[k, r], d2V[k, l, r]."""
+
+    S: np.ndarray
+    dS: np.ndarray
+    d2S: np.ndarray
+    V: np.ndarray
+    dV: np.ndarray
+    d2V: np.ndarray
+
+
 class SystemJet:
     """A system's expressions compiled by :func:`expr.compile`.  Each
     jet is compiled the first time it is asked for, and maps a list of
-    Python floats to an array.
+    Python floats to an array.  The integrator, the clocks and the
+    system residuals of :mod:`geometry` run on them; what still walks
+    expression trees here is :func:`twist_rows` and the energies behind
+    :func:`hamiltonian` and :func:`first_integral`.
 
     ``full`` takes the phase point (the N positions, then the N momenta)
     and returns a (1+2N, n*n+n) array: row 0 holds the values and row
@@ -275,12 +291,15 @@ class SystemJet:
     (row-major), then of the n block energies H_r.  ``block(r)`` does
     the same on block r's own phase coordinates for S row r and H_r.
     ``stackel`` takes the N positions and returns the n-by-n values of
-    S alone.
+    S alone.  ``positions`` takes the N positions and returns a
+    :class:`PositionJet`.
     """
 
     def __init__(self, sys: TwistedSystem):
         self._sys = sys
         self._blocks = {}
+        self._rows = None
+        self._last = None
 
     def _phase(self, r: int):
         """Block r's phase names and its energy H_r as an expression in
@@ -308,6 +327,43 @@ class SystemJet:
         fn = _expr.compile([e for row in self._sys.stackel.entries
                             for e in row], self._sys.structure.names)
         return lambda q: np.array(fn(*q)).reshape(n, n)
+
+    def positions(self, q) -> PositionJet:
+        """S, V and their partials up to second order at the positions
+        q.  Row r of S and V_r are differentiated only along the
+        coordinates they mention, block r's for a valid system; every
+        other partial is an exact 0.0.  The last result is kept, since
+        the residual battery asks for each probe point several times;
+        its arrays must not be written to."""
+        q = tuple(q)
+        if self._last is not None and self._last[0] == q:
+            return self._last[1]
+        sys = self._sys
+        names = sys.structure.names
+        n, N = sys.n, len(names)
+        if self._rows is None:
+            self._rows = []
+            for r in range(n):
+                exprs = (*sys.stackel.entries[r], sys.blocks[r].potential)
+                free = frozenset().union(*(e.free_variables()
+                                           for e in exprs))
+                idx = [k for k, c in enumerate(names) if c in free]
+                pairs = [(k, l) for i, k in enumerate(idx) for l in idx[i:]]
+                fn = _expr.compile(exprs, names, [names[k] for k in idx], 2)
+                self._rows.append((fn, idx, tuple(zip(*pairs)) or ((), ())))
+        S, V = np.empty((n, n)), np.empty(n)
+        dS, dV = np.zeros((N, n, n)), np.zeros((N, n))
+        d2S, d2V = np.zeros((N, N, n, n)), np.zeros((N, N, n))
+        for r, (fn, idx, (ks, ls)) in enumerate(self._rows):
+            out = np.array(fn(*q)).reshape(-1, n + 1)
+            S[r], V[r] = out[0, :n], out[0, n]
+            first, second = out[1:1 + len(idx)], out[1 + len(idx):]
+            dS[idx, r], dV[idx, r] = first[:, :n], first[:, n]
+            d2S[ks, ls, r] = d2S[ls, ks, r] = second[:, :n]
+            d2V[ks, ls, r] = d2V[ls, ks, r] = second[:, n]
+        out = PositionJet(S, dS, d2S, V, dV, d2V)
+        self._last = (q, out)
+        return out
 
     def block(self, r: int):
         jet = self._blocks.get(r)

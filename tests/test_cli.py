@@ -505,6 +505,30 @@ p = 0.1, 0.1
     assert "at q=(-0.29466251667873916, 0.287260537311178)" in err
 
 
+def test_evaluation_failure_names_check_and_probe(tmp_path, capsys):
+    # the same system at probe seed 1: 1 + exp(-0.1/|q2 - 0.29|) rounds
+    # to 1 near q2 = 0.29, the separation determinant to 0, and the
+    # bracket's cofactor inverse divides by it
+    body = """
+[system]
+blocks = q1 | q2
+
+[stackel]
+row1 = "1", "1"
+row2 = "1", "1+exp(-0.1/abs(q2-0.29))"
+
+[initial]
+q = 0, 0
+p = 0.1, 0.1
+"""
+    path = write_config(tmp_path, body)
+    assert cli.main(["verify", "--config", path, "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: division by zero")
+    assert ("in check bracket(H,K_2) at "
+            "q=(-0.008885415341018943, 0.28844231988074315)") in err
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(os.path.abspath(blocksep.__file__))))
