@@ -12,7 +12,8 @@ Modules:
 
 - ``expr``      expression language with exact derivatives: dual numbers
                 and compiled jets of first and second order
-- ``model``     block structures, separation matrices, twisted systems
+- ``model``     block structures, separation matrices, twisted systems,
+                the twist S^-1 and its derivatives
 - ``dynamics``  adaptive Runge-Kutta integration, clocks, orbit comparison
 - ``geometry``  tensor calculus residuals (Killing, torsion, curvature)
 - ``catalog``   worked systems: pendula, oscillators, a four-body chain,

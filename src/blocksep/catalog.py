@@ -13,6 +13,7 @@ and the test suite can drive them without re-deriving anything.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
@@ -46,6 +47,15 @@ class TransformStage:
     new_names: tuple[str, ...]
     old_exprs: tuple[Expression, ...]
     forward: Callable[[Sequence[float]], tuple[float, ...]]
+
+    @functools.cached_property
+    def _old_values(self):
+        return _expr.compile(self.old_exprs, self.new_names)
+
+    def old_positions(self, new_q) -> tuple[float, ...]:
+        """The closed forms at a target-chart position (compiled on the
+        first call)."""
+        return self._old_values(*new_q)
 
     def jacobian(self, new_q) -> np.ndarray:
         """d old / d new at the given target-chart position."""
@@ -93,17 +103,14 @@ class CanonicalTransform:
     def old_positions(self, new_q) -> tuple[float, ...]:
         q = tuple(float(v) for v in new_q)
         for stage in reversed(self.stages):
-            env = dict(zip(stage.new_names, q))
-            q = tuple(_expr.evaluate(e, env) for e in stage.old_exprs)
+            q = stage.old_positions(q)
         return q
 
     def jacobian(self, new_q) -> np.ndarray:
         """Composite d old / d new at a target-chart position."""
         coords = [tuple(float(v) for v in new_q)]
         for stage in reversed(self.stages):
-            env = dict(zip(stage.new_names, coords[0]))
-            coords.insert(0, tuple(_expr.evaluate(e, env)
-                                   for e in stage.old_exprs))
+            coords.insert(0, stage.old_positions(coords[0]))
         J = None
         for stage, q in zip(self.stages, coords[1:]):
             Js = stage.jacobian(q)
@@ -123,8 +130,7 @@ class CanonicalTransform:
         p = np.array(point.p, dtype=float)
         for stage in reversed(self.stages):
             p = np.linalg.solve(stage.jacobian(q).T, p)
-            env = dict(zip(stage.new_names, q))
-            q = tuple(_expr.evaluate(e, env) for e in stage.old_exprs)
+            q = stage.old_positions(q)
         return PhasePoint(q, tuple(float(v) for v in p))
 
 
@@ -180,10 +186,12 @@ def pendula() -> CatalogEntry:
                        box={"q1": (-0.3, 0.3), "q2": (-0.3, 0.3),
                             "q3": (-0.3, 0.3)})
     system = build_system(structure, stackel, blocks, probes)
-    det = determinant_expression(stackel)
+    # compiled on the first call, not while loading
+    det = functools.cache(lambda: _expr.compile(
+        [determinant_expression(stackel)], structure.names))
 
     def regular(q):
-        return abs(_expr.evaluate(det, dict(zip(("q1", "q2", "q3"), q)))) > 0.5
+        return abs(det()(*q)[0]) > 0.5
 
     return CatalogEntry(
         name="pendula",
@@ -401,6 +409,9 @@ def calogero4() -> CatalogEntry:
     system = build_system(structure, stackel, blocks, probes)
 
     transform = CanonicalTransform([_rotation_stage(), _spherical_stage()])
+    # compiled on the first call, not while loading
+    separation_values = functools.cache(
+        lambda: _expr.compile(separations, ("phi2", "phi3")))
 
     def pair_gap(x):
         return min(abs(x[i] - x[j])
@@ -418,8 +429,7 @@ def calogero4() -> CatalogEntry:
         if not (rad > 0.1 and 0.1 < phi1 < math.pi - 0.1
                 and 0.1 < phi2 < math.pi - 0.1):
             return False
-        env = {"phi2": phi2, "phi3": phi3}
-        if min(abs(_expr.evaluate(s, env)) for s in separations) <= 0.05:
+        if min(abs(s) for s in separation_values()(phi2, phi3)) <= 0.05:
             return False
         return pair_gap(transform.old_positions(q)) > 0.05
 

@@ -297,21 +297,25 @@ def _csv_header(sys_: TwistedSystem) -> str:
     return ",".join(names)
 
 
-def _csv_rows(sys_: TwistedSystem, traj, clocks, times) -> list[str]:
+def _csv_rows(sys_: TwistedSystem, traj, clocks, times):
+    """The CSV rows at the given times, and the H column.  Each row
+    makes one twist and one vector E of block energies, and K_a is
+    the row dot (S^-1)[a] @ E."""
     N = sys_.dim
-    rows = []
+    rows, h_vals = [], []
     for t in times:
-        y = traj.sample(float(t))
-        P = PhasePoint(tuple(y[:N]), tuple(y[N:]))
+        y = traj.sample(float(t)).tolist()
         if clocks is None:
             taus = [math.nan] * sys_.n
         else:
             taus = [c.tau(float(t)) for c in clocks]
-        vals = [float(t), *y, *taus, _model.hamiltonian(sys_, P)]
-        vals += [_model.first_integral(sys_, a, P)
-                 for a in range(2, sys_.n + 1)]
+        tw = _model.twist(sys_.jet.stackel(y[:N]), point=y[:N])
+        E = sys_.jet.energies(y)
+        integrals = [float(row @ E) for row in tw.matrix]
+        h_vals.append(integrals[0])
+        vals = [float(t), *y, *taus, *integrals]
         rows.append(",".join(f"{v:.17g}" for v in vals))
-    return rows
+    return rows, h_vals
 
 
 def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:
@@ -336,10 +340,10 @@ def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:
             try:
                 clocks = [block_clock(res.system, ex.partial, r)
                           for r in range(1, res.system.n + 1)]
-            except DynamicsError:
-                # the clock quadrature can hit the same singularity
+            except (DynamicsError, ModelError):
+                # the clocks can hit the same singularity
                 clocks = None
-            lines += _csv_rows(res.system, ex.partial, clocks, t_good)
+            lines += _csv_rows(res.system, ex.partial, clocks, t_good)[0]
         _write(csv_path, "\n".join(lines))
         print(f"simulate: FAILED integration of {res.label!r}: {ex}",
               file=err)
@@ -349,16 +353,10 @@ def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:
     clocks = [block_clock(res.system, traj, r)
               for r in range(1, res.system.n + 1)]
     times = np.linspace(cfg.t_span[0], cfg.t_span[1], cfg.samples)
-    lines = [_csv_header(res.system)] + _csv_rows(res.system, traj, clocks,
-                                                  times)
-    _write(csv_path, "\n".join(lines))
+    rows, h_vals = _csv_rows(res.system, traj, clocks, times)
+    _write(csv_path, "\n".join([_csv_header(res.system)] + rows))
 
-    h_vals = []
     N = res.system.dim
-    for t in times:
-        y = traj.sample(float(t))
-        h_vals.append(_model.hamiltonian(
-            res.system, PhasePoint(tuple(y[:N]), tuple(y[N:]))))
     drift = float(np.max(np.abs(np.array(h_vals) - h_vals[0])))
     print(f"simulate: {res.label}, {len(times)} rows -> {csv_path}",
           file=out)
@@ -470,14 +468,17 @@ def _verify_checks(res: _Resolved, cfg: RunConfig) -> list[CheckResult]:
     for label, column in zip(labels, zip(*rows)):
         checks.append(CheckResult(label, max(column), th["bracket"]))
 
-    positions = [P.q for P in probes]
-    for a in range(2, n + 1):
-        name = f"eigenvalue-gradient K_{a}"
-        worst = max(_probe(name, q, _geo.block_eisenhart_residual, sys_, a,
-                           q) for q in positions)
-        checks.append(CheckResult(name, worst, th["residual"]))
-    outs = [_probe("block-connection", q, _geo.block_levi_civita_residual,
-                   sys_, q) for q in positions]
+    # probe by probe as well, so that each probe's twist is made once
+    # for all of its residuals
+    names = [f"eigenvalue-gradient K_{a}" for a in range(2, n + 1)]
+    rows, outs = [], []
+    for P in probes:
+        rows.append([_probe(name, P.q, _geo.block_eisenhart_residual, sys_,
+                            a, P.q) for a, name in enumerate(names, 2)])
+        outs.append(_probe("block-connection", P.q,
+                           _geo.block_levi_civita_residual, sys_, P.q))
+    for name, column in zip(names, zip(*rows)):
+        checks.append(CheckResult(name, max(column), th["residual"]))
     for kind in ("metric", "potential"):
         worst = max([0.0] + [out[f"{kind}_residual"] for out in outs])
         checks.append(CheckResult(f"block-connection {kind}", worst,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -316,13 +317,10 @@ def _full_rhs(sys: TwistedSystem, y: list) -> np.ndarray:
     n, N = sys.n, sys.dim
     nn = n * n
     out = sys.jet.full(y)
-    M, _, _ = _model.invert_with_condition(out[0, :nn].reshape(n, n),
-                                           point=y[:N])
-    alpha = M[0]
-    # row 0 of d(S^{-1}) = -S^{-1} (dS) S^{-1}, for every position
-    dalpha = -(alpha @ out[1:N + 1, :nn].reshape(N, n, n)) @ M
-    grad = out[1:, nn:] @ alpha  # sum_r alpha^r dH_r
-    grad[:N] += dalpha @ out[0, nn:]  # + sum_r d(alpha^r) H_r
+    tw = _model.twist(out[0, :nn].reshape(n, n),
+                      out[1:N + 1, :nn].reshape(N, n, n), point=y[:N])
+    grad = out[1:, nn:] @ tw.alpha  # sum_r alpha^r dH_r
+    grad[:N] += tw.dalpha @ out[0, nn:]  # + sum_r d(alpha^r) H_r
     return np.concatenate([grad[N:], -grad[:N]])
 
 
@@ -380,13 +378,18 @@ def reduced_field_callable(sys: TwistedSystem, r: int, c) -> Callable:
 @dataclass(frozen=True)
 class BlockClock:
     """Rescaled time tau_r(t) along a stored full-system orbit, with
-    tau_r(t_start) = 0 and d(tau_r)/dt = alpha^r(q(t))."""
+    tau_r(t_start) = 0 and d(tau_r)/dt = alpha^r(q(t)).
+
+    The sign of alpha^r along the orbit (``initial_sign``,
+    ``sign_changed`` and ``first_sign_change``) is scanned when one of
+    them is first read: only the orbit comparison reads them, and the
+    scan evaluates the twist more often than the quadrature does."""
 
     r: int
     clock: Trajectory
-    sign_changed: bool
-    first_sign_change: float | None
-    initial_sign: float
+    trajectory: Trajectory = dataclass_field(repr=False)
+    alpha: Callable[[float], float] = dataclass_field(repr=False,
+                                                      compare=False)
 
     def tau(self, t: float) -> float:
         return float(self.clock.sample(t)[0])
@@ -394,53 +397,35 @@ class BlockClock:
     def tau_many(self, ts) -> np.ndarray:
         return self.clock.sample_many(ts)[:, 0]
 
+    @property
+    def initial_sign(self) -> float:
+        return self._signs[0]
 
-def _alpha_on_trajectory(sys: TwistedSystem, trajectory: Trajectory, r: int):
-    N = sys.dim
-    e1 = np.zeros(sys.n)
-    e1[0] = 1.0
+    @property
+    def sign_changed(self) -> bool:
+        return self._signs[1]
 
-    stackel = sys.jet.stackel
+    @property
+    def first_sign_change(self) -> float | None:
+        return self._signs[2]
 
-    def alpha(t):
-        S = stackel(trajectory.sample(t)[:N].tolist())
-        # first row of S^{-1} without forming the full inverse
-        row = np.linalg.solve(S.T, e1)
-        return float(row[r - 1])
-
-    return alpha
-
-
-def block_clock(sys: TwistedSystem, trajectory: Trajectory,
-                r: int) -> BlockClock:
-    """Integrate d(tau)/dt = alpha^r(q(t)) over the trajectory span and
-    flag sign changes of the twist function."""
-    if not 1 <= r <= sys.n:
-        raise _model.BlockIndexError(
-            f"block index {r} out of range 1..{sys.n}")
-    alpha = _alpha_on_trajectory(sys, trajectory, r)
-    cfg = IntegratorConfig(rtol=trajectory.stats.rtol,
-                           atol=trajectory.stats.atol)
-    clock = integrate(lambda t, y: np.array([alpha(t)]), [0.0],
-                      (trajectory.t_start, trajectory.t_end), cfg)
-
-    a0 = alpha(trajectory.t_start)
-    s0 = math.copysign(1.0, a0) if a0 != 0.0 else 0.0
-    sign_changed = s0 == 0.0
-    t_change = trajectory.t_start if sign_changed else None
-    if not sign_changed:
+    @cached_property
+    def _signs(self):
+        traj, alpha = self.trajectory, self.alpha
+        a0 = alpha(traj.t_start)
+        s0 = math.copysign(1.0, a0) if a0 != 0.0 else 0.0
+        if s0 == 0.0:
+            return s0, True, traj.t_start
         # scan a refinement of the accepted steps for a sign flip
         grid = []
-        for i in range(len(trajectory.ts) - 1):
-            grid.extend(np.linspace(trajectory.ts[i], trajectory.ts[i + 1],
-                                    5)[:-1])
-        grid.append(trajectory.ts[-1])
+        for i in range(len(traj.ts) - 1):
+            grid.extend(np.linspace(traj.ts[i], traj.ts[i + 1], 5)[:-1])
+        grid.append(traj.ts[-1])
         prev_t = grid[0]
         prev_a = a0
         for t in grid[1:]:
             a = alpha(float(t))
             if a == 0.0 or (a > 0) != (prev_a > 0):
-                sign_changed = True
                 lo, hi = prev_t, float(t)
                 for _ in range(80):
                     mid = 0.5 * (lo + hi)
@@ -452,11 +437,36 @@ def block_clock(sys: TwistedSystem, trajectory: Trajectory,
                         lo = mid
                     else:
                         hi = mid
-                t_change = hi
-                break
+                return s0, True, hi
             prev_t = float(t)
             prev_a = a
-    return BlockClock(r, clock, sign_changed, t_change, s0)
+        return s0, False, None
+
+
+def _alpha_on_trajectory(sys: TwistedSystem, trajectory: Trajectory, r: int):
+    N = sys.dim
+    stackel = sys.jet.stackel
+
+    def alpha(t):
+        q = trajectory.sample(t)[:N].tolist()
+        return float(_model.twist(stackel(q), point=q).alpha[r - 1])
+
+    return alpha
+
+
+def block_clock(sys: TwistedSystem, trajectory: Trajectory,
+                r: int) -> BlockClock:
+    """Integrate d(tau)/dt = alpha^r(q(t)) over the trajectory span; the
+    clock flags sign changes of the twist function when asked."""
+    if not 1 <= r <= sys.n:
+        raise _model.BlockIndexError(
+            f"block index {r} out of range 1..{sys.n}")
+    alpha = _alpha_on_trajectory(sys, trajectory, r)
+    cfg = IntegratorConfig(rtol=trajectory.stats.rtol,
+                           atol=trajectory.stats.atol)
+    clock = integrate(lambda t, y: np.array([alpha(t)]), [0.0],
+                      (trajectory.t_start, trajectory.t_end), cfg)
+    return BlockClock(r, clock, trajectory, alpha)
 
 
 # ---------------------------------------------------------------------------

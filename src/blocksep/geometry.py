@@ -18,14 +18,15 @@ Index conventions, used throughout and nowhere redefined:
 Residual operations return max-norms, never booleans; thresholds are
 the caller's business.
 
-Every expression-backed object (a grid-backed :class:`MetricField`, a
+Every expression-backed object (a :class:`MetricField`, a
 :class:`TensorField2`, a :class:`PhaseScalar`) compiles one jet with
 :func:`expr.compile` the first time it is evaluated and keeps it, so a
 point costs one call for all values and partials: first partials for
 tensors and phase scalars, second partials as well for metrics.  The
-system residuals read the separation matrix and the potentials from
-:meth:`model.SystemJet.positions`.  Only the system-backed metric
-(:meth:`MetricField.from_system`) still walks expression trees.
+system residuals read the potentials and the twist (S^-1 and its
+derivatives, :class:`model.Twist`) of one
+:meth:`model.SystemJet.positions` per point, as array expressions over
+coordinates, blocks and targets.  Nothing here walks expression trees.
 """
 
 from __future__ import annotations
@@ -149,13 +150,13 @@ def _grid_of(entries, n: int | None = None):
 
 
 class MetricField:
-    """Contravariant metric components G^ij with honest derivatives.
+    """Contravariant metric components G^ij of an expression grid, with
+    honest derivatives: one compiled jet gives the values and the first
+    and second partials, so no finite differencing is ever involved.
 
-    Either wraps an explicit expression grid, or is assembled from a
-    TwistedSystem as the block-diagonal G^ij = alpha^r g_r^ij.  In the
-    second form the derivatives of alpha come from the analytic
-    identities d(S^-1) = -S^-1 (dS) S^-1 and its product-rule
-    derivative, so no finite differencing is ever involved.
+    :meth:`from_system` builds the grid of a TwistedSystem, the
+    block-diagonal G^ij = alpha^r g_r^ij with alpha the first row of the
+    symbolic inverse separation matrix.
 
     A grid may also mention fixed parameters, bound by ``params``
     (name -> value); they are not coordinates and are never
@@ -163,58 +164,30 @@ class MetricField:
     compiled jet, whatever their parameter values.
     """
 
-    def __init__(self, coords, grid=None, system: TwistedSystem | None
-                 = None, params=None):
+    def __init__(self, coords, grid, params=None):
         self.coords = tuple(coords)
-        self._system = system
         self.params = dict(params or {})
-        if (grid is None) == (system is None):
-            raise GeometryError(
-                "provide exactly one of an expression grid or a system")
-        if grid is not None:
-            rows = _grid_of(grid, len(self.coords))
-            for i in range(len(rows)):
-                for j in range(i):
-                    if rows[i][j] != rows[j][i]:
-                        raise GeometryError(
-                            f"metric entry G[{i + 1}][{j + 1}] is not the "
-                            f"mirror of G[{j + 1}][{i + 1}]")
-            self._grid = rows
-        else:
-            self._grid = None
+        rows = _grid_of(grid, len(self.coords))
+        for i in range(len(rows)):
+            for j in range(i):
+                if rows[i][j] != rows[j][i]:
+                    raise GeometryError(
+                        f"metric entry G[{i + 1}][{j + 1}] is not the "
+                        f"mirror of G[{j + 1}][{i + 1}]")
+        self._grid = rows
 
     @classmethod
     def from_expressions(cls, coords, grid, params=None) -> "MetricField":
-        return cls(coords, grid=grid, params=params)
+        return cls(coords, grid, params)
 
     @classmethod
     def from_system(cls, sys: TwistedSystem) -> "MetricField":
-        return cls(sys.structure.names, system=sys)
+        alpha = symbolic_inverse_row(sys.stackel, 1)
+        return cls(sys.structure.names, _block_diagonal(sys, alpha))
 
     @property
     def n(self) -> int:
         return len(self.coords)
-
-    # -- twist-backed pieces ------------------------------------------------
-
-    def _twist_sm(self, env):
-        sys = self._system
-        S = _model.matrix_values(sys.stackel.entries, env)
-        M, _, _ = _model.invert_with_condition(
-            S, point=[env[c] for c in self.coords])
-        return S, M
-
-    def _assemble(self, env, alpha_like, block_grids) -> np.ndarray:
-        sys = self._system
-        out = np.zeros((self.n, self.n))
-        for r in range(sys.n):
-            idx = list(sys.structure.block_range(r + 1))
-            for i, gi in enumerate(idx):
-                for j, gj in enumerate(idx):
-                    out[gi, gj] = alpha_like[r] * block_grids[r][i, j]
-        return out
-
-    # -- public evaluation --------------------------------------------------
 
     @cached_property
     def _jet(self) -> _GridJet:
@@ -224,16 +197,6 @@ class MetricField:
     def _derivatives(self, env, order: int = 2):
         """G, then for order >= 1 the stacked dG[k] = d_k G, then for
         order 2 d2G[m, k] = d_m d_k G."""
-        if self._grid is None:
-            out = [self.contravariant(env)]
-            if order >= 1:
-                out.append(np.array([self.derivative(env, c)
-                                     for c in self.coords]))
-            if order == 2:
-                out.append(np.array([[self.second_derivative(env, a, b)
-                                      for b in self.coords]
-                                     for a in self.coords]))
-            return tuple(out)
         n = self.n
         G, dG, d2G = self._jet([env[c] for c in self.coords]
                                + list(self.params.values()))
@@ -241,63 +204,17 @@ class MetricField:
                 d2G.reshape(n, n, n, n))[:order + 1]
 
     def contravariant(self, point) -> np.ndarray:
-        env = _env_of(self.coords, point)
-        if self._grid is not None:
-            return self._derivatives(env, 0)[0]
-        sys = self._system
-        _, M = self._twist_sm(env)
-        g_vals = [_model.matrix_values(blk.metric, env)
-                  for blk in sys.blocks]
-        return self._assemble(env, M[0], g_vals)
+        return self._derivatives(_env_of(self.coords, point), 0)[0]
 
     def derivative(self, point, name: str) -> np.ndarray:
         """d/d name of the contravariant components."""
         env = _env_of(self.coords, point)
-        if self._grid is not None:
-            return self._derivatives(env, 1)[1][_index(self.coords, name)]
-        sys = self._system
-        _, M = self._twist_sm(env)
-        alpha = M[0]
-        dS = _model.matrix_derivative(sys.stackel.entries, env, name)
-        dalpha = -(alpha @ dS) @ M
-        out = np.zeros((self.n, self.n))
-        for r in range(sys.n):
-            idx = list(sys.structure.block_range(r + 1))
-            g = _model.matrix_values(sys.blocks[r].metric, env)
-            dg = _model.matrix_derivative(sys.blocks[r].metric, env, name)
-            for i, gi in enumerate(idx):
-                for j, gj in enumerate(idx):
-                    out[gi, gj] = dalpha[r] * g[i, j] + alpha[r] * dg[i, j]
-        return out
+        return self._derivatives(env, 1)[1][_index(self.coords, name)]
 
     def second_derivative(self, point, n1: str, n2: str) -> np.ndarray:
         env = _env_of(self.coords, point)
-        if self._grid is not None:
-            return self._derivatives(env)[2][_index(self.coords, n1),
-                                             _index(self.coords, n2)]
-        sys = self._system
-        _, M = self._twist_sm(env)
-        alpha = M[0]
-        dS1 = _model.matrix_derivative(sys.stackel.entries, env, n1)
-        dS2 = _model.matrix_derivative(sys.stackel.entries, env, n2)
-        d2S = _model.matrix_second_derivative(sys.stackel.entries, env,
-                                              n1, n2)
-        da1 = -(alpha @ dS1) @ M
-        da2 = -(alpha @ dS2) @ M
-        d2a = alpha @ (dS1 @ M @ dS2 + dS2 @ M @ dS1 - d2S) @ M
-        out = np.zeros((self.n, self.n))
-        for r in range(sys.n):
-            idx = list(sys.structure.block_range(r + 1))
-            g = _model.matrix_values(sys.blocks[r].metric, env)
-            g1 = _model.matrix_derivative(sys.blocks[r].metric, env, n1)
-            g2 = _model.matrix_derivative(sys.blocks[r].metric, env, n2)
-            g12 = _model.matrix_second_derivative(sys.blocks[r].metric, env,
-                                                  n1, n2)
-            for i, gi in enumerate(idx):
-                for j, gj in enumerate(idx):
-                    out[gi, gj] = (d2a[r] * g[i, j] + da1[r] * g2[i, j]
-                                   + da2[r] * g1[i, j] + alpha[r] * g12[i, j])
-        return out
+        return self._derivatives(env)[2][_index(self.coords, n1),
+                                         _index(self.coords, n2)]
 
     def covariant(self, point) -> np.ndarray:
         G = self.contravariant(point)
@@ -747,14 +664,25 @@ def tsn_residuals(K: TensorField2, g: MetricField, point):
 # ---------------------------------------------------------------------------
 # block eigenvalues and the separability residuals
 
-def _twist_at(sys: TwistedSystem, point):
-    """The system's position jet (S, V and their partials) and
-    M = S^-1 at the point."""
+def _position_jet(sys: TwistedSystem, point) -> _model.PositionJet:
     env = _env_of(sys.structure.names, point)
-    q = [env[c] for c in sys.structure.names]
-    at = sys.jet.positions(q)
-    M, _, _ = _model.invert_with_condition(at.S, point=q)
-    return at, M
+    return sys.jet.positions([env[c] for c in sys.structure.names])
+
+
+def _twist_vector(tw: _model.Twist) -> np.ndarray:
+    """alpha, checked to have no zero entry, since the block formulas
+    divide by it."""
+    for r, value in enumerate(tw.alpha, start=1):
+        if value == 0.0:
+            raise VanishingTwistError(
+                f"twist function for block {r} vanishes at the given point")
+    return tw.alpha
+
+
+def _dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """rows @ v, each entry a 1-by-n product, which rounds as the dot
+    of two vectors does (a matrix-vector product may not)."""
+    return (rows[..., None, :] @ v)[..., 0]
 
 
 def block_eigenvalues(sys: TwistedSystem, a: int, point) -> np.ndarray:
@@ -763,14 +691,8 @@ def block_eigenvalues(sys: TwistedSystem, a: int, point) -> np.ndarray:
     if not 1 <= a <= sys.n:
         raise _model.BlockIndexError(
             f"integral index {a} out of range 1..{sys.n}")
-    _, M = _twist_at(sys, point)
-    alpha = M[0]
-    for r in range(sys.n):
-        if alpha[r] == 0.0:
-            raise VanishingTwistError(
-                f"twist function for block {r + 1} vanishes at the "
-                "given point")
-    return M[a - 1] / alpha
+    tw = _position_jet(sys, point).twist
+    return tw.matrix[a - 1] / _twist_vector(tw)
 
 
 def block_eisenhart_residual(sys: TwistedSystem, a: int, point) -> float:
@@ -779,24 +701,17 @@ def block_eisenhart_residual(sys: TwistedSystem, a: int, point) -> float:
     if not 1 <= a <= sys.n:
         raise _model.BlockIndexError(
             f"integral index {a} out of range 1..{sys.n}")
-    at, M = _twist_at(sys, point)
-    alpha = M[0]
-    for r in range(sys.n):
-        if alpha[r] == 0.0:
-            raise VanishingTwistError(
-                f"twist function for block {r + 1} vanishes at the "
-                "given point")
+    tw = _position_jet(sys, point).twist
+    alpha = _twist_vector(tw)
+    M, dM = tw.matrix, tw.dmatrix
     lam = M[a - 1] / alpha
-    worst = 0.0
-    for k in range(sys.dim):
-        r = sys.structure.block_of(k) - 1
-        dM = -M @ at.dS[k] @ M
-        for s in range(sys.n):
-            dlam = (dM[a - 1, s] * alpha[s] - M[a - 1, s] * dM[0, s]) \
-                / alpha[s] ** 2
-            dln = dM[0, s] / alpha[s]
-            worst = max(worst, abs(dlam - (lam[r] - lam[s]) * dln))
-    return worst
+    # scalar powers, which can differ in the last bit from x * x
+    square = np.array([x ** 2 for x in alpha.tolist()])
+    dlam = (dM[:, a - 1] * alpha - M[a - 1] * dM[:, 0]) / square
+    dln = dM[:, 0] / alpha
+    blk = np.repeat(np.arange(sys.n), sys.structure.sizes)  # r(k)
+    res = dlam - (lam[blk][:, None] - lam) * dln
+    return float(np.max(np.abs(res)))
 
 
 def block_levi_civita_residual(sys: TwistedSystem, point) -> dict:
@@ -809,37 +724,28 @@ def block_levi_civita_residual(sys: TwistedSystem, point) -> dict:
     potential_residual: the same combination with alpha^m replaced by
     the assembled potential V = alpha^m V_m.
     """
-    at, M = _twist_at(sys, point)
-    alpha = M[0]
-    n = sys.n
-    N = sys.dim
-    dS, V_m, dV_m = at.dS, at.V, at.dV
-    dalpha = [-(alpha @ dS[k]) @ M for k in range(N)]
-    dV = np.array([dalpha[k] @ V_m + alpha @ dV_m[k] for k in range(N)])
-
-    metric_worst = 0.0
-    potential_worst = 0.0
-    for k in range(N):
-        r = sys.structure.block_of(k) - 1
-        for l in range(N):
-            s = sys.structure.block_of(l) - 1
-            if s == r:
-                continue
-            d2alpha = alpha @ (dS[k] @ M @ dS[l] + dS[l] @ M @ dS[k]
-                               - at.d2S[k, l]) @ M
-            for m in range(n):
-                res = (alpha[r] * alpha[s] * d2alpha[m]
-                       - alpha[r] * dalpha[k][s] * dalpha[l][m]
-                       - alpha[s] * dalpha[l][r] * dalpha[k][m])
-                metric_worst = max(metric_worst, abs(res))
-            d2V = (d2alpha @ V_m + dalpha[k] @ dV_m[l]
-                   + dalpha[l] @ dV_m[k] + alpha @ at.d2V[k, l])
-            res = (alpha[r] * alpha[s] * d2V
-                   - alpha[r] * dalpha[k][s] * dV[l]
-                   - alpha[s] * dalpha[l][r] * dV[k])
-            potential_worst = max(potential_worst, abs(res))
-    return {"metric_residual": metric_worst,
-            "potential_residual": potential_worst}
+    at = _position_jet(sys, point)
+    tw = at.twist
+    alpha, dalpha, d2alpha = tw.alpha, tw.dalpha, tw.d2alpha
+    blk = np.repeat(np.arange(sys.n), sys.structure.sizes)  # r(k)
+    cross = blk[:, None] != blk  # pairs (k, l) in different blocks
+    # the coefficients at (k, l): alpha^r alpha^s, alpha^r d_k alpha^s
+    # and alpha^s d_l alpha^r
+    a_r = alpha[blk]
+    both = a_r[:, None] * a_r
+    r_ks = a_r[:, None] * dalpha[:, blk]
+    s_lr = a_r * dalpha[:, blk].T
+    metric = (both[..., None] * d2alpha - r_ks[..., None] * dalpha
+              - s_lr[..., None] * dalpha[:, None])
+    dV = _dots(dalpha, at.V) + _dots(at.dV, alpha)
+    cross_dV = dalpha @ at.dV.T  # [k, l] = d_k alpha . d_l V_m
+    d2V = (_dots(d2alpha, at.V) + cross_dV + cross_dV.T
+           + _dots(at.d2V, alpha))
+    potential = both * d2V - r_ks * dV - s_lr * dV[:, None]
+    return {"metric_residual":
+            float(np.max(np.abs(metric[cross]), initial=0.0)),
+            "potential_residual":
+            float(np.max(np.abs(potential[cross]), initial=0.0))}
 
 
 def characteristic_condition(T: TensorField2, V, g: MetricField,
@@ -910,15 +816,9 @@ def symbolic_inverse_row(stackel: StackelMatrix, a: int):
     return tuple(row)
 
 
-def first_integral_scalar(sys: TwistedSystem, a: int) -> PhaseScalar:
-    """The a-th quadratic integral as a phase-space scalar:
-    (1/2) k_a^ij p_i p_j + W_a with k_a block-diagonal from the inverse
-    separation row and W_a the same row applied to the potentials."""
-    if not 1 <= a <= sys.n:
-        raise _model.BlockIndexError(
-            f"integral index {a} out of range 1..{sys.n}")
-    row = symbolic_inverse_row(sys.stackel, a)
-    names = sys.structure.names
+def _block_diagonal(sys: TwistedSystem, row) -> list:
+    """The N-by-N grid with row[r] * g_r^ij on block r's diagonal block
+    and 0 elsewhere; mirrored entries are the same objects."""
     N = sys.dim
     grid = [[_expr.Num(0.0) for _ in range(N)] for _ in range(N)]
     for r in range(sys.n):
@@ -930,6 +830,19 @@ def first_integral_scalar(sys: TwistedSystem, a: int) -> PhaseScalar:
                     grid[gi][gj] = grid[gj][gi]
                 else:
                     grid[gi][gj] = row[r] * blk.metric[i][j]
+    return grid
+
+
+def first_integral_scalar(sys: TwistedSystem, a: int) -> PhaseScalar:
+    """The a-th quadratic integral as a phase-space scalar:
+    (1/2) k_a^ij p_i p_j + W_a with k_a block-diagonal from the inverse
+    separation row and W_a the same row applied to the potentials."""
+    if not 1 <= a <= sys.n:
+        raise _model.BlockIndexError(
+            f"integral index {a} out of range 1..{sys.n}")
+    row = symbolic_inverse_row(sys.stackel, a)
+    names = sys.structure.names
+    grid = _block_diagonal(sys, row)
     W = None
     for r in range(sys.n):
         term = row[r] * sys.blocks[r].potential

@@ -10,18 +10,19 @@ blocks into the single Hamiltonian
     H = sum_r alpha^r(q) H_r ,
 
 and the remaining rows of S^{-1} give the companion first integrals
-K_a.  Everything downstream (reduced dynamics, clocks, eigenvalue and
-curvature residuals) is built from the values and the first two
-derivatives of S^{-1}, which are computed analytically from exact
-derivatives of S (dual numbers, or the compiled jets of
+K_a.  Everything downstream (the fields, clocks, integrals, eigenvalue
+and curvature residuals) is built from the values and the first two
+derivatives of S^{-1}.  They are computed in one place, :func:`twist`,
+analytically from exact derivatives of S (the compiled jets of
 :class:`SystemJet`) via d(S^{-1}) = -S^{-1} (dS) S^{-1}.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -223,19 +224,6 @@ class ProbePlan:
 
 
 @dataclass(frozen=True)
-class TwistRows:
-    """S^{-1} at a point.  Row a-1 holds the coefficients combining the
-    block energies into K_a (row 0 is the twist vector alpha)."""
-
-    matrix: np.ndarray
-    cond: float
-    warning: str | None = None
-
-    def __getitem__(self, idx):
-        return self.matrix[idx]
-
-
-@dataclass(frozen=True)
 class TwistedSystem:
     structure: BlockStructure
     stackel: StackelMatrix
@@ -264,11 +252,14 @@ class TwistedSystem:
         return SystemJet(self)
 
 
-class PositionJet(NamedTuple):
+@dataclass(frozen=True)
+class PositionJet:
     """S and the block potentials V_r with their first and second
-    partials at one position: S[r, a], dS[k, r, a] = d_k S[r, a],
-    d2S[k, l, r, a], V[r], dV[k, r], d2V[k, l, r]."""
+    partials at the positions q: S[r, a], dS[k, r, a] = d_k S[r, a],
+    d2S[k, l, r, a], V[r], dV[k, r], d2V[k, l, r].  ``twist`` is the
+    :class:`Twist` made from S and its partials, once per point."""
 
+    q: tuple
     S: np.ndarray
     dS: np.ndarray
     d2S: np.ndarray
@@ -276,14 +267,19 @@ class PositionJet(NamedTuple):
     dV: np.ndarray
     d2V: np.ndarray
 
+    @cached_property
+    def twist(self) -> "Twist":
+        return twist(self.S, self.dS, self.d2S, point=self.q)
+
 
 class SystemJet:
     """A system's expressions compiled by :func:`expr.compile`.  Each
     jet is compiled the first time it is asked for, and maps a list of
-    Python floats to an array.  The integrator, the clocks and the
-    system residuals of :mod:`geometry` run on them; what still walks
-    expression trees here is :func:`twist_rows` and the energies behind
-    :func:`hamiltonian` and :func:`first_integral`.
+    Python floats to an array.  Everything that evaluates the system at
+    a point runs on them: the fields, the clocks, the integrals of
+    :func:`hamiltonian` and its kin, and the system residuals of
+    :mod:`geometry`.  Only :func:`build_system`'s probe checks walk the
+    expression trees.
 
     ``full`` takes the phase point (the N positions, then the N momenta)
     and returns a (1+2N, n*n+n) array: row 0 holds the values and row
@@ -291,7 +287,8 @@ class SystemJet:
     (row-major), then of the n block energies H_r.  ``block(r)`` does
     the same on block r's own phase coordinates for S row r and H_r.
     ``stackel`` takes the N positions and returns the n-by-n values of
-    S alone.  ``positions`` takes the N positions and returns a
+    S alone; ``energies`` takes the phase point and returns the values
+    of the H_r alone.  ``positions`` takes the N positions and returns a
     :class:`PositionJet`.
     """
 
@@ -313,13 +310,18 @@ class SystemJet:
         return coords, tuple(v.name for v in p), 0.5 * kinetic + blk.potential
 
     @cached_property
-    def full(self):
-        sys = self._sys
-        phase = [self._phase(r) for r in range(1, sys.n + 1)]
-        names = (sys.structure.names
+    def _energies(self):
+        """The block energies and the phase names they are written in."""
+        phase = [self._phase(r) for r in range(1, self._sys.n + 1)]
+        names = (self._sys.structure.names
                  + tuple(name for _, p, _ in phase for name in p))
-        entries = [e for row in sys.stackel.entries for e in row]
-        return _jet_array(entries + [h for _, _, h in phase], names)
+        return [h for _, _, h in phase], names
+
+    @cached_property
+    def full(self):
+        energies, names = self._energies
+        entries = [e for row in self._sys.stackel.entries for e in row]
+        return _jet_array(entries + energies, names)
 
     @cached_property
     def stackel(self):
@@ -327,6 +329,11 @@ class SystemJet:
         fn = _expr.compile([e for row in self._sys.stackel.entries
                             for e in row], self._sys.structure.names)
         return lambda q: np.array(fn(*q)).reshape(n, n)
+
+    @cached_property
+    def energies(self):
+        fn = _expr.compile(*self._energies)
+        return lambda y: np.array(fn(*y))
 
     def positions(self, q) -> PositionJet:
         """S, V and their partials up to second order at the positions
@@ -361,7 +368,7 @@ class SystemJet:
             dS[idx, r], dV[idx, r] = first[:, :n], first[:, n]
             d2S[ks, ls, r] = d2S[ls, ks, r] = second[:, :n]
             d2V[ks, ls, r] = d2V[ls, ks, r] = second[:, n]
-        out = PositionJet(S, dS, d2S, V, dV, d2V)
+        out = PositionJet(q, S, dS, d2S, V, dV, d2V)
         self._last = (q, out)
         return out
 
@@ -437,11 +444,11 @@ def invert_with_condition(S: np.ndarray, point=None):
         M = np.linalg.inv(S)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("matrix is singular", point=point) from None
-    if not np.isfinite(M).all():
-        raise SingularMatrixError("matrix inverse overflowed", point=point)
-    norm1 = float(np.abs(S).sum(axis=0).max())
+    # the 1-norm of M is finite only if every entry of M is
     norm1_inv = float(np.abs(M).sum(axis=0).max())
-    cond = norm1 * norm1_inv
+    if not math.isfinite(norm1_inv):
+        raise SingularMatrixError("matrix inverse overflowed", point=point)
+    cond = float(np.abs(S).sum(axis=0).max()) * norm1_inv
     if cond > COND_ERROR:
         raise SingularMatrixError("matrix numerically singular",
                                   cond=cond, point=point)
@@ -450,6 +457,60 @@ def invert_with_condition(S: np.ndarray, point=None):
         warning = (f"ill-conditioned separation matrix: 1-norm condition "
                    f"estimate {cond:.3e} exceeds {COND_WARN:.0e}")
     return M, cond, warning
+
+
+class Twist:
+    """S^{-1} at a point, behind the condition gate of
+    :func:`invert_with_condition`, with the partials of the twist that
+    the fields and the residuals read.  Row a-1 of ``matrix`` holds the
+    coefficients combining the block energies into K_a; row 0 is the
+    twist vector ``alpha``.  Made by :func:`twist`.  The partials need
+    the partials of S, and each is computed on first use:
+
+    * ``dalpha[k]`` = d_k alpha, row 0 of d_k(S^{-1});
+    * ``dmatrix[k]`` = d_k(S^{-1}) = -S^{-1} (d_k S) S^{-1};
+    * ``d2alpha[k, l]`` = d_k d_l alpha, over every pair of coordinates.
+    """
+
+    def __init__(self, matrix: np.ndarray, cond: float,
+                 warning: str | None = None, dS=None, d2S=None):
+        self.matrix = matrix
+        self.cond = cond
+        self.warning = warning
+        self._dS = dS
+        self._d2S = d2S
+
+    def __getitem__(self, idx):
+        return self.matrix[idx]
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self.matrix[0]
+
+    @cached_property
+    def dalpha(self) -> np.ndarray:
+        return -(self.alpha @ self._dS) @ self.matrix
+
+    @cached_property
+    def dmatrix(self) -> np.ndarray:
+        return inverse_derivative(self.matrix, self._dS)
+
+    @cached_property
+    def d2alpha(self) -> np.ndarray:
+        # alpha (dS_k M dS_l + dS_l M dS_k - d2S_kl) M, with M = S^{-1}
+        M, dS = self.matrix, self._dS
+        pairs = dS[:, None] @ M @ dS  # [k, l] = dS_k M dS_l
+        return (self.alpha @ (pairs + pairs.transpose(1, 0, 2, 3)
+                              - self._d2S)) @ M
+
+
+def twist(S: np.ndarray, dS=None, d2S=None, point=None) -> Twist:
+    """The :class:`Twist` of the separation matrix values S, given with
+    its stacked partials dS[k] = d_k S and d2S[k, l] = d_k d_l S when
+    the twist's partials are wanted.  Past ``COND_ERROR`` it raises
+    :class:`SingularMatrixError`, naming ``point``."""
+    M, cond, warning = invert_with_condition(S, point=point)
+    return Twist(M, cond, warning, dS, d2S)
 
 
 # ---------------------------------------------------------------------------
@@ -547,40 +608,32 @@ def _materialize_probes(structure: BlockStructure,
 # ---------------------------------------------------------------------------
 # evaluation
 
-def twist_rows(sys: TwistedSystem, point) -> TwistRows:
+def _position_values(sys: TwistedSystem, point) -> list[float]:
+    return list(sys.env(_q_of(point)).values())
+
+
+def _block_energies(sys: TwistedSystem, point: PhasePoint) -> np.ndarray:
+    """The block energies H_r at the phase point."""
+    return sys.jet.energies(_position_values(sys, point) + list(point.p))
+
+
+def twist_rows(sys: TwistedSystem, point) -> Twist:
     """S^{-1} at the point, with the condition estimate attached."""
-    env = sys.env(_q_of(point))
-    S = matrix_values(sys.stackel.entries, env)
-    M, cond, warning = invert_with_condition(
-        S, point=[env[c] for c in sys.structure.names])
-    return TwistRows(M, cond, warning)
+    q = _position_values(sys, point)
+    return twist(sys.jet.stackel(q), point=q)
 
 
 def block_energy(sys: TwistedSystem, r: int, point: PhasePoint) -> float:
     """H_r = (1/2) g_r^{ij} p_i p_j + V_r on the block-r slice."""
     if not 1 <= r <= sys.n:
         raise BlockIndexError(f"block index {r} out of range 1..{sys.n}")
-    env = sys.env(point.q)
-    blk = sys.blocks[r - 1]
-    idx = sys.structure.block_range(r)
-    p = point.p
-    kinetic = 0.0
-    for i, gi in enumerate(idx):
-        for j, gj in enumerate(idx):
-            gij = _expr.evaluate(blk.metric[i][j], env)
-            kinetic += gij * p[gi] * p[gj]
-    return 0.5 * kinetic + _expr.evaluate(blk.potential, env)
-
-
-def _block_energies(sys: TwistedSystem, point: PhasePoint) -> np.ndarray:
-    return np.array([block_energy(sys, r, point)
-                     for r in range(1, sys.n + 1)], dtype=float)
+    return float(_block_energies(sys, point)[r - 1])
 
 
 def hamiltonian(sys: TwistedSystem, point: PhasePoint) -> float:
     """H = sum_r alpha^r(q) H_r."""
     tw = twist_rows(sys, point)
-    return float(tw.matrix[0] @ _block_energies(sys, point))
+    return float(tw.alpha @ _block_energies(sys, point))
 
 
 def first_integral(sys: TwistedSystem, a: int, point: PhasePoint) -> float:
@@ -608,7 +661,6 @@ def reduced_hamiltonian(sys: TwistedSystem, r: int, c: Sequence[float],
     if c.shape != (sys.n,):
         raise DimensionMismatchError(
             f"expected {sys.n} separation constants, got shape {c.shape}")
-    env = sys.env(point.q)
-    srow = np.array([_expr.evaluate(e, env)
-                     for e in sys.stackel.entries[r - 1]])
-    return block_energy(sys, r, point) - float(c @ srow)
+    h = float(_block_energies(sys, point)[r - 1])
+    S = sys.jet.stackel(_position_values(sys, point))
+    return h - float(c @ S[r - 1])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import blocksep
-from blocksep import cli, config
+from blocksep import catalog, cli, config, expr, model
 from blocksep.config import ConfigError, load_config
 
 PENDULA_BODY = """
@@ -538,3 +538,83 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "pendula"
     assert proc.stderr == ""
+
+
+def tree_walked_energies(sys_, q, p):
+    """Block energies by one tree walk per metric entry and potential."""
+    env = sys_.env(q)
+    out = []
+    for r, blk in enumerate(sys_.blocks, start=1):
+        idx = sys_.structure.block_range(r)
+        kinetic = 0.0
+        for i, gi in enumerate(idx):
+            for j, gj in enumerate(idx):
+                gij = expr.evaluate(blk.metric[i][j], env)
+                kinetic += gij * p[gi] * p[gj]
+        out.append(0.5 * kinetic + expr.evaluate(blk.potential, env))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", ["pendula", "calogero4"])
+def test_orbit_integral_columns_are_row_dots(name, tmp_path, capsys):
+    # H and K_a are (S^-1)[a] @ E, E the block energies: the same bits
+    # as a tree-walked S, its gated inverse and tree-walked energies
+    body = f"""
+[system]
+catalog = {name}
+[integration]
+t_span = 0.0, 2.0
+samples = 40
+"""
+    out = str(tmp_path / "out")
+    path = write_config(tmp_path, body, out=out)
+    assert cli.main(["simulate", "--config", path]) == 0
+    capsys.readouterr()
+    sys_ = catalog.load(name).system
+    N, n = sys_.dim, sys_.n
+    rows = open(os.path.join(out, "orbit.csv")).read().splitlines()[1:]
+    for row in rows:
+        vals = [float(v) for v in row.split(",")]
+        q, p = vals[1:1 + N], vals[1 + N:1 + 2 * N]
+        S = model.matrix_values(sys_.stackel.entries, sys_.env(q))
+        M, _, _ = model.invert_with_condition(S)
+        E = tree_walked_energies(sys_, q, p)
+        assert vals[1 + 2 * N + n:] == [float(M[a] @ E) for a in range(n)]
+
+
+def test_partial_csv_survives_clock_model_error(tmp_path, capsys,
+                                                 monkeypatch):
+    # the system of test_simulate_failure_partial_csv, with clocks that
+    # fail with a model error (a singular twist, say): the partial orbit
+    # is still written, without clock columns
+    body = """
+[system]
+blocks = q1 | q2
+box = -0.1, 0.1
+[stackel]
+row1 = "q1", "1"
+row2 = "0", "1"
+[block1]
+[block2]
+[initial]
+q = 0.5, 0.0
+p = -0.5, 0.2
+[integration]
+t_span = 0.0, 5.0
+samples = 60
+"""
+
+    def failing_clock(sys_, trajectory, r):
+        raise model.SingularMatrixError("matrix numerically singular",
+                                        cond=1e13, point=(0.0, 0.0))
+
+    monkeypatch.setattr(cli, "block_clock", failing_clock)
+    out = str(tmp_path / "out")
+    path = write_config(tmp_path, body, out=out)
+    assert cli.main(["simulate", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert "partial orbit written" in err
+    rows = open(os.path.join(out, "orbit.csv")).read().splitlines()
+    assert rows[0] == "t,q1,q2,p1,p2,tau_1,tau_2,H,K_2"
+    assert len(rows) > 10
+    assert all(row.split(",")[5:7] == ["nan", "nan"] for row in rows[1:])

@@ -686,3 +686,16 @@ def test_compare_validates_block_index(pendula):
         block_clock(pendula, integrate(
             full_field_callable(pendula), PENDULA_P0.as_array(),
             (0.0, 0.5)), 9)
+
+
+def test_clock_twist_is_the_model_twist(pendula, pendula_orbit):
+    # the clock integrand reads alpha^r from the same twist as
+    # model.twist_rows, condition gate included
+    from blocksep.dynamics import _alpha_on_trajectory
+    N = pendula.dim
+    for r in range(1, pendula.n + 1):
+        alpha = _alpha_on_trajectory(pendula, pendula_orbit, r)
+        for t in np.linspace(0.0, 50.0, 41):
+            q = pendula_orbit.sample(float(t))[:N]
+            assert alpha(float(t)) == model.twist_rows(
+                pendula, q).matrix[0][r - 1]

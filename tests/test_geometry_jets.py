@@ -253,6 +253,71 @@ def test_system_residuals_match_tree_walker(name):
             close(got[key], want[key])
 
 
+@pytest.mark.parametrize("name", DYNAMIC + ("corrupted pendula",))
+def test_system_residuals_match_loop_at_verify_probes(name):
+    # every probe of a default verify run, where the report takes its
+    # maxima; the corrupted system makes the residuals large
+    entry = catalog.load(name.split()[-1])
+    sys_ = entry.system
+    if name.startswith("corrupted"):
+        rows = [list(row) for row in sys_.stackel.entries]
+        rows[0][0] = expr.parse("2+0.1*q2")
+        sys_ = model.TwistedSystem(sys_.structure, model.StackelMatrix(rows),
+                                   sys_.blocks)
+    for q in entry.sample(100, 1234):
+        for a in range(2, sys_.n + 1):
+            close(geo.block_eisenhart_residual(sys_, a, q),
+                  ref_eisenhart(sys_, a, q))
+        got = geo.block_levi_civita_residual(sys_, q)
+        want = ref_levi_civita(sys_, q)
+        for key in want:
+            close(got[key], want[key])
+
+
+def ref_system_metric(sys_, q):
+    """G = alpha^r g_r on the block diagonal and its first and second
+    partials, alpha from the numeric inverse of S and its derivatives
+    d alpha = -alpha dS M and d2 alpha = alpha (dS M dS' + dS' M dS
+    - d2S) M."""
+    names = sys_.structure.names
+    N = sys_.dim
+    env, M, dS = ref_twist(sys_, q)
+    d2S = seconds(sys_.stackel.entries, names, env)
+    alpha = M[0]
+    dalpha = np.array([-(alpha @ dS[k]) @ M for k in range(N)])
+    d2alpha = np.array([[alpha @ (dS[k] @ M @ dS[l] + dS[l] @ M @ dS[k]
+                                  - d2S[k, l]) @ M for l in range(N)]
+                        for k in range(N)])
+    G, dG, d2G = np.zeros((N, N)), np.zeros((N, N, N)), np.zeros((N,) * 4)
+    for r, blk in enumerate(sys_.blocks):
+        idx = np.array(sys_.structure.block_range(r + 1))
+        box = np.ix_(idx, idx)
+        g = values(blk.metric, env)
+        dg = firsts(blk.metric, names, env)
+        d2g = seconds(blk.metric, names, env)
+        G[box] = alpha[r] * g
+        for k in range(N):
+            dG[k][box] = dalpha[k, r] * g + alpha[r] * dg[k]
+            for l in range(N):
+                d2G[k, l][box] = (d2alpha[k, l, r] * g
+                                  + dalpha[k, r] * dg[l]
+                                  + dalpha[l, r] * dg[k]
+                                  + alpha[r] * d2g[k, l])
+    return G, dG, d2G
+
+
+@pytest.mark.parametrize("name", DYNAMIC)
+def test_system_metric_matches_numeric_twist(name):
+    entry = catalog.load(name)
+    g = geo.MetricField.from_system(entry.system)
+    for q in entry.sample(10, 3):
+        want = ref_system_metric(entry.system, q)
+        got = g._derivatives(dict(zip(g.coords, q)))
+        for x, y in zip(got, want):
+            scale = max(1.0, float(np.max(np.abs(y))))
+            assert float(np.max(np.abs(x - y))) <= 1e-12 * scale
+
+
 def test_cartesian_battery_matches_tree_walker():
     ref = catalog.load("calogero4").cartesian
     coords = ref.coords
