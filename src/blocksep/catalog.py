@@ -595,6 +595,13 @@ def warped_direction_scale(c1: float, c2: float) -> Expression:
     return _expr.Num(-1.0) / (c1 * u + c2)
 
 
+def _scale_jet(c1: float, c2: float):
+    """The warped scale with its first and second derivative, as one
+    jet over u."""
+    return _expr.compile([warped_direction_scale(c1, c2)], ("u",), ("u",),
+                         order=2)
+
+
 def e3_case_ii(c1: float, c2: float, f) -> MetricField:
     """Warped metric: unit distinguished axis, leaf carried by the
     product of an axis scale and a leaf profile."""
@@ -611,14 +618,15 @@ def e3_case_ii(c1: float, c2: float, f) -> MetricField:
 
 
 def case_ii_residuals(c1: float, c2: float, f, points: Sequence,
-                      u_values: Sequence[float] = ()) -> dict:
+                      u_values: Sequence[float] = (), axis=None) -> dict:
     """Max-norm report for the warped family: the axis ODE for the
     scale (zero for the built-in reciprocal-linear scale) and the leaf
-    profile equation tying the leaf curvature to c1."""
+    profile equation tying the leaf curvature to c1.  ``axis`` is the
+    scale's second-order jet over u (:func:`_scale_jet`), if made
+    already."""
     fe = _as_profile(f)
-    ell = warped_direction_scale(c1, c2)
     out = {"axis_ode": 0.0, "leaf_profile": 0.0}
-    axis = _expr.compile([ell], ("u",), ("u",), order=2)
+    axis = axis or _scale_jet(c1, c2)
     for u in u_values:
         l, lu, luu = axis(float(u))
         out["axis_ode"] = max(out["axis_ode"], abs(luu * l - 2 * lu * lu))
@@ -682,10 +690,14 @@ def e3_case_ii_family(c1: float = -1.0, c2: float = 0.0,
     metric = e3_case_ii(c1, c2, fe)
     ell = warped_direction_scale(c1, c2)
 
+    # the scale's jet serves the residuals and the expected leaf
+    # curvature; compiled on the first call, not while loading
+    axis = functools.cache(lambda: _scale_jet(c1, c2))
+
     def residuals(points):
         us = sorted({float(p[0]) for p in points if len(p) > 2}) or [1.0]
         return case_ii_residuals(c1, c2, fe, _leaf_points(points),
-                                 u_values=us)
+                                 u_values=us, axis=axis())
 
     # one grid for every leaf, with u a bound parameter, so that all
     # leaf metrics share one compiled jet
@@ -698,7 +710,7 @@ def e3_case_ii_family(c1: float = -1.0, c2: float = 0.0,
                                             params={"u": float(u)})
 
     def leaf_scalar_expected(u: float) -> float:
-        lu = _expr.evaluate(ell, {"u": float(u)})
+        lu = axis()(float(u))[0]
         return 2.0 * lu * lu * c1 * c1
 
     box_u = (0.5, 2.0) if c2 == 0.0 else (abs(c2) + 0.5, abs(c2) + 2.0)

@@ -21,7 +21,6 @@ import numpy as np
 from . import catalog as _catalog
 from . import expr as _expr
 from . import geometry as _geo
-from . import model as _model
 from .catalog import CatalogEntry, CatalogError, MetricFamily
 from .config import ConfigError, RunConfig, load_config
 from .dynamics import (DynamicsError, IntegrationError, IntegratorConfig,
@@ -309,7 +308,7 @@ def _csv_rows(sys_: TwistedSystem, traj, clocks, times):
             taus = [math.nan] * sys_.n
         else:
             taus = [c.tau(float(t)) for c in clocks]
-        tw = _model.twist(sys_.jet.stackel(y[:N]), point=y[:N])
+        tw = sys_.jet.twist(y[:N])
         E = sys_.jet.energies(y)
         integrals = [float(row @ E) for row in tw.matrix]
         h_vals.append(integrals[0])
@@ -449,6 +448,17 @@ def cmd_compare(cfg: RunConfig, out=None, err=None) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
+def _worst(residuals) -> float:
+    """The largest of the residuals, 0.0 if there are none, and nan if
+    any is nan, so that the check fails: Python's ``max`` keeps a nan
+    only when it comes first."""
+    worst = 0.0
+    for x in residuals:
+        if x > worst or x != x:  # a nan, once in, stays
+            worst = x
+    return worst
+
+
 def _verify_checks(res: _Resolved, cfg: RunConfig) -> list[CheckResult]:
     sys_ = res.system
     n = sys_.n
@@ -466,7 +476,7 @@ def _verify_checks(res: _Resolved, cfg: RunConfig) -> list[CheckResult]:
                         scalars[j], P))
              for (i, j), label in zip(pairs, labels)] for P in probes]
     for label, column in zip(labels, zip(*rows)):
-        checks.append(CheckResult(label, max(column), th["bracket"]))
+        checks.append(CheckResult(label, _worst(column), th["bracket"]))
 
     # probe by probe as well, so that each probe's twist is made once
     # for all of its residuals
@@ -478,9 +488,9 @@ def _verify_checks(res: _Resolved, cfg: RunConfig) -> list[CheckResult]:
         outs.append(_probe("block-connection", P.q,
                            _geo.block_levi_civita_residual, sys_, P.q))
     for name, column in zip(names, zip(*rows)):
-        checks.append(CheckResult(name, max(column), th["residual"]))
+        checks.append(CheckResult(name, _worst(column), th["residual"]))
     for kind in ("metric", "potential"):
-        worst = max([0.0] + [out[f"{kind}_residual"] for out in outs])
+        worst = _worst(out[f"{kind}_residual"] for out in outs)
         checks.append(CheckResult(f"block-connection {kind}", worst,
                                   th["residual"]))
 
@@ -502,7 +512,7 @@ def _verify_checks(res: _Resolved, cfg: RunConfig) -> list[CheckResult]:
                 ("killing", th["killing"],
                  lambda x: _geo.killing_residual(flat, k_cov, x)),
                 ("torsion-normality", th["tensor"],
-                 lambda x: max(_geo.tsn_residuals(k_mix, flat, x))),
+                 lambda x: _worst(_geo.tsn_residuals(k_mix, flat, x))),
                 ("haantjes-condition", th["tensor"],
                  lambda x: _geo.haantjes(k_mix, x)["condition_residual"]),
                 ("characteristic", th["tensor"],
@@ -510,7 +520,7 @@ def _verify_checks(res: _Resolved, cfg: RunConfig) -> list[CheckResult]:
             )
             for kind, bound, fn in battery:
                 name = f"{kind} K_{idx}"
-                worst = max([0.0] + [_probe(name, x, fn, x) for x in pts])
+                worst = _worst(_probe(name, x, fn, x) for x in pts)
                 checks.append(CheckResult(name, worst, bound))
     return checks
 

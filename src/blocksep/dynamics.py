@@ -7,6 +7,14 @@ reuse.  Dense output is what makes the orbit comparison work: the full
 system acts as the master clock, and the reduced orbit is sampled at
 the rescaled times tau_r(t) without ever inverting the clock map.
 
+The vector fields are the straight-line functions that
+:class:`model.SystemJet` generates for each system the first time a
+field is asked for: ``field`` for the full system, one jet call and one
+gated inverse of S per call (none when S is constant, its inverse then
+being written in), and ``reduced(r)`` for block r, with the separation
+constants bound when the callable is made.  The block clocks read the
+same twist, :meth:`model.SystemJet.twist`.
+
 Backward integration (t_end < t_start) is supported; reduced orbits run
 backward whenever the twist function is negative along the orbit.
 """
@@ -311,40 +319,19 @@ def _initial_step(f, t0, y0, f0, direction, cfg, span):
 # ---------------------------------------------------------------------------
 # Hamiltonian vector fields
 
-def _full_rhs(sys: TwistedSystem, y: list) -> np.ndarray:
-    """Field of H = alpha^r H_r at the phase point y (a list of floats),
-    from one jet call."""
-    n, N = sys.n, sys.dim
-    nn = n * n
-    out = sys.jet.full(y)
-    tw = _model.twist(out[0, :nn].reshape(n, n),
-                      out[1:N + 1, :nn].reshape(N, n, n), point=y[:N])
-    grad = out[1:, nn:] @ tw.alpha  # sum_r alpha^r dH_r
-    grad[:N] += tw.dalpha @ out[0, nn:]  # + sum_r d(alpha^r) H_r
-    return np.concatenate([grad[N:], -grad[:N]])
-
-
 def full_field(sys: TwistedSystem, point: PhasePoint) -> np.ndarray:
     """Hamiltonian vector field of H = alpha^r H_r: (dq/dt, dp/dt)."""
-    return _full_rhs(sys, list(point.q + point.p))
+    return sys.jet.field(list(point.q + point.p))
 
 
 def full_field_callable(sys: TwistedSystem) -> Callable:
     """(t, y) -> y' closure over the full phase space, for integrate."""
-    sys.jet.full  # compile now, not inside the first step
+    kernel = sys.jet.field  # generated now, not inside the first step
 
     def rhs(t, y):
-        return _full_rhs(sys, np.asarray(y, dtype=float).tolist())
+        return kernel(np.asarray(y, dtype=float).tolist())
 
     return rhs
-
-
-def _reduced_rhs(sys: TwistedSystem, r: int, c, y: list) -> np.ndarray:
-    n = sys.n
-    m = len(y) // 2
-    out = sys.jet.block(r)(y)
-    grad = out[1:, n] - out[1:, :n] @ c  # d(H_r - c_a S[r][a])
-    return np.concatenate([grad[m:], -grad[:m]])
 
 
 def reduced_field(sys: TwistedSystem, r: int, c: Sequence[float],
@@ -359,15 +346,15 @@ def reduced_field(sys: TwistedSystem, r: int, c: Sequence[float],
     if c.shape != (sys.n,):
         raise _model.DimensionMismatchError(
             f"expected {sys.n} separation constants, got shape {c.shape}")
-    return _reduced_rhs(sys, r, c, list(point.q + point.p))
+    return sys.jet.reduced(r)(list(point.q + point.p), c.tolist())
 
 
 def reduced_field_callable(sys: TwistedSystem, r: int, c) -> Callable:
-    c = np.asarray(c, dtype=float)
-    sys.jet.block(r)  # compile now, not inside the first step
+    kernel = sys.jet.reduced(r)  # generated now, not inside the first step
+    c = np.asarray(c, dtype=float).tolist()
 
     def rhs(t, y):
-        return _reduced_rhs(sys, r, c, np.asarray(y, dtype=float).tolist())
+        return kernel(np.asarray(y, dtype=float).tolist(), c)
 
     return rhs
 
@@ -444,12 +431,13 @@ class BlockClock:
 
 
 def _alpha_on_trajectory(sys: TwistedSystem, trajectory: Trajectory, r: int):
-    N = sys.dim
-    stackel = sys.jet.stackel
+    jet, N = sys.jet, sys.dim
+    if jet.constant_twist is not None:
+        value = float(jet.constant_twist.alpha[r - 1])
+        return lambda t: value
 
     def alpha(t):
-        q = trajectory.sample(t)[:N].tolist()
-        return float(_model.twist(stackel(q), point=q).alpha[r - 1])
+        return float(jet.twist(trajectory.sample(t)[:N].tolist()).alpha[r - 1])
 
     return alpha
 

@@ -457,6 +457,9 @@ _JET_GLOBALS = {
 
 _FOLD = {"+": _operator.add, "-": _operator.sub, "*": _operator.mul,
          "/": _operator.truediv, "**": _operator.pow}
+# the emitted operations that cannot raise on floats
+_PURE = frozenset(("+", "-", "*", "neg", "abs", "sel"))
+_TEMPORARY = _re.compile(r"\bt\d+\b")
 _CALLS = {"sin": _math.sin, "cos": _math.cos, "tan": _math.tan,
           "exp": _math.exp, "log": _math.log, "sqrt": _math.sqrt,
           "abs": abs}
@@ -509,13 +512,15 @@ class _JetSource:
     checks of the same condition, are emitted once.  One pass walks the
     values, then one pass per seeding; a pass shares a node object
     visited twice and reuses the values of the nodes that do not mention
-    a seeded variable.
+    a seeded variable.  :meth:`live` then drops the temporaries that
+    nothing reads, of the operations that cannot raise.
     """
 
     def __init__(self, names):
         self.args = {name: _Sym(self, f"x{i}") for i, name in
                      enumerate(names)}
         self.lines: list[str] = []
+        self.pure: list = []  # per line: its temporary if it cannot raise
         self.consts: dict[str, float] = {}
         self.memo: dict = {}
         self.negated: dict = {}
@@ -545,6 +550,7 @@ class _JetSource:
         if sym is None:
             sym = self.memo[key] = _Sym(self, f"t{len(self.lines)}")
             self.lines.append(f"{sym.ref} = {code}")
+            self.pure.append(sym.ref if key[0] in _PURE else None)
         return sym
 
     def binary(self, op: str, a, b) -> _Sym:
@@ -590,6 +596,20 @@ class _JetSource:
         if key not in self.memo:
             self.memo[key] = None
             self.lines.append(line)
+            self.pure.append(None)
+
+    def live(self, out) -> list[str]:
+        """The lines that ``out`` or a line kept needs.  A line that can
+        raise is always kept, so that a failure stays the tree walker's;
+        only ``+ - *``, negation, ``abs`` and the select of a dual
+        ``abs`` are dropped when nothing reads them."""
+        needed = {s.ref for s in out}
+        kept = []
+        for line, target in zip(reversed(self.lines), reversed(self.pure)):
+            if target is None or target in needed:
+                kept.append(line)
+                needed.update(_TEMPORARY.findall(line))
+        return kept[::-1]
 
     def check(self, cond: str, message: str, offset):
         """Raise ``message`` at run time when ``cond`` holds; a condition
@@ -769,6 +789,15 @@ def compile(exprs, names, wrt=(), order=1):
     ``wrt``.  A variable missing from ``names`` raises
     :class:`UnboundVariableError` when the function is called.
     """
+    code, consts = _jet_source(exprs, names, wrt, order)
+    namespace = dict(_JET_GLOBALS, **consts)
+    exec(_builtins.compile(code, "<expr jet>", "exec"), namespace)
+    return namespace["_jet"]
+
+
+def _jet_source(exprs, names, wrt=(), order=1):
+    """The source of :func:`compile`'s function ``_jet``, and the
+    non-finite literals it reads by name."""
     exprs = list(exprs)
     names = tuple(names)
     wrt = tuple(wrt)
@@ -810,13 +839,11 @@ def compile(exprs, names, wrt=(), order=1):
                 partials(frozenset((a, b)), env,
                          lambda r: _d.real(r.im.im)
                          if isinstance(r.im, Dual) else None)
-    body = src.lines + ["return (" + "".join(f"{s.ref}, " for s in out)
-                        + ")"]
+    body = src.live(out) + ["return (" + "".join(f"{s.ref}, " for s in out)
+                            + ")"]
     code = (f"def _jet({', '.join(s.ref for s in args.values())}):\n"
             + "".join(f"    {line}\n" for line in body))
-    namespace = dict(_JET_GLOBALS, **src.consts)
-    exec(_builtins.compile(code, "<expr jet>", "exec"), namespace)
-    return namespace["_jet"]
+    return code, src.consts
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ K_a.  Everything downstream (the fields, clocks, integrals, eigenvalue
 and curvature residuals) is built from the values and the first two
 derivatives of S^{-1}.  They are computed in one place, :func:`twist`,
 analytically from exact derivatives of S (the compiled jets of
-:class:`SystemJet`) via d(S^{-1}) = -S^{-1} (dS) S^{-1}.
+:class:`SystemJet`) via d(S^{-1}) = -S^{-1} (dS) S^{-1}; only the
+generated vector fields of :class:`SystemJet` write d(alpha) out on
+floats, from the same gated inverse.  S is inverted nowhere but in
+:func:`invert_with_condition`.
 """
 
 from __future__ import annotations
@@ -273,28 +276,31 @@ class PositionJet:
 
 
 class SystemJet:
-    """A system's expressions compiled by :func:`expr.compile`.  Each
-    jet is compiled the first time it is asked for, and maps a list of
-    Python floats to an array.  Everything that evaluates the system at
-    a point runs on them: the fields, the clocks, the integrals of
-    :func:`hamiltonian` and its kin, and the system residuals of
-    :mod:`geometry`.  Only :func:`build_system`'s probe checks walk the
-    expression trees.
+    """A system's expressions compiled by :func:`expr.compile`, and the
+    functions generated from them.  Each is made the first time it is
+    asked for, never in :func:`build_system`.  Everything that evaluates
+    the system at a point runs on them: the fields, the clocks, the
+    integrals of :func:`hamiltonian` and its kin, and the system
+    residuals of :mod:`geometry`.  Only :func:`build_system`'s probe
+    checks walk the expression trees.
 
-    ``full`` takes the phase point (the N positions, then the N momenta)
-    and returns a (1+2N, n*n+n) array: row 0 holds the values and row
-    1+k the partials along phase coordinate k of the n*n entries of S
-    (row-major), then of the n block energies H_r.  ``block(r)`` does
-    the same on block r's own phase coordinates for S row r and H_r.
-    ``stackel`` takes the N positions and returns the n-by-n values of
-    S alone; ``energies`` takes the phase point and returns the values
-    of the H_r alone.  ``positions`` takes the N positions and returns a
+    ``field`` is the Hamiltonian field of H = alpha^r H_r, one
+    straight-line function of the phase point (a list of the N positions,
+    then the N momenta) returning the array (dH/dp, -dH/dq).
+    ``reduced(r)`` is the field of block r's reduced Hamiltonian
+    H_r - c_a S[r][a], a function of block r's phase point and of the
+    constants c.  ``stackel`` takes the N positions and returns the
+    n-by-n values of S; ``energies`` takes the phase point and returns
+    the values of the H_r.  ``twist(q)`` is the :class:`Twist` at the
+    positions q; when no entry of S mentions a coordinate it is
+    ``constant_twist``, taken once, and the field has it written in.
+    ``positions`` takes the N positions and returns a
     :class:`PositionJet`.
     """
 
     def __init__(self, sys: TwistedSystem):
         self._sys = sys
-        self._blocks = {}
+        self._reduced = {}
         self._rows = None
         self._last = None
 
@@ -318,12 +324,6 @@ class SystemJet:
         return [h for _, _, h in phase], names
 
     @cached_property
-    def full(self):
-        energies, names = self._energies
-        entries = [e for row in self._sys.stackel.entries for e in row]
-        return _jet_array(entries + energies, names)
-
-    @cached_property
     def stackel(self):
         n = self._sys.n
         fn = _expr.compile([e for row in self._sys.stackel.entries
@@ -334,6 +334,81 @@ class SystemJet:
     def energies(self):
         fn = _expr.compile(*self._energies)
         return lambda y: np.array(fn(*y))
+
+    @cached_property
+    def constant_twist(self) -> "Twist | None":
+        """The twist of a separation matrix none of whose entries
+        mentions a coordinate; None when S varies, or when S fails to
+        evaluate or to pass the gate, so that each point fails as
+        usual."""
+        sys = self._sys
+        if any(e.free_variables() for row in sys.stackel.entries
+               for e in row):
+            return None
+        try:
+            return twist(self.stackel([0.0] * sys.dim))
+        except (ModelError, _expr.ExprError):
+            return None
+
+    def twist(self, q) -> "Twist":
+        """The :class:`Twist` at the positions q, a list of floats."""
+        tw = self.constant_twist
+        return tw if tw is not None else twist(self.stackel(q), point=q)
+
+    @cached_property
+    def field(self):
+        sys = self._sys
+        n, N = sys.n, sys.dim
+        energies, names = self._energies
+        tw = self.constant_twist
+        if tw is not None:
+            # S is constant: its gated inverse is written in as literals
+            return _field_function(energies, names, {
+                r: f"({a!r})" for r, a in enumerate(tw.alpha.tolist())})
+        entries = [e for row in sys.stackel.entries for e in row]
+        free = [e.free_variables() for e in entries]
+        nn, width = n * n, n * n + n
+        # the gated S^-1 with entry (a, b) bound to m{a}_{b}, and the
+        # block energies to h0 .. h{n-1}
+        values = _tuple(_tuple(f"v[{r * n + a}]" for a in range(n))
+                        for r in range(n))
+        head = [f"m = _gate(_array({values}), y[:{N}])[0].tolist()",
+                _tuple(_tuple(f"m{a}_{b}" for b in range(n))
+                       for a in range(n)) + " = m",
+                _tuple(f"h{r}" for r in range(n)) + f" = v[{nn}:{width}]"]
+
+        def rate(k):
+            # d_k alpha . H, where d_k alpha = -(alpha . d_k S) . S^-1 runs
+            # over the entries of S that mention coordinate k
+            base = width * (1 + k)
+            u = {a: " + ".join(f"m0_{r} * v[{base + r * n + a}]"
+                               for r in range(n)
+                               if names[k] in free[r * n + a])
+                 for a in range(n)}
+            u = {a: terms for a, terms in u.items() if terms}
+            if not u:
+                return [], None
+            lines = [f"u{a} = {terms}" for a, terms in u.items()]
+            lines += [f"d{b} = -(" + " + ".join(f"u{a} * m{a}_{b}" for a in u)
+                      + ")" for b in range(n)]
+            return lines, "(" + " + ".join(f"d{b} * h{b}"
+                                           for b in range(n)) + ")"
+
+        return _field_function(entries + energies, names,
+                               {nn + r: f"m0_{r}" for r in range(n)},
+                               head, rate)
+
+    def reduced(self, r: int):
+        fn = self._reduced.get(r)
+        if fn is None:
+            n = self._sys.n
+            coords, p, h = self._phase(r)
+            weights = {0: None} | {1 + a: f"-c{a}" for a in range(n)}
+            head = [_tuple(f"c{a}" for a in range(n)) + " = c"]
+            fn = self._reduced[r] = _field_function(
+                [h, *self._sys.stackel.entries[r - 1]], coords + p,
+                weights, head, params=", c")
+        return fn
 
     def positions(self, q) -> PositionJet:
         """S, V and their partials up to second order at the positions
@@ -372,19 +447,50 @@ class SystemJet:
         self._last = (q, out)
         return out
 
-    def block(self, r: int):
-        jet = self._blocks.get(r)
-        if jet is None:
-            coords, p, h = self._phase(r)
-            jet = self._blocks[r] = _jet_array(
-                list(self._sys.stackel.entries[r - 1]) + [h], coords + p)
-        return jet
+
+def _field_function(exprs, names, weights, head=(), rate=None, params=""):
+    """Generate the Hamiltonian field of F = sum_i w_i exprs[i] as one
+    straight-line function ``_field(y<params>)`` of the phase point y, a
+    list of floats over ``names`` (m positions, then m momenta), that
+    returns the array (dF/dp, -dF/dq).
+
+    It calls the first-order jet of ``exprs`` once, binding its tuple to
+    ``v``, and runs the lines of ``head``.  ``weights`` maps the index i
+    of each expression in F to the source text of w_i, a literal or a
+    name bound in ``head``, or None for 1.  The partial along a phase
+    name sums w_i times the partials of the expressions that mention the
+    name, nothing else.  ``rate(k)``, if given, returns lines and one
+    more term for the partial along position k (from weights that vary
+    with q), or ([], None).  The gate is looked up here, once, so that
+    the function calls whatever :func:`invert_with_condition` is bound
+    to when it is made."""
+    jet = _expr.compile(exprs, names, names)
+    width, m = len(exprs), len(names) // 2
+    free = [e.free_variables() for e in exprs]
+    lines = ["v = _jet(*y)", *head]
+    for k, name in enumerate(names):
+        terms = [f"v[{width * (1 + k) + i}]" if w is None
+                 else f"{w} * v[{width * (1 + k) + i}]"
+                 for i, w in weights.items() if name in free[i]]
+        extra, term = rate(k) if rate is not None and k < m else ([], None)
+        lines += extra
+        if term is not None:
+            terms.append(term)
+        lines.append(f"g{k} = {' + '.join(terms) or '0.0'}")
+    lines.append("return _array(" + _tuple(
+        [f"g{k}" for k in range(m, 2 * m)] + [f"-g{k}" for k in range(m)])
+        + ")")
+    code = f"def _field(y{params}):\n" + "".join(f"    {line}\n"
+                                                 for line in lines)
+    namespace = {"_jet": jet, "_array": np.array,
+                 "_gate": invert_with_condition}
+    exec(compile(code, "<field>", "exec"), namespace)
+    return namespace["_field"]
 
 
-def _jet_array(exprs, names):
-    fn = _expr.compile(exprs, names, names)
-    shape = (len(names) + 1, len(exprs))
-    return lambda y: np.array(fn(*y)).reshape(shape)
+def _tuple(items) -> str:
+    """Source text of a tuple display of the given source texts."""
+    return "(" + "".join(f"{x}, " for x in items) + ")"
 
 
 def _as_expression(e) -> Expression:
@@ -434,21 +540,38 @@ def inverse_derivative(M: np.ndarray, dS: np.ndarray) -> np.ndarray:
     return -M @ dS @ M
 
 
+def _norm1(rows) -> float:
+    """The 1-norm, max_j sum_i |a_ij|, of a matrix given as lists of
+    Python floats; nan if a column sum is nan.  Each column is summed
+    down the rows in order, as ``np.abs(a).sum(axis=0).max()`` sums, so
+    the two agree bit for bit."""
+    worst = 0.0
+    for column in zip(*rows):
+        s = 0.0
+        for x in column:
+            s += abs(x)
+        if s > worst or s != s:  # a nan, once in, stays
+            worst = s
+    return worst
+
+
 def invert_with_condition(S: np.ndarray, point=None):
-    """LU inverse with a 1-norm condition estimate.
+    """LU inverse with a 1-norm condition estimate: the one place a
+    separation matrix is inverted.
 
     Returns (M, cond, warning).  cond above COND_ERROR raises; above
     COND_WARN the warning string is returned for attachment to results.
+    The two 1-norms are taken on Python floats (:func:`_norm1`).
     """
     try:
         M = np.linalg.inv(S)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("matrix is singular", point=point) from None
     # the 1-norm of M is finite only if every entry of M is
-    norm1_inv = float(np.abs(M).sum(axis=0).max())
+    norm1_inv = _norm1(M.tolist())
     if not math.isfinite(norm1_inv):
         raise SingularMatrixError("matrix inverse overflowed", point=point)
-    cond = float(np.abs(S).sum(axis=0).max()) * norm1_inv
+    cond = _norm1(S.tolist()) * norm1_inv
     if cond > COND_ERROR:
         raise SingularMatrixError("matrix numerically singular",
                                   cond=cond, point=point)
@@ -462,10 +585,12 @@ def invert_with_condition(S: np.ndarray, point=None):
 class Twist:
     """S^{-1} at a point, behind the condition gate of
     :func:`invert_with_condition`, with the partials of the twist that
-    the fields and the residuals read.  Row a-1 of ``matrix`` holds the
-    coefficients combining the block energies into K_a; row 0 is the
-    twist vector ``alpha``.  Made by :func:`twist`.  The partials need
-    the partials of S, and each is computed on first use:
+    the residuals read (the generated field of :class:`SystemJet`
+    writes out its own d_k alpha on floats, from the same gated
+    inverse).  Row a-1 of ``matrix`` holds the coefficients combining
+    the block energies into K_a; row 0 is the twist vector ``alpha``.
+    Made by :func:`twist`.  The partials need the partials of S, and
+    each is computed on first use:
 
     * ``dalpha[k]`` = d_k alpha, row 0 of d_k(S^{-1});
     * ``dmatrix[k]`` = d_k(S^{-1}) = -S^{-1} (d_k S) S^{-1};
@@ -619,8 +744,7 @@ def _block_energies(sys: TwistedSystem, point: PhasePoint) -> np.ndarray:
 
 def twist_rows(sys: TwistedSystem, point) -> Twist:
     """S^{-1} at the point, with the condition estimate attached."""
-    q = _position_values(sys, point)
-    return twist(sys.jet.stackel(q), point=q)
+    return sys.jet.twist(_position_values(sys, point))
 
 
 def block_energy(sys: TwistedSystem, r: int, point: PhasePoint) -> float:

@@ -463,6 +463,15 @@ def test_case_ii_flat_leaves():
     assert fam.leaf_scalar_expected(0.7) == 0.0
 
 
+@pytest.mark.parametrize("c1, c2", [(-1.0, 0.0), (0.7, -1.0), (2.0, 1.5)])
+def test_case_ii_leaf_scalar_expected_matches_tree_walk(c1, c2):
+    # the compiled scale gives the tree walker's value, bit for bit
+    fam = catalog.e3_case_ii_family(c1=c1, c2=c2)
+    for u in np.linspace(*fam.sample_box[0], 41):
+        lu = expr.evaluate(fam.scale, {"u": float(u)})
+        assert fam.leaf_scalar_expected(u) == 2.0 * lu * lu * c1 * c1
+
+
 def test_case_ii_detects_wrong_profile():
     report = case_ii_residuals(-1.0, 0.0, "1+v^2+w^2",
                                [(0.2, 0.4)], u_values=(1.3,))

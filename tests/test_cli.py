@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import blocksep
-from blocksep import catalog, cli, config, expr, model
+from blocksep import catalog, cli, config, expr, geometry, model
 from blocksep.config import ConfigError, load_config
 
 PENDULA_BODY = """
@@ -618,3 +618,32 @@ samples = 60
     assert rows[0] == "t,q1,q2,p1,p2,tau_1,tau_2,H,K_2"
     assert len(rows) > 10
     assert all(row.split(",")[5:7] == ["nan", "nan"] for row in rows[1:])
+
+
+@pytest.mark.parametrize("target, call, check", [
+    # pendula has three brackets and two eigenvalue checks per probe:
+    # the call numbered here is the first of the second probe
+    ("poisson_bracket", 4, "bracket(H,K_2)"),
+    ("block_eisenhart_residual", 3, "eigenvalue-gradient K_2"),
+])
+def test_nan_residual_at_a_later_probe_fails(target, call, check, tmp_path,
+                                             capsys, monkeypatch):
+    # Python's max drops a nan that follows a number; the check must
+    # report nan and fail instead
+    real = getattr(geometry, target)
+    calls = []
+
+    def nan_at_one_call(*args):
+        calls.append(None)
+        return math.nan if len(calls) == call else real(*args)
+
+    monkeypatch.setattr(geometry, target, nan_at_one_call)
+    out = str(tmp_path / "out")
+    path = write_config(tmp_path, PENDULA_BODY, out=out)
+    assert cli.main(["verify", "--config", path]) == 1
+    assert "overall: FAIL" in capsys.readouterr().out
+    # name,residual,threshold,status,where; a name may hold a comma
+    rows = [r.rsplit(",", 4) for r in
+            open(os.path.join(out, "verify_report.csv")).read().splitlines()]
+    assert {(r[0], r[1], r[3]) for r in rows[1:] if r[3] != "pass"} == {
+        (check, "nan", "fail")}

@@ -395,6 +395,70 @@ def test_compiled_fields_match_tree_walker(name):
                 sys, r, c, qb, pb)) <= 1e-14
 
 
+def _two_free_blocks(row1):
+    """Two free particles, S = [row1, (0, 1)]: the twist is
+    alpha = (1/S11, -S12/S11)."""
+    return build_system(
+        BlockStructure(sizes=(1, 1), coords=(("q1",), ("q2",))),
+        StackelMatrix([row1, ["0", "1"]]),
+        [NaturalBlock([["1"]], "0"), NaturalBlock([["1"]], "0")])
+
+
+@pytest.mark.parametrize("q1, message", [
+    (0.0, "matrix is singular"),
+    (1e-13, "matrix numerically singular"),
+])
+def test_field_at_singular_matrix_names_the_point(q1, message):
+    sys = _two_free_blocks(["q1", "1"])
+    with pytest.raises(model.SingularMatrixError, match=message) as exc:
+        full_field(sys, PhasePoint((q1, 0.3), (0.5, 0.2)))
+    assert f"at q=({q1!r}, 0.3)" in str(exc.value)
+
+
+def test_integration_into_the_gate_keeps_the_partial_orbit():
+    # S11 = S12 jumps from 1 to 1e13 where q1 turns negative: alpha stays
+    # (1/S11, -1), but the condition estimate passes COND_ERROR
+    step = "1+5e12*(1-q1/abs(q1))"
+    sys = _two_free_blocks([step, step])
+    with pytest.raises(IntegrationError) as exc:
+        integrate(full_field_callable(sys), [0.5, 0.0, -1.0, 0.2],
+                  (0.0, 2.0))
+    err = exc.value
+    assert "matrix numerically singular at q=(-" in err.reason
+    assert err.t_last == pytest.approx(0.5, abs=1e-9)
+    assert err.partial is not None and err.partial.t_end == err.t_last
+    assert np.allclose(err.partial.sample(0.25), [0.25, -0.05, -1.0, 0.2],
+                       atol=1e-12)
+
+
+def test_constant_twist_is_folded_into_the_field(monkeypatch):
+    # oscillators has a constant S: its gated inverse is taken once,
+    # when the field is made, and never while integrating or clocking
+    calls = []
+    real = model.invert_with_condition
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    entry = catalog.load("oscillators")
+    sys = entry.system
+    monkeypatch.setattr(model, "invert_with_condition", counted)
+    field = full_field_callable(sys)
+    assert len(calls) == 1
+    traj = integrate(field, entry.initial_point.as_array(), (0.0, 3.0))
+    clocks = [block_clock(sys, traj, r) for r in range(1, sys.n + 1)]
+    assert len(calls) == 1
+    alpha = sys.jet.constant_twist.alpha
+    for r, clock in enumerate(clocks):
+        assert clock.tau(3.0) == pytest.approx(3.0 * alpha[r], rel=1e-12)
+    N = sys.dim
+    for y in traj.ys[::7]:
+        q, p = y[:N].tolist(), y[N:].tolist()
+        assert _rel_err(field(0.0, y),
+                        _reference_full_field(sys, q, p)) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # reduced field
 

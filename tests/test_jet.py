@@ -9,6 +9,7 @@ is the sign of a zero: the dual abs of -0.0 keeps the sign, math's does
 not.
 """
 
+import ast
 import math
 import struct
 
@@ -299,3 +300,39 @@ def test_compile_rejects_bad_variable_lists():
         expr.compile([parse("x")], ("x", "x"))
     with pytest.raises(ValueError):
         expr.compile([parse("x")], ("x",), ("y",))
+
+
+def _unread_pure_temporaries(exprs, names, wrt, order):
+    """The temporaries of a jet's source that nothing reads although
+    their operation cannot raise (``+ - *``, negation, ``abs``, the
+    select of a dual ``abs``)."""
+    code, _ = expr._jet_source(exprs, names, wrt, order)
+    tree = ast.parse(code)
+    loaded = {n.id for n in ast.walk(tree)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+    def can_raise(value):
+        if isinstance(value, ast.BinOp):
+            return isinstance(value.op, (ast.Div, ast.Pow))
+        if isinstance(value, ast.Call):
+            return value.func.id != "abs"
+        return False   # negation, select
+
+    return [ast.unparse(n) for n in ast.walk(tree)
+            if isinstance(n, ast.Assign) and n.targets[0].id not in loaded
+            and not can_raise(n.value)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_trees, min_size=1, max_size=3), _wrt, st.sampled_from([1, 2]))
+def test_no_pure_temporary_goes_unread(exprs, wrt, order):
+    assert _unread_pure_temporaries(exprs, NAMES, wrt, order) == []
+
+
+@pytest.mark.parametrize("name", ["pendula", "oscillators", "calogero4"])
+def test_catalog_jets_read_every_pure_temporary(name):
+    sys_ = catalog.load(name).system
+    names = sys_.structure.names
+    for r, blk in enumerate(sys_.blocks):
+        exprs = [*sys_.stackel.entries[r], blk.potential]
+        assert _unread_pure_temporaries(exprs, names, names, 2) == []

@@ -10,15 +10,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blocksep import expr
 from blocksep.model import (
     BlockIndexError, BlockStructure, DimensionMismatchError,
     ForeignVariableError, NaturalBlock, PhasePoint, ProbePlan,
-    SingularMatrixError, StackelMatrix, TwistedSystem, block_energy,
-    build_system, first_integral, hamiltonian, inverse_derivative,
-    matrix_derivative, matrix_values, reduced_hamiltonian,
-    separation_constants, twist_rows,
+    SingularMatrixError, StackelMatrix, TwistedSystem, _norm1,
+    block_energy, build_system, first_integral, hamiltonian,
+    inverse_derivative, invert_with_condition, matrix_derivative,
+    matrix_values, reduced_hamiltonian, separation_constants, twist_rows,
 )
 
 
@@ -338,3 +339,28 @@ def test_phase_point_roundtrip():
     assert PhasePoint.from_array(arr) == pt
     with pytest.raises(DimensionMismatchError):
         PhasePoint((1.0,), (1.0, 2.0))
+
+
+_entries = st.one_of(st.floats(-1e3, 1e3, allow_nan=False),
+                     st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 1e300]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_float_condition_is_the_numpy_formula(rows):
+    # the gate's 1-norms run on Python floats; its cond must be the
+    # NumPy formula bit for bit
+    S = np.array(rows)
+    assert _norm1(rows) == float(np.abs(S).sum(axis=0).max())
+    try:
+        M, cond, _ = invert_with_condition(S)
+    except SingularMatrixError:
+        return
+    assert cond == (float(np.abs(S).sum(axis=0).max())
+                    * float(np.abs(M).sum(axis=0).max()))
+
+
+def test_float_norm_keeps_a_nan():
+    assert math.isnan(_norm1([[1.0, 2.0], [3.0, math.nan]]))
+    assert math.isnan(_norm1([[math.nan, 9.0], [3.0, 5.0]]))
