@@ -1,11 +1,16 @@
 """Hamiltonian vector fields, adaptive integration, block clocks.
 
-The integrator is an embedded explicit Runge-Kutta 5(4) pair with the
-classic quartic dense-output interpolant, a PI step-size controller
-(safety 0.9, step-ratio clip [0.2, 5]), and first-same-as-last stage
-reuse.  Dense output is what makes the orbit comparison work: the full
-system acts as the master clock, and the reduced orbit is sampled at
-the rescaled times tau_r(t) without ever inverting the clock map.
+The integrator is Dormand and Prince's explicit Runge-Kutta 8(5,3)
+pair, DOP853 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.10): 12
+stages to an 8th-order solution, first-same-as-last stage reuse, the
+error norm |h| s5 / sqrt((s5 + 0.01 s3) d) of its 5th- and 3rd-order
+estimates, and 3 more stages per accepted step for its 7th-order dense
+output.  A PI controller (order-8 exponents, safety 0.9, step-ratio
+clip [0.2, 5]) picks the steps.  The step is generated from the
+tableau as straight-line code on lists of floats.  Dense output is what
+makes the orbit comparison work: the full system acts as the master
+clock, and the reduced orbit is sampled at the rescaled times tau_r(t)
+without ever inverting the clock map.
 
 The vector fields are the straight-line functions that
 :class:`model.SystemJet` generates for each system the first time a
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,54 +67,265 @@ class EmptySegmentError(DynamicsError):
 
 
 # ---------------------------------------------------------------------------
-# Runge-Kutta 5(4) tableau with quartic dense output
+# Dormand-Prince 8(5,3), with the coefficients of Hairer's DOP853 (Hairer,
+# Norsett & Wanner, *Solving ODEs I*, II.10).  Stage i, counted from 1, is
+# k_i = f(t + c_i h, y + h sum_j a_ij k_j).  Row 13 of the coupling holds
+# the weights b of the 8th-order solution y1, so k13 = f(t + h, y1) is the
+# next step's k1; stages 14 to 16 serve the dense output only.
 
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_NODES = {
+    2: 0.526001519587677318785587544488e-01,
+    3: 0.789002279381515978178381316732e-01,
+    4: 0.118350341907227396726757197510,
+    5: 0.281649658092772603273242802490,
+    6: 0.333333333333333333333333333333,
+    7: 0.25,
+    8: 0.307692307692307692307692307692,
+    9: 0.651282051282051282051282051282,
+    10: 0.6,
+    11: 0.857142857142857142857142857142,
+    12: 1.0,
+    13: 1.0,
+    14: 0.1,
+    15: 0.2,
+    16: 0.777777777777777777777777777778,
+}
 
-_A = (
-    np.array([], dtype=float),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-              -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+_COUPLING = {
+    2: {1: 5.26001519587677318785587544488e-2},
+    3: {1: 1.97250569845378994544595329183e-2,
+        2: 5.91751709536136983633785987549e-2},
+    4: {1: 2.95875854768068491816892993775e-2,
+        3: 8.87627564304205475450678981324e-2},
+    5: {1: 2.41365134159266685502369798665e-1,
+        3: -8.84549479328286085344864962717e-1,
+        4: 9.24834003261792003115737966543e-1},
+    6: {1: 3.7037037037037037037037037037e-2,
+        4: 1.70828608729473871279604482173e-1,
+        5: 1.25467687566822425016691814123e-1},
+    7: {1: 3.7109375e-2,
+        4: 1.70252211019544039314978060272e-1,
+        5: 6.02165389804559606850219397283e-2,
+        6: -1.7578125e-2},
+    8: {1: 3.70920001185047927108779319836e-2,
+        4: 1.70383925712239993810214054705e-1,
+        5: 1.07262030446373284651809199168e-1,
+        6: -1.53194377486244017527936158236e-2,
+        7: 8.27378916381402288758473766002e-3},
+    9: {1: 6.24110958716075717114429577812e-1,
+        4: -3.36089262944694129406857109825,
+        5: -8.68219346841726006818189891453e-1,
+        6: 2.75920996994467083049415600797e1,
+        7: 2.01540675504778934086186788979e1,
+        8: -4.34898841810699588477366255144e1},
+    10: {1: 4.77662536438264365890433908527e-1,
+         4: -2.48811461997166764192642586468,
+         5: -5.90290826836842996371446475743e-1,
+         6: 2.12300514481811942347288949897e1,
+         7: 1.52792336328824235832596922938e1,
+         8: -3.32882109689848629194453265587e1,
+         9: -2.03312017085086261358222928593e-2},
+    11: {1: -9.3714243008598732571704021658e-1,
+         4: 5.18637242884406370830023853209,
+         5: 1.09143734899672957818500254654,
+         6: -8.14978701074692612513997267357,
+         7: -1.85200656599969598641566180701e1,
+         8: 2.27394870993505042818970056734e1,
+         9: 2.49360555267965238987089396762,
+         10: -3.0467644718982195003823669022},
+    12: {1: 2.27331014751653820792359768449,
+         4: -1.05344954667372501984066689879e1,
+         5: -2.00087205822486249909675718444,
+         6: -1.79589318631187989172765950534e1,
+         7: 2.79488845294199600508499808837e1,
+         8: -2.85899827713502369474065508674,
+         9: -8.87285693353062954433549289258,
+         10: 1.23605671757943030647266201528e1,
+         11: 6.43392746015763530355970484046e-1},
+    13: {1: 5.42937341165687622380535766363e-2,
+         6: 4.45031289275240888144113950566,
+         7: 1.89151789931450038304281599044,
+         8: -5.8012039600105847814672114227,
+         9: 3.1116436695781989440891606237e-1,
+         10: -1.52160949662516078556178806805e-1,
+         11: 2.01365400804030348374776537501e-1,
+         12: 4.47106157277725905176885569043e-2},
+    14: {1: 5.61675022830479523392909219681e-2,
+         7: 2.53500210216624811088794765333e-1,
+         8: -2.46239037470802489917441475441e-1,
+         9: -1.24191423263816360469010140626e-1,
+         10: 1.5329179827876569731206322685e-1,
+         11: 8.20105229563468988491666602057e-3,
+         12: 7.56789766054569976138603589584e-3,
+         13: -8.298e-3},
+    15: {1: 3.18346481635021405060768473261e-2,
+         6: 2.83009096723667755288322961402e-2,
+         7: 5.35419883074385676223797384372e-2,
+         8: -5.49237485713909884646569340306e-2,
+         11: -1.08347328697249322858509316994e-4,
+         12: 3.82571090835658412954920192323e-4,
+         13: -3.40465008687404560802977114492e-4,
+         14: 1.41312443674632500278074618366e-1},
+    16: {1: -4.28896301583791923408573538692e-1,
+         6: -4.69762141536116384314449447206,
+         7: 7.68342119606259904184240953878,
+         8: 4.06898981839711007970213554331,
+         9: 3.56727187455281109270669543021e-1,
+         13: -1.39902416515901462129418009734e-3,
+         14: 2.9475147891527723389556272149,
+         15: -9.15095847217987001081870187138},
+}
+
+# the 5th-order error weights, and the weights of the 3rd-order solution
+# where they differ from b
+_ERROR5 = {
+    1: 0.1312004499419488073250102996e-1,
+    6: -0.1225156446376204440720569753e+1,
+    7: -0.4957589496572501915214079952,
+    8: 0.1664377182454986536961530415e+1,
+    9: -0.3503288487499736816886487290,
+    10: 0.3341791187130174790297318841,
+    11: 0.8192320648511571246570742613e-1,
+    12: -0.2235530786388629525884427845e-1,
+}
+_ORDER3 = {1: 0.244094488188976377952755905512,
+           9: 0.733846688281611857341361741547,
+           12: 0.220588235294117647058823529412e-1}
+
+# rows 4 to 7 of the 7th-order dense output, F_r = h sum_j d_rj k_j
+_DENSE = (
+    {1: -0.84289382761090128651353491142e+1,
+     6: 0.56671495351937776962531783590,
+     7: -0.30689499459498916912797304727e+1,
+     8: 0.23846676565120698287728149680e+1,
+     9: 0.21170345824450282767155149946e+1,
+     10: -0.87139158377797299206789907490,
+     11: 0.22404374302607882758541771650e+1,
+     12: 0.63157877876946881815570249290,
+     13: -0.88990336451333310820698117400e-1,
+     14: 0.18148505520854727256656404962e+2,
+     15: -0.91946323924783554000451984436e+1,
+     16: -0.44360363875948939664310572000e+1},
+    {1: 0.10427508642579134603413151009e+2,
+     6: 0.24228349177525818288430175319e+3,
+     7: 0.16520045171727028198505394887e+3,
+     8: -0.37454675472269020279518312152e+3,
+     9: -0.22113666853125306036270938578e+2,
+     10: 0.77334326684722638389603898808e+1,
+     11: -0.30674084731089398182061213626e+2,
+     12: -0.93321305264302278729567221706e+1,
+     13: 0.15697238121770843886131091075e+2,
+     14: -0.31139403219565177677282850411e+2,
+     15: -0.93529243588444783865713862664e+1,
+     16: 0.35816841486394083752465898540e+2},
+    {1: 0.19985053242002433820987653617e+2,
+     6: -0.38703730874935176555105901742e+3,
+     7: -0.18917813819516756882830838328e+3,
+     8: 0.52780815920542364900561016686e+3,
+     9: -0.11573902539959630126141871134e+2,
+     10: 0.68812326946963000169666922661e+1,
+     11: -0.10006050966910838403183860980e+1,
+     12: 0.77771377980534432092869265740,
+     13: -0.27782057523535084065932004339e+1,
+     14: -0.60196695231264120758267380846e+2,
+     15: 0.84320405506677161018159903784e+2,
+     16: 0.11992291136182789328035130030e+2},
+    {1: -0.25693933462703749003312586129e+2,
+     6: -0.15418974869023643374053993627e+3,
+     7: -0.23152937917604549567536039109e+3,
+     8: 0.35763911791061412378285349910e+3,
+     9: 0.93405324183624310003907691704e+2,
+     10: -0.37458323136451633156875139351e+2,
+     11: 0.10409964950896230045147246184e+3,
+     12: 0.29840293426660503123344363579e+2,
+     13: -0.43533456590011143754432175058e+2,
+     14: 0.96324553959188282948394950600e+2,
+     15: -0.39177261675615439165231486172e+2,
+     16: -0.14972683625798562581422125276e+3},
 )
 
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-               11 / 84, 0.0])
+# the stages of a step that its error sums and its dense output read
+_KEPT = (1, 6, 7, 8, 9, 10, 11, 12, 13)
 
-# difference between the 5th- and the embedded 4th-order weights
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-               22 / 525, -1 / 40])
 
-_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
-     -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423,
-     69997945 / 29380423],
-])
+def _terms(row) -> str:
+    """Source text of sum_j w_j a{j} over the items (j, w_j) of row, a{j}
+    being an element of stage k{j}."""
+    return " + ".join(f"{w!r} * a{j}" for j, w in row.items())
+
+
+def _over(lists, stages) -> str:
+    """Source text of a ``for`` clause that runs over the elements of the
+    named lists, bound to <name>_, and of the stages k{j}, bound to a{j}."""
+    names = [f"{x}_" for x in lists] + [f"a{j}" for j in stages]
+    seqs = list(lists) + [f"k{j}" for j in stages]
+    return f"for {', '.join(names)} in zip({', '.join(seqs)})"
+
+
+def _state(i) -> str:
+    """Source text of the list y + h sum_j a_ij k_j."""
+    row = _COUPLING[i]
+    return f"[y_ + h * ({_terms(row)}) {_over(['y'], row)}]"
+
+
+@cache
+def _dop853():
+    """Generate the DOP853 step as three straight-line functions on lists
+    of floats, with the tableau written in as literals, on first use:
+
+    * ``_stages(f, t, h, y, k1)`` makes stages 2 to 13 of a step of
+      signed size h from (t, y), where k1 = f(t, y), and returns y1 and
+      the stages ``_KEPT``;
+    * ``_error_sums(y, y1, kept, atol, rtol)`` returns s5 and s3, the
+      sums of the squared 5th- and 3rd-order error estimates, each
+      component over atol + rtol max(|y|, |y1|);
+    * ``_dense(f, t, h, y, y1, kept)`` makes stages 14 to 16 and returns
+      the 7 dense-output coefficients of each component."""
+    kept = ", ".join(f"k{j}" for j in _KEPT)
+    stages = [f"k{i} = f(t + {_NODES[i]!r} * h, {_state(i)})"
+              for i in range(2, 13)]
+    stages += [f"y1 = {_state(13)}", "k13 = f(t + h, y1)",
+               f"return y1, ({kept})"]
+    order3 = {j: b - _ORDER3.get(j, 0.0) for j, b in _COUPLING[13].items()}
+    sums = [f"{kept} = kept", "s5 = s3 = 0.0",
+            _over(["y", "y1"], _ERROR5) + ":",
+            "    sc = atol + rtol * max(abs(y_), abs(y1_))",
+            f"    e = ({_terms(_ERROR5)}) / sc",
+            "    s5 += e * e",
+            f"    e = ({_terms(order3)}) / sc",
+            "    s3 += e * e",
+            "return s5, s3"]
+    dense = [f"{kept} = kept"]
+    dense += [f"k{i} = f(t + {_NODES[i]!r} * h, {_state(i)})"
+              for i in range(14, 17)]
+    dense += ["rows = []",
+              _over(["y", "y1"], (*_KEPT, 14, 15, 16)) + ":",
+              "    dy = y1_ - y_",
+              "    rows.append((dy, h * a1 - dy, 2.0 * dy - h * (a1 + a13), "
+              + ", ".join(f"h * ({_terms(row)})" for row in _DENSE) + "))",
+              "return rows"]
+    code = "".join(f"def {name}:\n" + "".join(f"    {line}\n"
+                                               for line in body)
+                   for name, body in (
+                       ("_stages(f, t, h, y, k1)", stages),
+                       ("_error_sums(y, y1, kept, atol, rtol)", sums),
+                       ("_dense(f, t, h, y, y1, kept)", dense)))
+    namespace = {}
+    exec(compile(code, "<dop853>", "exec"), namespace)
+    return namespace["_stages"], namespace["_error_sums"], namespace["_dense"]
+
 
 _SAFETY = 0.9
 _FACTOR_MIN = 0.2
 _FACTOR_MAX = 5.0
-# PI controller exponents for a 5th-order error estimate
-_BETA1 = 0.7 / 5
-_BETA2 = 0.4 / 5
+# PI controller exponents for an 8th-order error estimate
+_BETA1 = 0.7 / 8
+_BETA2 = 0.4 / 8
 
 
 # accepted plus rejected steps before an integration gives up
 _MAX_STEPS = 1_000_000
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -130,15 +346,17 @@ class IntegrationStats:
 class Trajectory:
     """Accepted-step samples plus per-step dense-output coefficients.
 
-    Times are strictly monotone in the direction of integration.
-    ``sample`` evaluates the quartic interpolant of the step containing
-    the requested time.
+    Times are strictly monotone in the direction of integration.  Step i
+    runs from ``ts[i]`` to ``ts[i + 1]`` and keeps the 7 rows F of the
+    7th-order DOP853 interpolant; ``sample`` at x = (t - ts[i]) / h, with
+    u = 1 - x, is ys[i] + (x, xu, x^2 u, x^2 u^2, x^3 u^2, x^3 u^3,
+    x^4 u^3) @ F.
     """
 
     def __init__(self, ts, ys, steps, stats: IntegrationStats):
         self.ts = np.asarray(ts, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
-        self._steps = steps  # list of (t_old, h, y_old, Q[d x 4])
+        self._steps = steps  # list of (t_old, h, F[7 x d])
         self.stats = stats
         self.direction = 1.0 if self.ts[-1] >= self.ts[0] else -1.0
         self._keys = self.ts * self.direction
@@ -170,31 +388,57 @@ class Trajectory:
                 f"[{self.t_start}, {self.t_end}]")
         i = int(np.searchsorted(self._keys, key, side="right")) - 1
         i = min(max(i, 0), len(self._steps) - 1)
-        t_old, h, y_old, Q = self._steps[i]
-        theta = (t - t_old) / h
-        theta = min(max(theta, 0.0), 1.0)
-        powers = np.array([theta, theta**2, theta**3, theta**4])
-        return y_old + h * (Q @ powers)
+        t_old, h, F = self._steps[i]
+        x = min(max((t - t_old) / h, 0.0), 1.0)
+        xu = x * (1.0 - x)
+        xu2 = xu * xu
+        xu3 = xu2 * xu
+        w = np.array((x, xu, x * xu, xu2, x * xu2, xu3, x * xu3))
+        return self.ys[i] + w @ F
 
     def sample_many(self, ts) -> np.ndarray:
         return np.array([self.sample(float(t)) for t in ts])
 
+    def rates(self, column: int, cuts: int) -> tuple[np.ndarray, np.ndarray]:
+        """The times that cut each step in ``cuts`` equal parts, its ends
+        included, and there the time derivative of the interpolant's
+        component ``column``; at the ends of a step it is the field's own
+        rate."""
+        x = np.linspace(0.0, 1.0, cuts + 1)
+        u = 1.0 - x
+        # d/dx of (x, xu, x^2 u, x^2 u^2, x^3 u^2, x^3 u^3, x^4 u^3)
+        dw = np.array([np.ones_like(x), u - x, x * (2 * u - x),
+                       2 * x * u * (u - x), x * x * u * (3 * u - 2 * x),
+                       3 * (x * u) ** 2 * (u - x),
+                       x ** 3 * u * u * (4 * u - 3 * x)])
+        h = np.array([step[1] for step in self._steps])[:, None]
+        F = np.array([step[2][:, column] for step in self._steps])
+        return (self.ts[:-1, None] + h * x).ravel(), (F @ dw / h).ravel()
+
 
 def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
               = None) -> Trajectory:
-    """Integrate y' = field(t, y) over t_span with adaptive RK5(4).
+    """Integrate y' = field(t, y) over t_span with adaptive DOP853.
+
+    The field takes the state as an ndarray and returns an array-like;
+    the step itself runs on lists of floats.  The error of a step of
+    size h is |h| s5 / sqrt((s5 + 0.01 s3) d) for a state of d
+    components (:func:`_dop853`), and a step is accepted when it is at
+    most 1.
 
     Raises :class:`IntegrationError` on step underflow or when the
     field fails to evaluate (for example on hitting the singular set of
     the separation matrix); the error carries the partial trajectory.
     """
     cfg = config or IntegratorConfig()
-    y = np.array(y0, dtype=float)
+    stages, error_sums, dense = _dop853()
+    y = np.asarray(y0, dtype=float).tolist()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 == t0:
         raise DynamicsError("degenerate integration span")
     direction = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
+    atol, rtol = cfg.atol, cfg.rtol
 
     nfev = 0
 
@@ -202,19 +446,19 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
         nonlocal nfev
         nfev += 1
         try:
-            out = np.asarray(field(t, yv), dtype=float)
+            out = field(t, np.array(yv))
         except (_expr.ExprError, ModelError) as ex:
             raise _FieldFailure(str(ex)) from ex
-        return out
+        return np.asarray(out, dtype=float).tolist()
 
     ts = [t0]
-    ys = [y.copy()]
+    ys = [y]
     steps = []
     accepted = 0
     rejected = 0
 
     def bail(reason, t_last):
-        stats = IntegrationStats(accepted, rejected, nfev, cfg.rtol, cfg.atol)
+        stats = IntegrationStats(accepted, rejected, nfev, rtol, atol)
         partial = (Trajectory(ts, ys, steps, stats) if steps else None)
         raise IntegrationError(reason, t_last, ys[-1], partial)
 
@@ -224,14 +468,13 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
         raise IntegrationError(
             f"field evaluation failed at the initial state: {ff}",
             t0, y, None) from None
-    if not np.all(np.isfinite(k1)):
+    if not all(map(math.isfinite, k1)):
         raise IntegrationError("field not finite at the initial state",
                                t0, y, None)
 
-    h = _initial_step(f, t0, y, k1, direction, cfg, span)
+    h = _initial_step(f, t0, np.array(y), np.array(k1), direction, cfg, span)
     t = t0
     err_prev = 1e-4
-    K = np.empty((7, y.size))
 
     while (t - t1) * direction < 0.0:
         if accepted + rejected >= _MAX_STEPS:
@@ -240,43 +483,29 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
         if h * (1 + 1e-12) >= abs(t1 - t):
             h = abs(t1 - t)
         hs = h * direction
-        hmin = 16 * np.finfo(float).eps * max(abs(t), abs(t1))
+        hmin = 16 * _EPS * max(abs(t), abs(t1))
         if h <= hmin:
             bail("step size underflow (possible singularity or "
                  "vanishing separation determinant nearby)", t)
 
-        failed = None
-        K[0] = k1
-        for i in range(1, 7):
-            try:
-                K[i] = f(t + _C[i] * hs, y + hs * (_A[i] @ K[:i]))
-            except _FieldFailure as ff:
-                failed = ff
-                break
-        if failed is not None:
+        try:
+            y1, kept = stages(f, t, hs, y, k1)
+            err = _error_norm(error_sums, h, y, y1, kept, atol, rtol)
+            F = dense(f, t, hs, y, y1, kept) if err <= 1.0 else None
+        except _FieldFailure as ff:
             # try to creep toward the failure with smaller steps
             rejected += 1
             h *= _FACTOR_MIN
             if h <= hmin:
-                bail(f"field evaluation failed: {failed}", t)
+                bail(f"field evaluation failed: {ff}", t)
             continue
 
-        y1 = y + hs * (_B @ K)
-        err_vec = hs * (_E @ K)
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y1))
-        with np.errstate(invalid="ignore", over="ignore"):
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        if not np.isfinite(err):
-            err = math.inf
-
         if err <= 1.0:
-            Q = K.T @ _P
-            steps.append((t, hs, y.copy(), Q))
+            steps.append((t, hs, np.array(F).T))
             t = t1 if h == abs(t1 - t) else t + hs
-            y = y1
-            k1 = K[6]  # first-same-as-last
+            y, k1 = y1, kept[-1]  # first-same-as-last
             ts.append(t)
-            ys.append(y.copy())
+            ys.append(y)
             accepted += 1
             if err == 0.0:
                 factor = _FACTOR_MAX
@@ -289,12 +518,26 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
             rejected += 1
             h *= max(_FACTOR_MIN, min(1.0, _SAFETY * err ** (-_BETA1)))
 
-    stats = IntegrationStats(accepted, rejected, nfev, cfg.rtol, cfg.atol)
+    stats = IntegrationStats(accepted, rejected, nfev, rtol, atol)
     return Trajectory(ts, ys, steps, stats)
 
 
 class _FieldFailure(Exception):
     """The field failed to evaluate; the message says why."""
+
+
+def _error_norm(error_sums, h, y, y1, kept, atol, rtol):
+    """The DOP853 error |h| s5 / sqrt((s5 + 0.01 s3) d) of a step of size
+    h, inf when it is not a number."""
+    try:
+        s5, s3 = error_sums(y, y1, kept, atol, rtol)
+    except ZeroDivisionError:  # a zero scale: atol 0 at a zero component
+        return math.inf
+    deno = s5 + 0.01 * s3
+    if deno == 0.0:
+        return 0.0
+    err = h * s5 / math.sqrt(deno * len(y))
+    return math.inf if math.isnan(err) else err
 
 
 def _initial_step(f, t0, y0, f0, direction, cfg, span):
@@ -304,14 +547,14 @@ def _initial_step(f, t0, y0, f0, direction, cfg, span):
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     try:
-        f1 = f(t0 + h0 * direction, y0 + h0 * direction * f0)
+        f1 = np.array(f(t0 + h0 * direction, y0 + h0 * direction * f0))
         d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
     except _FieldFailure:
         d2 = math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     h = min(100 * h0, h1, span)
     if not (h > 0.0 and math.isfinite(h)):
         h = 1e-6 * span
@@ -374,7 +617,10 @@ class BlockClock:
 
     The sign of alpha^r along the orbit (``initial_sign``,
     ``sign_changed`` and ``first_sign_change``) is scanned when one of
-    them is first read: only the orbit comparison reads them."""
+    them is first read: only the orbit comparison reads them.  The scan
+    reads the clock's rate off the interpolant on each step cut in 64
+    and checks alpha^r itself only where that rate leaves the initial
+    sign."""
 
     r: int
     trajectory: Trajectory = dataclass_field(repr=False)
@@ -407,34 +653,27 @@ class BlockClock:
         s0 = math.copysign(1.0, a0) if a0 != 0.0 else 0.0
         if s0 == 0.0:
             return s0, True, traj.t_start
-        # scan a refinement of the accepted steps for a sign flip
-        grid = _scan_grid(traj.ts)
-        prev_t = grid[0]
-        prev_a = a0
-        for t in grid[1:]:
-            a = alpha(float(t))
-            if a == 0.0 or (a > 0) != (prev_a > 0):
-                lo, hi = prev_t, float(t)
+        # the points of a fine grid where the clock's rate, read off the
+        # interpolant, leaves the initial sign; the first one where alpha
+        # itself has left it closes the bracket
+        times, rates = traj.rates(self.column, 64)
+        for i in np.flatnonzero(rates * s0 <= 0.0):
+            t = float(times[i])
+            a = alpha(t)
+            if a == 0.0 or (a > 0) != (s0 > 0):
+                lo, hi = float(times[max(i - 1, 0)]), t
                 for _ in range(80):
                     mid = 0.5 * (lo + hi)
                     am = alpha(mid)
                     if am == 0.0:
                         hi = mid
                         break
-                    if (am > 0) == (prev_a > 0):
+                    if (am > 0) == (s0 > 0):
                         lo = mid
                     else:
                         hi = mid
                 return s0, True, hi
-            prev_t = float(t)
-            prev_a = a
         return s0, False, None
-
-
-def _scan_grid(ts) -> np.ndarray:
-    """The times ts with each step cut in four, as np.linspace does."""
-    inner = ts[:-1, None] + np.arange(4) * (np.diff(ts) / 4)[:, None]
-    return np.append(inner.ravel(), ts[-1])
 
 
 def _alpha_on_trajectory(sys: TwistedSystem, trajectory: Trajectory, r: int):

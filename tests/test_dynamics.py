@@ -201,7 +201,7 @@ def test_blowup_reports_last_good_time():
     assert "underflow" in err.reason
     assert err.t_last == pytest.approx(1.0, abs=1e-3)
     assert err.partial is not None
-    assert err.partial.t_end <= 1.0
+    assert err.partial.t_end == err.t_last
     assert "last good time" in str(err)
 
 
@@ -252,6 +252,92 @@ def test_default_tolerances():
     cfg = IntegratorConfig()
     assert cfg.rtol == 1e-10
     assert cfg.atol == 1e-12
+
+
+def test_retry_after_a_rejected_step_starts_from_the_step_start():
+    # y' = y^2, y(0) = 1 has y = 1/(1 - t); near the pole steps are
+    # rejected, and each retry must restart from f(t, y), not from the
+    # rate at the rejected endpoint (that reuse left 2.3e-2 here)
+    traj = integrate(lambda t, y: y * y, [1.0], (0.0, 0.999),
+                     IntegratorConfig(rtol=1e-6, atol=1e-9))
+    assert traj.stats.rejected > 0
+    assert abs(traj.ys[-1][0] * (1.0 - 0.999) - 1.0) <= 1e-3
+
+
+def test_local_error_orders_of_one_step():
+    # one step of q' = 2p, p' = -2q over [0, h]: DOP853's solution is
+    # locally of order 9 and its dense output of order 8 (at unit
+    # frequency the h = 0.1 step error sits below roundoff)
+    def rhs(t, y):
+        return np.array([2.0 * y[1], -2.0 * y[0]])
+
+    def exact(t):
+        return np.array([math.cos(2.0 * t), -math.sin(2.0 * t)])
+
+    step, mid = [], []
+    for h in (0.4, 0.2, 0.1):
+        # tolerances loose enough that the first step covers the span
+        traj = integrate(rhs, [1.0, 0.0], (0.0, h),
+                         IntegratorConfig(rtol=1.0, atol=100.0))
+        assert traj.stats.accepted == 1
+        step.append(np.max(np.abs(traj.ys[-1] - exact(h))))
+        mid.append(np.max(np.abs(traj.sample(h / 2) - exact(h / 2))))
+    for errors, order in ((step, 9), (mid, 8)):
+        for coarse, fine in zip(errors, errors[1:]):
+            assert math.log2(coarse / fine) == pytest.approx(order, abs=0.5)
+
+
+@pytest.mark.parametrize("name", ["pendula", "oscillators", "calogero4"])
+def test_orbit_matches_scipy_dop853(name):
+    # an independent implementation of the same pair, run far tighter
+    integrate_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    entry = catalog.load(name)
+    field = full_field_callable(entry.system)
+    y0 = _with_clocks(entry.system, entry.initial_point.as_array())
+    ref = integrate_ivp(field, (0.0, 30.0), y0, method="DOP853",
+                        rtol=1e-13, atol=1e-15, dense_output=True)
+    assert ref.success
+    traj = integrate(field, y0, (0.0, 30.0),
+                     IntegratorConfig(rtol=1e-10, atol=1e-12))
+    ts = np.linspace(0.0, 30.0, 3001)
+    assert np.max(np.abs(traj.sample_many(ts) - ref.sol(ts).T)) <= 1e-8
+
+
+def test_field_failure_in_a_dense_output_stage_rejects_the_step():
+    # call 1 is f(t0, y0), call 2 the starting-step probe, calls 3..14
+    # stages 2 to 13 of the first step, and call 15 its stage 14, which
+    # only the dense output reads
+    calls = []
+
+    def flaky(t, y):
+        calls.append(t)
+        if len(calls) == 15:
+            raise expr.DomainError("argument outside the domain", 0)
+        return oscillator_rhs(t, y)
+
+    traj = integrate(flaky, [1.0, 0.0], (0.0, 2.0),
+                     IntegratorConfig(rtol=1e-10, atol=1e-12))
+    assert traj.stats.rejected == 1
+    assert traj.ts[1] < calls[13]  # shorter than the rejected step
+    ts = np.linspace(0.0, 2.0, 101)
+    exact = np.stack([np.cos(ts), -np.sin(ts)], axis=1)
+    assert np.max(np.abs(traj.sample_many(ts) - exact)) <= 1e-8
+
+
+def test_rates_are_the_field_at_the_nodes_and_the_derivative_between():
+    traj = integrate(oscillator_rhs, [1.0, 0.0], (0.0, 5.0),
+                     IntegratorConfig(rtol=1e-10, atol=1e-12))
+    for column, exact in ((0, lambda t: -np.sin(t)),
+                          (1, lambda t: -np.cos(t))):
+        times, rates = traj.rates(column, 8)
+        assert times.shape == rates.shape == (9 * (len(traj) - 1),)
+        # each step's first and last point, the field's own rate there
+        ends = np.stack([rates[::9], rates[8::9]], axis=1)
+        field = [oscillator_rhs(t, y)[column] for t, y in zip(traj.ts,
+                                                              traj.ys)]
+        assert np.max(np.abs(ends - np.stack([field[:-1], field[1:]], 1))
+                      ) <= 1e-14
+        assert np.max(np.abs(rates - exact(times))) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +812,40 @@ def test_sign_change_restricts_window():
     assert rep.sup_max <= 1e-9
 
 
+def test_sign_scan_finds_an_excursion_shorter_than_a_step():
+    # alpha^2 = (q1 - 5)^2 - 0.05^2 is negative only while |q1 - 5| <
+    # 0.05, a band that this orbit crosses in a fraction of one step
+    sys = build_system(
+        BlockStructure(sizes=(1, 1), coords=(("q1",), ("q2",))),
+        StackelMatrix([["1", "0.0025 - (q1 - 5)^2"], ["0", "1"]]),
+        [NaturalBlock([["1"]], "0"), NaturalBlock([["1"]], "0")],
+    )
+    y0 = _with_clocks(sys, [0.0, 0.0, 1.0, 0.1])
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12)
+    rep = compare_block_orbits(sys, PhasePoint((0.0, 0.0), (1.0, 0.1)), 2,
+                               (0.0, 30.0), cfg)
+    assert rep.restricted
+
+    # the first sign change on a uniform scan of a far tighter orbit
+    fine = integrate(full_field_callable(sys), y0, (0.0, 30.0),
+                     IntegratorConfig(rtol=1e-13, atol=1e-15))
+    ts = np.linspace(0.0, 30.0, 100_000)
+    inside = np.flatnonzero(np.abs(fine.sample_many(ts)[:, 0] - 5.0) < 0.05)
+    lo, hi = float(ts[inside[0] - 1]), float(ts[inside[0]])
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if abs(fine.sample(mid)[0] - 5.0) < 0.05:
+            hi = mid
+        else:
+            lo = mid
+    assert rep.t_window[1] == pytest.approx(hi, abs=1e-8)
+
+    # the band lies inside one accepted step of the compared orbit
+    steps = integrate(full_field_callable(sys), y0, (0.0, 30.0), cfg).ts
+    k = int(np.searchsorted(steps, hi))
+    assert steps[k - 1] < hi and ts[inside[-1]] < steps[k]
+
+
 def test_sign_change_other_block_unrestricted():
     sys = sign_change_system()
     P0 = PhasePoint((-0.5, 0.0), (0.3, 1.0))
@@ -866,17 +986,3 @@ def test_coarse_clocks_follow_the_fine_orbit():
 
     for coarse, fine in zip(clocks(1e-6, 1e-8), clocks(1e-12, 1e-14)):
         assert float(np.max(np.abs(coarse - fine))) <= 1e-6
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(1e-9, 10.0), min_size=1, max_size=12),
-       st.floats(-50.0, 50.0), st.sampled_from([1.0, -1.0]))
-def test_scan_grid_is_the_linspace_refinement(steps, t0, direction):
-    from blocksep.dynamics import _scan_grid
-
-    ts = t0 + direction * np.cumsum([0.0, *steps])
-    grid = []
-    for i in range(len(ts) - 1):
-        grid.extend(np.linspace(ts[i], ts[i + 1], 5)[:-1])
-    grid.append(ts[-1])
-    assert np.array_equal(_scan_grid(ts), np.array(grid))
