@@ -31,6 +31,7 @@ file path and line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
@@ -89,6 +90,12 @@ class RunConfig:
             raise ConfigError("time span must have nonzero length")
         if self.points < 1 or self.samples < 2:
             raise ConfigError("points and samples must be positive")
+        if not 0.0 < self.atol < math.inf:
+            raise ConfigError(
+                f"atol must be positive and finite, got {self.atol!r}")
+        if not 0.0 <= self.rtol < math.inf:
+            raise ConfigError(
+                f"rtol must be non-negative and finite, got {self.rtol!r}")
 
     def override(self, **changes) -> "RunConfig":
         """Copy with command-line overrides applied."""
@@ -286,21 +293,25 @@ class _Section:
         except _expr.ExprError as ex:
             self.fail(lineno, f"bad expression {source!r}: {ex}")
 
-    def expression_row(self, key: str):
-        """One matrix row: comma-separated quoted expressions."""
-        item = self.raw(key)
-        if item is None:
-            return None, None
-        value, lineno = item
+    def _row(self, key: str, text: str, lineno: int) -> tuple:
+        """Comma-separated quoted expressions, parsed."""
         out = []
-        for token in _split_top(value, ","):
+        for token in _split_top(text, ","):
             if not token.startswith('"'):
                 self.fail(lineno,
                           f"{key} entries must be quoted strings, "
                           f"got {token!r}")
             out.append(self._parse_expr(self._unquote(token, lineno),
                                         lineno))
-        return tuple(out), lineno
+        return tuple(out)
+
+    def expression_row(self, key: str):
+        """One matrix row: comma-separated quoted expressions."""
+        item = self.raw(key)
+        if item is None:
+            return None, None
+        value, lineno = item
+        return self._row(key, value, lineno), lineno
 
     def matrix(self, key: str, default=None):
         """Semicolon-separated rows of comma-separated quoted entries."""
@@ -308,18 +319,8 @@ class _Section:
         if item is None:
             return default
         value, lineno = item
-        rows = []
-        for chunk in _split_top(value, ";"):
-            row = []
-            for token in _split_top(chunk, ","):
-                if not token.startswith('"'):
-                    self.fail(lineno,
-                              f"{key} entries must be quoted strings, "
-                              f"got {token!r}")
-                row.append(self._parse_expr(self._unquote(token, lineno),
-                                            lineno))
-            rows.append(tuple(row))
-        return tuple(rows)
+        return tuple(self._row(key, chunk, lineno)
+                     for chunk in _split_top(value, ";"))
 
 
 def _empty_section(path: str, name: str, sections: dict) -> _Section:

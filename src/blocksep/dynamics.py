@@ -426,11 +426,17 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
     components (:func:`_dop853`), and a step is accepted when it is at
     most 1.
 
-    Raises :class:`IntegrationError` on step underflow or when the
+    Raises :class:`DynamicsError` unless atol > 0 and rtol >= 0, both
+    finite, and :class:`IntegrationError` on step underflow or when the
     field fails to evaluate (for example on hitting the singular set of
     the separation matrix); the error carries the partial trajectory.
     """
     cfg = config or IntegratorConfig()
+    atol, rtol = cfg.atol, cfg.rtol
+    if not (0.0 < atol < math.inf and 0.0 <= rtol < math.inf):
+        raise DynamicsError(f"invalid tolerances atol={atol!r}, "
+                            f"rtol={rtol!r}: atol must be positive, rtol "
+                            "non-negative, both finite")
     stages, error_sums, dense = _dop853()
     y = np.asarray(y0, dtype=float).tolist()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -438,7 +444,6 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
         raise DynamicsError("degenerate integration span")
     direction = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
-    atol, rtol = cfg.atol, cfg.rtol
 
     nfev = 0
 
@@ -529,10 +534,7 @@ class _FieldFailure(Exception):
 def _error_norm(error_sums, h, y, y1, kept, atol, rtol):
     """The DOP853 error |h| s5 / sqrt((s5 + 0.01 s3) d) of a step of size
     h, inf when it is not a number."""
-    try:
-        s5, s3 = error_sums(y, y1, kept, atol, rtol)
-    except ZeroDivisionError:  # a zero scale: atol 0 at a zero component
-        return math.inf
+    s5, s3 = error_sums(y, y1, kept, atol, rtol)
     deno = s5 + 0.01 * s3
     if deno == 0.0:
         return 0.0
@@ -585,19 +587,13 @@ def reduced_field(sys: TwistedSystem, r: int, c: Sequence[float],
     """Hamiltonian vector field of the one-block reduced Hamiltonian
     H_r - c_a S[r][a] on the block-r phase space.  ``point`` holds the
     block slice only (n_r positions and momenta)."""
-    if not 1 <= r <= sys.n:
-        raise _model.BlockIndexError(
-            f"block index {r} out of range 1..{sys.n}")
-    c = np.asarray(c, dtype=float)
-    if c.shape != (sys.n,):
-        raise _model.DimensionMismatchError(
-            f"expected {sys.n} separation constants, got shape {c.shape}")
-    return sys.jet.reduced(r)(list(point.q + point.p), c.tolist())
+    c = _model._reduced_constants(sys, r, c).tolist()
+    return sys.jet.reduced(r)(list(point.q + point.p), c)
 
 
 def reduced_field_callable(sys: TwistedSystem, r: int, c) -> Callable:
+    c = _model._reduced_constants(sys, r, c).tolist()
     kernel = sys.jet.reduced(r)  # generated now, not inside the first step
-    c = np.asarray(c, dtype=float).tolist()
 
     def rhs(t, y):
         return kernel(np.asarray(y, dtype=float).tolist(), c)

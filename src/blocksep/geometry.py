@@ -19,14 +19,16 @@ Residual operations return max-norms, never booleans; thresholds are
 the caller's business.
 
 Every expression-backed object (a :class:`MetricField`, a
-:class:`TensorField2`, a :class:`PhaseScalar`) compiles one jet with
-:func:`expr.compile` the first time it is evaluated and keeps it, so a
-point costs one call for all values and partials: first partials for
-tensors and phase scalars, second partials as well for metrics.  The
-system residuals read the potentials and the twist (S^-1 and its
-derivatives, :class:`model.Twist`) of one
-:meth:`model.SystemJet.positions` per point, as array expressions over
-coordinates, blocks and targets.  Nothing here walks expression trees.
+:class:`TensorField2`, a :class:`PhaseScalar`) compiles one
+:class:`model._GridJet` the first time it is evaluated and keeps it, so
+a point costs one call for all values and partials, as arrays (m,),
+(n, m) and, for metrics, (n, n, m).  The system residuals read the
+potentials and the twist (S^-1 and its derivatives, :class:`model.Twist`)
+of one :meth:`model.SystemJet.positions` per point, the same layout, as
+array expressions over coordinates, blocks and targets.  Nothing here
+walks expression trees.  Private helpers take a point as the tuple of
+coordinate values the jets take; Gamma is formed in :func:`_connection`
+only, and a metric inverted in :func:`_inverse` only.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ class VarianceError(GeometryError):
 _VARIANCES = ("contravariant", "covariant", "mixed")
 
 
-def _env_of(coords, point) -> dict:
-    """Build an evaluation environment from a point specification.
+def _point_of(coords, point) -> tuple:
+    """The coordinate values of a point specification, ordered like
+    ``coords``, as the jets take them.
 
     Accepts a dict (must bind every coordinate), a PhasePoint (its q
     part is used), or a plain sequence ordered like ``coords``.
@@ -72,49 +75,30 @@ def _env_of(coords, point) -> dict:
         missing = [c for c in coords if c not in point]
         if missing:
             raise GeometryError(f"point does not bind {missing[0]!r}")
-        return {c: float(point[c]) for c in coords}
+        return tuple(float(point[c]) for c in coords)
     if isinstance(point, PhasePoint):
         point = point.q
     vals = tuple(float(x) for x in point)
     if len(vals) != len(coords):
         raise GeometryError(
             f"point has {len(vals)} coordinates, expected {len(coords)}")
-    return dict(zip(coords, vals))
+    return vals
 
 
-class _GridJet:
-    """A compiled jet of an expression list over coordinates (and fixed
-    parameters after them).  Called with the coordinate values, then the
-    parameter values, it returns the values (m,), the first partials
-    (n, m) and, at order 2, the second partials (n, n, m)."""
-
-    def __init__(self, exprs, coords, params=(), order=1):
-        n, m = len(coords), len(exprs)
-        self.fn = _expr.compile(exprs, tuple(coords) + tuple(params),
-                                coords, order)
-        self.m = m
-        self.n = n
-        self.pair = None
-        if order == 2:
-            self.pair = np.empty((n, n), dtype=int)
-            pairs = [(i, j) for i in range(n) for j in range(i, n)]
-            for k, (i, j) in enumerate(pairs):
-                self.pair[i, j] = self.pair[j, i] = k
-
-    def __call__(self, args):
-        out = np.array(self.fn(*args))
-        m, n = self.m, self.n
-        first = out[m:m + n * m].reshape(n, m)
-        if self.pair is None:
-            return out[:m], first
-        return out[:m], first, out[m + n * m:].reshape(-1, m)[self.pair]
+def _shared_point(g: MetricField, T: TensorField2, point) -> tuple:
+    """The point of a tensor read against a metric on the same
+    coordinates, in the same order."""
+    if T.coords != g.coords:
+        raise GeometryError(f"tensor coordinates {T.coords} are not the "
+                            f"metric's {g.coords}")
+    return _point_of(g.coords, point)
 
 
 _JETS: dict = {}
 _JETS_KEPT = 8
 
 
-def _grid_jet(exprs, coords, params=(), order=1) -> _GridJet:
+def _grid_jet(exprs, coords, params=(), order=1) -> _model._GridJet:
     """The jet of an expression list, compiled once and shared by every
     object built on the same expression objects (the last
     ``_JETS_KEPT`` lists are kept)."""
@@ -123,7 +107,7 @@ def _grid_jet(exprs, coords, params=(), order=1) -> _GridJet:
     hit = _JETS.pop(key, None)
     if hit is None:
         # the entry keeps its expressions alive, so their ids stay theirs
-        hit = (exprs, _GridJet(exprs, coords, params, order))
+        hit = (exprs, _model._GridJet(exprs, coords, params, order))
         if len(_JETS) >= _JETS_KEPT:
             del _JETS[next(iter(_JETS))]
     _JETS[key] = hit
@@ -190,42 +174,46 @@ class MetricField:
         return len(self.coords)
 
     @cached_property
-    def _jet(self) -> _GridJet:
+    def _jet(self) -> _model._GridJet:
         return _grid_jet([e for row in self._grid for e in row], self.coords,
                          tuple(self.params), 2)
 
-    def _derivatives(self, env, order: int = 2):
+    def _derivatives(self, q: tuple, order: int = 2):
         """G, then for order >= 1 the stacked dG[k] = d_k G, then for
         order 2 d2G[m, k] = d_m d_k G."""
         n = self.n
-        G, dG, d2G = self._jet([env[c] for c in self.coords]
-                               + list(self.params.values()))
+        G, dG, d2G = self._jet(q + tuple(self.params.values()))
         return (G.reshape(n, n), dG.reshape(n, n, n),
                 d2G.reshape(n, n, n, n))[:order + 1]
 
     def contravariant(self, point) -> np.ndarray:
-        return self._derivatives(_env_of(self.coords, point), 0)[0]
+        return self._derivatives(_point_of(self.coords, point), 0)[0]
 
     def derivative(self, point, name: str) -> np.ndarray:
         """d/d name of the contravariant components."""
-        env = _env_of(self.coords, point)
-        return self._derivatives(env, 1)[1][_index(self.coords, name)]
+        q = _point_of(self.coords, point)
+        return self._derivatives(q, 1)[1][_index(self.coords, name)]
 
     def second_derivative(self, point, n1: str, n2: str) -> np.ndarray:
-        env = _env_of(self.coords, point)
-        return self._derivatives(env)[2][_index(self.coords, n1),
-                                         _index(self.coords, n2)]
+        q = _point_of(self.coords, point)
+        return self._derivatives(q)[2][_index(self.coords, n1),
+                                       _index(self.coords, n2)]
 
     def covariant(self, point) -> np.ndarray:
-        G = self.contravariant(point)
-        det = float(np.linalg.det(G))
-        if det == 0.0 or not np.isfinite(det):
-            raise DegenerateMetricError(
-                "metric degenerate at the given point")
-        try:
-            return np.linalg.inv(G)
-        except np.linalg.LinAlgError as ex:
-            raise DegenerateMetricError(str(ex)) from ex
+        return _inverse(self.contravariant(point))
+
+
+def _inverse(G: np.ndarray) -> np.ndarray:
+    """The covariant metric g = G^-1: the one place a metric is
+    inverted.  Raises :class:`DegenerateMetricError` where det G is 0
+    or not finite, or where the inversion fails."""
+    det = float(np.linalg.det(G))
+    if det == 0.0 or not np.isfinite(det):
+        raise DegenerateMetricError("metric degenerate at the given point")
+    try:
+        return np.linalg.inv(G)
+    except np.linalg.LinAlgError as ex:
+        raise DegenerateMetricError(str(ex)) from ex
 
 
 @dataclass(frozen=True)
@@ -265,17 +253,17 @@ class TensorField2:
         return len(self.coords)
 
     @cached_property
-    def _jet(self) -> _GridJet:
+    def _jet(self) -> _model._GridJet:
         return _grid_jet([e for row in self.grid for e in row], self.coords)
 
-    def _at(self, env):
+    def _at(self, q: tuple):
         """Values T and stacked first partials dT[k] = d_k T."""
         n = self.n
-        T, dT = self._jet([env[c] for c in self.coords])
+        T, dT = self._jet(q)
         return T.reshape(n, n), dT.reshape(n, n, n)
 
     def values(self, point) -> np.ndarray:
-        return self._at(_env_of(self.coords, point))[0]
+        return self._at(_point_of(self.coords, point))[0]
 
     def _need_metric(self):
         if self.metric is None:
@@ -353,7 +341,7 @@ class PhaseScalar:
                            _model._as_expression(self.scalar))
 
     @cached_property
-    def _jet(self) -> _GridJet:
+    def _jet(self) -> _model._GridJet:
         exprs = [self.scalar, *(self.linear or ())]
         if self.tensor is not None:
             exprs += [e for row in self.tensor.grid for e in row]
@@ -363,10 +351,7 @@ class PhaseScalar:
         """Momenta, then the scalar W, linear terms L and tensor K with
         their stacked first partials, from one jet call."""
         n = len(self.coords)
-        if len(point.q) != n:
-            raise GeometryError(
-                f"point has {len(point.q)} coordinates, expected {n}")
-        vals, first = self._jet(point.q)
+        vals, first = self._jet(_point_of(self.coords, point))
         lin = 1 + len(self.linear or ())
         K = dK = None
         if self.tensor is not None:
@@ -415,10 +400,6 @@ def poisson_bracket(F: PhaseScalar, G: PhaseScalar,
     if F.coords != G.coords:
         raise GeometryError(
             "bracket arguments live on different phase spaces")
-    if len(point.q) != len(F.coords):
-        raise GeometryError(
-            f"point has {len(point.q)} coordinates, expected "
-            f"{len(F.coords)}")
     dqF, dpF = F._gradients(point)
     dqG, dpG = G._gradients(point)
     return float(dqF @ dpG - dpF @ dqG)
@@ -427,7 +408,7 @@ def poisson_bracket(F: PhaseScalar, G: PhaseScalar,
 # ---------------------------------------------------------------------------
 # connection and curvature
 
-def _covariant_derivatives(g: MetricField, env, order: int = 2):
+def _covariant_derivatives(g: MetricField, q: tuple, order: int = 2):
     """G, gcov, and the first (and for order 2 second) coordinate
     derivatives of G and gcov.
 
@@ -435,11 +416,8 @@ def _covariant_derivatives(g: MetricField, env, order: int = 2):
     d(g) = -g (dG) g applied to the contravariant components.
     """
     n = g.n
-    G, dG, *d2G = g._derivatives(env, order)
-    det = float(np.linalg.det(G))
-    if det == 0.0 or not np.isfinite(det):
-        raise DegenerateMetricError("metric degenerate at the given point")
-    gcov = np.linalg.inv(G)
+    G, dG, *d2G = g._derivatives(q, order)
+    gcov = _inverse(G)
     dg = -gcov @ dG @ gcov
     if order < 2:
         return G, gcov, dG, dg, None
@@ -452,20 +430,23 @@ def _covariant_derivatives(g: MetricField, env, order: int = 2):
     return G, gcov, dG, dg, d2g
 
 
+def _connection(G: np.ndarray, dg: np.ndarray):
+    """A[l,j,k] = d_j g_lk + d_k g_lj - d_l g_jk and the Levi-Civita
+    coefficients Gamma = (1/2) G A, from G and the stacked dg[k]."""
+    A = (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg)
+    return A, 0.5 * np.einsum("il,ljk->ijk", G, A)
+
+
 def christoffel(g: MetricField, point) -> np.ndarray:
     """Levi-Civita connection coefficients, out[i,j,k] = Gamma^i_jk."""
-    env = _env_of(g.coords, point)
-    G, _, _, dg, _ = _covariant_derivatives(g, env, 1)
-    # A[l,j,k] = d_j g_lk + d_k g_lj - d_l g_jk
-    A = (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg)
-    return 0.5 * np.einsum("il,ljk->ijk", G, A)
+    G, _, _, dg, _ = _covariant_derivatives(g, _point_of(g.coords, point), 1)
+    return _connection(G, dg)[1]
 
 
-def _riemann(g: MetricField, env):
+def _riemann(g: MetricField, q: tuple):
     """R^i_jkl and the contravariant metric G at the point."""
-    G, _, dG, dg, d2g = _covariant_derivatives(g, env)
-    A = (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg)
-    Gamma = 0.5 * np.einsum("il,ljk->ijk", G, A)
+    G, _, dG, dg, d2g = _covariant_derivatives(g, q)
+    A, Gamma = _connection(G, dg)
     # dA[m,l,j,k] = d2_mj g_lk + d2_mk g_lj - d2_ml g_jk
     dA = (d2g.transpose(0, 2, 1, 3) + d2g.transpose(0, 2, 3, 1) - d2g)
     dGamma = 0.5 * (np.einsum("mil,ljk->mijk", dG, A)
@@ -478,12 +459,12 @@ def _riemann(g: MetricField, env):
 
 def riemann(g: MetricField, point) -> np.ndarray:
     """Curvature of the Levi-Civita connection, out[i,j,k,l] = R^i_jkl."""
-    return _riemann(g, _env_of(g.coords, point))[0]
+    return _riemann(g, _point_of(g.coords, point))[0]
 
 
 def ricci_scalar(g: MetricField, point) -> float:
     """Scalar curvature, the double trace of the curvature tensor."""
-    R, G = _riemann(g, _env_of(g.coords, point))
+    R, G = _riemann(g, _point_of(g.coords, point))
     ric = np.einsum("ijil->jl", R)
     return float(np.einsum("jl,jl->", G, ric))
 
@@ -492,9 +473,10 @@ def killing_residual(g: MetricField, K: TensorField2, point) -> float:
     """max |nabla_(i K_jk)| of a covariant symmetric 2-tensor."""
     if K.variance != "covariant":
         raise VarianceError("killing_residual expects covariant components")
-    env = _env_of(g.coords, point)
-    Gamma = christoffel(g, env)
-    Kv, dK = K._at(env)
+    q = _shared_point(g, K, point)
+    G, _, _, dg, _ = _covariant_derivatives(g, q, 1)
+    Gamma = _connection(G, dg)[1]
+    Kv, dK = K._at(q)
     # nabla[i,j,k] = d_i K_jk - Gamma^l_ij K_lk - Gamma^l_ik K_jl
     nabla = (dK - np.einsum("lij,lk->ijk", Gamma, Kv)
              - np.einsum("lik,jl->ijk", Gamma, Kv))
@@ -505,24 +487,17 @@ def killing_residual(g: MetricField, K: TensorField2, point) -> float:
 # ---------------------------------------------------------------------------
 # torsion, Haantjes condition, normality contractions
 
-def _mixed_components(T: TensorField2, g: MetricField | None, env):
-    """Mixed values T^i_j and their coordinate derivatives.
-
-    Converts variance on the fly when a metric is available, using the
-    analytic derivative of the inverse for the covariant metric factor.
-    """
-    Tv, dT = T._at(env)
+def _mixed_components(T: TensorField2, g: MetricField, q: tuple):
+    """Mixed values T^i_j and their coordinate derivatives, the variance
+    converted by g, with the analytic derivative of the inverse for the
+    covariant metric factor."""
+    Tv, dT = T._at(q)
     if T.variance == "mixed":
         return Tv, dT
-    metric = g or T.metric
-    if metric is None:
-        raise VarianceError(
-            f"{T.variance} tensor needs a metric to be used as an "
-            "endomorphism")
-    G, dG = metric._derivatives(env, 1)
-    gcov = np.linalg.inv(G)
     if T.variance == "contravariant":
-        return Tv @ gcov, dT @ gcov + Tv @ (-gcov @ dG @ gcov)
+        _, gcov, _, dg, _ = _covariant_derivatives(g, q, 1)
+        return Tv @ gcov, dT @ gcov + Tv @ dg
+    G, dG = g._derivatives(q, 1)
     return G @ Tv, dG @ Tv + G @ dT
 
 
@@ -542,7 +517,7 @@ def nijenhuis(T: TensorField2, point) -> np.ndarray:
     """Nijenhuis torsion of a mixed tensor field, out[i,j,k] = N^i_jk."""
     if T.variance != "mixed":
         raise VarianceError("nijenhuis expects mixed components")
-    return _torsion_from(*T._at(_env_of(T.coords, point)))
+    return _torsion_from(*T._at(_point_of(T.coords, point)))
 
 
 def eigenvalue_groups(values, scale: float = 1e-8):
@@ -613,7 +588,7 @@ def haantjes(T: TensorField2, point) -> dict:
     """
     if T.variance != "mixed":
         raise VarianceError("haantjes expects mixed components")
-    Tv, dT = T._at(_env_of(T.coords, point))
+    Tv, dT = T._at(_point_of(T.coords, point))
     H = 2.0 * _torsion_from(Tv, dT)
     t1 = np.einsum("kns,nm,sl->kml", H, Tv, Tv)
     t2 = (np.einsum("snl,nm,ks->kml", H, Tv, Tv)
@@ -635,10 +610,10 @@ def tsn_residuals(K: TensorField2, g: MetricField, point):
     Returns max-norms of N^l_[ij g_k]l, N^l_[ij K_k]l and
     N^l_[ij K_k]m K^m_l, with full antisymmetrization over (i,j,k).
     """
-    env = _env_of(g.coords, point)
-    Tv, dT = _mixed_components(K, g, env)
+    q = _shared_point(g, K, point)
+    Tv, dT = _mixed_components(K, g, q)
     N = _torsion_from(Tv, dT)
-    gcov = g.covariant(env)
+    gcov = g.covariant(q)
     Kcov = gcov @ Tv
     mats = (gcov, Kcov, Kcov @ Tv)
 
@@ -655,8 +630,7 @@ def tsn_residuals(K: TensorField2, g: MetricField, point):
 # block eigenvalues and the separability residuals
 
 def _position_jet(sys: TwistedSystem, point) -> _model.PositionJet:
-    env = _env_of(sys.structure.names, point)
-    return sys.jet.positions([env[c] for c in sys.structure.names])
+    return sys.jet.positions(_point_of(sys.structure.names, point))
 
 
 def _twist_vector(tw: _model.Twist) -> np.ndarray:
@@ -742,11 +716,10 @@ def characteristic_condition(T: TensorField2, V, g: MetricField,
                              point) -> float:
     """max |d(T dV)|: closedness of the one-form (T dV)_j = T^k_j d_k V."""
     V = _model._as_expression(V)
-    env = _env_of(g.coords, point)
-    coords = g.coords
-    n = len(coords)
-    Tv, dT = _mixed_components(T, g, env)
-    _, dV, d2V = _grid_jet((V,), coords, (), 2)([env[c] for c in coords])
+    q = _shared_point(g, T, point)
+    n = len(q)
+    Tv, dT = _mixed_components(T, g, q)
+    _, dV, d2V = _grid_jet((V,), g.coords, (), 2)(q)
     dV, d2V = dV.reshape(n), d2V.reshape(n, n)
     # domega[i, j] = d_i (T dV)_j
     dTarr = np.array(dT)

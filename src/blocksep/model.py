@@ -255,12 +255,42 @@ class TwistedSystem:
         return SystemJet(self)
 
 
+class _GridJet:
+    """A compiled jet of an expression list over coordinates (and fixed
+    parameters after them): the one adapter from the flat tuple of
+    values and partials of :func:`expr.compile` to arrays.  Called with
+    the coordinate values, then the parameter values, it returns the
+    values (m,), the first partials (n, m) and, at order 2, the second
+    partials (n, n, m)."""
+
+    def __init__(self, exprs, coords, params=(), order=1):
+        n, m = len(coords), len(exprs)
+        self.fn = _expr.compile(exprs, tuple(coords) + tuple(params),
+                                coords, order)
+        self.m = m
+        self.n = n
+        self.pair = None
+        if order == 2:  # compile's pairs i <= j, in row-major order
+            i, j = np.triu_indices(n)
+            self.pair = np.empty((n, n), dtype=int)
+            self.pair[i, j] = self.pair[j, i] = np.arange(len(i))
+
+    def __call__(self, args):
+        out = np.array(self.fn(*args))
+        m, n = self.m, self.n
+        first = out[m:m + n * m].reshape(n, m)
+        if self.pair is None:
+            return out[:m], first
+        return out[:m], first, out[m + n * m:].reshape(-1, m)[self.pair]
+
+
 @dataclass(frozen=True)
 class PositionJet:
     """S and the block potentials V_r with their first and second
-    partials at the positions q: S[r, a], dS[k, r, a] = d_k S[r, a],
-    d2S[k, l, r, a], V[r], dV[k, r], d2V[k, l, r].  ``twist`` is the
-    :class:`Twist` made from S and its partials, once per point."""
+    partials at the positions q, along all N coordinates: S[r, a],
+    dS[k, r, a] = d_k S[r, a], d2S[k, l, r, a], V[r], dV[k, r],
+    d2V[k, l, r], views of one :class:`_GridJet` result.  ``twist`` is
+    the :class:`Twist` made from S and its partials, once per point."""
 
     q: tuple
     S: np.ndarray
@@ -296,13 +326,13 @@ class SystemJet:
     positions q; when no entry of S mentions a coordinate it is
     ``constant_twist``, taken once, and the field has it written in.
     ``positions`` takes the N positions and returns a
-    :class:`PositionJet`.
+    :class:`PositionJet`, from one order-2 :class:`_GridJet` over the
+    entries of S and the potentials.
     """
 
     def __init__(self, sys: TwistedSystem):
         self._sys = sys
         self._reduced = {}
-        self._rows = None
         self._last = None
 
     def _phase(self, r: int):
@@ -413,39 +443,29 @@ class SystemJet:
                 weights, head, params=", c")
         return fn
 
+    @cached_property
+    def _positions(self) -> _GridJet:
+        sys = self._sys
+        return _GridJet([e for row in sys.stackel.entries for e in row]
+                        + [blk.potential for blk in sys.blocks],
+                        sys.structure.names, order=2)
+
     def positions(self, q) -> PositionJet:
         """S, V and their partials up to second order at the positions
-        q.  Row r of S and V_r are differentiated only along the
-        coordinates they mention, block r's for a valid system; every
-        other partial is an exact 0.0.  The last result is kept, since
-        the residual battery asks for each probe point several times;
-        its arrays must not be written to."""
+        q, from one call of one order-2 jet over the n*n entries of S and
+        the n potentials, along all N coordinates.  The partials along a
+        coordinate an entry does not mention are exact 0.0.  The last
+        result is kept, since the residual battery asks for each probe
+        point several times; its arrays must not be written to."""
         q = tuple(q)
         if self._last is not None and self._last[0] == q:
             return self._last[1]
-        sys = self._sys
-        names = sys.structure.names
-        n, N = sys.n, len(names)
-        if self._rows is None:
-            self._rows = []
-            for r in range(n):
-                exprs = (*sys.stackel.entries[r], sys.blocks[r].potential)
-                free = frozenset().union(*(e.free_variables()
-                                           for e in exprs))
-                idx = [k for k, c in enumerate(names) if c in free]
-                pairs = [(k, l) for i, k in enumerate(idx) for l in idx[i:]]
-                fn = _expr.compile(exprs, names, [names[k] for k in idx], 2)
-                self._rows.append((fn, idx, tuple(zip(*pairs)) or ((), ())))
-        S, V = np.empty((n, n)), np.empty(n)
-        dS, dV = np.zeros((N, n, n)), np.zeros((N, n))
-        d2S, d2V = np.zeros((N, N, n, n)), np.zeros((N, N, n))
-        for r, (fn, idx, (ks, ls)) in enumerate(self._rows):
-            out = np.array(fn(*q)).reshape(-1, n + 1)
-            S[r], V[r] = out[0, :n], out[0, n]
-            first, second = out[1:1 + len(idx)], out[1 + len(idx):]
-            dS[idx, r], dV[idx, r] = first[:, :n], first[:, n]
-            d2S[ks, ls, r] = d2S[ls, ks, r] = second[:, :n]
-            d2V[ks, ls, r] = d2V[ls, ks, r] = second[:, n]
+        n = self._sys.n
+        nn = n * n
+        jet = self._positions(q)
+        S, dS, d2S = (a[..., :nn].reshape(a.shape[:-1] + (n, n))
+                      for a in jet)
+        V, dV, d2V = (a[..., nn:] for a in jet)
         out = PositionJet(q, S, dS, d2S, V, dV, d2V)
         self._last = (q, out)
         return out
@@ -515,7 +535,7 @@ def _q_of(point) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# numeric matrix helpers (shared with the geometry module)
+# numeric matrix helpers, the gated inverse of S and the twist
 
 COND_ERROR = 1e12
 COND_WARN = 1e8
@@ -780,16 +800,24 @@ def separation_constants(sys: TwistedSystem, point: PhasePoint) -> np.ndarray:
     return tw.matrix @ _block_energies(sys, point)
 
 
-def reduced_hamiltonian(sys: TwistedSystem, r: int, c: Sequence[float],
-                        point: PhasePoint) -> float:
-    """H_r - sum_a c_a S[r][a]: the block-r separated-equation residual
-    turned into a one-block Hamiltonian on the block slice."""
+def _reduced_constants(sys: TwistedSystem, r: int,
+                      c: Sequence[float]) -> np.ndarray:
+    """The separation constants c of block r's reduced Hamiltonian as an
+    array, with r and the number of constants checked."""
     if not 1 <= r <= sys.n:
         raise BlockIndexError(f"block index {r} out of range 1..{sys.n}")
     c = np.asarray(c, dtype=float)
     if c.shape != (sys.n,):
         raise DimensionMismatchError(
             f"expected {sys.n} separation constants, got shape {c.shape}")
+    return c
+
+
+def reduced_hamiltonian(sys: TwistedSystem, r: int, c: Sequence[float],
+                        point: PhasePoint) -> float:
+    """H_r - sum_a c_a S[r][a]: the block-r separated-equation residual
+    turned into a one-block Hamiltonian on the block slice."""
+    c = _reduced_constants(sys, r, c)
     h = float(_block_energies(sys, point)[r - 1])
     S = sys.jet.stackel(_position_values(sys, point))
     return h - float(c @ S[r - 1])

@@ -267,6 +267,23 @@ def test_unknown_catalog_name(tmp_path, capsys):
     assert "three-body" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["atol = 0", "atol = nan",
+                                     "rtol = -1e-8", "rtol = inf"])
+def test_invalid_tolerance_exits_config(tmp_path, capsys, setting):
+    key = setting.split()[0]
+    body = "\n".join(setting if line.startswith(key + " =") else line
+                     for line in PENDULA_BODY.splitlines())
+    path = write_config(tmp_path, body)
+    assert cli.main(["simulate", "--config", path]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_invalid_tolerance_flag_exits_config(tmp_path, capsys):
+    path = write_config(tmp_path, PENDULA_BODY)
+    assert cli.main(["simulate", "--config", path, "--atol", "0"]) == 2
+    assert "atol" in capsys.readouterr().err
+
+
 def test_bad_builder_parameter(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[system]\ncatalog = pendula\nmass = 2\n")

@@ -183,6 +183,24 @@ def test_degenerate_span_rejected():
         integrate(oscillator_rhs, [1.0, 0.0], (1.0, 1.0))
 
 
+@pytest.mark.parametrize("atol, rtol", [(0.0, 1e-8), (-1e-12, 1e-8),
+                                        (1e-12, -1e-8), (math.nan, 1e-8),
+                                        (1e-12, math.inf)])
+def test_invalid_tolerances_rejected_before_any_field_call(atol, rtol):
+    # atol = 0 used to end in "step size underflow" at the first step,
+    # since a component that stays 0 then has a zero error scale
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        return np.array([1.0, 0.0])
+
+    with pytest.raises(DynamicsError, match="invalid tolerances"):
+        integrate(field, [1.0, 0.0], (0.0, 1.0),
+                  IntegratorConfig(rtol=rtol, atol=atol))
+    assert calls == []
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.floats(min_value=-2.0, max_value=0.5))
 def test_linear_decay_closed_form(lam):
@@ -589,6 +607,11 @@ def test_reduced_field_validation(pendula):
         reduced_field(pendula, 4, [0.0, 0.0, 0.0], point)
     with pytest.raises(model.DimensionMismatchError):
         reduced_field(pendula, 1, [0.0, 0.0], point)
+    for r in (0, 4):
+        with pytest.raises(model.BlockIndexError):
+            reduced_field_callable(pendula, r, [0.0, 0.0, 0.0])
+    with pytest.raises(model.DimensionMismatchError):
+        reduced_field_callable(pendula, 1, [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,13 @@ def test_degenerate_metric_rejected():
         g.covariant((0.0, 1.0))
     with pytest.raises(DegenerateMetricError):
         christoffel(g, (0.0, 1.0))
+    # a contravariant tensor is lowered through the same gated inverse
+    K = TensorField2(("x", "y"), [["1", "0"], ["0", "y"]], "contravariant",
+                     metric=g)
+    with pytest.raises(DegenerateMetricError):
+        tsn_residuals(K, g, (0.0, 0.3))
+    with pytest.raises(DegenerateMetricError):
+        characteristic_condition(K, "x*y", g, (0.0, 0.3))
 
 
 def test_index_shuffle_involution():

@@ -253,10 +253,10 @@ def test_system_residuals_match_tree_walker(name):
             close(got[key], want[key])
 
 
-@pytest.mark.parametrize("name", DYNAMIC + ("corrupted pendula",))
-def test_system_residuals_match_loop_at_verify_probes(name):
-    # every probe of a default verify run, where the report takes its
-    # maxima; the corrupted system makes the residuals large
+def load_system(name):
+    """A catalog entry and its system; for "corrupted <entry>", S[1][1]
+    mentions q2, a coordinate of another block (built directly, since
+    the validating constructor would reject it)."""
     entry = catalog.load(name.split()[-1])
     sys_ = entry.system
     if name.startswith("corrupted"):
@@ -264,6 +264,36 @@ def test_system_residuals_match_loop_at_verify_probes(name):
         rows[0][0] = expr.parse("2+0.1*q2")
         sys_ = model.TwistedSystem(sys_.structure, model.StackelMatrix(rows),
                                    sys_.blocks)
+    return entry, sys_
+
+
+@pytest.mark.parametrize("name", DYNAMIC + ("corrupted pendula",))
+def test_positions_equal_tree_walker_entry_for_entry(name):
+    # one jet along all N coordinates: the partial along a coordinate an
+    # entry does not mention is an exact 0.0, and a foreign coordinate
+    # in a row of S is differentiated like any other
+    entry, sys_ = load_system(name)
+    names = sys_.structure.names
+    S = sys_.stackel.entries
+    V = [[blk.potential] for blk in sys_.blocks]
+    for q in entry.sample(20, 7):
+        env = dict(zip(names, map(float, q)))
+        at = sys_.jet.positions(q)
+        pairs = ((at.S, values(S, env)), (at.dS, firsts(S, names, env)),
+                 (at.d2S, seconds(S, names, env)),
+                 (at.V, values(V, env)[:, 0]),
+                 (at.dV, firsts(V, names, env)[..., 0]),
+                 (at.d2V, seconds(V, names, env)[..., 0]))
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", DYNAMIC + ("corrupted pendula",))
+def test_system_residuals_match_loop_at_verify_probes(name):
+    # every probe of a default verify run, where the report takes its
+    # maxima; the corrupted system makes the residuals large
+    entry, sys_ = load_system(name)
     for q in entry.sample(100, 1234):
         for a in range(2, sys_.n + 1):
             close(geo.block_eisenhart_residual(sys_, a, q),
@@ -312,7 +342,7 @@ def test_system_metric_matches_numeric_twist(name):
     g = geo.MetricField.from_system(entry.system)
     for q in entry.sample(10, 3):
         want = ref_system_metric(entry.system, q)
-        got = g._derivatives(dict(zip(g.coords, q)))
+        got = g._derivatives(tuple(q))
         for x, y in zip(got, want):
             scale = max(1.0, float(np.max(np.abs(y))))
             assert float(np.max(np.abs(x - y))) <= 1e-12 * scale
