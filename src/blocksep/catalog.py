@@ -548,25 +548,25 @@ def case_i_residuals(c0: float, c1: float, c2: float, c3: float, f,
     ell = ignorable_direction_scale(c0, c1, c2, c3)
     leaf = ("v", "w")
     jet = _expr.compile([ell, fe], leaf, leaf, order=2)
-    out = {name: 0.0 for name in
-           ("leaf_flatness", "mixed_vv", "mixed_ww", "mixed_vw",
-            "reduced_vv", "reduced_ww", "reduced_vw")}
-    for pt in points:
+    names = ("leaf_flatness", "mixed_vv", "mixed_ww", "mixed_vw",
+             "reduced_vv", "reduced_ww", "reduced_vw")
+    rows = np.empty((len(points), len(names)))
+    for i, pt in enumerate(points):
         v, w = float(pt[0]), float(pt[1])
         (l, _, lv, fv, lw, fw,
          lvv, fvv, _, fvw, lww, fww) = jet(v, w)
-        checks = {
-            "leaf_flatness": l * (lvv + lww) - lv * lv - lw * lw,
-            "mixed_vv": l * fvv - lv * fv + lw * fw,
-            "mixed_ww": l * fww + lv * fv - lw * fw,
-            "mixed_vw": l * fvw - lv * fw - lw * fv,
-            "reduced_vv": fvv + (c1 - c0 * v) * fv - (c3 + c0 * w) * fw,
-            "reduced_ww": fww - (c1 - c0 * v) * fv + (c3 + c0 * w) * fw,
-            "reduced_vw": fvw + (c3 + c0 * w) * fv + (c1 - c0 * v) * fw,
-        }
-        for name, val in checks.items():
-            out[name] = max(out[name], abs(val))
-    return out
+        rows[i] = (
+            l * (lvv + lww) - lv * lv - lw * lw,
+            l * fvv - lv * fv + lw * fw,
+            l * fww + lv * fv - lw * fw,
+            l * fvw - lv * fw - lw * fv,
+            fvv + (c1 - c0 * v) * fv - (c3 + c0 * w) * fw,
+            fww - (c1 - c0 * v) * fv + (c3 + c0 * w) * fw,
+            fvw + (c3 + c0 * w) * fv + (c1 - c0 * v) * fw,
+        )
+    # keeps a nan, unlike Python's max
+    worst = np.max(np.abs(rows), axis=0, initial=0.0)
+    return dict(zip(names, worst.tolist()))
 
 
 def case_i_system(a: float, c0: float, c1: float, c2: float, c3: float,
@@ -625,18 +625,19 @@ def case_ii_residuals(c1: float, c2: float, f, points: Sequence,
     scale's second-order jet over u (:func:`_scale_jet`), if made
     already."""
     fe = _as_profile(f)
-    out = {"axis_ode": 0.0, "leaf_profile": 0.0}
     axis = axis or _scale_jet(c1, c2)
+    ode = []
     for u in u_values:
         l, lu, luu = axis(float(u))
-        out["axis_ode"] = max(out["axis_ode"], abs(luu * l - 2 * lu * lu))
+        ode.append(luu * l - 2 * lu * lu)
     leaf = ("v", "w")
     profile = _expr.compile([fe], leaf, leaf, order=2)
+    residuals = []
     for pt in points:
         fval, fv, fw, fvv, _, fww = profile(float(pt[0]), float(pt[1]))
-        res = fval * (fvv + fww) - fv * fv - fw * fw - c1 * c1
-        out["leaf_profile"] = max(out["leaf_profile"], abs(res))
-    return out
+        residuals.append(fval * (fvv + fww) - fv * fv - fw * fw - c1 * c1)
+    return {"axis_ode": float(np.max(np.abs(ode), initial=0.0)),
+            "leaf_profile": float(np.max(np.abs(residuals), initial=0.0))}
 
 
 def case_ii_system(a: float, c1: float, c2: float, f, g: float = 1.0,

@@ -449,15 +449,20 @@ def cmd_compare(cfg: RunConfig, out=None, err=None) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _worst(residuals) -> float:
-    """The largest of the residuals, 0.0 if there are none, and nan if
-    any is nan, so that the check fails: Python's ``max`` keeps a nan
-    only when it comes first."""
-    worst = 0.0
-    for x in residuals:
-        if x > worst or x != x:  # a nan, once in, stays
-            worst = x
-    return worst
+def _worst(residuals, points) -> tuple[float, str]:
+    """The largest of the residuals, one per point, and where it was
+    found, as ``worst at (v1 v2 ...)``.  A nan wins, so that the check
+    fails, and of equal values the first wins."""
+    values = np.array(residuals, dtype=float)
+    i = int(np.argmax(values))  # the first nan, if there is one
+    return float(values[i]), \
+        "worst at (" + " ".join(f"{v:.6g}" for v in points[i]) + ")"
+
+
+def _row(name: str, threshold: float, residuals, points) -> CheckResult:
+    """The report row of a check from its residual at each point."""
+    value, where = _worst(residuals, points)
+    return CheckResult(name, value, threshold, where)
 
 
 def _verify_checks(res: _Resolved, cfg: RunConfig) -> list[CheckResult]:
@@ -471,13 +476,14 @@ def _verify_checks(res: _Resolved, cfg: RunConfig) -> list[CheckResult]:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     labels = [f"bracket({'H' if i == 0 else f'K_{i + 1}'},K_{j + 1})"
               for i, j in pairs]
+    qs = [P.q for P in probes]
     # probe by probe, so that an integral's gradients at a probe are
     # computed once for all of its brackets there
     rows = [[abs(_probe(label, P.q, _geo.poisson_bracket, scalars[i],
                         scalars[j], P))
              for (i, j), label in zip(pairs, labels)] for P in probes]
     for label, column in zip(labels, zip(*rows)):
-        checks.append(CheckResult(label, _worst(column), th["bracket"]))
+        checks.append(_row(label, th["bracket"], column, qs))
 
     # probe by probe as well, so that each probe's twist is made once
     # for all of its residuals
@@ -489,11 +495,10 @@ def _verify_checks(res: _Resolved, cfg: RunConfig) -> list[CheckResult]:
         outs.append(_probe("block-connection", P.q,
                            _geo.block_levi_civita_residual, sys_, P.q))
     for name, column in zip(names, zip(*rows)):
-        checks.append(CheckResult(name, _worst(column), th["residual"]))
+        checks.append(_row(name, th["residual"], column, qs))
     for kind in ("metric", "potential"):
-        worst = _worst(out[f"{kind}_residual"] for out in outs)
-        checks.append(CheckResult(f"block-connection {kind}", worst,
-                                  th["residual"]))
+        checks.append(_row(f"block-connection {kind}", th["residual"],
+                           [out[f"{kind}_residual"] for out in outs], qs))
 
     if res.entry is not None and res.entry.cartesian is not None:
         ref = res.entry.cartesian
@@ -513,7 +518,7 @@ def _verify_checks(res: _Resolved, cfg: RunConfig) -> list[CheckResult]:
                 ("killing", th["killing"],
                  lambda x: _geo.killing_residual(flat, k_cov, x)),
                 ("torsion-normality", th["tensor"],
-                 lambda x: _worst(_geo.tsn_residuals(k_mix, flat, x))),
+                 lambda x: np.max(_geo.tsn_residuals(k_mix, flat, x))),
                 ("haantjes-condition", th["tensor"],
                  lambda x: _geo.haantjes(k_mix, x)["condition_residual"]),
                 ("characteristic", th["tensor"],
@@ -521,8 +526,8 @@ def _verify_checks(res: _Resolved, cfg: RunConfig) -> list[CheckResult]:
             )
             for kind, bound, fn in battery:
                 name = f"{kind} K_{idx}"
-                worst = _worst(_probe(name, x, fn, x) for x in pts)
-                checks.append(CheckResult(name, worst, bound))
+                checks.append(_row(name, bound, [_probe(name, x, fn, x)
+                                                 for x in pts], pts))
     return checks
 
 
@@ -543,56 +548,27 @@ def cmd_verify(cfg: RunConfig, out=None, err=None) -> int:
 
 def _curvature_checks(family: MetricFamily, cfg: RunConfig):
     th = cfg.thresholds
-    checks: list[CheckResult] = []
     pts = family.sample(cfg.points, cfg.seed)
 
-    worst = -1.0
-    worst_pt = None
-    failures = 0
-    for q in pts:
-        try:
-            value = float(np.max(np.abs(_geo.riemann(family.metric, q))))
-        except (_expr.ExprError, _geo.GeometryError):
-            failures += 1
-            continue
-        if value > worst:
-            worst, worst_pt = value, q
-    where = "" if worst_pt is None else \
-        "worst at (" + " ".join(f"{v:.6g}" for v in worst_pt) + ")"
-    checks.append(CheckResult("riemann max-norm", worst, th["curvature"],
-                              where))
-    if failures:
-        checks.append(CheckResult("evaluation failures", float(failures),
-                                  0.5))
-
-    try:
-        residuals = family.residuals(pts)
-    except (_expr.ExprError, _geo.GeometryError) as ex:
-        checks.append(CheckResult("equation evaluation", math.inf, 0.5,
-                                  str(ex)))
-        residuals = {}
-    for name, value in residuals.items():
-        checks.append(CheckResult(f"equation {name}", float(value),
+    name = "riemann max-norm"
+    norms = [np.max(np.abs(_probe(name, q, _geo.riemann, family.metric, q)))
+             for q in pts]
+    checks = [_row(name, th["curvature"], norms, pts)]
+    for eq, value in family.residuals(pts).items():
+        checks.append(CheckResult(f"equation {eq}", float(value),
                                   th["curvature"]))
 
     if family.leaf_metric is not None:
-        worst = -1.0
-        worst_pt = None
-
         def leaf_error(q):
             u, v, w = (float(q[0]), float(q[1]), float(q[2]))
             want = family.leaf_scalar_expected(u)
             got = _geo.ricci_scalar(family.leaf_metric(u), (v, w))
             return abs(got - want) / max(1.0, abs(want))
 
-        for q in pts:
-            rel = _probe("leaf scalar curvature", q, leaf_error, q)
-            if rel > worst:
-                worst, worst_pt = rel, q
-        where = "" if worst_pt is None else \
-            "worst at (" + " ".join(f"{v:.6g}" for v in worst_pt) + ")"
-        checks.append(CheckResult("leaf scalar curvature", worst,
-                                  th["leaf"], where))
+        name = "leaf scalar curvature"
+        checks.append(_row(name, th["leaf"],
+                           [_probe(name, q, leaf_error, q) for q in pts],
+                           pts))
     return checks
 
 
@@ -674,8 +650,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, CatalogError) as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ModelError, DynamicsError, _expr.ExprError,
-            _geo.GeometryError, ProbeError) as ex:
+    except _EVALUATION_ERRORS + (DynamicsError, ProbeError) as ex:
         # the system was built, so a model error here comes from
         # evaluating it (a singular matrix at a probe, say)
         print(f"numerical failure: {ex}", file=sys.stderr)

@@ -84,18 +84,20 @@ class RunConfig:
     def __post_init__(self):
         for name, value in self.thresholds.items():
             if not value > 0.0:
-                raise ConfigError(
+                self._fail(
                     f"threshold {name!r} must be positive, got {value!r}")
         if self.t_span[0] == self.t_span[1]:
-            raise ConfigError("time span must have nonzero length")
+            self._fail("time span must have nonzero length")
         if self.points < 1 or self.samples < 2:
-            raise ConfigError("points and samples must be positive")
+            self._fail("points and samples must be positive")
         if not 0.0 < self.atol < math.inf:
-            raise ConfigError(
-                f"atol must be positive and finite, got {self.atol!r}")
+            self._fail(f"atol must be positive and finite, got {self.atol!r}")
         if not 0.0 <= self.rtol < math.inf:
-            raise ConfigError(
+            self._fail(
                 f"rtol must be non-negative and finite, got {self.rtol!r}")
+
+    def _fail(self, message: str):
+        raise ConfigError(f"{self.source}: {message}")
 
     def override(self, **changes) -> "RunConfig":
         """Copy with command-line overrides applied."""

@@ -74,8 +74,8 @@ class ParseError(ExprError):
 
 
 class DomainError(ExprError):
-    """Evaluation left the real domain (ln of a non-positive value,
-    division by zero, fractional power of a negative base, ...)."""
+    """Evaluation left the real domain or the float range (ln of a
+    non-positive value, division by zero, an overflow, ...)."""
 
     def __init__(self, message: str, offset=None):
         self.offset = offset
@@ -398,9 +398,18 @@ def _ev(e, env):
     raise TypeError(f"not an Expression node: {e!r}")
 
 
+# what floats raise past their range (an overflow in exp or a power; sin,
+# cos or tan of an infinity): walker and jets raise DomainError(_OVERFLOW)
+_RANGE_ERRORS = (OverflowError, ValueError)
+_OVERFLOW = "value overflows the float range"
+
+
 def evaluate(e: Expression, p: Mapping[str, float]) -> float:
     """Evaluate at a point binding every free variable to a float."""
-    return _ev(e, p)
+    try:
+        return _ev(e, p)
+    except _RANGE_ERRORS:
+        raise DomainError(_OVERFLOW) from None
 
 
 def derivative(e: Expression, p: Mapping[str, float], v: str) -> float:
@@ -414,7 +423,7 @@ def derivative(e: Expression, p: Mapping[str, float], v: str) -> float:
         raise UnboundVariableError(v)
     env = dict(p)
     env[v] = Dual(env[v], 1.0)
-    r = _ev(e, env)
+    r = evaluate(e, env)
     return r.im if isinstance(r, Dual) else 0.0
 
 
@@ -436,7 +445,7 @@ def second_derivative(e: Expression, p: Mapping[str, float],
     else:
         env[a] = Dual(Dual(env[a], 0.0), Dual(1.0, 0.0))
         env[b] = Dual(Dual(env[b], 1.0), Dual(0.0, 0.0))
-    r = _ev(e, env)
+    r = evaluate(e, env)
     if isinstance(r, Dual) and isinstance(r.im, Dual):
         return _d.real(r.im.im)
     return 0.0
@@ -453,6 +462,7 @@ _JET_GLOBALS = {
     "_sin": _math.sin, "_cos": _math.cos, "_tan": _math.tan,
     "_exp": _math.exp, "_log": _math.log, "_sqrt": _math.sqrt,
     "_DomainError": DomainError, "_Unbound": UnboundVariableError,
+    "_RANGE_ERRORS": _RANGE_ERRORS,
 }
 
 _FOLD = {"+": _operator.add, "-": _operator.sub, "*": _operator.mul,
@@ -842,7 +852,9 @@ def _jet_source(exprs, names, wrt=(), order=1):
     body = src.live(out) + ["return (" + "".join(f"{s.ref}, " for s in out)
                             + ")"]
     code = (f"def _jet({', '.join(s.ref for s in args.values())}):\n"
-            + "".join(f"    {line}\n" for line in body))
+            + "    try:\n" + "".join(f"        {line}\n" for line in body)
+            + f"    except _RANGE_ERRORS:\n        raise _DomainError("
+            f"{_OVERFLOW!r}) from None\n")
     return code, src.consts
 
 

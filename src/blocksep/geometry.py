@@ -487,17 +487,19 @@ def killing_residual(g: MetricField, K: TensorField2, point) -> float:
 # ---------------------------------------------------------------------------
 # torsion, Haantjes condition, normality contractions
 
-def _mixed_components(T: TensorField2, g: MetricField, q: tuple):
+def _mixed_components(T: TensorField2, g: MetricField, q: tuple,
+                      metric=None):
     """Mixed values T^i_j and their coordinate derivatives, the variance
     converted by g, with the analytic derivative of the inverse for the
-    covariant metric factor."""
+    covariant metric factor.  ``metric`` is
+    ``_covariant_derivatives(g, q, 1)``, if taken already."""
     Tv, dT = T._at(q)
     if T.variance == "mixed":
         return Tv, dT
     if T.variance == "contravariant":
-        _, gcov, _, dg, _ = _covariant_derivatives(g, q, 1)
+        _, gcov, _, dg, _ = metric or _covariant_derivatives(g, q, 1)
         return Tv @ gcov, dT @ gcov + Tv @ dg
-    G, dG = g._derivatives(q, 1)
+    G, dG = (metric[0], metric[2]) if metric else g._derivatives(q, 1)
     return G @ Tv, dG @ Tv + G @ dT
 
 
@@ -611,9 +613,12 @@ def tsn_residuals(K: TensorField2, g: MetricField, point):
     N^l_[ij K_k]m K^m_l, with full antisymmetrization over (i,j,k).
     """
     q = _shared_point(g, K, point)
-    Tv, dT = _mixed_components(K, g, q)
+    # the metric and its inverse once, for the conversion and for gcov
+    metric = None if K.variance == "mixed" else \
+        _covariant_derivatives(g, q, 1)
+    Tv, dT = _mixed_components(K, g, q, metric)
     N = _torsion_from(Tv, dT)
-    gcov = g.covariant(q)
+    gcov = g.covariant(q) if metric is None else metric[1]
     Kcov = gcov @ Tv
     mats = (gcov, Kcov, Kcov @ Tv)
 
@@ -690,7 +695,7 @@ def block_levi_civita_residual(sys: TwistedSystem, point) -> dict:
     """
     at = _position_jet(sys, point)
     tw = at.twist
-    alpha, dalpha, d2alpha = tw.alpha, tw.dalpha, tw.d2alpha
+    alpha, dalpha, d2alpha = tw.alpha, tw.dmatrix[:, 0], tw.d2alpha
     blk = np.repeat(np.arange(sys.n), sys.structure.sizes)  # r(k)
     cross = blk[:, None] != blk  # pairs (k, l) in different blocks
     # the coefficients at (k, l): alpha^r alpha^s, alpha^r d_k alpha^s

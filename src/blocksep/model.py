@@ -14,10 +14,10 @@ K_a.  Everything downstream (the fields, clocks, integrals, eigenvalue
 and curvature residuals) is built from the values and the first two
 derivatives of S^{-1}.  They are computed in one place, :func:`twist`,
 analytically from exact derivatives of S (the compiled jets of
-:class:`SystemJet`) via d(S^{-1}) = -S^{-1} (dS) S^{-1}; only the
-generated vector fields of :class:`SystemJet` write d(alpha) out on
-floats, from the same gated inverse.  S is inverted nowhere but in
-:func:`invert_with_condition`.
+:class:`SystemJet`) via d(S^{-1}) = -S^{-1} (dS) S^{-1}, whose row 0
+is d(alpha); only the generated vector fields of :class:`SystemJet`
+write d(alpha) out on floats, from the same gated inverse.  S is
+inverted nowhere but in :func:`invert_with_condition`.
 """
 
 from __future__ import annotations
@@ -541,10 +541,18 @@ COND_ERROR = 1e12
 COND_WARN = 1e8
 
 
-def matrix_values(grid, env) -> np.ndarray:
-    """Evaluate a grid of expressions into a float matrix."""
-    return np.array([[_expr.evaluate(e, env) for e in row] for row in grid],
-                    dtype=float)
+def matrix_values(grid, env, entry: str = "entry") -> np.ndarray:
+    """Evaluate a grid of expressions into a float matrix; an entry that
+    fails raises a ModelError naming it, ``entry[i][j]``, and env."""
+    def value(i, j, e):
+        try:
+            return _expr.evaluate(e, env)
+        except _expr.ExprError as ex:
+            raise ModelError(f"{entry}[{i}][{j}] fails at "
+                             f"q={tuple(env.values())}: {ex}") from None
+
+    return np.array([[value(i, j, e) for j, e in enumerate(row, 1)]
+                     for i, row in enumerate(grid, 1)], dtype=float)
 
 
 def matrix_derivative(grid, env, v: str) -> np.ndarray:
@@ -617,8 +625,8 @@ class Twist:
     Made by :func:`twist`.  The partials need the partials of S, and
     each is computed on first use:
 
-    * ``dalpha[k]`` = d_k alpha, row 0 of d_k(S^{-1});
-    * ``dmatrix[k]`` = d_k(S^{-1}) = -S^{-1} (d_k S) S^{-1};
+    * ``dmatrix[k]`` = d_k(S^{-1}) = -S^{-1} (d_k S) S^{-1}, whose row 0
+      ``dmatrix[k, 0]`` is d_k alpha;
     * ``d2alpha[k, l]`` = d_k d_l alpha, over every pair of coordinates.
     """
 
@@ -636,10 +644,6 @@ class Twist:
     @property
     def alpha(self) -> np.ndarray:
         return self.matrix[0]
-
-    @cached_property
-    def dalpha(self) -> np.ndarray:
-        return -(self.alpha @ self._dS) @ self.matrix
 
     @cached_property
     def dmatrix(self) -> np.ndarray:
@@ -711,20 +715,19 @@ def build_system(structure: BlockStructure, stackel: StackelMatrix,
 
     # numeric validation at every probe point
     for env in probe_envs:
-        S = matrix_values(stackel.entries, env)
+        q = [env[c] for c in structure.names]
+        S = matrix_values(stackel.entries, env, "separation matrix entry S")
         det = float(np.linalg.det(S))
         if det == 0.0 or not np.isfinite(det):
             raise SingularMatrixError(
-                "separation matrix singular at probe point",
-                point=[env[c] for c in structure.names])
-        invert_with_condition(S, point=[env[c] for c in structure.names])
+                "separation matrix singular at probe point", point=q)
+        invert_with_condition(S, point=q)
         for r, blk in enumerate(blocks, start=1):
-            g = matrix_values(blk.metric, env)
+            g = matrix_values(blk.metric, env, f"block {r} metric entry g")
             gdet = float(np.linalg.det(g))
             if gdet == 0.0 or not np.isfinite(gdet):
                 raise SingularMatrixError(
-                    f"block {r} metric degenerate at probe point",
-                    point=[env[c] for c in structure.names])
+                    f"block {r} metric degenerate at probe point", point=q)
     return sys
 
 

@@ -481,6 +481,21 @@ def test_case_ii_detects_wrong_profile():
     assert np.max(np.abs(geo.riemann(g, (1.3, 0.2, 0.4)))) >= 1e-3
 
 
+def test_flatness_residuals_keep_a_nan():
+    # Python's max drops a nan that follows a number: here the profile
+    # overflows at the second point of case i, and at the only point of
+    # case ii the profile equation is inf - inf
+    report = case_i_residuals(0.0, 0.0, 1.0, 0.0, "1e300*exp(30*v)",
+                              [(0.0, 0.0), (1.0, 0.0)])
+    assert math.isnan(report["mixed_vv"])
+    assert math.isnan(report["reduced_vv"])
+    assert report["leaf_flatness"] == 0.0
+    report = case_ii_residuals(-1.0, 0.0, "1e200*(1+v^2+w^2)", [(0.3, 0.2)],
+                               u_values=[1.0])
+    assert math.isnan(report["leaf_profile"])
+    assert report["axis_ode"] == 0.0
+
+
 def test_case_ii_parameter_validation():
     with pytest.raises(CatalogError, match="cannot both vanish"):
         catalog.e3_case_ii(0.0, 0.0, "1")

@@ -275,13 +275,17 @@ def test_invalid_tolerance_exits_config(tmp_path, capsys, setting):
                      for line in PENDULA_BODY.splitlines())
     path = write_config(tmp_path, body)
     assert cli.main(["simulate", "--config", path]) == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err
+    assert err.startswith(f"config error: {path}: ")
 
 
 def test_invalid_tolerance_flag_exits_config(tmp_path, capsys):
     path = write_config(tmp_path, PENDULA_BODY)
     assert cli.main(["simulate", "--config", path, "--atol", "0"]) == 2
-    assert "atol" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "atol" in err
+    assert err.startswith(f"config error: {path}: ")
 
 
 def test_bad_builder_parameter(tmp_path, capsys):
@@ -450,13 +454,18 @@ catalog = calogero4
 seed = 5
 points = 25
 """
-    path = write_config(tmp_path, body)
+    out = str(tmp_path / "out")
+    path = write_config(tmp_path, body, out=out)
     assert cli.main(["verify", "--config", path]) == 0
     text = capsys.readouterr().out
     for needle in ("killing K_2", "torsion-normality K_2",
                    "haantjes-condition K_3", "characteristic K_3",
                    "overall: pass"):
         assert needle in text
+    # every row, the flat-chart battery's too, names its worst probe
+    rows = open(os.path.join(out, "verify_report.csv")).read().splitlines()
+    assert all(r.rsplit(",", 1)[1].startswith("worst at (")
+               for r in rows[1:])
 
 
 def test_verify_rejects_metric_family(tmp_path, capsys):
@@ -686,3 +695,86 @@ def test_simulate_integrates_once(tmp_path, monkeypatch):
     rows = open(os.path.join(out, "orbit.csv")).read().splitlines()
     assert rows[0] == "t,q1,q2,q3,p1,p2,p3,tau_1,tau_2,tau_3,H,K_2,K_3"
     assert rows[1].split(",")[7:10] == ["0", "0", "0"]
+
+
+CASE_II_BODY = "[system]\ncatalog = e3-case-ii\n[verification]\npoints = 10\n"
+
+
+@pytest.mark.parametrize("target, value, check", [
+    ("riemann", np.full((3, 3, 3, 3), math.nan), "riemann max-norm"),
+    ("ricci_scalar", math.nan, "leaf scalar curvature"),
+])
+def test_nan_curvature_at_a_later_point_fails(target, value, check,
+                                               tmp_path, capsys,
+                                               monkeypatch):
+    real = getattr(geometry, target)
+    calls = []
+
+    def nan_at_second_point(*args):
+        calls.append(None)
+        return value if len(calls) == 2 else real(*args)
+
+    monkeypatch.setattr(geometry, target, nan_at_second_point)
+    out = str(tmp_path / "out")
+    path = write_config(tmp_path, CASE_II_BODY, out=out)
+    assert cli.main(["curvature", "--config", path]) == 1
+    assert "overall: FAIL" in capsys.readouterr().out
+    rows = [r.rsplit(",", 4) for r in open(
+        os.path.join(out, "curvature_report.csv")).read().splitlines()]
+    second = catalog.load("e3-case-ii").sample(10, 1234)[1]
+    where = "worst at (" + " ".join(f"{v:.6g}" for v in second) + ")"
+    assert [r for r in rows[1:] if r[3] != "pass"] == [
+        [check, "nan", "9.9999999999999995e-07", "fail", where]]
+
+
+def test_curvature_evaluation_failure_names_check_and_point(
+        tmp_path, capsys, monkeypatch):
+    real = geometry.riemann
+    points = []
+
+    def failing_at_second_point(metric, q):
+        points.append(tuple(float(v) for v in q))
+        if len(points) == 2:
+            raise expr.DomainError("ln of a non-positive value")
+        return real(metric, q)
+
+    monkeypatch.setattr(geometry, "riemann", failing_at_second_point)
+    path = write_config(tmp_path, CASE_II_BODY)
+    assert cli.main(["curvature", "--config", path]) == 3
+    err = capsys.readouterr().err.rstrip("\n")
+    assert err.startswith("numerical failure: ln of a non-positive value")
+    assert err.endswith(f"(in check riemann max-norm at q={points[1]})")
+
+
+@pytest.mark.parametrize("command, body, code, message", [
+    ("curvature", '[system]\ncatalog = e3-case-ii\nf = "exp(800*v)"\n'
+     "[verification]\npoints = 10\n", 3, "in check riemann max-norm at q="),
+    ("simulate", """
+[system]
+blocks = q1 | q2
+[stackel]
+row1 = "1", "1"
+row2 = "0", "1"
+[block1]
+potential = "exp(1000*q1)"
+[initial]
+q = 0.8, 0
+""", 3, "value overflows the float range"),
+    ("simulate", """
+[system]
+blocks = q1 | q2
+[stackel]
+row1 = "ln(q1)", "1"
+row2 = "0", "1"
+[initial]
+q = 0.1, 0
+""", 2, "invalid inline system: separation matrix entry S[1][1] fails at "
+        "q=("),
+], ids=["curvature-overflow", "simulate-overflow", "inline-probe-failure"])
+def test_expression_failure_exits_with_its_code(command, body, code, message,
+                                               tmp_path, capsys):
+    # an overflow, or a failing entry while the inline system is built,
+    # ends in an exit code and a message, never in a traceback
+    path = write_config(tmp_path, body)
+    assert cli.main([command, "--config", path]) == code
+    assert message in capsys.readouterr().err

@@ -547,6 +547,28 @@ def test_tsn_variance_flexibility(flat4):
         assert np.allclose(r, rs[0], atol=1e-12)
 
 
+@pytest.mark.parametrize("variance",
+                         ["contravariant", "covariant", "mixed"])
+def test_tsn_takes_the_metric_once(variance, monkeypatch):
+    g = polar_metric()
+    T = TensorField2(("r", "theta"), [["r^2", "1"], ["1", "r+theta^2"]],
+                     variance, metric=g)
+    calls = []
+    inverse, derivatives = geo._inverse, geo.MetricField._derivatives
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(geo, "_inverse", counted("inverse", inverse))
+    monkeypatch.setattr(geo.MetricField, "_derivatives",
+                        counted("derivatives", derivatives))
+    tsn_residuals(T, g, (1.3, 0.4))
+    assert sorted(calls) == ["derivatives", "inverse"]
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue grouping
 

@@ -241,6 +241,27 @@ def test_value_failure_keeps_message_and_offset(source, point, message):
     assert got.value.offset == want.value.offset is not None
 
 
+@pytest.mark.parametrize("source, x", [
+    ("y + exp(800*x)", 1.0),
+    ("y * x^400", 10.0),
+    ("y + cos(1e308*exp(x))", 1.0),
+])
+def test_range_failure_is_a_domain_error(source, x):
+    # float arithmetic raises OverflowError (exp, a power) or ValueError
+    # (cos of inf) here; the tree walker and the jet both turn it into
+    # the same DomainError
+    e = parse(source)
+    p = {"x": x, "y": 2.0}
+    with pytest.raises(DomainError,
+                       match="value overflows the float range") as got:
+        expr.compile([e], ("x", "y"), ("x", "y"), order=2)(x, 2.0)
+    for walk in (lambda: evaluate(e, p), lambda: derivative(e, p, "x"),
+                 lambda: second_derivative(e, p, "x", "y")):
+        with pytest.raises(DomainError) as want:
+            walk()
+        assert str(want.value) == str(got.value)
+
+
 @pytest.mark.parametrize("source, message", [
     ("y + sqrt(x)", "sqrt has no derivative at zero"),
     ("y * x^0.5", "power has no derivative at zero base"),
