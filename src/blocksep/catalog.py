@@ -706,9 +706,10 @@ def e3_case_ii_family(c1: float = -1.0, c2: float = 0.0,
     zero = _expr.Num(0.0)
     leaf_grid = ((lf2, zero), (zero, lf2))
 
-    def leaf_metric(u: float) -> MetricField:
-        return MetricField.from_expressions(("v", "w"), leaf_grid,
-                                            params={"u": float(u)})
+    def leaf_metric(u) -> MetricField:
+        """The leaf metric at u, or at one u per point of a stack."""
+        return MetricField.from_expressions(
+            ("v", "w"), leaf_grid, params={"u": np.asarray(u, dtype=float)})
 
     def leaf_scalar_expected(u: float) -> float:
         lu = axis()(float(u))[0]

@@ -20,15 +20,22 @@ the caller's business.
 
 Every expression-backed object (a :class:`MetricField`, a
 :class:`TensorField2`, a :class:`PhaseScalar`) compiles one
-:class:`model._GridJet` the first time it is evaluated and keeps it, so
-a point costs one call for all values and partials, as arrays (m,),
-(n, m) and, for metrics, (n, n, m).  The system residuals read the
-potentials and the twist (S^-1 and its derivatives, :class:`model.Twist`)
-of one :meth:`model.SystemJet.positions` per point, the same layout, as
-array expressions over coordinates, blocks and targets.  Nothing here
-walks expression trees.  Private helpers take a point as the tuple of
-coordinate values the jets take; Gamma is formed in :func:`_connection`
-only, and a metric inverted in :func:`_inverse` only.
+:class:`model._GridJet` the first time it is evaluated and keeps it.
+The metric and tensor functions (:func:`riemann`, :func:`ricci_scalar`,
+:func:`christoffel`, :func:`killing_residual`, :func:`nijenhuis`,
+:func:`tsn_residuals`, :func:`haantjes`, :func:`characteristic_condition`
+and the field methods) take one point or a stack of points, a (P, n)
+array-like, and run one chain of array operations over a leading point
+axis p; one point is a stack of one, whose result comes back without
+that axis (a float for a scalar).  A stack calls the jet once per
+point, so each point's values are its own and an error comes from the
+point that raised it.  The brackets and the system residuals take one
+point: they read the potentials and the twist (S^-1 and its
+derivatives, :class:`model.Twist`) of one
+:meth:`model.SystemJet.positions` per point, as array expressions over
+coordinates, blocks and targets.  Nothing here walks expression trees.
+Gamma is formed in :func:`_connection` only, and a metric inverted in
+:func:`_inverse` only.
 """
 
 from __future__ import annotations
@@ -85,13 +92,35 @@ def _point_of(coords, point) -> tuple:
     return vals
 
 
-def _shared_point(g: MetricField, T: TensorField2, point) -> tuple:
-    """The point of a tensor read against a metric on the same
-    coordinates, in the same order."""
+def _stack(coords, points):
+    """The coordinate values of one point, or of a stack of points, as
+    a (P, n) array ordered like ``coords``, and whether one point was
+    given.  One point is anything :func:`_point_of` takes; a stack is a
+    sequence of coordinate sequences, or a 2-D array."""
+    if isinstance(points, (dict, PhasePoint)) or np.ndim(points) == 1:
+        return np.array([_point_of(coords, points)]), True
+    qs = np.asarray(points, dtype=float)
+    if qs.ndim != 2 or qs.shape[1] != len(coords):
+        raise GeometryError(f"a stack of points must be (points, "
+                            f"{len(coords)}), not {qs.shape}")
+    return qs, False
+
+
+def _result(values: np.ndarray, one: bool):
+    """Per-point results as stacked, or the one point's result alone,
+    a Python scalar where it is a scalar."""
+    if not one:
+        return values
+    return values[0] if values.ndim > 1 else values[0].item()
+
+
+def _shared_stack(g: MetricField, T: TensorField2, points):
+    """The points of a tensor read against a metric on the same
+    coordinates, in the same order, as :func:`_stack` gives them."""
     if T.coords != g.coords:
         raise GeometryError(f"tensor coordinates {T.coords} are not the "
                             f"metric's {g.coords}")
-    return _point_of(g.coords, point)
+    return _stack(g.coords, points)
 
 
 _JETS: dict = {}
@@ -144,8 +173,9 @@ class MetricField:
 
     A grid may also mention fixed parameters, bound by ``params``
     (name -> value); they are not coordinates and are never
-    differentiated.  Metrics on the same grid objects share one
-    compiled jet, whatever their parameter values.
+    differentiated.  A value is one float, or one float per point of
+    the stacks the metric is evaluated at.  Metrics on the same grid
+    objects share one compiled jet, whatever their parameter values.
     """
 
     def __init__(self, coords, grid, params=None):
@@ -178,37 +208,44 @@ class MetricField:
         return _grid_jet([e for row in self._grid for e in row], self.coords,
                          tuple(self.params), 2)
 
-    def _derivatives(self, q: tuple, order: int = 2):
-        """G, then for order >= 1 the stacked dG[k] = d_k G, then for
-        order 2 d2G[m, k] = d_m d_k G."""
+    def _derivatives(self, qs: np.ndarray, order: int = 2):
+        """At each point of the stack qs: G[p], then for order >= 1
+        dG[p, k] = d_k G, then for order 2 d2G[p, m, k] = d_m d_k G."""
         n = self.n
-        G, dG, d2G = self._jet(q + tuple(self.params.values()))
-        return (G.reshape(n, n), dG.reshape(n, n, n),
-                d2G.reshape(n, n, n, n))[:order + 1]
+        args = np.column_stack([qs] + [np.broadcast_to(v, len(qs))
+                                       for v in self.params.values()])
+        G, dG, d2G = self._jet.stack(args.tolist())
+        return (G.reshape(-1, n, n), dG.reshape(-1, n, n, n),
+                d2G.reshape(-1, n, n, n, n))[:order + 1]
 
     def contravariant(self, point) -> np.ndarray:
-        return self._derivatives(_point_of(self.coords, point), 0)[0]
+        qs, one = _stack(self.coords, point)
+        return _result(self._derivatives(qs, 0)[0], one)
 
     def derivative(self, point, name: str) -> np.ndarray:
         """d/d name of the contravariant components."""
-        q = _point_of(self.coords, point)
-        return self._derivatives(q, 1)[1][_index(self.coords, name)]
+        qs, one = _stack(self.coords, point)
+        k = _index(self.coords, name)
+        return _result(self._derivatives(qs, 1)[1][:, k], one)
 
     def second_derivative(self, point, n1: str, n2: str) -> np.ndarray:
-        q = _point_of(self.coords, point)
-        return self._derivatives(q)[2][_index(self.coords, n1),
-                                       _index(self.coords, n2)]
+        qs, one = _stack(self.coords, point)
+        m, k = _index(self.coords, n1), _index(self.coords, n2)
+        return _result(self._derivatives(qs)[2][:, m, k], one)
 
     def covariant(self, point) -> np.ndarray:
         return _inverse(self.contravariant(point))
 
 
 def _inverse(G: np.ndarray) -> np.ndarray:
-    """The covariant metric g = G^-1: the one place a metric is
-    inverted.  Raises :class:`DegenerateMetricError` where det G is 0
-    or not finite, or where the inversion fails."""
-    det = float(np.linalg.det(G))
-    if det == 0.0 or not np.isfinite(det):
+    """The covariant metric g = G^-1 of one matrix or of a stack: the
+    one place a metric is inverted.  Raises
+    :class:`DegenerateMetricError` where det G is 0 or ln |det G| is not
+    finite, or where the inversion fails.  The log is taken from the
+    LU factors, so it neither overflows nor underflows where det G
+    itself would, for an invertible G of huge or tiny entries."""
+    sign, logdet = np.linalg.slogdet(G)
+    if np.any((sign == 0) | ~np.isfinite(logdet)):
         raise DegenerateMetricError("metric degenerate at the given point")
     try:
         return np.linalg.inv(G)
@@ -256,14 +293,16 @@ class TensorField2:
     def _jet(self) -> _model._GridJet:
         return _grid_jet([e for row in self.grid for e in row], self.coords)
 
-    def _at(self, q: tuple):
-        """Values T and stacked first partials dT[k] = d_k T."""
+    def _at(self, qs: np.ndarray):
+        """At each point of the stack qs: values T[p] and first partials
+        dT[p, k] = d_k T."""
         n = self.n
-        T, dT = self._jet(q)
-        return T.reshape(n, n), dT.reshape(n, n, n)
+        T, dT = self._jet.stack(qs.tolist())
+        return T.reshape(-1, n, n), dT.reshape(-1, n, n, n)
 
     def values(self, point) -> np.ndarray:
-        return self._at(_point_of(self.coords, point))[0]
+        qs, one = _stack(self.coords, point)
+        return _result(self._at(qs)[0], one)
 
     def _need_metric(self):
         if self.metric is None:
@@ -408,110 +447,117 @@ def poisson_bracket(F: PhaseScalar, G: PhaseScalar,
 # ---------------------------------------------------------------------------
 # connection and curvature
 
-def _covariant_derivatives(g: MetricField, q: tuple, order: int = 2):
-    """G, gcov, and the first (and for order 2 second) coordinate
-    derivatives of G and gcov.
+def _covariant_derivatives(g: MetricField, qs: np.ndarray, order: int = 2):
+    """At each point of the stack qs: G, gcov, and the first (and for
+    order 2 second) coordinate derivatives of G and gcov.
 
     Derivatives of the inverse come from the analytic identity
     d(g) = -g (dG) g applied to the contravariant components.
     """
     n = g.n
-    G, dG, *d2G = g._derivatives(q, order)
+    G, dG, *d2G = g._derivatives(qs, order)
     gcov = _inverse(G)
-    dg = -gcov @ dG @ gcov
+    gk = gcov[:, None]  # against a stack of partials
+    dg = -gk @ dG @ gk
     if order < 2:
         return G, gcov, dG, dg, None
     m, k = np.tril_indices(n)  # the pairs k <= m
-    val = -(dg[m] @ dG[k] @ gcov + gcov @ d2G[0][m, k] @ gcov
-            + gcov @ dG[k] @ dg[m])
-    d2g = np.empty((n, n, n, n))
-    d2g[m, k] = val
-    d2g[k, m] = val
+    val = -(dg[:, m] @ dG[:, k] @ gk + gk @ d2G[0][:, m, k] @ gk
+            + gk @ dG[:, k] @ dg[:, m])
+    d2g = np.empty((len(qs), n, n, n, n))
+    d2g[:, m, k] = val
+    d2g[:, k, m] = val
     return G, gcov, dG, dg, d2g
 
 
 def _connection(G: np.ndarray, dg: np.ndarray):
-    """A[l,j,k] = d_j g_lk + d_k g_lj - d_l g_jk and the Levi-Civita
-    coefficients Gamma = (1/2) G A, from G and the stacked dg[k]."""
-    A = (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg)
-    return A, 0.5 * np.einsum("il,ljk->ijk", G, A)
+    """A[p,l,j,k] = d_j g_lk + d_k g_lj - d_l g_jk and the Levi-Civita
+    coefficients Gamma = (1/2) G A, from G and the stacked dg[p, k]."""
+    A = (dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg)
+    return A, 0.5 * np.einsum("pil,pljk->pijk", G, A)
 
 
 def christoffel(g: MetricField, point) -> np.ndarray:
     """Levi-Civita connection coefficients, out[i,j,k] = Gamma^i_jk."""
-    G, _, _, dg, _ = _covariant_derivatives(g, _point_of(g.coords, point), 1)
-    return _connection(G, dg)[1]
+    qs, one = _stack(g.coords, point)
+    G, _, _, dg, _ = _covariant_derivatives(g, qs, 1)
+    return _result(_connection(G, dg)[1], one)
 
 
-def _riemann(g: MetricField, q: tuple):
-    """R^i_jkl and the contravariant metric G at the point."""
-    G, _, dG, dg, d2g = _covariant_derivatives(g, q)
+def _riemann(g: MetricField, qs: np.ndarray):
+    """R^i_jkl and the contravariant metric G at each point of qs."""
+    G, _, dG, dg, d2g = _covariant_derivatives(g, qs)
     A, Gamma = _connection(G, dg)
-    # dA[m,l,j,k] = d2_mj g_lk + d2_mk g_lj - d2_ml g_jk
-    dA = (d2g.transpose(0, 2, 1, 3) + d2g.transpose(0, 2, 3, 1) - d2g)
-    dGamma = 0.5 * (np.einsum("mil,ljk->mijk", dG, A)
-                    + np.einsum("il,mljk->mijk", G, dA))
-    R = (dGamma.transpose(1, 2, 0, 3) - dGamma.transpose(1, 2, 3, 0)
-         + np.einsum("ikm,mjl->ijkl", Gamma, Gamma)
-         - np.einsum("ilm,mjk->ijkl", Gamma, Gamma))
+    # dA[p,m,l,j,k] = d2_mj g_lk + d2_mk g_lj - d2_ml g_jk
+    dA = (d2g.transpose(0, 1, 3, 2, 4) + d2g.transpose(0, 1, 3, 4, 2) - d2g)
+    dGamma = 0.5 * (np.einsum("pmil,pljk->pmijk", dG, A)
+                    + np.einsum("pil,pmljk->pmijk", G, dA))
+    R = (dGamma.transpose(0, 2, 3, 1, 4) - dGamma.transpose(0, 2, 3, 4, 1)
+         + np.einsum("pikm,pmjl->pijkl", Gamma, Gamma)
+         - np.einsum("pilm,pmjk->pijkl", Gamma, Gamma))
     return R, G
 
 
 def riemann(g: MetricField, point) -> np.ndarray:
     """Curvature of the Levi-Civita connection, out[i,j,k,l] = R^i_jkl."""
-    return _riemann(g, _point_of(g.coords, point))[0]
+    qs, one = _stack(g.coords, point)
+    return _result(_riemann(g, qs)[0], one)
 
 
-def ricci_scalar(g: MetricField, point) -> float:
+def ricci_scalar(g: MetricField, point):
     """Scalar curvature, the double trace of the curvature tensor."""
-    R, G = _riemann(g, _point_of(g.coords, point))
-    ric = np.einsum("ijil->jl", R)
-    return float(np.einsum("jl,jl->", G, ric))
+    qs, one = _stack(g.coords, point)
+    R, G = _riemann(g, qs)
+    ric = np.einsum("pijil->pjl", R)
+    return _result(np.einsum("pjl,pjl->p", G, ric), one)
 
 
-def killing_residual(g: MetricField, K: TensorField2, point) -> float:
+def killing_residual(g: MetricField, K: TensorField2, point):
     """max |nabla_(i K_jk)| of a covariant symmetric 2-tensor."""
     if K.variance != "covariant":
         raise VarianceError("killing_residual expects covariant components")
-    q = _shared_point(g, K, point)
-    G, _, _, dg, _ = _covariant_derivatives(g, q, 1)
+    qs, one = _shared_stack(g, K, point)
+    G, _, _, dg, _ = _covariant_derivatives(g, qs, 1)
     Gamma = _connection(G, dg)[1]
-    Kv, dK = K._at(q)
-    # nabla[i,j,k] = d_i K_jk - Gamma^l_ij K_lk - Gamma^l_ik K_jl
-    nabla = (dK - np.einsum("lij,lk->ijk", Gamma, Kv)
-             - np.einsum("lik,jl->ijk", Gamma, Kv))
-    sym = (nabla + nabla.transpose(1, 2, 0) + nabla.transpose(2, 0, 1)) / 3.0
-    return float(np.max(np.abs(sym)))
+    Kv, dK = K._at(qs)
+    # nabla[p,i,j,k] = d_i K_jk - Gamma^l_ij K_lk - Gamma^l_ik K_jl
+    nabla = (dK - np.einsum("plij,plk->pijk", Gamma, Kv)
+             - np.einsum("plik,pjl->pijk", Gamma, Kv))
+    sym = (nabla + nabla.transpose(0, 2, 3, 1)
+           + nabla.transpose(0, 3, 1, 2)) / 3.0
+    return _result(np.max(np.abs(sym), axis=(1, 2, 3)), one)
 
 
 # ---------------------------------------------------------------------------
 # torsion, Haantjes condition, normality contractions
 
-def _mixed_components(T: TensorField2, g: MetricField, q: tuple,
+def _mixed_components(T: TensorField2, g: MetricField, qs: np.ndarray,
                       metric=None):
-    """Mixed values T^i_j and their coordinate derivatives, the variance
-    converted by g, with the analytic derivative of the inverse for the
-    covariant metric factor.  ``metric`` is
-    ``_covariant_derivatives(g, q, 1)``, if taken already."""
-    Tv, dT = T._at(q)
+    """Mixed values T^i_j and their coordinate derivatives at each point
+    of qs, the variance converted by g, with the analytic derivative of
+    the inverse for the covariant metric factor.  ``metric`` is
+    ``_covariant_derivatives(g, qs, 1)``, if taken already."""
+    Tv, dT = T._at(qs)
     if T.variance == "mixed":
         return Tv, dT
     if T.variance == "contravariant":
-        _, gcov, _, dg, _ = metric or _covariant_derivatives(g, q, 1)
-        return Tv @ gcov, dT @ gcov + Tv @ dg
-    G, dG = (metric[0], metric[2]) if metric else g._derivatives(q, 1)
-    return G @ Tv, dG @ Tv + G @ dT
+        _, gcov, _, dg, _ = metric or _covariant_derivatives(g, qs, 1)
+        return Tv @ gcov, dT @ gcov[:, None] + Tv[:, None] @ dg
+    G, dG = (metric[0], metric[2]) if metric else g._derivatives(qs, 1)
+    return G @ Tv, dG @ Tv[:, None] + G[:, None] @ dT
 
 
-def _torsion_from(Tv: np.ndarray, dT) -> np.ndarray:
-    """N^i_jk of a mixed tensor from its values and derivatives.
+def _torsion_from(Tv: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """N^i_jk of a mixed tensor at each point, from its values and
+    derivatives d[p, k, i, j] = d_k T^i_j.
 
     N^i_jk = (1/2)[T^i_l (d_k T^l_j - d_j T^l_k)
                    + T^l_j d_l T^i_k - T^l_k d_l T^i_j].
     """
-    d = np.array(dT)  # d[k, i, j] = d_k T^i_j
-    t1 = np.einsum("il,klj->ijk", Tv, d) - np.einsum("il,jlk->ijk", Tv, d)
-    t2 = np.einsum("lj,lik->ijk", Tv, d) - np.einsum("lk,lij->ijk", Tv, d)
+    t1 = (np.einsum("pil,pklj->pijk", Tv, d)
+          - np.einsum("pil,pjlk->pijk", Tv, d))
+    t2 = (np.einsum("plj,plik->pijk", Tv, d)
+          - np.einsum("plk,plij->pijk", Tv, d))
     return 0.5 * (t1 + t2)
 
 
@@ -519,7 +565,8 @@ def nijenhuis(T: TensorField2, point) -> np.ndarray:
     """Nijenhuis torsion of a mixed tensor field, out[i,j,k] = N^i_jk."""
     if T.variance != "mixed":
         raise VarianceError("nijenhuis expects mixed components")
-    return _torsion_from(*T._at(_point_of(T.coords, point)))
+    qs, one = _stack(T.coords, point)
+    return _result(_torsion_from(*T._at(qs)), one)
 
 
 def eigenvalue_groups(values, scale: float = 1e-8):
@@ -551,12 +598,18 @@ def eigenvalue_groups(values, scale: float = 1e-8):
     return reps, degenerate
 
 
-def _rank_test(Tv: np.ndarray):
-    """Check that each eigenvalue cluster has a full eigenspace.
+def eigenspace_completeness(T: TensorField2, point) -> dict:
+    """Whether each eigenvalue cluster of a mixed tensor field has a
+    full eigenspace at one point (``diagonalizable``), and whether that
+    answer or the clustering is unstable there (``degenerate_point``).
 
     Kernel dimensions come from SVD with a relative cutoff of 1e-8;
     instability of the answer under a 10x larger cutoff is flagged.
     """
+    if T.variance != "mixed":
+        raise VarianceError("eigenspace_completeness expects mixed "
+                            "components")
+    Tv = T.values(point)
     eigvals = np.linalg.eigvals(Tv)
     groups, degenerate = eigenvalue_groups(eigvals)
     n = Tv.shape[0]
@@ -573,36 +626,34 @@ def _rank_test(Tv: np.ndarray):
     ok = complete(1e-8)
     if ok != complete(1e-7):
         degenerate = True
-    return ok, degenerate
+    return {"diagonalizable": ok, "degenerate_point": degenerate}
 
 
 def haantjes(T: TensorField2, point) -> dict:
     """Torsion-based integrability data of a mixed tensor field.
 
-    Returns the doubled torsion H^i_jk = 2 N^i_jk, the max-norm of the
-    full normal-eigenvector condition
+    Returns the doubled torsion H^i_jk = 2 N^i_jk and the max-norm of
+    the full normal-eigenvector condition
 
       H^k_ns T^n_m T^s_l - (H^s_nl T^n_m - H^s_nm T^n_l) T^k_s
-        + H^n_ml T^k_s T^s_n,
+        + H^n_ml T^k_s T^s_n.
 
-    and the numeric eigenspace completeness check with its stability
-    flag.
+    The eigenspace check is :func:`eigenspace_completeness`.
     """
     if T.variance != "mixed":
         raise VarianceError("haantjes expects mixed components")
-    Tv, dT = T._at(_point_of(T.coords, point))
+    qs, one = _stack(T.coords, point)
+    Tv, dT = T._at(qs)
     H = 2.0 * _torsion_from(Tv, dT)
-    t1 = np.einsum("kns,nm,sl->kml", H, Tv, Tv)
-    t2 = (np.einsum("snl,nm,ks->kml", H, Tv, Tv)
-          - np.einsum("snm,nl,ks->kml", H, Tv, Tv))
-    t3 = np.einsum("nml,ks,sn->kml", H, Tv, Tv)
+    t1 = np.einsum("pkns,pnm,psl->pkml", H, Tv, Tv)
+    t2 = (np.einsum("psnl,pnm,pks->pkml", H, Tv, Tv)
+          - np.einsum("psnm,pnl,pks->pkml", H, Tv, Tv))
+    t3 = np.einsum("pnml,pks,psn->pkml", H, Tv, Tv)
     cond = t1 - t2 + t3
-    diagonalizable, degenerate = _rank_test(Tv)
     return {
-        "tensor": H,
-        "condition_residual": float(np.max(np.abs(cond))),
-        "diagonalizable": diagonalizable,
-        "degenerate_point": degenerate,
+        "tensor": _result(H, one),
+        "condition_residual":
+        _result(np.max(np.abs(cond), axis=(1, 2, 3)), one),
     }
 
 
@@ -610,25 +661,27 @@ def tsn_residuals(K: TensorField2, g: MetricField, point):
     """The three normality contractions of the torsion of K.
 
     Returns max-norms of N^l_[ij g_k]l, N^l_[ij K_k]l and
-    N^l_[ij K_k]m K^m_l, with full antisymmetrization over (i,j,k).
+    N^l_[ij K_k]m K^m_l, with full antisymmetrization over (i,j,k): a
+    tuple of three floats at one point, a (P, 3) array at a stack.
     """
-    q = _shared_point(g, K, point)
+    qs, one = _shared_stack(g, K, point)
     # the metric and its inverse once, for the conversion and for gcov
     metric = None if K.variance == "mixed" else \
-        _covariant_derivatives(g, q, 1)
-    Tv, dT = _mixed_components(K, g, q, metric)
+        _covariant_derivatives(g, qs, 1)
+    Tv, dT = _mixed_components(K, g, qs, metric)
     N = _torsion_from(Tv, dT)
-    gcov = g.covariant(q) if metric is None else metric[1]
+    gcov = g.covariant(qs) if metric is None else metric[1]
     Kcov = gcov @ Tv
-    mats = (gcov, Kcov, Kcov @ Tv)
 
     out = []
-    for Q in mats:
+    for Q in (gcov, Kcov, Kcov @ Tv):
         # cyclic sum over an index pair already antisymmetric in (i,j)
-        con = np.einsum("lij,kl->ijk", N, Q)
-        res = (con + con.transpose(1, 2, 0) + con.transpose(2, 0, 1)) / 3.0
-        out.append(float(np.max(np.abs(res))))
-    return tuple(out)
+        con = np.einsum("plij,pkl->pijk", N, Q)
+        res = (con + con.transpose(0, 2, 3, 1)
+               + con.transpose(0, 3, 1, 2)) / 3.0
+        out.append(np.max(np.abs(res), axis=(1, 2, 3)))
+    out = np.stack(out, axis=1)
+    return tuple(out[0].tolist()) if one else out
 
 
 # ---------------------------------------------------------------------------
@@ -718,19 +771,19 @@ def block_levi_civita_residual(sys: TwistedSystem, point) -> dict:
 
 
 def characteristic_condition(T: TensorField2, V, g: MetricField,
-                             point) -> float:
+                             point):
     """max |d(T dV)|: closedness of the one-form (T dV)_j = T^k_j d_k V."""
     V = _model._as_expression(V)
-    q = _shared_point(g, T, point)
-    n = len(q)
-    Tv, dT = _mixed_components(T, g, q)
-    _, dV, d2V = _grid_jet((V,), g.coords, (), 2)(q)
-    dV, d2V = dV.reshape(n), d2V.reshape(n, n)
-    # domega[i, j] = d_i (T dV)_j
-    dTarr = np.array(dT)
-    domega = (np.einsum("ikj,k->ij", dTarr, dV)
-              + np.einsum("kj,ik->ij", Tv, d2V))
-    return float(np.max(np.abs(domega - domega.T)))
+    qs, one = _shared_stack(g, T, point)
+    n = g.n
+    Tv, dT = _mixed_components(T, g, qs)
+    _, dV, d2V = _grid_jet((V,), g.coords, (), 2).stack(qs.tolist())
+    dV, d2V = dV.reshape(-1, n), d2V.reshape(-1, n, n)
+    # domega[p, i, j] = d_i (T dV)_j
+    domega = (np.einsum("pikj,pk->pij", dT, dV)
+              + np.einsum("pkj,pik->pij", Tv, d2V))
+    return _result(np.max(np.abs(domega - domega.transpose(0, 2, 1)),
+                          axis=(1, 2)), one)
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +878,13 @@ def first_integral_scalar(sys: TwistedSystem, a: int) -> PhaseScalar:
 def rejection_sample(box, count: int, seed: int, predicate=None,
                      max_tries: int | None = None):
     """Sample ``count`` points uniformly from a coordinate box, keeping
-    only those where ``predicate`` holds.  Deterministic for a seed."""
+    only those where ``predicate`` holds.  Deterministic for a seed.
+
+    Candidates are drawn in blocks, no more than could still be kept,
+    and tested in order; a block of k draws takes the same numbers
+    from the generator as k draws of one point, so the points are
+    those of drawing one candidate at a time.  ``max_tries`` counts
+    candidates."""
     rng = np.random.default_rng(seed)
     los = np.array([lo for lo, _ in box], dtype=float)
     his = np.array([hi for _, hi in box], dtype=float)
@@ -837,8 +896,9 @@ def rejection_sample(box, count: int, seed: int, predicate=None,
             raise GeometryError(
                 f"rejection sampling exhausted {limit} tries with only "
                 f"{len(out)} of {count} points accepted")
-        tries += 1
-        pt = tuple(rng.uniform(los, his))
-        if predicate is None or predicate(pt):
-            out.append(pt)
+        k = min(count - len(out), limit - tries)
+        tries += k
+        draws = rng.uniform(los, his, size=(k, len(box))).tolist()
+        out += [pt for pt in map(tuple, draws)
+                if predicate is None or predicate(pt)]
     return out

@@ -261,7 +261,8 @@ class _GridJet:
     values and partials of :func:`expr.compile` to arrays.  Called with
     the coordinate values, then the parameter values, it returns the
     values (m,), the first partials (n, m) and, at order 2, the second
-    partials (n, n, m)."""
+    partials (n, n, m).  :meth:`stack` takes rows of such arguments and
+    returns the same arrays with a leading row axis."""
 
     def __init__(self, exprs, coords, params=(), order=1):
         n, m = len(coords), len(exprs)
@@ -276,12 +277,22 @@ class _GridJet:
             self.pair[i, j] = self.pair[j, i] = np.arange(len(i))
 
     def __call__(self, args):
-        out = np.array(self.fn(*args))
+        return self._split(np.array(self.fn(*args)))
+
+    def stack(self, rows):
+        """The jet at each row of arguments (lists of floats), one call
+        of the compiled function per row, so that each row's values are
+        those of :meth:`__call__` and an error is raised by its row."""
+        return self._split(np.array([self.fn(*row) for row in rows]))
+
+    def _split(self, out):
         m, n = self.m, self.n
-        first = out[m:m + n * m].reshape(n, m)
+        lead = out.shape[:-1]
+        first = out[..., m:m + n * m].reshape(lead + (n, m))
         if self.pair is None:
-            return out[:m], first
-        return out[:m], first, out[m + n * m:].reshape(-1, m)[self.pair]
+            return out[..., :m], first
+        second = out[..., m + n * m:].reshape(lead + (-1, m))
+        return out[..., :m], first, second[..., self.pair, :]
 
 
 @dataclass(frozen=True)

@@ -707,12 +707,14 @@ CASE_II_BODY = "[system]\ncatalog = e3-case-ii\n[verification]\npoints = 10\n"
 def test_nan_curvature_at_a_later_point_fails(target, value, check,
                                                tmp_path, capsys,
                                                monkeypatch):
+    # the check takes its points in one stack; the second point's
+    # result is replaced
     real = getattr(geometry, target)
-    calls = []
 
     def nan_at_second_point(*args):
-        calls.append(None)
-        return value if len(calls) == 2 else real(*args)
+        out = np.array(real(*args))
+        out[1] = value
+        return out
 
     monkeypatch.setattr(geometry, target, nan_at_second_point)
     out = str(tmp_path / "out")
@@ -729,14 +731,17 @@ def test_nan_curvature_at_a_later_point_fails(target, value, check,
 
 def test_curvature_evaluation_failure_names_check_and_point(
         tmp_path, capsys, monkeypatch):
+    # the check takes its points in one stack, which fails because its
+    # second point does; that point alone fails again
     real = geometry.riemann
     points = []
 
-    def failing_at_second_point(metric, q):
-        points.append(tuple(float(v) for v in q))
-        if len(points) == 2:
+    def failing_at_second_point(metric, qs):
+        qs = [tuple(float(v) for v in q) for q in qs]
+        points.extend(qs)
+        if points[1] in qs:
             raise expr.DomainError("ln of a non-positive value")
-        return real(metric, q)
+        return real(metric, qs)
 
     monkeypatch.setattr(geometry, "riemann", failing_at_second_point)
     path = write_config(tmp_path, CASE_II_BODY)

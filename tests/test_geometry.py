@@ -29,6 +29,7 @@ from blocksep.geometry import (
     block_levi_civita_residual,
     characteristic_condition,
     christoffel,
+    eigenspace_completeness,
     eigenvalue_groups,
     first_integral_scalar,
     haantjes,
@@ -481,15 +482,16 @@ def test_torsion_requires_mixed(flat4):
 
 
 def test_haantjes_identity():
-    result = haantjes(identity_tensor(Q3), (0.1, 0.2, 0.3))
+    T, pt = identity_tensor(Q3), (0.1, 0.2, 0.3)
+    result = haantjes(T, pt) | eigenspace_completeness(T, pt)
     assert np.max(np.abs(result["tensor"])) == 0.0
     assert result["condition_residual"] == 0.0
     assert not result["diagonalizable"] is False
 
 
 def test_rotating_frame_fails_integrability():
-    T = rotating_frame_tensor()
-    result = haantjes(T, (0.3, -0.2, 0.7))
+    T, pt = rotating_frame_tensor(), (0.3, -0.2, 0.7)
+    result = haantjes(T, pt) | eigenspace_completeness(T, pt)
     assert np.max(np.abs(result["tensor"])) > 1e-3
     assert result["condition_residual"] > 1e-3
     # pointwise the tensor is symmetric with distinct eigenvalues

@@ -1,0 +1,199 @@
+"""The point-stacked geometry chain.
+
+A stack of points runs the same chain as one point, so every stacked
+result must equal, bit for bit, the results of the points taken one at
+a time, on the e3 families (1,000 points) and on calogero4's Cartesian
+reference (100 points).  One point keeps its own shape.  A stack that
+fails at one point raises that point's error, and the CLI names that
+point.  Sampling draws its candidates in blocks and must accept the
+same points as drawing one candidate at a time.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from blocksep import catalog, cli, expr
+from blocksep import geometry as geo
+
+FAMILIES = ("e3-case-i", "e3-case-ii")
+
+
+def each(fn, points):
+    return np.array([fn(q) for q in points])
+
+
+def same(stacked, one_by_one):
+    stacked = np.asarray(stacked)
+    assert stacked.shape == one_by_one.shape
+    assert np.array_equal(stacked, one_by_one)
+
+
+@pytest.fixture(scope="module")
+def cartesian():
+    """calogero4's Cartesian reference: the flat metric, its 100 probe
+    points at seed 1236, the potential and the tensors of K_2 and K_3
+    in all three variances."""
+    ref = catalog.load("calogero4").cartesian
+    n = len(ref.coords)
+    flat = geo.MetricField.from_expressions(
+        ref.coords, [[1.0 if i == j else 0.0 for j in range(n)]
+                     for i in range(n)])
+    pts = geo.rejection_sample(ref.sample_box, 100, 1236,
+                               predicate=ref.regular)
+    tensors = [{v: geo.TensorField2(ref.coords, s.tensor.grid, v,
+                                    metric=flat)
+                for v in ("covariant", "mixed", "contravariant")}
+               for s in ref.integrals]
+    return flat, pts, ref.hamiltonian.scalar, tensors
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_riemann_stack_equals_points(name):
+    fam = catalog.load(name)
+    pts = fam.sample(1000, 1234)
+    same(geo.riemann(fam.metric, pts),
+         each(lambda q: geo.riemann(fam.metric, q), pts))
+
+
+def test_leaf_scalar_stack_with_a_u_per_point_equals_points():
+    fam = catalog.load("e3-case-ii")
+    pts = np.array(fam.sample(1000, 1234))
+    stacked = geo.ricci_scalar(fam.leaf_metric(pts[:, 0]), pts[:, 1:])
+    same(stacked, each(lambda q: geo.ricci_scalar(fam.leaf_metric(q[0]),
+                                                  (q[1], q[2])), pts))
+
+
+def test_flat_battery_stacks_equal_points(cartesian):
+    flat, pts, V, tensors = cartesian
+    for K in tensors:
+        same(geo.killing_residual(flat, K["covariant"], pts),
+             each(lambda x: geo.killing_residual(flat, K["covariant"], x),
+                  pts))
+        same(geo.haantjes(K["mixed"], pts)["condition_residual"],
+             each(lambda x: geo.haantjes(K["mixed"], x)
+                  ["condition_residual"], pts))
+        same(geo.haantjes(K["mixed"], pts)["tensor"],
+             each(lambda x: geo.haantjes(K["mixed"], x)["tensor"], pts))
+        # every variance, so that each conversion runs on a stack
+        for T in K.values():
+            same(geo.tsn_residuals(T, flat, pts),
+                 each(lambda x: geo.tsn_residuals(T, flat, x), pts))
+            same(geo.characteristic_condition(T, V, flat, pts),
+                 each(lambda x: geo.characteristic_condition(T, V, flat, x),
+                      pts))
+
+
+def test_one_point_keeps_its_shape(cartesian):
+    flat, pts, V, tensors = cartesian
+    K = tensors[0]
+    x = pts[0]
+    fam = catalog.load("e3-case-ii")
+    q = fam.sample(1, 1234)[0]
+    assert geo.riemann(fam.metric, q).shape == (3, 3, 3, 3)
+    assert type(geo.ricci_scalar(fam.leaf_metric(q[0]), q[1:])) is float
+    assert type(geo.killing_residual(flat, K["covariant"], x)) is float
+    tsn = geo.tsn_residuals(K["mixed"], flat, x)
+    assert type(tsn) is tuple and len(tsn) == 3
+    assert all(type(v) is float for v in tsn)
+    result = geo.haantjes(K["mixed"], x)
+    assert result["tensor"].shape == (4, 4, 4)
+    assert type(result["condition_residual"]) is float
+    assert type(geo.characteristic_condition(K["mixed"], V, flat, x)) \
+        is float
+    # a stack of one point keeps its point axis
+    assert geo.riemann(fam.metric, [q]).shape == (1, 3, 3, 3, 3)
+    assert geo.tsn_residuals(K["mixed"], flat, [x]).shape == (1, 3)
+
+
+def test_stack_of_the_wrong_width_is_refused():
+    fam = catalog.load("e3-case-i")
+    with pytest.raises(geo.GeometryError, match=r"\(points, 3\)"):
+        geo.riemann(fam.metric, [(0.1, 0.2), (0.3, 0.4)])
+
+
+LN_METRIC = [["1+ln(x)", "0"], ["0", "1"]]  # a domain error where x <= 0
+DEGENERATE = [["x", "0"], ["0", "1"]]       # singular where x = 0
+
+
+@pytest.mark.parametrize("grid, error, message", [
+    (LN_METRIC, expr.DomainError, "ln"),
+    (DEGENERATE, geo.DegenerateMetricError, "metric degenerate"),
+], ids=["domain-error", "degenerate"])
+def test_failing_third_point_is_named(grid, error, message):
+    g = geo.MetricField.from_expressions(("x", "y"), grid)
+    pts = [(0.5, 0.1), (0.7, -0.2), (0.0, 0.3), (-0.4, 0.0), (0.6, 0.6)]
+    with pytest.raises(error, match=message) as alone:
+        geo.riemann(g, pts[2])
+    # the stack raises the third point's error, type and message
+    with pytest.raises(error) as stacked:
+        geo.riemann(g, pts)
+    assert str(stacked.value) == str(alone.value)
+    # and the check names the third point
+    with pytest.raises(cli.ProbeError) as named:
+        cli._blocked("riemann max-norm", pts,
+                     lambda qs: geo.riemann(g, qs))
+    assert named.value.point == pts[2]
+    assert type(named.value.error) is error
+    assert str(named.value) == (f"{alone.value} (in check riemann max-norm "
+                                f"at q={pts[2]})")
+
+
+def test_invertible_metric_of_huge_or_tiny_det_is_not_degenerate():
+    # exp(200*v) makes det G overflow at v = 0.9555 and underflow to 0
+    # at v = -0.9937, though G is diagonal with nonzero entries
+    fam = catalog.load("e3-case-ii", f="exp(200*v)")
+    pts = fam.sample(10, 1234)
+    high = max(pts, key=lambda q: q[1])
+    low = min(pts, key=lambda q: q[1])
+    assert high[1] > 0.95 and low[1] < -0.99
+    with np.errstate(over="ignore", under="ignore"):
+        dets = [np.linalg.det(fam.metric.contravariant(q))
+                for q in (high, low)]
+    assert math.isinf(dets[0]) and dets[1] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (high, low):
+            fam.metric.covariant(q)
+            assert np.all(np.isfinite(geo.riemann(fam.metric, q)))
+
+
+def per_point_sample(box, count, seed, predicate=None):
+    """One candidate per draw, the sampler's reference."""
+    rng = np.random.default_rng(seed)
+    los = np.array([lo for lo, _ in box])
+    his = np.array([hi for _, hi in box])
+    out = []
+    while len(out) < count:
+        pt = tuple(rng.uniform(los, his))
+        if predicate is None or predicate(pt):
+            out.append(pt)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(1234, 1242))
+def test_block_draws_accept_the_per_point_sequence(seed):
+    fam = catalog.load("e3-case-ii")
+    assert geo.rejection_sample(fam.sample_box, 1000, seed) == \
+        per_point_sample(fam.sample_box, 1000, seed)
+    ref = catalog.load("calogero4").cartesian
+    assert geo.rejection_sample(ref.sample_box, 200, seed,
+                                predicate=ref.regular) == \
+        per_point_sample(ref.sample_box, 200, seed, predicate=ref.regular)
+
+
+def test_exhaustion_counts_candidates():
+    box = ((0.0, 1.0), (0.0, 1.0))
+    calls = []
+
+    def rare(pt):
+        calls.append(pt)
+        return len(calls) % 7 == 0  # every seventh candidate
+
+    with pytest.raises(geo.GeometryError) as err:
+        geo.rejection_sample(box, 10, 0, predicate=rare, max_tries=40)
+    assert len(calls) == 40
+    assert str(err.value) == ("rejection sampling exhausted 40 tries with "
+                              "only 5 of 10 points accepted")
