@@ -26,7 +26,8 @@ from .config import ConfigError, RunConfig, load_config
 from .dynamics import (DynamicsError, IntegrationError, IntegratorConfig,
                        block_clock, compare_block_orbits, full_field_callable,
                        integrate)
-from .model import ModelError, PhasePoint, StackelMatrix, TwistedSystem
+from .model import (ModelError, PhasePoint, StackelMatrix, TwistedSystem,
+                    invert_stack)
 
 __all__ = ["main", "CheckResult", "VerificationReport", "ProbeError",
            "EXIT_OK", "EXIT_VERIFY", "EXIT_CONFIG", "EXIT_NUMERIC"]
@@ -320,24 +321,47 @@ def _csv_header(sys_: TwistedSystem) -> str:
     return ",".join(names)
 
 
+def _csv_block(sys_: TwistedSystem, traj, clocks, ts) -> np.ndarray:
+    """The values of the CSV rows at the times ts: one dense-output
+    sample, one per clock, one gated inverse of the stacked S and one
+    stacked row dot K_a = (S^-1)[a] @ E of the twist and the vector E
+    of block energies at each row."""
+    N, n = sys_.dim, sys_.n
+    states = traj.sample(ts)[:, :2 * N]
+    if clocks is None:
+        taus = np.full((len(ts), n), math.nan)
+    else:
+        taus = np.stack([c.tau(ts) for c in clocks], axis=1)
+    jet, ys = sys_.jet, states.tolist()
+    if jet.constant_twist is not None:
+        M = jet.constant_twist.matrix
+    else:
+        qs = [y[:N] for y in ys]
+        M = invert_stack(jet.stackel(qs), qs)
+    E = jet.energies(ys)
+    # (1, n) @ (n, 1) per row and integral rounds as (S^-1)[a] @ E does
+    K = np.matmul(M[..., :, None, :], E[:, None, :, None])[..., 0, 0]
+    return np.concatenate([ts[:, None], states, taus, K], axis=1)
+
+
 def _csv_rows(sys_: TwistedSystem, traj, clocks, times):
-    """The CSV rows at the given times, and the H column.  Each row
-    makes one twist and one vector E of block energies, and K_a is
-    the row dot (S^-1)[a] @ E."""
-    N = sys_.dim
+    """The CSV rows at the given times, and the H column, made by
+    :func:`_csv_block` for each block of up to ``_BLOCK`` times.  A
+    block that fails is made again one row at a time, so that the error
+    raised is that of the first row that fails on its own, and within a
+    row that of its twist before that of its energies."""
+    N, n = sys_.dim, sys_.n
+    fmt = ",".join(["%.17g"] * (1 + 2 * N + 2 * n))
     rows, h_vals = [], []
-    for t in times:
-        y = traj.sample(float(t))[:2 * N].tolist()
-        if clocks is None:
-            taus = [math.nan] * sys_.n
-        else:
-            taus = [c.tau(float(t)) for c in clocks]
-        tw = sys_.jet.twist(y[:N])
-        E = sys_.jet.energies(y)
-        integrals = [float(row @ E) for row in tw.matrix]
-        h_vals.append(integrals[0])
-        vals = [float(t), *y, *taus, *integrals]
-        rows.append(",".join(f"{v:.17g}" for v in vals))
+    for i in range(0, len(times), _BLOCK):
+        ts = np.asarray(times[i:i + _BLOCK], dtype=float)
+        try:
+            block = _csv_block(sys_, traj, clocks, ts)
+        except _EVALUATION_ERRORS + (DynamicsError,):
+            block = np.concatenate([_csv_block(sys_, traj, clocks, t[None])
+                                    for t in ts])
+        rows += [fmt % tuple(row) for row in block.tolist()]
+        h_vals += block[:, 1 + 2 * N + n].tolist()
     return rows, h_vals
 
 
@@ -388,7 +412,7 @@ def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:
 
     if cfg.svg:
         pairs = cfg.pairs or tuple((i + 1, i + 1) for i in range(N))
-        states = np.array([traj.sample(float(t)) for t in times])
+        states = traj.sample(times)
         for qi, pj in pairs:
             if not (1 <= qi <= N and 1 <= pj <= N):
                 raise ConfigError(

@@ -376,28 +376,48 @@ class Trajectory:
     def dim(self) -> int:
         return self.ys.shape[1]
 
-    def sample(self, t: float) -> np.ndarray:
-        """Dense-output state at time t (within the covered span)."""
-        key = t * self.direction
+    def sample(self, t) -> np.ndarray:
+        """Dense-output state at time t (within the covered span), or at
+        each time of an array t, one row per time in the order given.
+        The times are located with one ``searchsorted``, and each run of
+        times in one step takes its interpolant as one stack of
+        (1, 7) @ (7, d) products: that rounds as one time at a time does,
+        where one (k, 7) gemm or a gathered (k, 7, d) array of F need
+        not.  A time outside the span raises, naming the first one."""
+        ts = np.asarray(t, dtype=float)
+        if ts.ndim == 0:
+            return self.sample(ts[None])[0]
+        keys = ts * self.direction
         lo = self._keys[0]
         hi = self._keys[-1]
         slack = 1e-9 * max(1.0, hi - lo)
-        if key < lo - slack or key > hi + slack:
+        outside = np.flatnonzero((keys < lo - slack) | (keys > hi + slack))
+        if len(outside):
             raise DynamicsError(
-                f"time {t} outside trajectory span "
+                f"time {float(ts[outside[0]])} outside trajectory span "
                 f"[{self.t_start}, {self.t_end}]")
-        i = int(np.searchsorted(self._keys, key, side="right")) - 1
-        i = min(max(i, 0), len(self._steps) - 1)
-        t_old, h, F = self._steps[i]
-        x = min(max((t - t_old) / h, 0.0), 1.0)
+        idx = np.searchsorted(self._keys, keys, side="right") - 1
+        idx = np.clip(idx, 0, len(self._steps) - 1)
+        x = np.clip((ts - self.ts[idx]) / self._h[idx], 0.0, 1.0)
         xu = x * (1.0 - x)
         xu2 = xu * xu
         xu3 = xu2 * xu
-        w = np.array((x, xu, x * xu, xu2, x * xu2, xu3, x * xu3))
-        return self.ys[i] + w @ F
+        w = np.stack((x, xu, x * xu, xu2, x * xu2, xu3, x * xu3), axis=1)
+        out = np.empty((len(ts), self.dim))
+        starts = np.flatnonzero(np.diff(idx, prepend=-1)).tolist()
+        for a, b in zip(starts, starts[1:] + [len(ts)]):
+            i = int(idx[a])
+            out[a:b] = self.ys[i] + np.matmul(w[a:b, None, :],
+                                              self._steps[i][2])[:, 0]
+        return out
+
+    @cached_property
+    def _h(self) -> np.ndarray:
+        """The signed length of every step."""
+        return np.array([step[1] for step in self._steps])
 
     def sample_many(self, ts) -> np.ndarray:
-        return np.array([self.sample(float(t)) for t in ts])
+        return self.sample(np.asarray(ts, dtype=float))
 
     def rates(self, column: int, cuts: int) -> tuple[np.ndarray, np.ndarray]:
         """The times that cut each step in ``cuts`` equal parts, its ends
@@ -411,7 +431,7 @@ class Trajectory:
                        2 * x * u * (u - x), x * x * u * (3 * u - 2 * x),
                        3 * (x * u) ** 2 * (u - x),
                        x ** 3 * u * u * (4 * u - 3 * x)])
-        h = np.array([step[1] for step in self._steps])[:, None]
+        h = self._h[:, None]
         F = np.array([step[2][:, column] for step in self._steps])
         return (self.ts[:-1, None] + h * x).ravel(), (F @ dw / h).ravel()
 
@@ -624,11 +644,13 @@ class BlockClock:
     alpha: Callable[[float], float] = dataclass_field(repr=False,
                                                       compare=False)
 
-    def tau(self, t: float) -> float:
-        return float(self.trajectory.sample(t)[self.column])
+    def tau(self, t):
+        """tau_r at time t, or at each time of an array t."""
+        tau = self.trajectory.sample(t)[..., self.column]
+        return tau if np.ndim(t) else float(tau)
 
     def tau_many(self, ts) -> np.ndarray:
-        return self.trajectory.sample_many(ts)[:, self.column]
+        return self.tau(np.asarray(ts, dtype=float))
 
     @property
     def initial_sign(self) -> float:

@@ -17,14 +17,15 @@ analytically from exact derivatives of S (the compiled jets of
 :class:`SystemJet`) via d(S^{-1}) = -S^{-1} (dS) S^{-1}, whose row 0
 is d(alpha); only the generated vector fields of :class:`SystemJet`
 write d(alpha) out on floats, from the same gated inverse.  S is
-inverted nowhere but in :func:`invert_with_condition`.
+inverted nowhere but in :func:`invert_with_condition` and, for a stack
+of points, :func:`invert_stack`, which applies the same gate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -331,11 +332,13 @@ class SystemJet:
     -dH/dq) and one rate d(tau_r)/dt = alpha^r per clock.
     ``reduced(r)`` is the field of block r's reduced Hamiltonian
     H_r - c_a S[r][a], a function of block r's phase point and of the
-    constants c.  ``stackel`` takes the N positions and returns the
-    n-by-n values of S; ``energies`` takes the phase point and returns
-    the values of the H_r.  ``twist(q)`` is the :class:`Twist` at the
-    positions q; when no entry of S mentions a coordinate it is
-    ``constant_twist``, taken once, and the field has it written in.
+    constants c.  ``stackel`` takes rows of the N positions and returns
+    the n-by-n values of S at each, (m, n, n); ``energies`` takes rows
+    of the phase point and returns the values of the H_r at each,
+    (m, n): one compiled call per row and one array for all of them.
+    ``twist(q)`` is the :class:`Twist` at the positions q; when no
+    entry of S mentions a coordinate it is ``constant_twist``, taken
+    once, and the field has it written in.
     ``positions`` takes the N positions and returns a
     :class:`PositionJet`, from one order-2 :class:`_GridJet` over the
     entries of S and the potentials.
@@ -370,12 +373,12 @@ class SystemJet:
         n = self._sys.n
         fn = _expr.compile([e for row in self._sys.stackel.entries
                             for e in row], self._sys.structure.names)
-        return lambda q: np.array(fn(*q)).reshape(n, n)
+        return lambda qs: np.array([fn(*q) for q in qs]).reshape(-1, n, n)
 
     @cached_property
     def energies(self):
         fn = _expr.compile(*self._energies)
-        return lambda y: np.array(fn(*y))
+        return lambda ys: np.array([fn(*y) for y in ys])
 
     @cached_property
     def constant_twist(self) -> "Twist | None":
@@ -388,14 +391,16 @@ class SystemJet:
                for e in row):
             return None
         try:
-            return twist(self.stackel([0.0] * sys.dim))
+            return twist(self.stackel([[0.0] * sys.dim])[0])
         except (ModelError, _expr.ExprError):
             return None
 
     def twist(self, q) -> "Twist":
         """The :class:`Twist` at the positions q, a list of floats."""
         tw = self.constant_twist
-        return tw if tw is not None else twist(self.stackel(q), point=q)
+        if tw is not None:
+            return tw
+        return twist(self.stackel([q])[0], point=q)
 
     @cached_property
     def field(self):
@@ -533,10 +538,17 @@ def _as_expression(e) -> Expression:
     if isinstance(e, Expression):
         return e
     if isinstance(e, str):
-        return _expr.parse(e)
+        return _parsed(e)
     if isinstance(e, (int, float)):
         return _expr.Num(float(e))
     raise TypeError(f"not an expression: {e!r}")
+
+
+@lru_cache(maxsize=256)
+def _parsed(text: str) -> Expression:
+    """The tree of a text, parsed once: the jets cached on expression
+    ids (:func:`geometry._grid_jet`) then find a text given again."""
+    return _expr.parse(text)
 
 
 def _q_of(point) -> tuple[float, ...]:
@@ -624,6 +636,27 @@ def invert_with_condition(S: np.ndarray, point=None):
         warning = (f"ill-conditioned separation matrix: 1-norm condition "
                    f"estimate {cond:.3e} exceeds {COND_WARN:.0e}")
     return M, cond, warning
+
+
+def invert_stack(S: np.ndarray, points) -> np.ndarray:
+    """The inverses of a stack of matrices S (m, n, n), S[k] taken at
+    points[k], behind the gate of :func:`invert_with_condition`: one
+    inverse and one pair of 1-norms for the stack (column sums down
+    the rows in order, those of :func:`_norm1` bit for bit).  If a
+    matrix fails, the matrices go through :func:`invert_with_condition`
+    one at a time, so that the first to fail raises its own error."""
+    try:
+        M = np.linalg.inv(S)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        norm1_inv = np.abs(M).sum(axis=-2).max(axis=-1)
+        cond = np.abs(S).sum(axis=-2).max(axis=-1) * norm1_inv
+        if np.isfinite(norm1_inv).all() and not (cond > COND_ERROR).any():
+            return M
+    for s, point in zip(S, points):
+        invert_with_condition(s, point=point)
+    raise AssertionError("a stack failed the gate that each matrix passes")
 
 
 class Twist:
@@ -778,7 +811,8 @@ def _position_values(sys: TwistedSystem, point) -> list[float]:
 
 def _block_energies(sys: TwistedSystem, point: PhasePoint) -> np.ndarray:
     """The block energies H_r at the phase point."""
-    return sys.jet.energies(_position_values(sys, point) + list(point.p))
+    return sys.jet.energies([_position_values(sys, point)
+                             + list(point.p)])[0]
 
 
 def twist_rows(sys: TwistedSystem, point) -> Twist:
@@ -833,5 +867,5 @@ def reduced_hamiltonian(sys: TwistedSystem, r: int, c: Sequence[float],
     turned into a one-block Hamiltonian on the block slice."""
     c = _reduced_constants(sys, r, c)
     h = float(_block_energies(sys, point)[r - 1])
-    S = sys.jet.stackel(_position_values(sys, point))
+    S = sys.jet.stackel([_position_values(sys, point)])[0]
     return h - float(c @ S[r - 1])

@@ -691,6 +691,27 @@ def test_characteristic_identity_any_potential(flat4):
     assert res <= 1e-12
 
 
+def test_characteristic_potential_text_compiles_once(monkeypatch):
+    # a potential given as text parses to one tree, so its jet is found
+    # again by the next call: one compile for T, one for V
+    g = MetricField.from_expressions(("x", "y"), [["1", "0"], ["0", "1"]])
+    T = TensorField2(("x", "y"), [["y", "0"], ["0", "x"]], "mixed",
+                     metric=g)
+    real = expr.compile
+    compiled = []
+
+    def counting(exprs, *args, **kwargs):
+        compiled.append(list(exprs))
+        return real(exprs, *args, **kwargs)
+
+    monkeypatch.setattr(expr, "compile", counting)
+    monkeypatch.setattr(geo, "_JETS", {})  # no jet from an earlier test
+    for x in (0.1, 0.2, 0.3, 0.4, 0.5):
+        characteristic_condition(T, "x*y", g, (x, 0.7))
+    assert compiled.count([expr.parse("x*y")]) == 1
+    assert len(compiled) == 2
+
+
 def test_characteristic_quartet_potential(flat4):
     """Both quadratic-integral tensors preserve closedness for the
     pairwise inverse-square potential away from collisions."""

@@ -1,0 +1,290 @@
+"""The orbit read out in blocks of times.
+
+``Trajectory.sample`` at an array of times must equal, bit for bit, the
+sample at each time taken one at a time, on forward and backward orbits,
+at step ends and at unsorted times; an array holding a time outside the
+span names the first such time.  The CSV rows of ``simulate`` are made
+per block of ``cli._BLOCK`` times (one sample, one stacked gated inverse
+of S, one stacked row dot) and must be byte-identical to rows made one
+time at a time; a block holding a row whose S fails the gate raises the
+error of the first failing row, as the rows one at a time would.
+"""
+
+import itertools
+import math
+import os
+
+import numpy as np
+import pytest
+
+from conftest import PENDULA_P0, make_pendula_like
+
+from blocksep import catalog, cli, expr, model
+from blocksep.dynamics import (DynamicsError, IntegratorConfig, block_clock,
+                               compare_block_orbits, full_field_callable,
+                               integrate)
+
+
+def with_clocks(sys_, point):
+    return np.concatenate([point.as_array(), np.zeros(sys_.n)])
+
+
+def orbit(sys_, point, span, rtol=1e-6, atol=1e-8):
+    return integrate(full_field_callable(sys_), with_clocks(sys_, point),
+                     span, IntegratorConfig(rtol=rtol, atol=atol))
+
+
+def interpolant(traj, t):
+    """The DOP853 dense output at the time t, a float, taken on its own:
+    the step i holding t, x = (t - t_i) / h, u = 1 - x, and
+    ys[i] + (x, xu, x^2 u, x^2 u^2, x^3 u^2, x^3 u^3, x^4 u^3) @ F."""
+    key = t * traj.direction
+    i = int(np.searchsorted(traj.ts * traj.direction, key, side="right")) - 1
+    i = min(max(i, 0), len(traj) - 2)
+    t_old, h, F = traj._steps[i]
+    x = min(max((t - t_old) / h, 0.0), 1.0)
+    xu = x * (1.0 - x)
+    xu2 = xu * xu
+    xu3 = xu2 * xu
+    w = np.array((x, xu, x * xu, xu2, x * xu2, xu3, x * xu3))
+    return traj.ys[i] + w @ F
+
+
+def one_by_one(traj, ts):
+    return np.array([interpolant(traj, float(t)) for t in ts])
+
+
+# ---------------------------------------------------------------------------
+# the array sample
+
+@pytest.mark.parametrize("span", [(0.0, 6.0), (0.0, -6.0)])
+def test_array_sample_equals_per_time_sample(span):
+    sys_ = make_pendula_like()
+    traj = orbit(sys_, PENDULA_P0, span)
+    assert len(traj) > 5
+    rng = np.random.default_rng(7)
+    ts = np.concatenate([np.linspace(*span, 301), traj.ts,
+                         [traj.t_start, traj.t_end],
+                         rng.permutation(np.linspace(*span, 97))])
+    want = one_by_one(traj, ts)
+    assert np.array_equal(traj.sample(ts), want)
+    assert np.array_equal([traj.sample(float(t)) for t in ts], want)
+    assert np.array_equal(traj.sample_many(ts.tolist()), want)
+    assert traj.sample(ts[:0]).shape == (0, traj.dim)
+
+
+def test_array_sample_names_the_first_time_outside_the_span():
+    sys_ = make_pendula_like()
+    traj = orbit(sys_, PENDULA_P0, (0.0, 2.0))
+    with pytest.raises(DynamicsError) as one:
+        traj.sample(2.5)
+    with pytest.raises(DynamicsError) as many:
+        traj.sample(np.array([0.5, 2.5, -1.0, 3.0]))
+    assert str(many.value) == str(one.value)
+    assert "time 2.5 outside" in str(many.value)
+
+
+def test_array_clock_reads_the_array_sample():
+    sys_ = make_pendula_like()
+    traj = orbit(sys_, PENDULA_P0, (0.0, 4.0))
+    ts = np.linspace(0.0, 4.0, 200)
+    for r in range(1, sys_.n + 1):
+        clock = block_clock(sys_, traj, r)
+        taus = clock.tau(ts)
+        assert taus.shape == ts.shape
+        assert taus.tolist() == [clock.tau(float(t)) for t in ts]
+
+
+def test_compare_states_are_the_per_time_samples():
+    sys_ = make_pendula_like()
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-10)
+    report = compare_block_orbits(sys_, PENDULA_P0, 2, (0.0, 3.0), cfg)
+    full = orbit(sys_, PENDULA_P0, (0.0, 3.0), cfg.rtol, cfg.atol)
+    cols = [1, sys_.dim + 1]
+    assert np.array_equal(report.full_states,
+                          one_by_one(full, report.times)[:, cols])
+
+
+# ---------------------------------------------------------------------------
+# the stacked gate
+
+BAD = {
+    "singular": np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]]),
+    "nan": np.array([[math.nan, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "ill": np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-13, 0.0],
+                     [0.0, 0.0, 1.0]]),
+}
+
+
+def gate_error(S, point):
+    with pytest.raises(model.ModelError) as err:
+        model.invert_with_condition(S, point=point)
+    return err.value
+
+
+def healthy_stack(m=300):
+    rng = np.random.default_rng(3)
+    S = rng.uniform(-1.0, 1.0, (m, 3, 3)) + 3.0 * np.eye(3)
+    return S, [(0.001 * k, -0.5, 2.0) for k in range(m)]
+
+
+def test_stack_inverse_equals_row_inverses():
+    S, points = healthy_stack()
+    assert np.array_equal(model.invert_stack(S, points),
+                          [model.invert_with_condition(s)[0] for s in S])
+
+
+@pytest.mark.parametrize("rows", [(140, 200, 290), (290, 200, 131),
+                                  (260, 256, 255), (0, 299, 150)])
+@pytest.mark.parametrize("kinds", list(itertools.permutations(sorted(BAD))))
+def test_stack_inverse_raises_the_first_failing_row(rows, kinds):
+    S, points = healthy_stack()
+    for row, kind in zip(rows, kinds):
+        S[row] = BAD[kind]
+    first = min(rows)
+    want = gate_error(S[first], points[first])
+    with pytest.raises(model.ModelError) as got:
+        model.invert_stack(S, points)
+    assert type(got.value) is type(want)
+    assert str(got.value) == str(want)
+    assert got.value.point == points[first]
+
+
+# ---------------------------------------------------------------------------
+# the CSV rows
+
+def per_row_csv(sys_, traj, clocks, times):
+    """orbit.csv's rows made one time at a time."""
+    N = sys_.dim
+    rows = []
+    for t in times:
+        state = interpolant(traj, float(t))
+        y = state[:2 * N].tolist()
+        taus = [float(state[c.column]) for c in clocks]
+        tw = sys_.jet.twist(y[:N])
+        E = sys_.jet.energies([y])[0]
+        vals = [float(t), *y, *taus, *[float(row @ E) for row in tw.matrix]]
+        rows.append(",".join(f"{v:.17g}" for v in vals))
+    return rows
+
+
+@pytest.mark.parametrize("name", ["pendula", "oscillators", "calogero4"])
+def test_simulate_rows_equal_per_row_rows(name, tmp_path, capsys):
+    # 300 rows: two full blocks and a partial one
+    out = str(tmp_path / "out")
+    path = tmp_path / "run.ini"
+    path.write_text(f"""
+[system]
+catalog = {name}
+[integration]
+t_span = 0.0, 10.0
+rtol = 1e-6
+atol = 1e-8
+samples = 300
+[output]
+directory = {out}
+""")
+    assert cli.main(["simulate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    entry = catalog.load(name)
+    sys_ = entry.system
+    traj = orbit(sys_, entry.initial_point, (0.0, 10.0))
+    clocks = [block_clock(sys_, traj, r) for r in range(1, sys_.n + 1)]
+    rows = per_row_csv(sys_, traj, clocks, np.linspace(0.0, 10.0, 300))
+    want = "\n".join([cli._csv_header(sys_)] + rows) + "\n"
+    with open(os.path.join(out, "orbit.csv"), encoding="utf-8") as fh:
+        assert fh.read() == want
+
+
+@pytest.fixture
+def rigged():
+    """A pendula-like orbit over 300 CSV times, its rows' positions, and
+    a function that makes S at chosen rows a given matrix."""
+    sys_ = make_pendula_like()
+    traj = orbit(sys_, PENDULA_P0, (0.0, 3.0))
+    times = np.linspace(0.0, 3.0, 300)
+    N = sys_.dim
+    qs = [tuple(state[:N].tolist()) for state in one_by_one(traj, times)]
+    jet = sys_.jet
+    real = jet.stackel
+
+    def rig(bad, monkeypatch):
+        bad = {qs[row]: S for row, S in bad.items()}
+        monkeypatch.setitem(jet.__dict__, "stackel", lambda rows: np.array(
+            [bad.get(tuple(q), S) for q, S in zip(rows, real(rows))]))
+
+    clocks = [block_clock(sys_, traj, r) for r in range(1, sys_.n + 1)]
+    return sys_, traj, clocks, times, qs, rig
+
+
+@pytest.mark.parametrize("rows", [(140, 200, 290), (290, 200, 131),
+                                  (260, 256, 255)])
+@pytest.mark.parametrize("kinds", list(itertools.permutations(sorted(BAD))))
+def test_blocked_rows_raise_the_first_failing_row(rigged, rows, kinds,
+                                                  monkeypatch):
+    sys_, traj, clocks, times, qs, rig = rigged
+    rig({row: BAD[kind] for row, kind in zip(rows, kinds)}, monkeypatch)
+    first = min(rows)
+    want = gate_error(BAD[kinds[rows.index(first)]], list(qs[first]))
+    with pytest.raises(model.ModelError) as got:
+        cli._csv_rows(sys_, traj, clocks, times)
+    assert type(got.value) is type(want)
+    assert str(got.value) == str(want)
+    assert tuple(got.value.point) == qs[first]
+
+
+@pytest.mark.parametrize("gate_row, energy_row, wins", [
+    (201, 200, "energies"), (200, 201, "gate"), (200, 200, "gate")])
+def test_blocked_rows_keep_the_row_order_of_errors(rigged, gate_row,
+                                                   energy_row, wins,
+                                                   monkeypatch):
+    # a row's twist fails before its energies, and both before the
+    # next row's
+    sys_, traj, clocks, times, qs, rig = rigged
+    rig({gate_row: BAD["singular"]}, monkeypatch)
+    jet, N = sys_.jet, sys_.dim
+    real = jet.energies
+
+    def energies(rows):
+        if any(tuple(y[:N]) == qs[energy_row] for y in rows):
+            raise expr.DomainError("energy fails")
+        return real(rows)
+
+    monkeypatch.setitem(jet.__dict__, "energies", energies)
+    with pytest.raises((model.ModelError, expr.ExprError)) as got:
+        cli._csv_rows(sys_, traj, clocks, times)
+    if wins == "gate":
+        assert isinstance(got.value, model.SingularMatrixError)
+        assert tuple(got.value.point) == qs[gate_row]
+    else:
+        assert str(got.value) == "energy fails"
+
+
+def test_simulate_svg_equals_per_time_portrait(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    path = tmp_path / "run.ini"
+    path.write_text(f"""
+[system]
+catalog = pendula
+[integration]
+t_span = 0.0, 20.0
+rtol = 1e-8
+atol = 1e-10
+samples = 400
+[output]
+directory = {out}
+""")
+    assert cli.main(["simulate", "--config", str(path), "--svg"]) == 0
+    capsys.readouterr()
+    entry = catalog.load("pendula")
+    sys_ = entry.system
+    N = sys_.dim
+    traj = orbit(sys_, entry.initial_point, (0.0, 20.0), 1e-8, 1e-10)
+    states = one_by_one(traj, np.linspace(0.0, 20.0, 400))
+    for k in range(1, N + 1):
+        want = str(tmp_path / f"want_{k}.svg")
+        cli.write_polyline_svg(
+            want, [("orbit", states[:, k - 1], states[:, N + k - 1])],
+            "pendula: phase portrait", f"q{k}", f"p{k}")
+        with open(os.path.join(out, f"phase_q{k}_p{k}.svg"), "rb") as got:
+            assert got.read() == open(want, "rb").read()
