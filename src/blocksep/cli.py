@@ -92,20 +92,14 @@ class ProbeError(Exception):
 
     def __init__(self, check: str, q, error: Exception):
         self.check = check
+        if isinstance(q, PhasePoint):
+            q = q.q
         self.point = tuple(float(v) for v in q)
         self.error = error
         super().__init__(f"{error} (in check {check} at q={self.point})")
 
 
 _EVALUATION_ERRORS = (ModelError, _expr.ExprError, _geo.GeometryError)
-
-
-def _probe(check: str, q, fn, *args):
-    """fn(*args) for one check at the probe q; a failure names both."""
-    try:
-        return fn(*args)
-    except _EVALUATION_ERRORS as ex:
-        raise ProbeError(check, q, ex) from ex
 
 
 # Points per call of a point-stacked geometry function: a block runs as
@@ -115,11 +109,11 @@ _BLOCK = 128
 
 
 def _blocked(check: str, points, fn) -> np.ndarray:
-    """fn(block) for each block of up to ``_BLOCK`` points: a check's
-    residuals at every point.  A block that fails is run again one point
-    at a time through :func:`_probe`, so that the error and the point
-    named are those of the first point that fails on its own, as if
-    every point had had its own call."""
+    """fn(block) for each block of up to ``_BLOCK`` points (positions,
+    or phase points): a check's residuals at every point.  A block that
+    fails is run again one point at a time, so that the error and the
+    point named are those of the first point that fails on its own, as
+    if every point had had its own call."""
     out = []
     for i in range(0, len(points), _BLOCK):
         block = points[i:i + _BLOCK]
@@ -127,7 +121,10 @@ def _blocked(check: str, points, fn) -> np.ndarray:
             out.append(fn(block))
         except _EVALUATION_ERRORS as ex:
             for q in block:
-                _probe(check, q, fn, [q])
+                try:
+                    fn([q])
+                except _EVALUATION_ERRORS as one:
+                    raise ProbeError(check, q, one) from one
             raise ProbeError(check, block[0], ex) from ex
     return np.concatenate(out)
 
@@ -497,20 +494,15 @@ def cmd_compare(cfg: RunConfig, out=None, err=None) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _worst(residuals, points) -> tuple[float, str]:
-    """The largest of the residuals, one per point, and where it was
-    found, as ``worst at (v1 v2 ...)``.  A nan wins, so that the check
-    fails, and of equal values the first wins."""
-    values = np.array(residuals, dtype=float)
-    i = int(np.argmax(values))  # the first nan, if there is one
-    return float(values[i]), \
-        "worst at (" + " ".join(f"{v:.6g}" for v in points[i]) + ")"
-
-
 def _row(name: str, threshold: float, residuals, points) -> CheckResult:
-    """The report row of a check from its residual at each point."""
-    value, where = _worst(residuals, points)
-    return CheckResult(name, value, threshold, where)
+    """The report row of a check from its residual at each point: the
+    largest residual and where it was found, as ``worst at (v1 v2
+    ...)``.  A nan wins, so that the check fails, and of equal values
+    the first wins."""
+    values = np.asarray(residuals, dtype=float)
+    i = int(np.argmax(values))  # the first nan, if there is one
+    where = "worst at (" + " ".join(f"{v:.6g}" for v in points[i]) + ")"
+    return CheckResult(name, float(values[i]), threshold, where)
 
 
 def _verify_checks(res: _Resolved, cfg: RunConfig) -> list[CheckResult]:
@@ -519,34 +511,33 @@ def _verify_checks(res: _Resolved, cfg: RunConfig) -> list[CheckResult]:
     th = cfg.thresholds
     checks: list[CheckResult] = []
     probes = _phase_probes(res, cfg)
+    qs = [P.q for P in probes]
 
     scalars = [_geo.first_integral_scalar(sys_, a) for a in range(1, n + 1)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    labels = [f"bracket({'H' if i == 0 else f'K_{i + 1}'},K_{j + 1})"
-              for i, j in pairs]
-    qs = [P.q for P in probes]
-    # probe by probe, so that an integral's gradients at a probe are
-    # computed once for all of its brackets there
-    rows = [[abs(_probe(label, P.q, _geo.poisson_bracket, scalars[i],
-                        scalars[j], P))
-             for (i, j), label in zip(pairs, labels)] for P in probes]
-    for label, column in zip(labels, zip(*rows)):
-        checks.append(_row(label, th["bracket"], column, qs))
+    for i in range(n):
+        for j in range(i + 1, n):
+            name = f"bracket({'H' if i == 0 else f'K_{i + 1}'},K_{j + 1})"
+            bracket = (lambda ps, F=scalars[i], G=scalars[j]:
+                       np.abs(_geo.poisson_bracket(F, G, ps)))
+            checks.append(_row(name, th["bracket"],
+                               _blocked(name, probes, bracket), qs))
 
-    # probe by probe as well, so that each probe's twist is made once
-    # for all of its residuals
-    names = [f"eigenvalue-gradient K_{a}" for a in range(2, n + 1)]
-    rows, outs = [], []
-    for P in probes:
-        rows.append([_probe(name, P.q, _geo.block_eisenhart_residual, sys_,
-                            a, P.q) for a, name in enumerate(names, 2)])
-        outs.append(_probe("block-connection", P.q,
-                           _geo.block_levi_civita_residual, sys_, P.q))
-    for name, column in zip(names, zip(*rows)):
-        checks.append(_row(name, th["residual"], column, qs))
-    for kind in ("metric", "potential"):
+    for a in range(2, n + 1):
+        name = f"eigenvalue-gradient K_{a}"
+        checks.append(_row(name, th["residual"], _blocked(
+            name, qs, lambda xs, a=a: _geo.block_eisenhart_residual(
+                sys_, a, xs)), qs))
+    kinds = ("metric", "potential")
+
+    def connection(xs):
+        out = _geo.block_levi_civita_residual(sys_, xs)
+        return np.stack([out[f"{kind}_residual"] for kind in kinds], axis=1)
+
+    # both rows from one call, so that the twist is made once for them
+    both = _blocked("block-connection", qs, connection)
+    for k, kind in enumerate(kinds):
         checks.append(_row(f"block-connection {kind}", th["residual"],
-                           [out[f"{kind}_residual"] for out in outs], qs))
+                           both[:, k], qs))
 
     if res.entry is not None and res.entry.cartesian is not None:
         ref = res.entry.cartesian

@@ -416,9 +416,6 @@ class Trajectory:
         """The signed length of every step."""
         return np.array([step[1] for step in self._steps])
 
-    def sample_many(self, ts) -> np.ndarray:
-        return self.sample(np.asarray(ts, dtype=float))
-
     def rates(self, column: int, cuts: int) -> tuple[np.ndarray, np.ndarray]:
         """The times that cut each step in ``cuts`` equal parts, its ends
         included, and there the time derivative of the interpolant's
@@ -649,9 +646,6 @@ class BlockClock:
         tau = self.trajectory.sample(t)[..., self.column]
         return tau if np.ndim(t) else float(tau)
 
-    def tau_many(self, ts) -> np.ndarray:
-        return self.tau(np.asarray(ts, dtype=float))
-
     @property
     def initial_sign(self) -> float:
         return self._signs[0]
@@ -801,12 +795,12 @@ def compare_block_orbits(sys: TwistedSystem, P0: PhasePoint, r: int,
                         (0.0, tau_end), cfg)
 
     times = np.linspace(t0, t_end, samples)
-    states = full.sample_many(times)
+    states = full.sample(times)
     # clamp dense-output jitter at the ends of the reduced span
     lo, hi = sorted((0.0, tau_end))
     taus = np.clip(states[:, clock.column], lo, hi)
     full_states = states[:, cols]
-    reduced_states = reduced.sample_many(taus)
+    reduced_states = reduced.sample(taus)
 
     diff = np.abs(full_states - reduced_states)
     return ComparisonReport(

@@ -24,25 +24,23 @@ Every expression-backed object (a :class:`MetricField`, a
 The metric and tensor functions (:func:`riemann`, :func:`ricci_scalar`,
 :func:`christoffel`, :func:`killing_residual`, :func:`nijenhuis`,
 :func:`tsn_residuals`, :func:`haantjes`, :func:`characteristic_condition`
-and the field methods) take one point or a stack of points, a (P, n)
-array-like, and run one chain of array operations over a leading point
-axis p; one point is a stack of one, whose result comes back without
-that axis (a float for a scalar).  A stack calls the jet once per
-point, so each point's values are its own and an error comes from the
-point that raised it.  The brackets and the system residuals take one
-point: they read the potentials and the twist (S^-1 and its
-derivatives, :class:`model.Twist`) of one
-:meth:`model.SystemJet.positions` per point, as array expressions over
-coordinates, blocks and targets.  Nothing here walks expression trees.
-Gamma is formed in :func:`_connection` only, and a metric inverted in
-:func:`_inverse` only.
+and the field methods), the brackets (of phase points) and the system
+residuals take one point or a stack of points, a (P, n) array-like, and
+run one chain of array operations over a leading point axis p; one
+point is a stack of one, whose result comes back without that axis (a
+float for a scalar).  A stack calls the jet once per point, so each
+point's values are its own and an error comes from the point that
+raised it.  The system residuals read the potentials and the twist
+(S^-1 and its derivatives, :class:`model.Twist`) of one
+:meth:`model.SystemJet.positions` per stack.  Nothing here walks
+expression trees.  Gamma is formed in :func:`_connection` only, and a
+metric inverted in :func:`_inverse` only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -386,62 +384,65 @@ class PhaseScalar:
             exprs += [e for row in self.tensor.grid for e in row]
         return _grid_jet(exprs, self.coords)
 
-    def _at(self, point: PhasePoint):
-        """Momenta, then the scalar W, linear terms L and tensor K with
-        their stacked first partials, from one jet call."""
+    def _at(self, qs: np.ndarray):
+        """At each point of the stack qs: the scalar W, linear terms L
+        and tensor K with their stacked first partials, from one jet
+        stack."""
         n = len(self.coords)
-        vals, first = self._jet(_point_of(self.coords, point))
+        vals, first = self._jet.stack(qs.tolist())
         lin = 1 + len(self.linear or ())
         K = dK = None
         if self.tensor is not None:
-            K, dK = vals[lin:].reshape(n, n), first[:, lin:].reshape(n, n, n)
-        return (np.asarray(point.p, dtype=float), vals[0], vals[1:lin], K,
-                first[:, 0], first[:, 1:lin], dK)
+            K = vals[:, lin:].reshape(-1, n, n)
+            dK = first[:, :, lin:].reshape(-1, n, n, n)
+        return (vals[:, 0], vals[:, 1:lin], K, first[:, :, 0],
+                first[:, :, 1:lin], dK)
 
     def value(self, point: PhasePoint) -> float:
-        p, out, L, K, _, _, _ = self._at(point)
+        qs = np.array([_point_of(self.coords, point)])
+        W, L, K, _, _, _ = self._at(qs)
+        p = np.asarray(point.p, dtype=float)
+        out = W[0]
         if self.linear is not None:
-            out += sum(L[i] * p[i] for i in range(len(L)))
+            out += sum(L[0, i] * p[i] for i in range(L.shape[1]))
         if self.tensor is not None:
-            out += 0.5 * float(p @ K @ p)
+            out += 0.5 * float(p @ K[0] @ p)
         return float(out)
 
-    def _gradients(self, point: PhasePoint):
-        """(d/dq, d/dp) at the point.  The last point's pair is kept,
-        since a bracket check asks for it once per partner; its arrays
-        must not be written to."""
-        last = self.__dict__.get("_last_gradients")
-        if last is not None and last[0] == point:
-            return last[1]
-        p, _, L, K, dW, dL, dK = self._at(point)
-        n = len(self.coords)
-        dp = np.zeros(n)
+    def _gradients(self, qs: np.ndarray, ps: np.ndarray):
+        """(d/dq, d/dp) at each point of the stack of positions qs and
+        momenta ps, two (P, n) arrays."""
+        _, L, K, dW, dL, dK = self._at(qs)
+        dp = np.zeros(ps.shape)
         if self.tensor is not None:
-            dp += 0.5 * (K + K.T) @ p
+            dp += ((0.5 * (K + K.transpose(0, 2, 1)))
+                   @ ps[:, :, None])[:, :, 0]
         if self.linear is not None:
             dp += L
-        dq = dW.tolist()
+        dq = dW.copy()
         if self.linear is not None:
-            for k in range(n):
-                dq[k] += sum(dL[k, i] * p[i] for i in range(len(L)))
+            for k in range(dq.shape[1]):
+                dq[:, k] += sum(dL[:, k, i] * ps[:, i]
+                                for i in range(L.shape[1]))
         if self.tensor is not None:
-            pdK = p @ dK  # row k is p @ dK[k]
-            for k in range(n):
-                dq[k] += 0.5 * float(pdK[k] @ p)
-        out = np.array(dq), dp
-        self.__dict__["_last_gradients"] = (point, out)
-        return out
+            pdK = ps[:, None, None, :] @ dK  # row k: p @ dK[k], per point
+            dq += 0.5 * (pdK @ ps[:, None, :, None])[:, :, 0, 0]
+        return dq, dp
 
 
-def poisson_bracket(F: PhaseScalar, G: PhaseScalar,
-                    point: PhasePoint) -> float:
-    """{F, G} = sum_i dF/dq^i dG/dp_i - dF/dp_i dG/dq^i."""
+def poisson_bracket(F: PhaseScalar, G: PhaseScalar, points):
+    """{F, G} = sum_i dF/dq^i dG/dp_i - dF/dp_i dG/dq^i at one phase
+    point, or at each of a sequence of them."""
     if F.coords != G.coords:
         raise GeometryError(
             "bracket arguments live on different phase spaces")
-    dqF, dpF = F._gradients(point)
-    dqG, dpG = G._gradients(point)
-    return float(dqF @ dpG - dpF @ dqG)
+    one = isinstance(points, PhasePoint)
+    points = [points] if one else list(points)
+    qs = np.array([_point_of(F.coords, P) for P in points])
+    ps = np.array([P.p for P in points], dtype=float)
+    dqF, dpF = F._gradients(qs, ps)
+    dqG, dpG = G._gradients(qs, ps)
+    return _result(_dots(dqF, dpG) - _dots(dpF, dqG), one)
 
 
 # ---------------------------------------------------------------------------
@@ -687,53 +688,64 @@ def tsn_residuals(K: TensorField2, g: MetricField, point):
 # ---------------------------------------------------------------------------
 # block eigenvalues and the separability residuals
 
-def _position_jet(sys: TwistedSystem, point) -> _model.PositionJet:
-    return sys.jet.positions(_point_of(sys.structure.names, point))
-
-
 def _twist_vector(tw: _model.Twist) -> np.ndarray:
-    """alpha, checked to have no zero entry, since the block formulas
-    divide by it."""
-    for r, value in enumerate(tw.alpha, start=1):
-        if value == 0.0:
-            raise VanishingTwistError(
-                f"twist function for block {r} vanishes at the given point")
+    """alpha at each point, checked to have no zero entry, since the
+    block formulas divide by it."""
+    zero = np.argwhere(tw.alpha == 0.0)
+    if len(zero):
+        raise VanishingTwistError(
+            f"twist function for block {zero[0, 1] + 1} vanishes at the "
+            "given point")
     return tw.alpha
 
 
 def _dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """rows @ v, each entry a 1-by-n product, which rounds as the dot
-    of two vectors does (a matrix-vector product may not)."""
-    return (rows[..., None, :] @ v)[..., 0]
+    """rows[p] @ v[p] at each point p, for rows (P, ..., n) and v
+    (P, n), each entry a 1-by-n product, which rounds as the dot of two
+    vectors does (a matrix-vector product may not)."""
+    v = v.reshape((len(v),) + (1,) * (rows.ndim - 2) + (-1, 1))
+    return (rows[..., None, :] @ v)[..., 0, 0]
+
+
+def _positions(sys: TwistedSystem, points):
+    """The :class:`model.PositionJet` of one point or of a stack of
+    points, and whether one point was given."""
+    qs, one = _stack(sys.structure.names, points)
+    return sys.jet.positions(qs.tolist()), one
+
+
+def _check_integral(sys: TwistedSystem, a: int):
+    if not 1 <= a <= sys.n:
+        raise _model.BlockIndexError(
+            f"integral index {a} out of range 1..{sys.n}")
 
 
 def block_eigenvalues(sys: TwistedSystem, a: int, point) -> np.ndarray:
     """Per-block eigenvalues of the a-th quadratic integral against the
     twisted metric: value r is (S^-1)[a][r] / alpha^r."""
-    if not 1 <= a <= sys.n:
-        raise _model.BlockIndexError(
-            f"integral index {a} out of range 1..{sys.n}")
-    tw = _position_jet(sys, point).twist
-    return tw.matrix[a - 1] / _twist_vector(tw)
+    _check_integral(sys, a)
+    at, one = _positions(sys, point)
+    tw = at.twist
+    return _result(tw.matrix[:, a - 1] / _twist_vector(tw), one)
 
 
-def block_eisenhart_residual(sys: TwistedSystem, a: int, point) -> float:
+def block_eisenhart_residual(sys: TwistedSystem, a: int, point):
     """max |d_k lambda^s - (lambda^r(k) - lambda^s) d_k ln|alpha^s||
     over coordinates k (in block r(k)) and blocks s."""
-    if not 1 <= a <= sys.n:
-        raise _model.BlockIndexError(
-            f"integral index {a} out of range 1..{sys.n}")
-    tw = _position_jet(sys, point).twist
+    _check_integral(sys, a)
+    at, one = _positions(sys, point)
+    tw = at.twist
     alpha = _twist_vector(tw)
     M, dM = tw.matrix, tw.dmatrix
-    lam = M[a - 1] / alpha
+    lam = M[:, a - 1] / alpha
     # scalar powers, which can differ in the last bit from x * x
-    square = np.array([x ** 2 for x in alpha.tolist()])
-    dlam = (dM[:, a - 1] * alpha - M[a - 1] * dM[:, 0]) / square
-    dln = dM[:, 0] / alpha
+    square = np.array([[x ** 2 for x in row] for row in alpha.tolist()])
+    dlam = (dM[:, :, a - 1] * alpha[:, None]
+            - M[:, None, a - 1] * dM[:, :, 0]) / square[:, None]
+    dln = dM[:, :, 0] / alpha[:, None]
     blk = np.repeat(np.arange(sys.n), sys.structure.sizes)  # r(k)
-    res = dlam - (lam[blk][:, None] - lam) * dln
-    return float(np.max(np.abs(res)))
+    res = dlam - (lam[:, blk, None] - lam[:, None]) * dln
+    return _result(np.max(np.abs(res), axis=(1, 2)), one)
 
 
 def block_levi_civita_residual(sys: TwistedSystem, point) -> dict:
@@ -746,28 +758,28 @@ def block_levi_civita_residual(sys: TwistedSystem, point) -> dict:
     potential_residual: the same combination with alpha^m replaced by
     the assembled potential V = alpha^m V_m.
     """
-    at = _position_jet(sys, point)
+    at, one = _positions(sys, point)
     tw = at.twist
-    alpha, dalpha, d2alpha = tw.alpha, tw.dmatrix[:, 0], tw.d2alpha
+    alpha, dalpha, d2alpha = tw.alpha, tw.dmatrix[:, :, 0], tw.d2alpha
     blk = np.repeat(np.arange(sys.n), sys.structure.sizes)  # r(k)
     cross = blk[:, None] != blk  # pairs (k, l) in different blocks
     # the coefficients at (k, l): alpha^r alpha^s, alpha^r d_k alpha^s
     # and alpha^s d_l alpha^r
-    a_r = alpha[blk]
-    both = a_r[:, None] * a_r
-    r_ks = a_r[:, None] * dalpha[:, blk]
-    s_lr = a_r * dalpha[:, blk].T
-    metric = (both[..., None] * d2alpha - r_ks[..., None] * dalpha
-              - s_lr[..., None] * dalpha[:, None])
+    a_r = alpha[:, blk]
+    both = a_r[:, :, None] * a_r[:, None]
+    r_ks = a_r[:, :, None] * dalpha[:, :, blk]
+    s_lr = a_r[:, None] * dalpha[:, :, blk].transpose(0, 2, 1)
+    metric = (both[..., None] * d2alpha - r_ks[..., None] * dalpha[:, None]
+              - s_lr[..., None] * dalpha[:, :, None])
     dV = _dots(dalpha, at.V) + _dots(at.dV, alpha)
-    cross_dV = dalpha @ at.dV.T  # [k, l] = d_k alpha . d_l V_m
-    d2V = (_dots(d2alpha, at.V) + cross_dV + cross_dV.T
+    cross_dV = dalpha @ at.dV.transpose(0, 2, 1)  # d_k alpha . d_l V_m
+    d2V = (_dots(d2alpha, at.V) + cross_dV + cross_dV.transpose(0, 2, 1)
            + _dots(at.d2V, alpha))
-    potential = both * d2V - r_ks * dV - s_lr * dV[:, None]
-    return {"metric_residual":
-            float(np.max(np.abs(metric[cross]), initial=0.0)),
-            "potential_residual":
-            float(np.max(np.abs(potential[cross]), initial=0.0))}
+    potential = both * d2V - r_ks * dV[:, None] - s_lr * dV[:, :, None]
+    return {"metric_residual": _result(np.max(
+                np.abs(metric[:, cross]), axis=(1, 2), initial=0.0), one),
+            "potential_residual": _result(np.max(
+                np.abs(potential[:, cross]), axis=1, initial=0.0), one)}
 
 
 def characteristic_condition(T: TensorField2, V, g: MetricField,
@@ -858,9 +870,7 @@ def first_integral_scalar(sys: TwistedSystem, a: int) -> PhaseScalar:
     """The a-th quadratic integral as a phase-space scalar:
     (1/2) k_a^ij p_i p_j + W_a with k_a block-diagonal from the inverse
     separation row and W_a the same row applied to the potentials."""
-    if not 1 <= a <= sys.n:
-        raise _model.BlockIndexError(
-            f"integral index {a} out of range 1..{sys.n}")
+    _check_integral(sys, a)
     row = symbolic_inverse_row(sys.stackel, a)
     names = sys.structure.names
     grid = _block_diagonal(sys, row)

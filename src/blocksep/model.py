@@ -12,7 +12,7 @@ blocks into the single Hamiltonian
 and the remaining rows of S^{-1} give the companion first integrals
 K_a.  Everything downstream (the fields, clocks, integrals, eigenvalue
 and curvature residuals) is built from the values and the first two
-derivatives of S^{-1}.  They are computed in one place, :func:`twist`,
+derivatives of S^{-1}.  They are computed in one place, :class:`Twist`,
 analytically from exact derivatives of S (the compiled jets of
 :class:`SystemJet`) via d(S^{-1}) = -S^{-1} (dS) S^{-1}, whose row 0
 is d(alpha); only the generated vector fields of :class:`SystemJet`
@@ -259,11 +259,11 @@ class TwistedSystem:
 class _GridJet:
     """A compiled jet of an expression list over coordinates (and fixed
     parameters after them): the one adapter from the flat tuple of
-    values and partials of :func:`expr.compile` to arrays.  Called with
-    the coordinate values, then the parameter values, it returns the
-    values (m,), the first partials (n, m) and, at order 2, the second
-    partials (n, n, m).  :meth:`stack` takes rows of such arguments and
-    returns the same arrays with a leading row axis."""
+    values and partials of :func:`expr.compile` to arrays.
+    :meth:`stack` takes rows of arguments, the coordinate values and
+    then the parameter values, and returns at each row p the values
+    (p, m), the first partials (p, n, m) and, at order 2, the second
+    partials (p, n, n, m)."""
 
     def __init__(self, exprs, coords, params=(), order=1):
         n, m = len(coords), len(exprs)
@@ -277,34 +277,29 @@ class _GridJet:
             self.pair = np.empty((n, n), dtype=int)
             self.pair[i, j] = self.pair[j, i] = np.arange(len(i))
 
-    def __call__(self, args):
-        return self._split(np.array(self.fn(*args)))
-
     def stack(self, rows):
         """The jet at each row of arguments (lists of floats), one call
         of the compiled function per row, so that each row's values are
-        those of :meth:`__call__` and an error is raised by its row."""
-        return self._split(np.array([self.fn(*row) for row in rows]))
-
-    def _split(self, out):
+        its own and an error is raised by its row."""
         m, n = self.m, self.n
-        lead = out.shape[:-1]
-        first = out[..., m:m + n * m].reshape(lead + (n, m))
+        out = np.array([self.fn(*row) for row in rows])
+        first = out[:, m:m + n * m].reshape(-1, n, m)
         if self.pair is None:
-            return out[..., :m], first
-        second = out[..., m + n * m:].reshape(lead + (-1, m))
-        return out[..., :m], first, second[..., self.pair, :]
+            return out[:, :m], first
+        second = out[:, m + n * m:].reshape(len(out), -1, m)
+        return out[:, :m], first, second[:, self.pair, :]
 
 
 @dataclass(frozen=True)
 class PositionJet:
     """S and the block potentials V_r with their first and second
-    partials at the positions q, along all N coordinates: S[r, a],
-    dS[k, r, a] = d_k S[r, a], d2S[k, l, r, a], V[r], dV[k, r],
-    d2V[k, l, r], views of one :class:`_GridJet` result.  ``twist`` is
-    the :class:`Twist` made from S and its partials, once per point."""
+    partials at each point p of a stack of positions qs, along all N
+    coordinates: S[p, r, a], dS[p, k, r, a] = d_k S[r, a],
+    d2S[p, k, l, r, a], V[p, r], dV[p, k, r], d2V[p, k, l, r], views of
+    one :class:`_GridJet` result.  ``twist`` is the :class:`Twist` of
+    the stack, its S inverted by :func:`invert_stack`, made once."""
 
-    q: tuple
+    qs: list
     S: np.ndarray
     dS: np.ndarray
     d2S: np.ndarray
@@ -314,7 +309,7 @@ class PositionJet:
 
     @cached_property
     def twist(self) -> "Twist":
-        return twist(self.S, self.dS, self.d2S, point=self.q)
+        return Twist(invert_stack(self.S, self.qs), dS=self.dS, d2S=self.d2S)
 
 
 class SystemJet:
@@ -324,7 +319,8 @@ class SystemJet:
     the system at a point runs on them: the fields, the clocks, the
     integrals of :func:`hamiltonian` and its kin, and the system
     residuals of :mod:`geometry`.  Only :func:`build_system`'s probe
-    checks walk the expression trees.
+    checks and the Jacobians of :mod:`catalog`'s transform stages walk
+    the expression trees.
 
     ``field`` is the Hamiltonian field of H = alpha^r H_r, one
     straight-line function of the state (the N positions, the N momenta
@@ -339,7 +335,7 @@ class SystemJet:
     ``twist(q)`` is the :class:`Twist` at the positions q; when no
     entry of S mentions a coordinate it is ``constant_twist``, taken
     once, and the field has it written in.
-    ``positions`` takes the N positions and returns a
+    ``positions`` takes rows of the N positions and returns a
     :class:`PositionJet`, from one order-2 :class:`_GridJet` over the
     entries of S and the potentials.
     """
@@ -347,7 +343,6 @@ class SystemJet:
     def __init__(self, sys: TwistedSystem):
         self._sys = sys
         self._reduced = {}
-        self._last = None
 
     def _phase(self, r: int):
         """Block r's phase names and its energy H_r as an expression in
@@ -466,25 +461,19 @@ class SystemJet:
                         + [blk.potential for blk in sys.blocks],
                         sys.structure.names, order=2)
 
-    def positions(self, q) -> PositionJet:
-        """S, V and their partials up to second order at the positions
-        q, from one call of one order-2 jet over the n*n entries of S and
-        the n potentials, along all N coordinates.  The partials along a
-        coordinate an entry does not mention are exact 0.0.  The last
-        result is kept, since the residual battery asks for each probe
-        point several times; its arrays must not be written to."""
-        q = tuple(q)
-        if self._last is not None and self._last[0] == q:
-            return self._last[1]
+    def positions(self, qs) -> PositionJet:
+        """S, V and their partials up to second order at each row of
+        positions qs (lists of N floats), from one :meth:`_GridJet.stack`
+        of one order-2 jet over the n*n entries of S and the n
+        potentials, along all N coordinates.  The partials along a
+        coordinate an entry does not mention are exact 0.0."""
         n = self._sys.n
         nn = n * n
-        jet = self._positions(q)
+        jet = self._positions.stack(qs)
         S, dS, d2S = (a[..., :nn].reshape(a.shape[:-1] + (n, n))
                       for a in jet)
         V, dV, d2V = (a[..., nn:] for a in jet)
-        out = PositionJet(q, S, dS, d2S, V, dV, d2V)
-        self._last = (q, out)
-        return out
+        return PositionJet(qs, S, dS, d2S, V, dV, d2V)
 
 
 def _field_function(exprs, names, weights, head=(), rate=None, params="",
@@ -612,8 +601,8 @@ def _norm1(rows) -> float:
 
 
 def invert_with_condition(S: np.ndarray, point=None):
-    """LU inverse with a 1-norm condition estimate: the one place a
-    separation matrix is inverted.
+    """LU inverse with a 1-norm condition estimate of one separation
+    matrix; :func:`invert_stack` inverts a stack behind the same gate.
 
     Returns (M, cond, warning).  cond above COND_ERROR raises; above
     COND_WARN the warning string is returned for attachment to results.
@@ -660,21 +649,23 @@ def invert_stack(S: np.ndarray, points) -> np.ndarray:
 
 
 class Twist:
-    """S^{-1} at a point, behind the condition gate of
-    :func:`invert_with_condition`, with the partials of the twist that
-    the residuals read (the generated field of :class:`SystemJet`
-    writes out its own d_k alpha on floats, from the same gated
-    inverse).  Row a-1 of ``matrix`` holds the coefficients combining
-    the block energies into K_a; row 0 is the twist vector ``alpha``.
-    Made by :func:`twist`.  The partials need the partials of S, and
-    each is computed on first use:
+    """S^{-1} at a point, or at each point of a stack, behind the
+    condition gate of :func:`invert_with_condition`, with the partials
+    of the twist that the residuals read (the generated field of
+    :class:`SystemJet` writes out its own d_k alpha on floats, from the
+    same gated inverse).  Row a-1 of ``matrix`` holds the coefficients
+    combining the block energies into K_a; row 0 is the twist vector
+    ``alpha``.  A stack puts its point axis first, and has no ``cond``
+    or ``warning``.  The partials need the partials of S, and each is
+    computed on first use:
 
-    * ``dmatrix[k]`` = d_k(S^{-1}) = -S^{-1} (d_k S) S^{-1}, whose row 0
-      ``dmatrix[k, 0]`` is d_k alpha;
-    * ``d2alpha[k, l]`` = d_k d_l alpha, over every pair of coordinates.
+    * ``dmatrix[..., k, :, :]`` = d_k(S^{-1}) = -S^{-1} (d_k S) S^{-1},
+      whose row 0 ``dmatrix[..., k, 0, :]`` is d_k alpha;
+    * ``d2alpha[..., k, l, :]`` = d_k d_l alpha, over every pair of
+      coordinates.
     """
 
-    def __init__(self, matrix: np.ndarray, cond: float,
+    def __init__(self, matrix: np.ndarray, cond: float | None = None,
                  warning: str | None = None, dS=None, d2S=None):
         self.matrix = matrix
         self.cond = cond
@@ -682,33 +673,32 @@ class Twist:
         self._dS = dS
         self._d2S = d2S
 
-    def __getitem__(self, idx):
-        return self.matrix[idx]
-
     @property
     def alpha(self) -> np.ndarray:
-        return self.matrix[0]
+        return self.matrix[..., 0, :]
 
     @cached_property
     def dmatrix(self) -> np.ndarray:
-        return inverse_derivative(self.matrix, self._dS)
+        return inverse_derivative(self.matrix[..., None, :, :], self._dS)
 
     @cached_property
     def d2alpha(self) -> np.ndarray:
         # alpha (dS_k M dS_l + dS_l M dS_k - d2S_kl) M, with M = S^{-1}
-        M, dS = self.matrix, self._dS
-        pairs = dS[:, None] @ M @ dS  # [k, l] = dS_k M dS_l
-        return (self.alpha @ (pairs + pairs.transpose(1, 0, 2, 3)
-                              - self._d2S)) @ M
+        M, dS = self.matrix[..., None, :, :], self._dS
+        # [..., k, l, :, :] = dS_k M dS_l
+        pairs = (dS[..., :, None, :, :] @ M[..., None, :, :]
+                 @ dS[..., None, :, :, :])
+        rows = (self.alpha[..., None, None, None, :]
+                @ (pairs + pairs.swapaxes(-4, -3) - self._d2S))
+        return rows[..., 0, :] @ M
 
 
-def twist(S: np.ndarray, dS=None, d2S=None, point=None) -> Twist:
-    """The :class:`Twist` of the separation matrix values S, given with
-    its stacked partials dS[k] = d_k S and d2S[k, l] = d_k d_l S when
-    the twist's partials are wanted.  Past ``COND_ERROR`` it raises
-    :class:`SingularMatrixError`, naming ``point``."""
+def twist(S: np.ndarray, point=None) -> Twist:
+    """The :class:`Twist` of the separation matrix values S.  Past
+    ``COND_ERROR`` it raises :class:`SingularMatrixError`, naming
+    ``point``."""
     M, cond, warning = invert_with_condition(S, point=point)
-    return Twist(M, cond, warning, dS, d2S)
+    return Twist(M, cond, warning)
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def test_dense_output_against_closed_form():
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12)
     traj = integrate(oscillator_rhs, [1.0, 0.0], (0.0, 2 * math.pi), cfg)
     ts = np.linspace(0.0, 2 * math.pi, 1000)
-    states = traj.sample_many(ts)
+    states = traj.sample(ts)
     exact = np.stack([np.cos(ts), -np.sin(ts)], axis=1)
     assert np.max(np.abs(states - exact)) <= 1e-8
 
@@ -318,7 +318,7 @@ def test_orbit_matches_scipy_dop853(name):
     traj = integrate(field, y0, (0.0, 30.0),
                      IntegratorConfig(rtol=1e-10, atol=1e-12))
     ts = np.linspace(0.0, 30.0, 3001)
-    assert np.max(np.abs(traj.sample_many(ts) - ref.sol(ts).T)) <= 1e-8
+    assert np.max(np.abs(traj.sample(ts) - ref.sol(ts).T)) <= 1e-8
 
 
 def test_field_failure_in_a_dense_output_stage_rejects_the_step():
@@ -339,7 +339,7 @@ def test_field_failure_in_a_dense_output_stage_rejects_the_step():
     assert traj.ts[1] < calls[13]  # shorter than the rejected step
     ts = np.linspace(0.0, 2.0, 101)
     exact = np.stack([np.cos(ts), -np.sin(ts)], axis=1)
-    assert np.max(np.abs(traj.sample_many(ts) - exact)) <= 1e-8
+    assert np.max(np.abs(traj.sample(ts) - exact)) <= 1e-8
 
 
 def test_rates_are_the_field_at_the_nodes_and_the_derivative_between():
@@ -675,7 +675,7 @@ def test_twisted_oscillator_closed_form():
     traj = integrate(full_field_callable(sys),
                      np.concatenate([q0, p0]), (0.0, math.pi), cfg)
     ts = np.linspace(0.0, math.pi, 200)
-    states = traj.sample_many(ts)
+    states = traj.sample(ts)
     sup = 0.0
     for i in range(2):
         qe = (q0[i] * np.cos(Omega[i] * ts)
@@ -853,7 +853,7 @@ def test_sign_scan_finds_an_excursion_shorter_than_a_step():
     fine = integrate(full_field_callable(sys), y0, (0.0, 30.0),
                      IntegratorConfig(rtol=1e-13, atol=1e-15))
     ts = np.linspace(0.0, 30.0, 100_000)
-    inside = np.flatnonzero(np.abs(fine.sample_many(ts)[:, 0] - 5.0) < 0.05)
+    inside = np.flatnonzero(np.abs(fine.sample(ts)[:, 0] - 5.0) < 0.05)
     lo, hi = float(ts[inside[0] - 1]), float(ts[inside[0]])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -960,8 +960,8 @@ def test_block_clock_reads_its_orbit_column(pendula, monkeypatch):
         assert clock.trajectory is traj and clock.column == 2 * N + r - 1
         for t in ts:
             assert clock.tau(float(t)) == traj.sample(float(t))[2 * N + r - 1]
-        assert np.array_equal(clock.tau_many(ts),
-                              traj.sample_many(ts)[:, 2 * N + r - 1])
+        assert np.array_equal(clock.tau(ts),
+                              traj.sample(ts)[:, 2 * N + r - 1])
         assert clock.tau(0.0) == 0.0
 
 
@@ -980,8 +980,8 @@ def test_clock_of_a_phase_orbit_is_the_run_with_clocks(name):
     ts = np.linspace(0.0, 4.0, 41)
     for r in range(1, sys.n + 1):
         clock = block_clock(sys, phase, r)
-        assert np.array_equal(clock.tau_many(ts),
-                              run.sample_many(ts)[:, 2 * N + r - 1])
+        assert np.array_equal(clock.tau(ts),
+                              run.sample(ts)[:, 2 * N + r - 1])
 
 
 def test_compare_integrates_twice(pendula, monkeypatch):
@@ -1004,7 +1004,7 @@ def test_coarse_clocks_follow_the_fine_orbit():
         traj = integrate(full_field_callable(sys),
                          entry.initial_point.as_array(), (0.0, 30.0),
                          IntegratorConfig(rtol=rtol, atol=atol))
-        return [block_clock(sys, traj, r).tau_many(ts)
+        return [block_clock(sys, traj, r).tau(ts)
                 for r in range(1, sys.n + 1)]
 
     for coarse, fine in zip(clocks(1e-6, 1e-8), clocks(1e-12, 1e-14)):

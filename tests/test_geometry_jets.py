@@ -276,17 +276,18 @@ def test_positions_equal_tree_walker_entry_for_entry(name):
     names = sys_.structure.names
     S = sys_.stackel.entries
     V = [[blk.potential] for blk in sys_.blocks]
-    for q in entry.sample(20, 7):
-        env = dict(zip(names, map(float, q)))
-        at = sys_.jet.positions(q)
+    qs = [list(map(float, q)) for q in entry.sample(20, 7)]
+    at = sys_.jet.positions(qs)
+    for p, q in enumerate(qs):
+        env = dict(zip(names, q))
         pairs = ((at.S, values(S, env)), (at.dS, firsts(S, names, env)),
                  (at.d2S, seconds(S, names, env)),
                  (at.V, values(V, env)[:, 0]),
                  (at.dV, firsts(V, names, env)[..., 0]),
                  (at.d2V, seconds(V, names, env)[..., 0]))
         for got, want in pairs:
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
+            assert got[p].shape == want.shape
+            assert np.array_equal(got[p], want)
 
 
 @pytest.mark.parametrize("name", DYNAMIC + ("corrupted pendula",))

@@ -69,7 +69,7 @@ def test_array_sample_equals_per_time_sample(span):
     want = one_by_one(traj, ts)
     assert np.array_equal(traj.sample(ts), want)
     assert np.array_equal([traj.sample(float(t)) for t in ts], want)
-    assert np.array_equal(traj.sample_many(ts.tolist()), want)
+    assert np.array_equal(traj.sample(ts.tolist()), want)
     assert traj.sample(ts[:0]).shape == (0, traj.dim)
 
 

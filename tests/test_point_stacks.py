@@ -2,8 +2,10 @@
 
 A stack of points runs the same chain as one point, so every stacked
 result must equal, bit for bit, the results of the points taken one at
-a time, on the e3 families (1,000 points) and on calogero4's Cartesian
-reference (100 points).  One point keeps its own shape.  A stack that
+a time, on the e3 families (1,000 points), on calogero4's Cartesian
+reference (100 points) and, for the brackets and the system residuals,
+at the 100 verify probes of each dynamical system and of a corrupted
+one.  One point keeps its own shape.  A stack that
 fails at one point raises that point's error, and the CLI names that
 point.  Sampling draws its candidates in blocks and must accept the
 same points as drawing one candidate at a time.
@@ -15,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from blocksep import catalog, cli, expr
+from blocksep import catalog, cli, expr, model
 from blocksep import geometry as geo
 
 FAMILIES = ("e3-case-i", "e3-case-ii")
@@ -86,6 +88,49 @@ def test_flat_battery_stacks_equal_points(cartesian):
                       pts))
 
 
+SYSTEMS = ("pendula", "oscillators", "calogero4", "corrupted pendula")
+
+
+def verify_probes(name):
+    """A system and the positions and phase points of its default verify
+    probes (seed 1234, 100 points); "corrupted pendula" has S[1][1]
+    overwritten with a foreign coordinate, as ``corrupt`` does."""
+    entry = catalog.load(name.split()[-1])
+    sys_ = entry.system
+    if name.startswith("corrupted"):
+        sys_ = cli._corrupted(sys_, (1, 1, "2+0.1*q2"))
+    qs = entry.sample(100, 1234)
+    ps = np.random.default_rng(1235).uniform(-1.0, 1.0, (100, sys_.dim))
+    return sys_, qs, [model.PhasePoint(q, tuple(p)) for q, p in zip(qs, ps)]
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_system_residual_stacks_equal_points(name):
+    sys_, qs, probes = verify_probes(name)
+    n = sys_.n
+    scalars = [geo.first_integral_scalar(sys_, a) for a in range(1, n + 1)]
+    for F in scalars:
+        for G in scalars:
+            same(geo.poisson_bracket(F, G, probes),
+                 each(lambda P: geo.poisson_bracket(F, G, P), probes))
+    for a in range(1, n + 1):
+        same(geo.block_eisenhart_residual(sys_, a, qs),
+             each(lambda q: geo.block_eisenhart_residual(sys_, a, q), qs))
+        same(geo.block_eigenvalues(sys_, a, qs),
+             each(lambda q: geo.block_eigenvalues(sys_, a, q), qs))
+    stacked = geo.block_levi_civita_residual(sys_, qs)
+    for key, values in stacked.items():
+        same(values, each(lambda q: geo.block_levi_civita_residual(sys_, q)
+                          [key], qs))
+    # one point keeps its own shape
+    assert type(geo.poisson_bracket(scalars[0], scalars[-1], probes[0])) \
+        is float
+    assert type(geo.block_eisenhart_residual(sys_, n, qs[0])) is float
+    assert geo.block_eigenvalues(sys_, n, qs[0]).shape == (n,)
+    assert all(type(v) is float
+               for v in geo.block_levi_civita_residual(sys_, qs[0]).values())
+
+
 def test_one_point_keeps_its_shape(cartesian):
     flat, pts, V, tensors = cartesian
     K = tensors[0]
@@ -118,26 +163,43 @@ LN_METRIC = [["1+ln(x)", "0"], ["0", "1"]]  # a domain error where x <= 0
 DEGENERATE = [["x", "0"], ["0", "1"]]       # singular where x = 0
 
 
-@pytest.mark.parametrize("grid, error, message", [
-    (LN_METRIC, expr.DomainError, "ln"),
-    (DEGENERATE, geo.DegenerateMetricError, "metric degenerate"),
-], ids=["domain-error", "degenerate"])
-def test_failing_third_point_is_named(grid, error, message):
+def riemann_of(grid):
     g = geo.MetricField.from_expressions(("x", "y"), grid)
+    return lambda qs: geo.riemann(g, qs)
+
+
+def eisenhart_of(row):
+    """The eigenvalue gradient of K_2 for two one-coordinate blocks, x
+    and y, whose separation matrix has the given first row."""
+    sys_ = model.build_system(
+        model.BlockStructure((1, 1), (("x",), ("y",))),
+        model.StackelMatrix([row, ["0", "1"]]),
+        [model.NaturalBlock([["1"]], "0")] * 2)
+    return lambda qs: geo.block_eisenhart_residual(sys_, 2, qs)
+
+
+@pytest.mark.parametrize("check, fn, error, message", [
+    ("riemann max-norm", riemann_of(LN_METRIC), expr.DomainError, "ln"),
+    ("riemann max-norm", riemann_of(DEGENERATE), geo.DegenerateMetricError,
+     "metric degenerate"),
+    # S = [[x, 1], [0, 1]] is singular where x = 0
+    ("eigenvalue-gradient K_2", eisenhart_of(["x", "1"]),
+     model.SingularMatrixError, "matrix is singular"),
+], ids=["domain-error", "degenerate", "singular-twist"])
+def test_failing_third_point_is_named(check, fn, error, message):
     pts = [(0.5, 0.1), (0.7, -0.2), (0.0, 0.3), (-0.4, 0.0), (0.6, 0.6)]
     with pytest.raises(error, match=message) as alone:
-        geo.riemann(g, pts[2])
+        fn(pts[2])
     # the stack raises the third point's error, type and message
     with pytest.raises(error) as stacked:
-        geo.riemann(g, pts)
+        fn(pts)
     assert str(stacked.value) == str(alone.value)
     # and the check names the third point
     with pytest.raises(cli.ProbeError) as named:
-        cli._blocked("riemann max-norm", pts,
-                     lambda qs: geo.riemann(g, qs))
+        cli._blocked(check, pts, fn)
     assert named.value.point == pts[2]
     assert type(named.value.error) is error
-    assert str(named.value) == (f"{alone.value} (in check riemann max-norm "
+    assert str(named.value) == (f"{alone.value} (in check {check} "
                                 f"at q={pts[2]})")
 
 
