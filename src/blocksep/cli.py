@@ -161,13 +161,6 @@ def write_polyline_svg(path: str, series, title: str, xlabel: str,
     all_y = [float(v) for _, _, ys in series for v in ys]
     x0, x1 = _bounds(all_x)
     y0, y1 = _bounds(all_y)
-
-    def sx(x):
-        return left + (x - x0) / (x1 - x0) * (right - left)
-
-    def sy(y):
-        return bottom - (y - y0) / (y1 - y0) * (bottom - top)
-
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" '
            f'width="{width}" height="{height}" '
            f'viewBox="0 0 {width} {height}">',
@@ -193,8 +186,12 @@ def write_polyline_svg(path: str, series, title: str, xlabel: str,
            f'font-size="10">{y1:.4g}</text>']
     for k, (label, xs, ys) in enumerate(series):
         color = _COLORS[k % len(_COLORS)]
-        pts = " ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}"
-                       for x, y in zip(xs, ys))
+        # canvas coordinates, one array expression per axis
+        cx = (left + (np.asarray(xs, dtype=float) - x0) / (x1 - x0)
+              * (right - left)).tolist()
+        cy = (bottom - (np.asarray(ys, dtype=float) - y0) / (y1 - y0)
+              * (bottom - top)).tolist()
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(cx, cy))
         out.append(f'<polyline points="{pts}" fill="none" '
                    f'stroke="{color}" stroke-width="1.2"/>')
         out.append(f'<text x="{right - 8}" y="{top + 16 + 14 * k}" '

@@ -7,10 +7,12 @@ error norm |h| s5 / sqrt((s5 + 0.01 s3) d) of its 5th- and 3rd-order
 estimates, and 3 more stages per accepted step for its 7th-order dense
 output.  A PI controller (order-8 exponents, safety 0.9, step-ratio
 clip [0.2, 5]) picks the steps.  The step is generated from the
-tableau as straight-line code on lists of floats.  Dense output is what
-makes the orbit comparison work: the full system acts as the master
-clock, and the reduced orbit is sampled at the rescaled times tau_r(t)
-without ever inverting the clock map.
+tableau as straight-line code on lists of floats: a field takes the
+state as such a list and returns a sequence of floats, the generated
+fields a tuple.  Dense output is what makes the orbit comparison work:
+the full system acts as the master clock, and the reduced orbit is
+sampled at the rescaled times tau_r(t) without ever inverting the clock
+map.
 
 The vector fields are the straight-line functions that
 :class:`model.SystemJet` generates for each system the first time a
@@ -437,16 +439,18 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
               = None) -> Trajectory:
     """Integrate y' = field(t, y) over t_span with adaptive DOP853.
 
-    The field takes the state as an ndarray and returns an array-like;
-    the step itself runs on lists of floats.  The error of a step of
-    size h is |h| s5 / sqrt((s5 + 0.01 s3) d) for a state of d
+    The field takes the state as the list of floats the step runs on
+    and returns a sequence of floats: a tuple or list is used as it is,
+    anything else is converted once by ``np.asarray``.  The error of a
+    step of size h is |h| s5 / sqrt((s5 + 0.01 s3) d) for a state of d
     components (:func:`_dop853`), and a step is accepted when it is at
     most 1.
 
     Raises :class:`DynamicsError` unless atol > 0 and rtol >= 0, both
-    finite, and :class:`IntegrationError` on step underflow or when the
-    field fails to evaluate (for example on hitting the singular set of
-    the separation matrix); the error carries the partial trajectory.
+    finite, or when the field at y0 is not of y0's length, and
+    :class:`IntegrationError` on step underflow or when the field fails
+    to evaluate (for example on hitting the singular set of the
+    separation matrix); the error carries the partial trajectory.
     """
     cfg = config or IntegratorConfig()
     atol, rtol = cfg.atol, cfg.rtol
@@ -468,9 +472,11 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
         nonlocal nfev
         nfev += 1
         try:
-            out = field(t, np.array(yv))
+            out = field(t, yv)
         except (_expr.ExprError, ModelError) as ex:
             raise _FieldFailure(str(ex)) from ex
+        if isinstance(out, (tuple, list)):
+            return out
         return np.asarray(out, dtype=float).tolist()
 
     ts = [t0]
@@ -490,11 +496,14 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
         raise IntegrationError(
             f"field evaluation failed at the initial state: {ff}",
             t0, y, None) from None
+    if len(k1) != len(y):
+        raise DynamicsError(f"the field returned {len(k1)} components for "
+                            f"a state of {len(y)}")
     if not all(map(math.isfinite, k1)):
         raise IntegrationError("field not finite at the initial state",
                                t0, y, None)
 
-    h = _initial_step(f, t0, np.array(y), np.array(k1), direction, cfg, span)
+    h = _initial_step(f, t0, y, k1, direction, cfg, span)
     t = t0
     err_prev = 1e-4
 
@@ -560,13 +569,15 @@ def _error_norm(error_sums, h, y, y1, kept, atol, rtol):
 
 
 def _initial_step(f, t0, y0, f0, direction, cfg, span):
+    y0, f0 = np.array(y0), np.array(f0)
     scale = cfg.atol + cfg.rtol * np.abs(y0)
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     try:
-        f1 = np.array(f(t0 + h0 * direction, y0 + h0 * direction * f0))
+        f1 = np.array(f(t0 + h0 * direction,
+                        (y0 + h0 * direction * f0).tolist()))
         d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
     except _FieldFailure:
         d2 = math.inf
@@ -585,18 +596,25 @@ def _initial_step(f, t0, y0, f0, direction, cfg, span):
 
 def full_field(sys: TwistedSystem, point: PhasePoint) -> np.ndarray:
     """Hamiltonian vector field of H = alpha^r H_r: (dq/dt, dp/dt)."""
-    return sys.jet.field(list(point.q + point.p))
+    return np.array(sys.jet.field(list(point.q + point.p)))
+
+
+def _rhs(kernel, *params) -> Callable:
+    """The (t, y) -> y' closure of a field kernel, for integrate: a list
+    goes straight to the kernel and its tuple comes back; an ndarray
+    gives an ndarray."""
+    def rhs(t, y):
+        if isinstance(y, np.ndarray):
+            return np.array(kernel(y.tolist(), *params))
+        return kernel(y, *params)
+
+    return rhs
 
 
 def full_field_callable(sys: TwistedSystem) -> Callable:
     """(t, y) -> y' closure over the full phase space and any block
     clocks, for integrate."""
-    kernel = sys.jet.field  # generated now, not inside the first step
-
-    def rhs(t, y):
-        return kernel(np.asarray(y, dtype=float).tolist())
-
-    return rhs
+    return _rhs(sys.jet.field)  # generated now, not inside the first step
 
 
 def reduced_field(sys: TwistedSystem, r: int, c: Sequence[float],
@@ -605,17 +623,13 @@ def reduced_field(sys: TwistedSystem, r: int, c: Sequence[float],
     H_r - c_a S[r][a] on the block-r phase space.  ``point`` holds the
     block slice only (n_r positions and momenta)."""
     c = _model._reduced_constants(sys, r, c).tolist()
-    return sys.jet.reduced(r)(list(point.q + point.p), c)
+    return np.array(sys.jet.reduced(r)(list(point.q + point.p), c))
 
 
 def reduced_field_callable(sys: TwistedSystem, r: int, c) -> Callable:
     c = _model._reduced_constants(sys, r, c).tolist()
-    kernel = sys.jet.reduced(r)  # generated now, not inside the first step
-
-    def rhs(t, y):
-        return kernel(np.asarray(y, dtype=float).tolist(), c)
-
-    return rhs
+    # the kernel is generated now, not inside the first step
+    return _rhs(sys.jet.reduced(r), c)
 
 
 # ---------------------------------------------------------------------------

@@ -324,7 +324,7 @@ class SystemJet:
 
     ``field`` is the Hamiltonian field of H = alpha^r H_r, one
     straight-line function of the state (the N positions, the N momenta
-    and up to n clocks tau_r, a list) returning the array (dH/dp,
+    and up to n clocks tau_r, a list) returning the tuple (dH/dp,
     -dH/dq) and one rate d(tau_r)/dt = alpha^r per clock.
     ``reduced(r)`` is the field of block r's reduced Hamiltonian
     H_r - c_a S[r][a], a function of block r's phase point and of the
@@ -481,7 +481,7 @@ def _field_function(exprs, names, weights, head=(), rate=None, params="",
     """Generate the Hamiltonian field of F = sum_i w_i exprs[i] as one
     straight-line function ``_field(y<params>)`` of the state y, a list
     of floats over ``names`` (m positions, then m momenta) and then up
-    to ``len(clocks)`` clocks, that returns the array (dF/dp, -dF/dq)
+    to ``len(clocks)`` clocks, that returns the tuple (dF/dp, -dF/dq)
     followed by one rate, the source text ``clocks[j]``, per clock.
 
     It calls the first-order jet of ``exprs`` once, binding its tuple to
@@ -507,9 +507,9 @@ def _field_function(exprs, names, weights, head=(), rate=None, params="",
         if term is not None:
             terms.append(term)
         lines.append(f"g{k} = {' + '.join(terms) or '0.0'}")
-    lines.append("return _array(" + _tuple(
+    lines.append("return " + _tuple(
         [f"g{k}" for k in range(m, 2 * m)] + [f"-g{k}" for k in range(m)]
-        + list(clocks)) + "[:len(y)])")
+        + list(clocks)) + "[:len(y)]")
     code = f"def _field(y{params}):\n" + "".join(f"    {line}\n"
                                                  for line in lines)
     namespace = {"_jet": jet, "_array": np.array,

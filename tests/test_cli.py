@@ -250,6 +250,25 @@ def test_svg_writer_structure(tmp_path):
     assert "<polyline" in open(path).read()
 
 
+def test_svg_points_match_the_per_point_mapping(tmp_path):
+    # the array mapping must round as the point-by-point one, on lists
+    # and on arrays alike
+    rng = np.random.default_rng(3)
+    series = [("a", rng.normal(0.0, 3.0, 200), rng.normal(1.0, 1e-3, 200)),
+              ("b", rng.uniform(-7.0, 2.0, 50).tolist(),
+               rng.uniform(-1.0, 1.0, 50).tolist())]
+    path = str(tmp_path / "plot.svg")
+    cli.write_polyline_svg(path, series, "t", "x", "y")
+    x0, x1 = cli._bounds([float(v) for _, xs, _ in series for v in xs])
+    y0, y1 = cli._bounds([float(v) for _, _, ys in series for v in ys])
+    want = [" ".join(f"{64 + (float(x) - x0) / (x1 - x0) * (620 - 64):.2f},"
+                     f"{430 - (float(y) - y0) / (y1 - y0) * (430 - 44):.2f}"
+                     for x, y in zip(xs, ys)) for _, xs, ys in series]
+    got = [line.split('points="')[1].split('"')[0]
+           for line in open(path).read().splitlines() if "<polyline" in line]
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # commands
 

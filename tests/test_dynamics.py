@@ -204,7 +204,7 @@ def test_invalid_tolerances_rejected_before_any_field_call(atol, rtol):
 @settings(max_examples=20, deadline=None)
 @given(st.floats(min_value=-2.0, max_value=0.5))
 def test_linear_decay_closed_form(lam):
-    traj = integrate(lambda t, y: lam * y, [1.0], (0.0, 3.0),
+    traj = integrate(lambda t, y: lam * np.asarray(y), [1.0], (0.0, 3.0),
                      IntegratorConfig(rtol=1e-9, atol=1e-12))
     exact = math.exp(3.0 * lam)
     assert abs(traj.ys[-1][0] - exact) <= 1e-7 * max(1.0, exact)
@@ -213,7 +213,7 @@ def test_linear_decay_closed_form(lam):
 def test_blowup_reports_last_good_time():
     # y' = y^2 from y(0)=1 blows up at t=1
     with pytest.raises(IntegrationError) as exc:
-        integrate(lambda t, y: y * y, [1.0], (0.0, 2.0),
+        integrate(lambda t, y: np.asarray(y) ** 2, [1.0], (0.0, 2.0),
                   IntegratorConfig(rtol=1e-6, atol=1e-9))
     err = exc.value
     assert "underflow" in err.reason
@@ -266,6 +266,14 @@ def test_nonfinite_initial_field():
         integrate(lambda t, y: np.array([math.nan]), [1.0], (0.0, 1.0))
 
 
+@pytest.mark.parametrize("out", [[1.0], [1.0, 0.0, 2.0]])
+def test_field_of_the_wrong_length_is_named(out):
+    # the stages' zip used to shrink the state to the shorter field
+    with pytest.raises(DynamicsError,
+                       match=f"returned {len(out)} components .* of 2"):
+        integrate(lambda t, y: np.array(out), [1.0, 0.0], (0.0, 1.0))
+
+
 def test_default_tolerances():
     cfg = IntegratorConfig()
     assert cfg.rtol == 1e-10
@@ -276,7 +284,7 @@ def test_retry_after_a_rejected_step_starts_from_the_step_start():
     # y' = y^2, y(0) = 1 has y = 1/(1 - t); near the pole steps are
     # rejected, and each retry must restart from f(t, y), not from the
     # rate at the rejected endpoint (that reuse left 2.3e-2 here)
-    traj = integrate(lambda t, y: y * y, [1.0], (0.0, 0.999),
+    traj = integrate(lambda t, y: np.asarray(y) ** 2, [1.0], (0.0, 0.999),
                      IntegratorConfig(rtol=1e-6, atol=1e-9))
     assert traj.stats.rejected > 0
     assert abs(traj.ys[-1][0] * (1.0 - 0.999) - 1.0) <= 1e-3
@@ -944,6 +952,46 @@ def test_field_returns_the_clock_rates_the_state_carries(name):
         assert out.shape == (2 * N + extra,)
         assert np.array_equal(out[:2 * N], plain)
         assert np.array_equal(out[2 * N:], alpha[:extra])
+
+
+def _assert_same_trajectory(a, b):
+    assert np.array_equal(a.ts, b.ts) and np.array_equal(a.ys, b.ys)
+    assert len(a._steps) == len(b._steps)
+    for (t, h, F), (tb, hb, Fb) in zip(a._steps, b._steps):
+        assert (t, h) == (tb, hb) and np.array_equal(F, Fb)
+
+
+@pytest.mark.parametrize("name", ["pendula", "oscillators", "calogero4"])
+def test_field_on_lists_integrates_as_on_arrays(name):
+    # integrate hands the field the stages' list and gets the kernel's
+    # tuple back; the same closure given an ndarray returns an ndarray,
+    # and both orbits agree bit for bit
+    entry = catalog.load(name)
+    sys = entry.system
+    field = full_field_callable(sys)
+    seen = set()
+
+    def on_lists(t, y):
+        out = field(t, y)
+        seen.add((type(y), type(out)))
+        return out
+
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12)
+    y0 = _with_clocks(sys, entry.initial_point.as_array())
+    plain = integrate(on_lists, y0, (0.0, 5.0), cfg)
+    assert seen == {(list, tuple)}
+    _assert_same_trajectory(plain, integrate(
+        lambda t, y: field(t, np.array(y)), y0, (0.0, 5.0), cfg))
+
+
+def test_reduced_field_on_lists_integrates_as_on_arrays(pendula):
+    c = model.separation_constants(pendula, PENDULA_P0)
+    field = reduced_field_callable(pendula, 1, c)
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12)
+    y0 = [PENDULA_P0.q[0], PENDULA_P0.p[0]]
+    _assert_same_trajectory(
+        integrate(field, y0, (0.0, 5.0), cfg),
+        integrate(lambda t, y: field(t, np.array(y)), y0, (0.0, 5.0), cfg))
 
 
 def test_block_clock_reads_its_orbit_column(pendula, monkeypatch):
