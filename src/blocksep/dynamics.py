@@ -16,9 +16,9 @@ map.
 
 The vector fields are the straight-line functions that
 :class:`model.SystemJet` generates for each system the first time a
-field is asked for: ``field`` for the full system, one jet call and one
-gated inverse of S per call (none when S is constant, its inverse then
-being written in), and ``reduced(r)`` for block r, with the separation
+field is asked for: ``field`` for the full system, one jet call and
+the gated inverse of S written out on floats (a constant S has its
+inverse written in), and ``reduced(r)`` for block r, with the separation
 constants bound when the callable is made.  The block clocks ride in
 the orbit's state (q, p, tau_1 .. tau_n), tau(t0) = 0: the full field
 returns d(tau_r)/dt = alpha^r(q) from the twist it uses for dH, so one

@@ -16,9 +16,9 @@ derivatives of S^{-1}.  They are computed in one place, :class:`Twist`,
 analytically from exact derivatives of S (the compiled jets of
 :class:`SystemJet`) via d(S^{-1}) = -S^{-1} (dS) S^{-1}, whose row 0
 is d(alpha); only the generated vector fields of :class:`SystemJet`
-write d(alpha) out on floats, from the same gated inverse.  S is
-inverted nowhere but in :func:`invert_with_condition` and, for a stack
-of points, :func:`invert_stack`, which applies the same gate.
+write d(alpha) out on floats.  S is inverted behind one gate: by
+:func:`invert_with_condition` at a point, by :func:`invert_stack` at a
+stack, and on floats in the field of a varying S (:func:`_inverse_lines`).
 """
 
 from __future__ import annotations
@@ -413,11 +413,7 @@ class SystemJet:
         nn, width = n * n, n * n + n
         # the gated S^-1 with entry (a, b) bound to m{a}_{b}, and the
         # block energies to h0 .. h{n-1}
-        values = _tuple(_tuple(f"v[{r * n + a}]" for a in range(n))
-                        for r in range(n))
-        head = [f"m = _gate(_array({values}), y[:{N}])[0].tolist()",
-                _tuple(_tuple(f"m{a}_{b}" for b in range(n))
-                       for a in range(n)) + " = m",
+        head = [*_inverse_lines(n, f"y[:{N}]"),
                 _tuple(f"h{r}" for r in range(n)) + f" = v[{nn}:{width}]"]
 
         def rate(k):
@@ -491,9 +487,8 @@ def _field_function(exprs, names, weights, head=(), rate=None, params="",
     name sums w_i times the partials of the expressions that mention the
     name, nothing else.  ``rate(k)``, if given, returns lines and one
     more term for the partial along position k (from weights that vary
-    with q), or ([], None).  The gate is looked up here, once, so that
-    the function calls whatever :func:`invert_with_condition` is bound
-    to when it is made."""
+    with q), or ([], None); the lines of :func:`_inverse_lines` in
+    ``head`` may raise :class:`SingularMatrixError`."""
     jet = _expr.compile(exprs, names, names)
     width, m = len(exprs), len(names) // 2
     free = [e.free_variables() for e in exprs]
@@ -512,10 +507,55 @@ def _field_function(exprs, names, weights, head=(), rate=None, params="",
         + list(clocks)) + "[:len(y)]")
     code = f"def _field(y{params}):\n" + "".join(f"    {line}\n"
                                                  for line in lines)
-    namespace = {"_jet": jet, "_array": np.array,
-                 "_gate": invert_with_condition}
+    namespace = {"_jet": jet, "SingularMatrixError": SingularMatrixError}
     exec(compile(code, "<field>", "exec"), namespace)
     return namespace["_field"]
+
+
+def _inverse_lines(n: int, point: str) -> list[str]:
+    """Source lines that bind m{a}_{b} to entry (a, b) of S^-1, for the
+    n-by-n S of v[0] .. v[n*n - 1] row by row: the adjugate over the
+    determinant, each minor expanded along its first row and written
+    once, behind the checks of :func:`invert_with_condition` in its
+    order and with its messages, naming the point of source text
+    ``point``; a non-finite determinant fails as an overflowed inverse."""
+    lines = [_tuple(f"s{r}_{a}" for r in range(n) for a in range(n))
+             + f" = v[:{n * n}]"]
+    names = {}
+
+    def minor(rows, cols):
+        if len(rows) < 2:
+            return f"s{rows[0]}_{cols[0]}" if rows else "1.0"
+        if (rows, cols) not in names:
+            text = "".join(f" {'+-'[i % 2]} s{rows[0]}_{c} * "
+                           f"{minor(rows[1:], cols[:i] + cols[i + 1:])}"
+                           for i, c in enumerate(cols))
+            names[rows, cols] = f"k{len(names)}"
+            lines.append(f"{names[rows, cols]} = {text[3:]}")
+        return names[rows, cols]
+
+    def fail(message, cond=""):
+        return (f"raise SingularMatrixError('matrix {message}', {cond}"
+                f"point={point})")
+
+    every = tuple(range(n))
+    rest = [every[:a] + every[a + 1:] for a in every]
+    det = minor(every, every)
+    lines.append(f"if {det} == 0.0: {fail('is singular')}")
+    inverse = [f"m{a}_{b} = {'-' if (a + b) % 2 else ''}"
+               f"{minor(rest[b], rest[a])} / {det}"
+               for a in every for b in every]
+    cols = [f"col{b}" for b in every]
+    finite = " and ".join(f"{x} <= {float(np.finfo(float).max)!r}"
+                          for x in [f"abs({det})", *cols])
+    norm_s = _tuple(" + ".join(f"abs(s{a}_{b})" for a in every)
+                    for b in every)
+    return lines + inverse + [
+        f"{col} = " + " + ".join(f"abs(m{a}_{b})" for a in every)
+        for b, col in enumerate(cols)] + [
+        f"if not ({finite}): {fail('inverse overflowed')}",
+        f"cond = max({norm_s}) * max({_tuple(cols)})",
+        f"if cond > {COND_ERROR!r}: {fail('numerically singular', 'cond, ')}"]
 
 
 def _tuple(items) -> str:
@@ -652,8 +692,8 @@ class Twist:
     """S^{-1} at a point, or at each point of a stack, behind the
     condition gate of :func:`invert_with_condition`, with the partials
     of the twist that the residuals read (the generated field of
-    :class:`SystemJet` writes out its own d_k alpha on floats, from the
-    same gated inverse).  Row a-1 of ``matrix`` holds the coefficients
+    :class:`SystemJet` writes out its own S^-1 and d_k alpha on floats,
+    behind the same checks).  Row a-1 of ``matrix`` holds the coefficients
     combining the block energies into K_a; row 0 is the twist vector
     ``alpha``.  A stack puts its point axis first, and has no ``cond``
     or ``warning``.  The partials need the partials of S, and each is

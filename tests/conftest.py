@@ -5,9 +5,11 @@ dynamics suites exercise hand-assembled systems and the catalog suite
 can cross-check its own constructions against these.
 """
 
+import numpy as np
+
 from blocksep.model import (
-    BlockStructure, NaturalBlock, PhasePoint, ProbePlan, StackelMatrix,
-    build_system,
+    BlockStructure, NaturalBlock, PhasePoint, ProbePlan,
+    SingularMatrixError, StackelMatrix, _inverse_lines, build_system,
 )
 
 
@@ -28,6 +30,26 @@ def make_pendula_like():
                        box={"q1": (-0.3, 0.3), "q2": (-0.3, 0.3),
                             "q3": (-0.3, 0.3)})
     return build_system(structure, stackel, blocks, probes)
+
+
+def generated_inverse(n):
+    """The gated S^-1 that a generated field writes out for an n-by-n
+    S, as a function of S (an n-by-n array) and the point to name,
+    returning (S^-1, cond)."""
+    rows = ", ".join("[" + ", ".join(f"m{a}_{b}" for b in range(n)) + "]"
+                     for a in range(n))
+    code = ("def inverse(v, point):\n"
+            + "".join(f"    {line}\n" for line in _inverse_lines(n, "point"))
+            + f"    return [{rows}], cond\n")
+    namespace = {"SingularMatrixError": SingularMatrixError}
+    exec(code, namespace)
+    inverse = namespace["inverse"]
+
+    def gated(S, point=None):
+        M, cond = inverse(np.asarray(S, dtype=float).ravel().tolist(), point)
+        return np.array(M), cond
+
+    return gated
 
 
 # rest point of the two pendula with a slight offset, used throughout

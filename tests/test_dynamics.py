@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import PENDULA_P0, make_pendula_like
+from conftest import PENDULA_P0, generated_inverse, make_pendula_like
 
 from blocksep import catalog, expr, model
 from blocksep.dynamics import (
@@ -571,6 +571,27 @@ def test_constant_twist_is_folded_into_the_field(monkeypatch):
                         _reference_full_field(sys, q, p)) <= 1e-14
 
 
+@pytest.mark.parametrize("name", ["pendula", "calogero4"])
+def test_varying_twist_field_writes_its_gate_out(monkeypatch, name):
+    # the field of a varying S inverts it on floats, behind the gate's
+    # own checks: integrating with clocks never calls the gate function
+    calls = []
+    real = model.invert_with_condition
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    entry = catalog.load(name)
+    sys = entry.system
+    monkeypatch.setattr(model, "invert_with_condition", counted)
+    field = full_field_callable(sys)
+    y0 = _with_clocks(sys, entry.initial_point.as_array())
+    traj = integrate(field, y0, (0.0, 3.0))
+    assert traj.stats.field_evaluations > 100
+    assert len(calls) == 0
+
+
 # ---------------------------------------------------------------------------
 # reduced field
 
@@ -944,7 +965,16 @@ def test_field_returns_the_clock_rates_the_state_carries(name):
     field = full_field_callable(sys)
     N = sys.dim
     y = entry.initial_point.as_array() + 0.01
-    alpha = sys.jet.twist(y[:N].tolist()).alpha
+    q = y[:N].tolist()
+    tw = sys.jet.twist(q)
+    # a constant S has its LU twist written in; a varying one has the
+    # field's own cofactor S^-1, within a few cond*eps of the LU twist
+    alpha = tw.alpha
+    if sys.jet.constant_twist is None:
+        alpha = generated_inverse(sys.n)(sys.jet.stackel([q])[0], q)[0][0]
+        eps = np.finfo(float).eps
+        assert (np.abs(alpha - tw.alpha).max()
+                <= 4 * tw.cond * eps * np.abs(tw.alpha).max())
     plain = field(0.0, y)
     assert plain.shape == (2 * N,)
     for extra in range(1, sys.n + 1):

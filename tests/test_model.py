@@ -23,7 +23,9 @@ from blocksep.model import (
 )
 
 
-from conftest import PENDULA_C, PENDULA_P0, make_pendula_like
+from conftest import (
+    PENDULA_C, PENDULA_P0, generated_inverse, make_pendula_like,
+)
 
 pendula_like = make_pendula_like
 
@@ -364,3 +366,63 @@ def test_float_condition_is_the_numpy_formula(rows):
 def test_float_norm_keeps_a_nan():
     assert math.isnan(_norm1([[1.0, 2.0], [3.0, math.nan]]))
     assert math.isnan(_norm1([[math.nan, 9.0], [3.0, 5.0]]))
+
+
+# ---------------------------------------------------------------------------
+# the gated S^-1 that the generated fields write out on floats
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_generated_inverse_agrees_with_the_gate(n):
+    # a cofactor inverse and an LU inverse each err by about cond*eps;
+    # both S^-1 and the condition estimate agree within 2 n cond eps
+    eps = np.finfo(float).eps
+    inverse = generated_inverse(n)
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        S = rng.standard_normal((n, n))
+        M, cond, _ = invert_with_condition(S)
+        got, got_cond = inverse(S)
+        bound = 2 * n * cond * eps
+        assert np.abs(got - M).max() <= bound * np.abs(M).max()
+        assert abs(got_cond - cond) <= bound * cond
+
+
+@pytest.mark.parametrize("S", [
+    [[1.0, 2.0], [2.0, 4.0]],                                # singular
+    [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]],
+    [[1e-310, 1.0], [0.0, 1.0]],                             # overflowed
+    [[1.0, 0.0, 0.0], [0.0, 1e-310, 0.0], [0.0, 0.0, 1.0]],
+    [[1.0, 1.0], [1.0, 1.0 + 1e-13]],                        # cond > 1e12
+    [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0 + 1e-12], [0.0, 1.0, 1.0]],
+])
+def test_generated_inverse_fails_as_the_gate(S):
+    S = np.array(S)
+    point = (0.5, -1.0)
+    with pytest.raises(SingularMatrixError) as want:
+        invert_with_condition(S, point=point)
+    with pytest.raises(SingularMatrixError) as got:
+        generated_inverse(len(S))(S, point=point)
+    message = str(want.value).split(" at q=")[0]
+    assert str(got.value).split(" at q=")[0] == message
+    assert f"at q={point!r}" in str(got.value)
+    assert got.value.point == want.value.point == point
+    if want.value.cond is None:
+        assert got.value.cond is None
+    else:
+        cond = want.value.cond
+        rel = 2 * len(S) * cond * np.finfo(float).eps
+        assert got.value.cond == pytest.approx(cond, rel=rel)
+
+
+@pytest.mark.parametrize("S", [
+    [[math.inf, 0.0], [0.0, 1.0]],
+    [[1.0, 2.0, 3.0], [0.0, math.nan, 1.0], [0.0, 1.0, 1.0]],
+    (1e200 * np.eye(3)).tolist(),                  # det overflows
+])
+def test_generated_inverse_overflows_on_a_non_finite_step(S):
+    # an entry or a determinant past the float range gives nan or a
+    # zero S^-1 in a cofactor inverse: it fails as an overflow
+    S = np.array(S)
+    with pytest.raises(SingularMatrixError,
+                       match=r"matrix inverse overflowed at q=\(1\.0,\)"):
+        generated_inverse(len(S))(S, point=(1.0,))
