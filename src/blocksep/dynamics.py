@@ -7,12 +7,17 @@ error norm |h| s5 / sqrt((s5 + 0.01 s3) d) of its 5th- and 3rd-order
 estimates, and 3 more stages per accepted step for its 7th-order dense
 output.  A PI controller (order-8 exponents, safety 0.9, step-ratio
 clip [0.2, 5]) picks the steps.  The step is generated from the
-tableau as straight-line code on lists of floats: a field takes the
-state as such a list and returns a sequence of floats, the generated
-fields a tuple.  Dense output is what makes the orbit comparison work:
-the full system acts as the master clock, and the reduced orbit is
-sampled at the rescaled times tau_r(t) without ever inverting the clock
-map.
+tableau once per state length d, as straight-line code over the d
+components of lists of floats.  It calls the field itself, so one field
+evaluation is one Python call: a field takes the state as such a list
+and returns a sequence of d floats, the generated fields a tuple.  Each
+accepted step keeps its dense-output rows as the transposed array of
+the d rows of 7 that the step returns, not as a C-ordered copy:
+``Trajectory.sample``'s products round differently on the other layout,
+and its output is kept bit for bit.  Dense output is what makes the
+orbit comparison work: the full system acts as the master clock, and
+the reduced orbit is sampled at the rescaled times tau_r(t) without
+ever inverting the clock map.
 
 The vector fields are the straight-line functions that
 :class:`model.SystemJet` generates for each system the first time a
@@ -249,31 +254,80 @@ _DENSE = (
 # the stages of a step that its error sums and its dense output read
 _KEPT = (1, 6, 7, 8, 9, 10, 11, 12, 13)
 
-
-def _terms(row) -> str:
-    """Source text of sum_j w_j a{j} over the items (j, w_j) of row, a{j}
-    being an element of stage k{j}."""
-    return " + ".join(f"{w!r} * a{j}" for j, w in row.items())
-
-
-def _over(lists, stages) -> str:
-    """Source text of a ``for`` clause that runs over the elements of the
-    named lists, bound to <name>_, and of the stages k{j}, bound to a{j}."""
-    names = [f"{x}_" for x in lists] + [f"a{j}" for j in stages]
-    seqs = list(lists) + [f"k{j}" for j in stages]
-    return f"for {', '.join(names)} in zip({', '.join(seqs)})"
+# every weight row of the tableau under the prefix of the names its
+# weights take in the generated step: coupling row i as A{i}_{j}, the
+# error weights as E{j}, b minus the 3rd-order weights as B{j} and dense
+# row r as D{r}_{j}
+_ROWS = {**{f"A{i}_": row for i, row in _COUPLING.items()},
+         "E": _ERROR5,
+         "B": {j: b - _ORDER3.get(j, 0.0) for j, b in _COUPLING[13].items()},
+         **{f"D{r}_": row for r, row in enumerate(_DENSE, 4)}}
 
 
-def _state(i) -> str:
+def _terms(prefix, c) -> str:
+    """Source text of sum_j w_j a{j}_{c} over the weights w_j of the row
+    named by prefix, a{j}_{c} being component c of stage k{j}."""
+    return " + ".join(f"{prefix}{j} * a{j}_{c}" for j in _ROWS[prefix])
+
+
+def _unpack(stem, source, d) -> str:
+    """Source text that unpacks the sequence ``source`` into the locals
+    {stem}_0 .. {stem}_{d-1}."""
+    return ", ".join(f"{stem}_{c}" for c in range(d)) + f", = {source}"
+
+
+def _state(i, d) -> str:
     """Source text of the list y + h sum_j a_ij k_j."""
-    row = _COUPLING[i]
-    return f"[y_ + h * ({_terms(row)}) {_over(['y'], row)}]"
+    return "[" + ", ".join(f"y_{c} + h * ({_terms(f'A{i}_', c)})"
+                           for c in range(d)) + "]"
+
+
+def _stage(i, n, state, d) -> list[str]:
+    """Source lines that make stage i at ``state``, the n-th field call
+    of its function, and unpack it; a kept stage is also bound to k{i}."""
+    point = "t + h" if i == 13 else f"t + {_NODES[i]!r} * h"
+    kept = f"k{i} = " if i in _KEPT else ""
+    return [f"n = {n}", f"{kept}k = f({point}, {state})",
+            _unpack(f"a{i}", "k", d)]
+
+
+def _guarded(before, calls, d) -> list[str]:
+    """Source lines of ``before``, then of the stages ``calls`` in a
+    ``try`` that turns a failed field evaluation into a
+    ``_FieldFailure`` carrying the number of calls made, the failed one
+    included, and a stage k of the wrong length into a
+    ``DynamicsError``."""
+    return [*before, "k = None", "try:", *(f"    {line}" for line in calls),
+            "except _FIELD_ERRORS as ex:",
+            "    raise _FieldFailure(str(ex), n) from ex",
+            "except ValueError:",
+            f"    if k is None or len(k) == {d}:",
+            "        raise",
+            "    raise DynamicsError(f'the field returned {len(k)} "
+            f"components for a state of {d}') from None"]
+
+
+def _function(signature, rows, body, namespace) -> None:
+    """Compile one generated function into namespace, its body preceded
+    by the weights of the named rows, each bound once to a local."""
+    weights = [f"{prefix}{j} = {w!r}" for prefix in rows
+               for j, w in _ROWS[prefix].items()]
+    code = f"def {signature}:\n" + "".join(f"    {line}\n"
+                                           for line in weights + body)
+    exec(compile(code, "<dop853>", "exec"), namespace)
 
 
 @cache
-def _dop853():
-    """Generate the DOP853 step as three straight-line functions on lists
-    of floats, with the tableau written in as literals, on first use:
+def _dop853(d):
+    """Generate the DOP853 step for a state of d components, on first use
+    per d, as three functions on lists of floats, each written out as
+    straight-line code over the components: every stage is unpacked
+    once into locals, and each component's sum has the terms of the
+    tableau in the tableau's order, so that the step rounds exactly as
+    the same sums over ``zip`` of the components.  Each weight is bound
+    once to a local of the function that reads it, rather than written
+    in d times, and the functions are compiled one at a time: that keeps
+    the transient memory of making them small.
 
     * ``_stages(f, t, h, y, k1)`` makes stages 2 to 13 of a step of
       signed size h from (t, y), where k1 = f(t, y), and returns y1 and
@@ -282,38 +336,49 @@ def _dop853():
       sums of the squared 5th- and 3rd-order error estimates, each
       component over atol + rtol max(|y|, |y1|);
     * ``_dense(f, t, h, y, y1, kept)`` makes stages 14 to 16 and returns
-      the 7 dense-output coefficients of each component."""
+      the 7 dense-output coefficients of each component, d rows of 7,
+      which ``integrate`` keeps as their transposed array F: the (7, d)
+      view that ``Trajectory.sample`` rounds with.
+
+    The functions call the field f themselves, once per stage, with no
+    wrapper in between: an ``ExprError`` or ``ModelError`` of f leaves
+    as a ``_FieldFailure`` that counts the calls made, and a stage not
+    of length d as a ``DynamicsError``."""
+    namespace = {"_FIELD_ERRORS": (_expr.ExprError, ModelError),
+                 "_FieldFailure": _FieldFailure,
+                 "DynamicsError": DynamicsError}
     kept = ", ".join(f"k{j}" for j in _KEPT)
-    stages = [f"k{i} = f(t + {_NODES[i]!r} * h, {_state(i)})"
-              for i in range(2, 13)]
-    stages += [f"y1 = {_state(13)}", "k13 = f(t + h, y1)",
-               f"return y1, ({kept})"]
-    order3 = {j: b - _ORDER3.get(j, 0.0) for j, b in _COUPLING[13].items()}
-    sums = [f"{kept} = kept", "s5 = s3 = 0.0",
-            _over(["y", "y1"], _ERROR5) + ":",
-            "    sc = atol + rtol * max(abs(y_), abs(y1_))",
-            f"    e = ({_terms(_ERROR5)}) / sc",
-            "    s5 += e * e",
-            f"    e = ({_terms(order3)}) / sc",
-            "    s3 += e * e",
-            "return s5, s3"]
-    dense = [f"{kept} = kept"]
-    dense += [f"k{i} = f(t + {_NODES[i]!r} * h, {_state(i)})"
-              for i in range(14, 17)]
-    dense += ["rows = []",
-              _over(["y", "y1"], (*_KEPT, 14, 15, 16)) + ":",
-              "    dy = y1_ - y_",
-              "    rows.append((dy, h * a1 - dy, 2.0 * dy - h * (a1 + a13), "
-              + ", ".join(f"h * ({_terms(row)})" for row in _DENSE) + "))",
-              "return rows"]
-    code = "".join(f"def {name}:\n" + "".join(f"    {line}\n"
-                                               for line in body)
-                   for name, body in (
-                       ("_stages(f, t, h, y, k1)", stages),
-                       ("_error_sums(y, y1, kept, atol, rtol)", sums),
-                       ("_dense(f, t, h, y, y1, kept)", dense)))
-    namespace = {}
-    exec(compile(code, "<dop853>", "exec"), namespace)
+    stages = [line for i in range(2, 13)
+              for line in _stage(i, i - 1, _state(i, d), d)]
+    stages += [f"y1 = {_state(13, d)}", *_stage(13, 12, "y1", d)]
+    unpack = [_unpack("y", "y", d), _unpack("a1", "k1", d)]
+    _function("_stages(f, t, h, y, k1)", [f"A{i}_" for i in range(2, 14)],
+              _guarded(unpack, stages, d) + [f"return y1, ({kept})"],
+              namespace)
+    unpack = [_unpack("y", "y", d), _unpack("y1", "y1", d), f"{kept} = kept",
+              *(_unpack(f"a{j}", f"k{j}", d) for j in _KEPT)]
+    sums = [*unpack, "s5 = s3 = 0.0"]
+    for c in range(d):
+        sums += [f"sc = atol + rtol * max(abs(y_{c}), abs(y1_{c}))",
+                 f"e = ({_terms('E', c)}) / sc",
+                 "s5 += e * e",
+                 f"e = ({_terms('B', c)}) / sc",
+                 "s3 += e * e"]
+    _function("_error_sums(y, y1, kept, atol, rtol)", ["E", "B"],
+              sums + ["return s5, s3"], namespace)
+    dense = _guarded(unpack, [line for i in range(14, 17)
+                              for line in _stage(i, i - 13, _state(i, d), d)],
+                     d)
+    for c in range(d):
+        dense += [f"dy = y1_{c} - y_{c}",
+                  f"r{c} = (dy, h * a1_{c} - dy, "
+                  f"2.0 * dy - h * (a1_{c} + a13_{c}), "
+                  + ", ".join(f"h * ({_terms(f'D{r}_', c)})"
+                              for r in range(4, 8)) + ")"]
+    dense.append("return [" + ", ".join(f"r{c}" for c in range(d)) + "]")
+    _function("_dense(f, t, h, y, y1, kept)",
+              ["A14_", "A15_", "A16_", "D4_", "D5_", "D6_", "D7_"], dense,
+              namespace)
     return namespace["_stages"], namespace["_error_sums"], namespace["_dense"]
 
 
@@ -440,14 +505,16 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
     """Integrate y' = field(t, y) over t_span with adaptive DOP853.
 
     The field takes the state as the list of floats the step runs on
-    and returns a sequence of floats: a tuple or list is used as it is,
-    anything else is converted once by ``np.asarray``.  The error of a
-    step of size h is |h| s5 / sqrt((s5 + 0.01 s3) d) for a state of d
-    components (:func:`_dop853`), and a step is accepted when it is at
-    most 1.
+    and returns a sequence of as many floats, which the step unpacks as
+    it is: a tuple, a list or a float64 array, whose scalars round as
+    floats do.  One field evaluation is one call of ``field``, made by
+    the step generated for the state's length (:func:`_dop853`), and
+    ``stats.field_evaluations`` is the number of calls made.  The error
+    of a step of size h is |h| s5 / sqrt((s5 + 0.01 s3) d) for a state
+    of d components, and a step is accepted when it is at most 1.
 
     Raises :class:`DynamicsError` unless atol > 0 and rtol >= 0, both
-    finite, or when the field at y0 is not of y0's length, and
+    finite, or when the field returns a sequence not of y0's length, and
     :class:`IntegrationError` on step underflow or when the field fails
     to evaluate (for example on hitting the singular set of the
     separation matrix); the error carries the partial trajectory.
@@ -458,7 +525,6 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
         raise DynamicsError(f"invalid tolerances atol={atol!r}, "
                             f"rtol={rtol!r}: atol must be positive, rtol "
                             "non-negative, both finite")
-    stages, error_sums, dense = _dop853()
     y = np.asarray(y0, dtype=float).tolist()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 == t0:
@@ -469,15 +535,14 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
     nfev = 0
 
     def f(t, yv):
+        """The field at the initial state and at the trial state of the
+        initial step; the steps call it themselves."""
         nonlocal nfev
         nfev += 1
         try:
-            out = field(t, yv)
+            return field(t, yv)
         except (_expr.ExprError, ModelError) as ex:
             raise _FieldFailure(str(ex)) from ex
-        if isinstance(out, (tuple, list)):
-            return out
-        return np.asarray(out, dtype=float).tolist()
 
     ts = [t0]
     ys = [y]
@@ -503,6 +568,7 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
         raise IntegrationError("field not finite at the initial state",
                                t0, y, None)
 
+    stages, error_sums, dense = _dop853(len(y))
     h = _initial_step(f, t0, y, k1, direction, cfg, span)
     t = t0
     err_prev = 1e-4
@@ -520,11 +586,15 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
                  "vanishing separation determinant nearby)", t)
 
         try:
-            y1, kept = stages(f, t, hs, y, k1)
+            y1, kept = stages(field, t, hs, y, k1)
+            nfev += 12
             err = _error_norm(error_sums, h, y, y1, kept, atol, rtol)
-            F = dense(f, t, hs, y, y1, kept) if err <= 1.0 else None
+            if err <= 1.0:
+                F = dense(field, t, hs, y, y1, kept)
+                nfev += 3
         except _FieldFailure as ff:
             # try to creep toward the failure with smaller steps
+            nfev += ff.calls
             rejected += 1
             h *= _FACTOR_MIN
             if h <= hmin:
@@ -554,7 +624,13 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
 
 
 class _FieldFailure(Exception):
-    """The field failed to evaluate; the message says why."""
+    """The field failed to evaluate; the message says why, and ``calls``
+    counts the field calls made since the last count, the failed one
+    included."""
+
+    def __init__(self, message: str, calls: int = 1):
+        super().__init__(message)
+        self.calls = calls
 
 
 def _error_norm(error_sums, h, y, y1, kept, atol, rtol):
@@ -694,10 +770,13 @@ class BlockClock:
                     if am == 0.0:
                         hi = mid
                         break
+                    bracket = lo, hi
                     if (am > 0) == (s0 > 0):
                         lo = mid
                     else:
                         hi = mid
+                    if (lo, hi) == bracket:
+                        break  # every later halving would repeat this one
                 return s0, True, hi
         return s0, False, None
 

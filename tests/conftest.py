@@ -7,6 +7,9 @@ can cross-check its own constructions against these.
 
 import numpy as np
 
+from blocksep.dynamics import (
+    _COUPLING, _DENSE, _ERROR5, _KEPT, _NODES, _ORDER3,
+)
 from blocksep.model import (
     BlockStructure, NaturalBlock, PhasePoint, ProbePlan,
     SingularMatrixError, StackelMatrix, _inverse_lines, build_system,
@@ -50,6 +53,59 @@ def generated_inverse(n):
         return np.array(M), cond
 
     return gated
+
+
+def zip_dop853():
+    """The DOP853 step as the sums over ``zip`` of the components that
+    ``dynamics._dop853(d)`` writes out per component, with the tableau's
+    weights as literals: ``_stages(f, t, h, y, k1)``,
+    ``_error_sums(y, y1, kept, atol, rtol)`` and
+    ``_dense(f, t, h, y, y1, kept)``, for a state of any length."""
+
+    def terms(row):
+        return " + ".join(f"{w!r} * a{j}" for j, w in row.items())
+
+    def over(lists, stages):
+        names = [f"{x}_" for x in lists] + [f"a{j}" for j in stages]
+        seqs = list(lists) + [f"k{j}" for j in stages]
+        return f"for {', '.join(names)} in zip({', '.join(seqs)})"
+
+    def state(i):
+        row = _COUPLING[i]
+        return f"[y_ + h * ({terms(row)}) {over(['y'], row)}]"
+
+    kept = ", ".join(f"k{j}" for j in _KEPT)
+    stages = [f"k{i} = f(t + {_NODES[i]!r} * h, {state(i)})"
+              for i in range(2, 13)]
+    stages += [f"y1 = {state(13)}", "k13 = f(t + h, y1)",
+               f"return y1, ({kept})"]
+    order3 = {j: b - _ORDER3.get(j, 0.0) for j, b in _COUPLING[13].items()}
+    sums = [f"{kept} = kept", "s5 = s3 = 0.0",
+            over(["y", "y1"], _ERROR5) + ":",
+            "    sc = atol + rtol * max(abs(y_), abs(y1_))",
+            f"    e = ({terms(_ERROR5)}) / sc",
+            "    s5 += e * e",
+            f"    e = ({terms(order3)}) / sc",
+            "    s3 += e * e",
+            "return s5, s3"]
+    dense = [f"{kept} = kept"]
+    dense += [f"k{i} = f(t + {_NODES[i]!r} * h, {state(i)})"
+              for i in range(14, 17)]
+    dense += ["rows = []",
+              over(["y", "y1"], (*_KEPT, 14, 15, 16)) + ":",
+              "    dy = y1_ - y_",
+              "    rows.append((dy, h * a1 - dy, 2.0 * dy - h * (a1 + a13), "
+              + ", ".join(f"h * ({terms(row)})" for row in _DENSE) + "))",
+              "return rows"]
+    code = "".join(f"def {name}:\n" + "".join(f"    {line}\n"
+                                               for line in body)
+                   for name, body in (
+                       ("_stages(f, t, h, y, k1)", stages),
+                       ("_error_sums(y, y1, kept, atol, rtol)", sums),
+                       ("_dense(f, t, h, y, y1, kept)", dense)))
+    namespace = {}
+    exec(code, namespace)
+    return namespace["_stages"], namespace["_error_sums"], namespace["_dense"]
 
 
 # rest point of the two pendula with a slight offset, used throughout

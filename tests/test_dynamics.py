@@ -6,16 +6,22 @@ pipeline; the three-pendulum chain exercises the genuinely coupled
 case.  Quadrature cross-checks use composite Simpson on dense output.
 """
 
+import importlib.util
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import PENDULA_P0, generated_inverse, make_pendula_like
+from conftest import (
+    PENDULA_P0, generated_inverse, make_pendula_like, zip_dop853,
+)
 
 from blocksep import catalog, expr, model
 from blocksep.dynamics import (
+    _KEPT,
     BlockClock,
     ComparisonReport,
     DynamicsError,
@@ -23,6 +29,7 @@ from blocksep.dynamics import (
     IntegrationError,
     IntegratorConfig,
     Trajectory,
+    _dop853,
     block_clock,
     compare_block_orbits,
     full_field,
@@ -348,6 +355,127 @@ def test_field_failure_in_a_dense_output_stage_rejects_the_step():
     ts = np.linspace(0.0, 2.0, 101)
     exact = np.stack([np.cos(ts), -np.sin(ts)], axis=1)
     assert np.max(np.abs(traj.sample(ts) - exact)) <= 1e-8
+
+
+def _bits(values):
+    """The bit patterns of a float or a (nested) sequence of floats."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _nonlinear(t, y):
+    # every component mixes two others, so a misplaced term shows
+    d = len(y)
+    return tuple(math.sin(t + y[c]) * y[(c + 1) % d] - 0.3 * y[c - 1] ** 2
+                 for c in range(d))
+
+
+@pytest.mark.parametrize("d", [*range(1, 13), 40])
+def test_generated_step_rounds_as_the_zip_sums(d):
+    # the step written out per component against the same sums over zip:
+    # y1, every kept stage, s5, s3 and every dense row, bit for bit
+    rng = np.random.default_rng(d)
+    oracle = zip_dop853()
+    step = _dop853(d)
+    for h in (0.3, -0.05, 1e-3):
+        y = rng.normal(size=d).tolist()
+        y[0] = -0.0
+        t = float(rng.normal())
+        k1 = _nonlinear(t, y)
+        y1, kept = step[0](_nonlinear, t, h, y, k1)
+        y1_ref, kept_ref = oracle[0](_nonlinear, t, h, y, k1)
+        assert np.array_equal(_bits(y1), _bits(y1_ref))
+        assert len(kept) == len(kept_ref) == len(_KEPT)
+        assert np.array_equal(_bits(kept), _bits(kept_ref))
+        assert np.array_equal(
+            _bits(step[1](y, y1, kept, 1e-12, 1e-10)),
+            _bits(oracle[1](y, y1, kept, 1e-12, 1e-10)))
+        assert np.array_equal(_bits(step[2](_nonlinear, t, h, y, y1, kept)),
+                              _bits(oracle[2](_nonlinear, t, h, y, y1,
+                                              kept)))
+
+
+def test_making_the_step_keeps_its_memory_small():
+    # tracemalloc peak of generating the d = 11 step: 1.58 MB on Python
+    # 3.11 with each weight bound once to a local and the three functions
+    # compiled one at a time (compiling them alone peaks at 1.72, 1.51,
+    # 2.12 and 2.20 MB on 3.10 to 3.13), against 3.31, 3.07, 3.44 and
+    # 3.48 MB to compile the same functions in one piece with every
+    # weight written in as a literal
+    tracemalloc.start()
+    try:
+        _dop853.__wrapped__(11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6e6
+
+
+def _pendulum(t, y):
+    # a forced pendulum and its energy, bounded over long spans
+    return (y[1], -math.sin(y[0]) + 0.1 * math.cos(t),
+            0.1 * math.cos(t) * y[1])
+
+
+def _counting(field, fail=lambda n: False):
+    """field, with a list of its calls; call n raises when fail(n)."""
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        if fail(len(calls)):
+            raise model.ModelError(f"call {len(calls)} fails")
+        return field(t, y)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("bad", [None, 4, 15, 879])
+def test_field_evaluations_count_every_call(bad):
+    # one failing call at a stage of the step, at a dense-output stage,
+    # and later on: every call is counted, the failed one included
+    field, calls = _counting(_pendulum, lambda n: n == bad)
+    traj = integrate(field, [0.5, -0.25, 1.0], (0.0, 40.0),
+                     IntegratorConfig(rtol=1e-10, atol=1e-12))
+    assert len(calls) > 879
+    assert traj.stats.field_evaluations == len(calls)
+    assert traj.stats.rejected == (bad is not None)
+
+
+def test_field_evaluations_count_the_calls_of_a_failed_run():
+    field, calls = _counting(_pendulum, lambda n: n >= 879)
+    with pytest.raises(IntegrationError) as exc:
+        integrate(field, [0.5, -0.25, 1.0], (0.0, 40.0),
+                  IntegratorConfig(rtol=1e-10, atol=1e-12))
+    # each smaller retry fails at its first call, the last one named
+    stats = exc.value.partial.stats
+    assert stats.rejected == len(calls) - 878 > 1
+    assert stats.field_evaluations == len(calls)
+    assert f"call {len(calls)} fails" in str(exc.value)
+
+
+def test_field_returning_an_array_integrates_as_a_tuple():
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12)
+    y0 = [0.5, -0.25, 1.0]
+    _assert_same_trajectory(
+        integrate(_pendulum, y0, (0.0, 40.0), cfg),
+        integrate(lambda t, y: np.array(_pendulum(t, y)), y0, (0.0, 40.0),
+                  cfg))
+
+
+@pytest.mark.parametrize("at, length", [(5, 1), (15, 3)])
+def test_a_field_that_changes_length_is_named(at, length):
+    # at a stage of the step and at a dense-output stage
+    def field(t, y):
+        field.calls += 1
+        out = [y[1], -y[0]]
+        return (out + [0.0])[:length] if field.calls >= at else out
+
+    field.calls = 0
+    with pytest.raises(DynamicsError,
+                       match=f"returned {length} components for a state "
+                             "of 2"):
+        integrate(field, [1.0, 0.0], (0.0, 2.0))
+    assert field.calls == at
 
 
 def test_rates_are_the_field_at_the_nodes_and_the_derivative_between():
@@ -1087,3 +1215,66 @@ def test_coarse_clocks_follow_the_fine_orbit():
 
     for coarse, fine in zip(clocks(1e-6, 1e-8), clocks(1e-12, 1e-14)):
         assert float(np.max(np.abs(coarse - fine))) <= 1e-6
+
+
+def _bench_initial_point(entry, variant):
+    """The initial point of ``entry`` at variant 0-7 of the benchmark."""
+    import sys  # imported here: the tests name their systems sys
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return workloads.initial_point(entry, variant)
+
+
+def _signs_by_80_halvings(traj, column, alpha):
+    """BlockClock._signs as it bisected: always 80 halvings."""
+    a0 = alpha(traj.t_start)
+    s0 = math.copysign(1.0, a0) if a0 != 0.0 else 0.0
+    if s0 == 0.0:
+        return s0, True, traj.t_start
+    times, rates = traj.rates(column, 64)
+    for i in np.flatnonzero(rates * s0 <= 0.0):
+        t = float(times[i])
+        a = alpha(t)
+        if a == 0.0 or (a > 0) != (s0 > 0):
+            lo, hi = float(times[max(i - 1, 0)]), t
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                am = alpha(mid)
+                if am == 0.0:
+                    hi = mid
+                    break
+                if (am > 0) == (s0 > 0):
+                    lo = mid
+                else:
+                    hi = mid
+            return s0, True, hi
+    return s0, False, None
+
+
+@pytest.mark.parametrize("variant", range(8))
+def test_sign_bisection_stops_when_the_bracket_stops_moving(variant):
+    # the pendula compare of the benchmark: the same sign change, bit for
+    # bit, with fewer twist evaluations than 80 halvings
+    entry = catalog.load("pendula")
+    sys = entry.system
+    q, p = _bench_initial_point("pendula", variant)
+    traj = integrate(full_field_callable(sys), _with_clocks(sys, q + p),
+                     (0.0, 30.0), IntegratorConfig(rtol=1e-10, atol=1e-12))
+    clock = block_clock(sys, traj, 1)
+    counts = []
+
+    def counted(t):
+        counts[-1] += 1
+        return clock.alpha(t)
+
+    counts.append(0)
+    reference = _signs_by_80_halvings(traj, clock.column, counted)
+    counts.append(0)
+    signs = BlockClock(1, traj, clock.column, counted)._signs
+    assert reference[1] and signs[:2] == reference[:2]
+    assert _bits(signs[2]) == _bits(reference[2])
+    assert counts[1] < counts[0]
