@@ -273,7 +273,7 @@ def _terms(prefix, c) -> str:
 def _unpack(stem, source, d) -> str:
     """Source text that unpacks the sequence ``source`` into the locals
     {stem}_0 .. {stem}_{d-1}."""
-    return ", ".join(f"{stem}_{c}" for c in range(d)) + f", = {source}"
+    return "[" + ", ".join(f"{stem}_{c}" for c in range(d)) + f"] = {source}"
 
 
 def _state(i, d) -> str:
