@@ -27,7 +27,7 @@ from .dynamics import (DynamicsError, IntegrationError, IntegratorConfig,
                        block_clock, compare_block_orbits, full_field_callable,
                        integrate)
 from .model import (ModelError, PhasePoint, StackelMatrix, TwistedSystem,
-                    invert_stack)
+                    invert_with_condition)
 
 __all__ = ["main", "CheckResult", "VerificationReport", "ProbeError",
            "EXIT_OK", "EXIT_VERIFY", "EXIT_CONFIG", "EXIT_NUMERIC"]
@@ -327,11 +327,8 @@ def _csv_block(sys_: TwistedSystem, traj, clocks, ts) -> np.ndarray:
     else:
         taus = np.stack([c.tau(ts) for c in clocks], axis=1)
     jet, ys = sys_.jet, states.tolist()
-    if jet.constant_twist is not None:
-        M = jet.constant_twist.matrix
-    else:
-        qs = [y[:N] for y in ys]
-        M = invert_stack(jet.stackel(qs), qs)
+    qs = [y[:N] for y in ys]
+    M, _ = invert_with_condition(jet.stackel(qs), qs)
     E = jet.energies(ys)
     # (1, n) @ (n, 1) per row and integral rounds as (S^-1)[a] @ E does
     K = np.matmul(M[..., :, None, :], E[:, None, :, None])[..., 0, 0]

@@ -389,18 +389,18 @@ def _inline_system(path: str, system: _Section, sections: dict,
         blk.finish()
         naturals.append(NaturalBlock(metric, potential))
 
-    structure = BlockStructure(sizes, tuple(coords))
-    # probes anchor on the initial point so systems singular at the
-    # origin still validate; box entries are offsets from that anchor
-    if initial_q is not None and len(initial_q) == structure.total:
-        anchor = dict(zip(structure.names, initial_q))
-    else:
-        anchor = {c: 0.0 for c in structure.names}
-    lo, hi = box_spec if box_spec is not None else (-0.3, 0.3)
-    probes = ProbePlan(points=(dict(anchor),),
-                       box={c: (anchor[c] + lo, anchor[c] + hi)
-                            for c in structure.names})
     try:
+        structure = BlockStructure(sizes, tuple(coords))
+        # probes anchor on the initial point so systems singular at the
+        # origin still validate; box entries are offsets from that anchor
+        if initial_q is not None and len(initial_q) == structure.total:
+            anchor = dict(zip(structure.names, initial_q))
+        else:
+            anchor = {c: 0.0 for c in structure.names}
+        lo, hi = box_spec if box_spec is not None else (-0.3, 0.3)
+        probes = ProbePlan(points=(dict(anchor),),
+                           box={c: (anchor[c] + lo, anchor[c] + hi)
+                                for c in structure.names})
         return build_system(structure, StackelMatrix(rows), naturals, probes)
     except ModelError as ex:
         raise ConfigError(f"{path}: invalid inline system: {ex}") from None

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache, cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -670,11 +670,6 @@ def _initial_step(f, t0, y0, f0, direction, cfg, span):
 # ---------------------------------------------------------------------------
 # Hamiltonian vector fields
 
-def full_field(sys: TwistedSystem, point: PhasePoint) -> np.ndarray:
-    """Hamiltonian vector field of H = alpha^r H_r: (dq/dt, dp/dt)."""
-    return np.array(sys.jet.field(list(point.q + point.p)))
-
-
 def _rhs(kernel, *params) -> Callable:
     """The (t, y) -> y' closure of a field kernel, for integrate: a list
     goes straight to the kernel and its tuple comes back; an ndarray
@@ -691,15 +686,6 @@ def full_field_callable(sys: TwistedSystem) -> Callable:
     """(t, y) -> y' closure over the full phase space and any block
     clocks, for integrate."""
     return _rhs(sys.jet.field)  # generated now, not inside the first step
-
-
-def reduced_field(sys: TwistedSystem, r: int, c: Sequence[float],
-                  point: PhasePoint) -> np.ndarray:
-    """Hamiltonian vector field of the one-block reduced Hamiltonian
-    H_r - c_a S[r][a] on the block-r phase space.  ``point`` holds the
-    block slice only (n_r positions and momenta)."""
-    c = _model._reduced_constants(sys, r, c).tolist()
-    return np.array(sys.jet.reduced(r)(list(point.q + point.p), c))
 
 
 def reduced_field_callable(sys: TwistedSystem, r: int, c) -> Callable:
@@ -783,9 +769,6 @@ class BlockClock:
 
 def _alpha_on_trajectory(sys: TwistedSystem, trajectory: Trajectory, r: int):
     jet, N = sys.jet, sys.dim
-    if jet.constant_twist is not None:
-        value = float(jet.constant_twist.alpha[r - 1])
-        return lambda t: value
 
     def alpha(t):
         return float(jet.twist(trajectory.sample(t)[:N].tolist()).alpha[r - 1])

@@ -16,14 +16,16 @@ derivatives of S^{-1}.  They are computed in one place, :class:`Twist`,
 analytically from exact derivatives of S (the compiled jets of
 :class:`SystemJet`) via d(S^{-1}) = -S^{-1} (dS) S^{-1}, whose row 0
 is d(alpha); only the generated vector fields of :class:`SystemJet`
-write d(alpha) out on floats.  S is inverted behind one gate: by
-:func:`invert_with_condition` at a point, by :func:`invert_stack` at a
-stack, and on floats in the field of a varying S (:func:`_inverse_lines`).
+write d(alpha) out on floats.  S^-1 and its gate are one generated
+text, :func:`_inverse_lines`, compiled in two forms by
+:func:`invert_with_condition`: on floats for a point and over arrays
+for a stack of points; the field of a varying S inlines the floats
+lines.  The text grows about 2.2 times per block, so a structure has at
+most ``MAX_BLOCKS`` blocks.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
@@ -92,6 +94,9 @@ class BlockStructure:
         object.__setattr__(self, "coords", coords)
         if len(sizes) == 0:
             raise DimensionMismatchError("at least one block is required")
+        if len(sizes) > MAX_BLOCKS:
+            raise ModelError(f"{len(sizes)} blocks, more than the "
+                             f"{MAX_BLOCKS} supported")
         if any(s <= 0 for s in sizes):
             raise DimensionMismatchError("block sizes must be positive")
         if len(coords) != len(sizes):
@@ -297,7 +302,8 @@ class PositionJet:
     coordinates: S[p, r, a], dS[p, k, r, a] = d_k S[r, a],
     d2S[p, k, l, r, a], V[p, r], dV[p, k, r], d2V[p, k, l, r], views of
     one :class:`_GridJet` result.  ``twist`` is the :class:`Twist` of
-    the stack, its S inverted by :func:`invert_stack`, made once."""
+    the stack, its S inverted by the stacks form of
+    :func:`invert_with_condition`, made once."""
 
     qs: list
     S: np.ndarray
@@ -309,7 +315,8 @@ class PositionJet:
 
     @cached_property
     def twist(self) -> "Twist":
-        return Twist(invert_stack(self.S, self.qs), dS=self.dS, d2S=self.d2S)
+        M, _ = invert_with_condition(self.S, self.qs)
+        return Twist(M, dS=self.dS, d2S=self.d2S)
 
 
 class SystemJet:
@@ -386,7 +393,8 @@ class SystemJet:
                for e in row):
             return None
         try:
-            return twist(self.stackel([[0.0] * sys.dim])[0])
+            return Twist(*invert_with_condition(
+                self.stackel([[0.0] * sys.dim])[0]))
         except (ModelError, _expr.ExprError):
             return None
 
@@ -395,7 +403,7 @@ class SystemJet:
         tw = self.constant_twist
         if tw is not None:
             return tw
-        return twist(self.stackel([q])[0], point=q)
+        return Twist(*invert_with_condition(self.stackel([q])[0], q))
 
     @cached_property
     def field(self):
@@ -487,8 +495,11 @@ def _field_function(exprs, names, weights, head=(), rate=None, params="",
     name sums w_i times the partials of the expressions that mention the
     name, nothing else.  ``rate(k)``, if given, returns lines and one
     more term for the partial along position k (from weights that vary
-    with q), or ([], None); the lines of :func:`_inverse_lines` in
-    ``head`` may raise :class:`SingularMatrixError`."""
+    with q), or ([], None).  A varying S puts in ``head`` the floats
+    lines of :func:`_inverse_lines`, the one text of S^-1 that
+    :func:`invert_with_condition` also compiles, on floats and over
+    stacks (at most ``MAX_BLOCKS`` blocks); they may raise
+    :class:`SingularMatrixError`."""
     jet = _expr.compile(exprs, names, names)
     width, m = len(exprs), len(names) // 2
     free = [e.free_variables() for e in exprs]
@@ -512,13 +523,17 @@ def _field_function(exprs, names, weights, head=(), rate=None, params="",
     return namespace["_field"]
 
 
-def _inverse_lines(n: int, point: str) -> list[str]:
-    """Source lines that bind m{a}_{b} to entry (a, b) of S^-1, for the
-    n-by-n S of v[0] .. v[n*n - 1] row by row: the adjugate over the
+def _inverse_lines(n: int, point: str | None) -> list[str]:
+    """The one text of S^-1 and its gate: lines that bind m{a}_{b} to
+    entry (a, b) of S^-1 and ``cond`` to |S|_1 |S^-1|_1, for the n-by-n
+    S of v[0] .. v[n*n - 1] row by row, as the adjugate over the
     determinant, each minor expanded along its first row and written
-    once, behind the checks of :func:`invert_with_condition` in its
-    order and with its messages, naming the point of source text
-    ``point``; a non-finite determinant fails as an overflowed inverse."""
+    once.  In order, a zero determinant is singular, a non-finite
+    determinant or S^-1 overflowed, and cond past ``COND_ERROR`` is
+    numerically singular: on floats each check raises its
+    :class:`SingularMatrixError` naming the point of source text
+    ``point``.  With ``point`` None the arithmetic runs over arrays,
+    ``max`` elementwise, and ``ok`` is bound to where all checks pass."""
     lines = [_tuple(f"s{r}_{a}" for r in range(n) for a in range(n))
              + f" = v[:{n * n}]"]
     names = {}
@@ -541,20 +556,24 @@ def _inverse_lines(n: int, point: str) -> list[str]:
     every = tuple(range(n))
     rest = [every[:a] + every[a + 1:] for a in every]
     det = minor(every, every)
-    lines.append(f"if {det} == 0.0: {fail('is singular')}")
     inverse = [f"m{a}_{b} = {'-' if (a + b) % 2 else ''}"
                f"{minor(rest[b], rest[a])} / {det}"
                for a in every for b in every]
     cols = [f"col{b}" for b in every]
-    finite = " and ".join(f"{x} <= {float(np.finfo(float).max)!r}"
-                          for x in [f"abs({det})", *cols])
+    inverse += [f"{col} = " + " + ".join(f"abs(m{a}_{b})" for a in every)
+                for b, col in enumerate(cols)]
+    finite = [f"{x} <= {float(np.finfo(float).max)!r}"
+              for x in [f"abs({det})", *cols]]
     norm_s = _tuple(" + ".join(f"abs(s{a}_{b})" for a in every)
                     for b in every)
-    return lines + inverse + [
-        f"{col} = " + " + ".join(f"abs(m{a}_{b})" for a in every)
-        for b, col in enumerate(cols)] + [
-        f"if not ({finite}): {fail('inverse overflowed')}",
-        f"cond = max({norm_s}) * max({_tuple(cols)})",
+    cond = f"cond = max({norm_s}) * max({_tuple(cols)})"
+    if point is None:
+        return lines + inverse + [cond, " & ".join(
+            [f"ok = ({det} != 0.0)", *(f"({x})" for x in finite),
+             f"~(cond > {COND_ERROR!r})"])]
+    return lines + [f"if {det} == 0.0: {fail('is singular')}"] + inverse + [
+        f"if not ({' and '.join(finite)}): {fail('inverse overflowed')}",
+        cond,
         f"if cond > {COND_ERROR!r}: {fail('numerically singular', 'cond, ')}"]
 
 
@@ -591,6 +610,9 @@ def _q_of(point) -> tuple[float, ...]:
 
 COND_ERROR = 1e12
 COND_WARN = 1e8
+# the text of S^-1 grows about 2.2 times per block (n = 8: 1,332 lines,
+# n = 10: 6,228), and is generated and compiled while a command runs
+MAX_BLOCKS = 8
 
 
 def matrix_values(grid, env, entry: str = "entry") -> np.ndarray:
@@ -607,97 +629,63 @@ def matrix_values(grid, env, entry: str = "entry") -> np.ndarray:
                      for i, row in enumerate(grid, 1)], dtype=float)
 
 
-def matrix_derivative(grid, env, v: str) -> np.ndarray:
-    """Entrywise exact partial derivative of a grid."""
-    return np.array(
-        [[_expr.derivative(e, env, v) for e in row] for row in grid],
-        dtype=float)
-
-
-def matrix_second_derivative(grid, env, v1: str, v2: str) -> np.ndarray:
-    return np.array(
-        [[_expr.second_derivative(e, env, v1, v2) for e in row]
-         for row in grid], dtype=float)
-
-
 def inverse_derivative(M: np.ndarray, dS: np.ndarray) -> np.ndarray:
     """d(S^{-1}) from M = S^{-1} and dS, via -M (dS) M."""
     return -M @ dS @ M
 
 
-def _norm1(rows) -> float:
-    """The 1-norm, max_j sum_i |a_ij|, of a matrix given as lists of
-    Python floats; nan if a column sum is nan.  Each column is summed
-    down the rows in order, as ``np.abs(a).sum(axis=0).max()`` sums, so
-    the two agree bit for bit."""
-    worst = 0.0
-    for column in zip(*rows):
-        s = 0.0
-        for x in column:
-            s += abs(x)
-        if s > worst or s != s:  # a nan, once in, stays
-            worst = s
-    return worst
+@lru_cache(maxsize=None)
+def _inverse(n: int, stack: bool = False):
+    """:func:`_inverse_lines` compiled for n-by-n matrices, as
+    ``inverse(v, point)``.  On floats v holds the n*n entries of S, a
+    list; over a stack, their (n*n, P) columns, and it runs under
+    ``np.errstate``.  It returns the n*n entries of S^-1 row by row and
+    cond, and over a stack ``ok`` too."""
+    entries = _tuple(f"m{a}_{b}" for a in range(n) for b in range(n))
+    lines = _inverse_lines(n, None if stack else "point")
+    lines.append(f"return {entries}, cond" + ", ok" * stack)
+    code = "def inverse(v, point):\n" + "".join(f"    {line}\n"
+                                               for line in lines)
+    namespace = {"SingularMatrixError": SingularMatrixError}
+    if stack:  # max over a tuple of arrays, elementwise
+        namespace["max"] = np.maximum.reduce
+    exec(compile(code, f"<inverse {n}>", "exec"), namespace)
+    return namespace["inverse"]
 
 
 def invert_with_condition(S: np.ndarray, point=None):
-    """LU inverse with a 1-norm condition estimate of one separation
-    matrix; :func:`invert_stack` inverts a stack behind the same gate.
-
-    Returns (M, cond, warning).  cond above COND_ERROR raises; above
-    COND_WARN the warning string is returned for attachment to results.
-    The two 1-norms are taken on Python floats (:func:`_norm1`).
-    """
-    try:
-        M = np.linalg.inv(S)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("matrix is singular", point=point) from None
-    # the 1-norm of M is finite only if every entry of M is
-    norm1_inv = _norm1(M.tolist())
-    if not math.isfinite(norm1_inv):
-        raise SingularMatrixError("matrix inverse overflowed", point=point)
-    cond = _norm1(S.tolist()) * norm1_inv
-    if cond > COND_ERROR:
-        raise SingularMatrixError("matrix numerically singular",
-                                  cond=cond, point=point)
-    warning = None
-    if cond > COND_WARN:
-        warning = (f"ill-conditioned separation matrix: 1-norm condition "
-                   f"estimate {cond:.3e} exceeds {COND_WARN:.0e}")
-    return M, cond, warning
-
-
-def invert_stack(S: np.ndarray, points) -> np.ndarray:
-    """The inverses of a stack of matrices S (m, n, n), S[k] taken at
-    points[k], behind the gate of :func:`invert_with_condition`: one
-    inverse and one pair of 1-norms for the stack (column sums down
-    the rows in order, those of :func:`_norm1` bit for bit).  If a
-    matrix fails, the matrices go through :func:`invert_with_condition`
-    one at a time, so that the first to fail raises its own error."""
-    try:
-        M = np.linalg.inv(S)
-    except np.linalg.LinAlgError:
-        pass
-    else:
-        norm1_inv = np.abs(M).sum(axis=-2).max(axis=-1)
-        cond = np.abs(S).sum(axis=-2).max(axis=-1) * norm1_inv
-        if np.isfinite(norm1_inv).all() and not (cond > COND_ERROR).any():
-            return M
-    for s, point in zip(S, points):
-        invert_with_condition(s, point=point)
-    raise AssertionError("a stack failed the gate that each matrix passes")
+    """(S^-1, cond) of one n-by-n matrix S, or of each matrix of a stack
+    S (P, n, n) with one point per matrix, behind the gate of
+    :func:`_inverse_lines`.  A failing matrix raises
+    :class:`SingularMatrixError` naming its point; a failing stack runs
+    its first failing matrix again on floats, which raises its own
+    error.  Both forms run the same IEEE operations, so a matrix gets
+    the same S^-1 and cond bit for bit alone and in a stack."""
+    S = np.asarray(S, dtype=float)
+    n = S.shape[-1]
+    if S.ndim == 2:
+        entries, cond = _inverse(n)(S.ravel().tolist(), point)
+        return np.array(entries).reshape(n, n), cond
+    with np.errstate(all="ignore"):
+        entries, cond, ok = _inverse(n, True)(S.reshape(-1, n * n).T, point)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        _inverse(n)(S[k].ravel().tolist(), point[k])
+        raise AssertionError("a matrix failed the gate in a stack only")
+    return np.stack(entries, axis=-1).reshape(S.shape), cond
 
 
 class Twist:
-    """S^{-1} at a point, or at each point of a stack, behind the
-    condition gate of :func:`invert_with_condition`, with the partials
-    of the twist that the residuals read (the generated field of
-    :class:`SystemJet` writes out its own S^-1 and d_k alpha on floats,
-    behind the same checks).  Row a-1 of ``matrix`` holds the coefficients
-    combining the block energies into K_a; row 0 is the twist vector
-    ``alpha``.  A stack puts its point axis first, and has no ``cond``
-    or ``warning``.  The partials need the partials of S, and each is
-    computed on first use:
+    """S^{-1} at a point, or at each point of a stack, from
+    :func:`invert_with_condition`, with the partials of the twist that
+    the residuals read (the generated field of :class:`SystemJet`
+    inlines the same S^-1 and writes d_k alpha out on floats).  Row a-1
+    of ``matrix`` holds the coefficients combining the block energies
+    into K_a; row 0 is the twist vector ``alpha``.  At a point ``cond``
+    is the gate's condition estimate, and ``warning`` a note when it
+    passes ``COND_WARN``.  A stack puts its point axis first, and has no
+    ``cond`` or ``warning``.  The partials need the partials of S, and
+    each is computed on first use:
 
     * ``dmatrix[..., k, :, :]`` = d_k(S^{-1}) = -S^{-1} (d_k S) S^{-1},
       whose row 0 ``dmatrix[..., k, 0, :]`` is d_k alpha;
@@ -706,16 +694,23 @@ class Twist:
     """
 
     def __init__(self, matrix: np.ndarray, cond: float | None = None,
-                 warning: str | None = None, dS=None, d2S=None):
+                 dS=None, d2S=None):
         self.matrix = matrix
         self.cond = cond
-        self.warning = warning
         self._dS = dS
         self._d2S = d2S
 
     @property
     def alpha(self) -> np.ndarray:
         return self.matrix[..., 0, :]
+
+    @property
+    def warning(self) -> str | None:
+        """A note for the results when cond passes ``COND_WARN``."""
+        if self.cond is None or not self.cond > COND_WARN:
+            return None
+        return (f"ill-conditioned separation matrix: 1-norm condition "
+                f"estimate {self.cond:.3e} exceeds {COND_WARN:.0e}")
 
     @cached_property
     def dmatrix(self) -> np.ndarray:
@@ -731,14 +726,6 @@ class Twist:
         rows = (self.alpha[..., None, None, None, :]
                 @ (pairs + pairs.swapaxes(-4, -3) - self._d2S))
         return rows[..., 0, :] @ M
-
-
-def twist(S: np.ndarray, point=None) -> Twist:
-    """The :class:`Twist` of the separation matrix values S.  Past
-    ``COND_ERROR`` it raises :class:`SingularMatrixError`, naming
-    ``point``."""
-    M, cond, warning = invert_with_condition(S, point=point)
-    return Twist(M, cond, warning)
 
 
 # ---------------------------------------------------------------------------
@@ -791,10 +778,6 @@ def build_system(structure: BlockStructure, stackel: StackelMatrix,
     for env in probe_envs:
         q = [env[c] for c in structure.names]
         S = matrix_values(stackel.entries, env, "separation matrix entry S")
-        det = float(np.linalg.det(S))
-        if det == 0.0 or not np.isfinite(det):
-            raise SingularMatrixError(
-                "separation matrix singular at probe point", point=q)
         invert_with_condition(S, point=q)
         for r, blk in enumerate(blocks, start=1):
             g = matrix_values(blk.metric, env, f"block {r} metric entry g")
@@ -850,13 +833,6 @@ def twist_rows(sys: TwistedSystem, point) -> Twist:
     return sys.jet.twist(_position_values(sys, point))
 
 
-def block_energy(sys: TwistedSystem, r: int, point: PhasePoint) -> float:
-    """H_r = (1/2) g_r^{ij} p_i p_j + V_r on the block-r slice."""
-    if not 1 <= r <= sys.n:
-        raise BlockIndexError(f"block index {r} out of range 1..{sys.n}")
-    return float(_block_energies(sys, point)[r - 1])
-
-
 def hamiltonian(sys: TwistedSystem, point: PhasePoint) -> float:
     """H = sum_r alpha^r(q) H_r."""
     tw = twist_rows(sys, point)
@@ -889,13 +865,3 @@ def _reduced_constants(sys: TwistedSystem, r: int,
         raise DimensionMismatchError(
             f"expected {sys.n} separation constants, got shape {c.shape}")
     return c
-
-
-def reduced_hamiltonian(sys: TwistedSystem, r: int, c: Sequence[float],
-                        point: PhasePoint) -> float:
-    """H_r - sum_a c_a S[r][a]: the block-r separated-equation residual
-    turned into a one-block Hamiltonian on the block slice."""
-    c = _reduced_constants(sys, r, c)
-    h = float(_block_energies(sys, point)[r - 1])
-    S = sys.jet.stackel([_position_values(sys, point)])[0]
-    return h - float(c @ S[r - 1])

@@ -1,4 +1,5 @@
-"""Shared fixtures: a small three-block system used across suites.
+"""Shared fixtures: a small three-block system used across suites, and
+the references that only tests call.
 
 Kept independent of the catalog module on purpose, so the model and
 dynamics suites exercise hand-assembled systems and the catalog suite
@@ -7,12 +8,13 @@ can cross-check its own constructions against these.
 
 import numpy as np
 
+from blocksep import expr, model
 from blocksep.dynamics import (
     _COUPLING, _DENSE, _ERROR5, _KEPT, _NODES, _ORDER3,
 )
 from blocksep.model import (
-    BlockStructure, NaturalBlock, PhasePoint, ProbePlan,
-    SingularMatrixError, StackelMatrix, _inverse_lines, build_system,
+    BlockIndexError, BlockStructure, NaturalBlock, PhasePoint, ProbePlan,
+    StackelMatrix, build_system,
 )
 
 
@@ -33,26 +35,6 @@ def make_pendula_like():
                        box={"q1": (-0.3, 0.3), "q2": (-0.3, 0.3),
                             "q3": (-0.3, 0.3)})
     return build_system(structure, stackel, blocks, probes)
-
-
-def generated_inverse(n):
-    """The gated S^-1 that a generated field writes out for an n-by-n
-    S, as a function of S (an n-by-n array) and the point to name,
-    returning (S^-1, cond)."""
-    rows = ", ".join("[" + ", ".join(f"m{a}_{b}" for b in range(n)) + "]"
-                     for a in range(n))
-    code = ("def inverse(v, point):\n"
-            + "".join(f"    {line}\n" for line in _inverse_lines(n, "point"))
-            + f"    return [{rows}], cond\n")
-    namespace = {"SingularMatrixError": SingularMatrixError}
-    exec(code, namespace)
-    inverse = namespace["inverse"]
-
-    def gated(S, point=None):
-        M, cond = inverse(np.asarray(S, dtype=float).ravel().tolist(), point)
-        return np.array(M), cond
-
-    return gated
 
 
 def zip_dop853():
@@ -113,3 +95,48 @@ PENDULA_P0 = PhasePoint((0.2, -0.2, 0.0), (0.0, 0.0, 0.0))
 
 # frozen reference values of H, K_2, K_3 on the orbit through P0
 PENDULA_C = (0.09494666248, 0.0916913483, -0.3797866499)
+
+
+# ---------------------------------------------------------------------------
+# references that the commands do not call
+
+def matrix_derivative(grid, env, v: str) -> np.ndarray:
+    """Entrywise exact partial derivative of a grid, by the tree walker."""
+    return np.array(
+        [[expr.derivative(e, env, v) for e in row] for row in grid],
+        dtype=float)
+
+
+def matrix_second_derivative(grid, env, v1: str, v2: str) -> np.ndarray:
+    return np.array(
+        [[expr.second_derivative(e, env, v1, v2) for e in row]
+         for row in grid], dtype=float)
+
+
+def block_energy(sys, r: int, point: PhasePoint) -> float:
+    """H_r = (1/2) g_r^{ij} p_i p_j + V_r on the block-r slice."""
+    if not 1 <= r <= sys.n:
+        raise BlockIndexError(f"block index {r} out of range 1..{sys.n}")
+    return float(model._block_energies(sys, point)[r - 1])
+
+
+def reduced_hamiltonian(sys, r: int, c, point: PhasePoint) -> float:
+    """H_r - sum_a c_a S[r][a]: the block-r separated-equation residual
+    turned into a one-block Hamiltonian on the block slice."""
+    c = model._reduced_constants(sys, r, c)
+    h = float(model._block_energies(sys, point)[r - 1])
+    S = sys.jet.stackel([model._position_values(sys, point)])[0]
+    return h - float(c @ S[r - 1])
+
+
+def full_field(sys, point: PhasePoint) -> np.ndarray:
+    """Hamiltonian vector field of H = alpha^r H_r: (dq/dt, dp/dt)."""
+    return np.array(sys.jet.field(list(point.q + point.p)))
+
+
+def reduced_field(sys, r: int, c, point: PhasePoint) -> np.ndarray:
+    """Hamiltonian vector field of the one-block reduced Hamiltonian
+    H_r - c_a S[r][a] on the block-r phase space.  ``point`` holds the
+    block slice only (n_r positions and momenta)."""
+    c = model._reduced_constants(sys, r, c).tolist()
+    return np.array(sys.jet.reduced(r)(list(point.q + point.p), c))

@@ -299,6 +299,21 @@ def test_invalid_tolerance_exits_config(tmp_path, capsys, setting):
     assert err.startswith(f"config error: {path}: ")
 
 
+def test_too_many_blocks_exits_config(tmp_path, capsys):
+    n = model.MAX_BLOCKS + 1
+    blocks = " | ".join(f"q{r}" for r in range(1, n + 1))
+    rows = "\n".join(f"row{r} = " + ", ".join(
+        '"1"' if a == r else '"0"' for a in range(1, n + 1))
+        for r in range(1, n + 1))
+    body = (f"[system]\nblocks = {blocks}\n[stackel]\n{rows}\n"
+            f"[initial]\nq = {', '.join(['0.0'] * n)}\n")
+    path = write_config(tmp_path, body)
+    assert cli.main(["simulate", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {path}: invalid inline system: {n} blocks, more "
+        f"than the {n - 1} supported\n")
+
+
 def test_invalid_tolerance_flag_exits_config(tmp_path, capsys):
     path = write_config(tmp_path, PENDULA_BODY)
     assert cli.main(["simulate", "--config", path, "--atol", "0"]) == 2
@@ -600,7 +615,7 @@ def tree_walked_energies(sys_, q, p):
     return np.array(out)
 
 
-@pytest.mark.parametrize("name", ["pendula", "calogero4"])
+@pytest.mark.parametrize("name", ["pendula", "oscillators", "calogero4"])
 def test_orbit_integral_columns_are_row_dots(name, tmp_path, capsys):
     # H and K_a are (S^-1)[a] @ E, E the block energies: the same bits
     # as a tree-walked S, its gated inverse and tree-walked energies
@@ -622,7 +637,7 @@ samples = 40
         vals = [float(v) for v in row.split(",")]
         q, p = vals[1:1 + N], vals[1 + N:1 + 2 * N]
         S = model.matrix_values(sys_.stackel.entries, sys_.env(q))
-        M, _, _ = model.invert_with_condition(S)
+        M, _ = model.invert_with_condition(S)
         E = tree_walked_energies(sys_, q, p)
         assert vals[1 + 2 * N + n:] == [float(M[a] @ E) for a in range(n)]
 

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    PENDULA_P0, generated_inverse, make_pendula_like, zip_dop853,
+    PENDULA_P0, full_field, make_pendula_like, matrix_derivative,
+    reduced_field, reduced_hamiltonian, zip_dop853,
 )
 
 from blocksep import catalog, expr, model
@@ -32,10 +33,8 @@ from blocksep.dynamics import (
     _dop853,
     block_clock,
     compare_block_orbits,
-    full_field,
     full_field_callable,
     integrate,
-    reduced_field,
     reduced_field_callable,
 )
 from blocksep.model import (
@@ -583,12 +582,12 @@ def _reference_full_field(sys, q, p):
         qdot[idx] = alpha[r] * (g @ pb)
     pdot = np.zeros(N)
     for k, name in enumerate(sys.structure.names):
-        dS = model.matrix_derivative(sys.stackel.entries, env, name)
+        dS = matrix_derivative(sys.stackel.entries, env, name)
         dalpha = -(alpha @ dS) @ M
         for r, blk in enumerate(sys.blocks):
             idx = list(sys.structure.block_range(r + 1))
             pb = np.array([p[j] for j in idx])
-            dg = model.matrix_derivative(blk.metric, env, name)
+            dg = matrix_derivative(blk.metric, env, name)
             dH = (0.5 * pb @ dg @ pb
                   + expr.derivative(blk.potential, env, name))
             pdot[k] -= dalpha[r] * H[r] + alpha[r] * dH
@@ -602,7 +601,7 @@ def _reference_reduced_field(sys, r, c, qb, pb):
     pb = np.asarray(pb)
     pdot = np.empty(len(names))
     for i, name in enumerate(names):
-        dg = model.matrix_derivative(blk.metric, env, name)
+        dg = matrix_derivative(blk.metric, env, name)
         dS = sum(c[a] * expr.derivative(e, env, name)
                  for a, e in enumerate(sys.stackel.entries[r - 1]))
         pdot[i] = -(0.5 * pb @ dg @ pb
@@ -795,12 +794,12 @@ def test_pendula_first_integral_drift(pendula, pendula_orbit):
 
 def test_reduced_hamiltonian_constant_along_orbit(pendula, pendula_orbit):
     c = model.separation_constants(pendula, PENDULA_P0)
-    ref = [model.reduced_hamiltonian(pendula, r, c, PENDULA_P0)
+    ref = [reduced_hamiltonian(pendula, r, c, PENDULA_P0)
            for r in range(1, 4)]
     for y in pendula_orbit.ys[::10]:
         point = PhasePoint.from_array(y)
         for r in range(1, 4):
-            val = model.reduced_hamiltonian(pendula, r, c, point)
+            val = reduced_hamiltonian(pendula, r, c, point)
             assert abs(val - ref[r - 1]) <= 10 * 1e-10 * max(
                 1.0, abs(ref[r - 1]))
 
@@ -1094,15 +1093,9 @@ def test_field_returns_the_clock_rates_the_state_carries(name):
     N = sys.dim
     y = entry.initial_point.as_array() + 0.01
     q = y[:N].tolist()
-    tw = sys.jet.twist(q)
-    # a constant S has its LU twist written in; a varying one has the
-    # field's own cofactor S^-1, within a few cond*eps of the LU twist
-    alpha = tw.alpha
-    if sys.jet.constant_twist is None:
-        alpha = generated_inverse(sys.n)(sys.jet.stackel([q])[0], q)[0][0]
-        eps = np.finfo(float).eps
-        assert (np.abs(alpha - tw.alpha).max()
-                <= 4 * tw.cond * eps * np.abs(tw.alpha).max())
+    # a constant S has the gate's twist written in, and a varying one
+    # inlines the gate's own lines: the rates are the twist's alpha
+    alpha = sys.jet.twist(q).alpha
     plain = field(0.0, y)
     assert plain.shape == (2 * N,)
     for extra in range(1, sys.n + 1):

@@ -1,7 +1,7 @@
 """The residual battery on compiled jets against a tree-walker reference.
 
 Every reference below assembles the same formulas as ``geometry`` from
-``model.matrix_values`` / ``matrix_derivative`` /
+``model.matrix_values`` and conftest's ``matrix_derivative`` /
 ``matrix_second_derivative``, that is from one tree walk per entry,
 variable and point.  The jets must agree to a relative 1e-14 at seeded
 points of every catalog entry.  The last tests count ``expr.compile``
@@ -11,6 +11,8 @@ a command does not grow with its point count.
 
 import numpy as np
 import pytest
+
+from conftest import matrix_derivative, matrix_second_derivative
 
 from blocksep import catalog, cli, expr
 from blocksep import geometry as geo
@@ -42,11 +44,11 @@ def values(grid, env):
 
 
 def firsts(grid, coords, env):
-    return np.array([model.matrix_derivative(grid, env, c) for c in coords])
+    return np.array([matrix_derivative(grid, env, c) for c in coords])
 
 
 def seconds(grid, coords, env):
-    return np.array([[model.matrix_second_derivative(grid, env, a, b)
+    return np.array([[matrix_second_derivative(grid, env, a, b)
                       for b in coords] for a in coords])
 
 
@@ -160,7 +162,7 @@ def ref_gradients(F, P):
     grid = F.tensor.grid
     K = values(grid, env)
     dq = np.array([expr.derivative(F.scalar, env, c)
-                   + 0.5 * p @ model.matrix_derivative(grid, env, c) @ p
+                   + 0.5 * p @ matrix_derivative(grid, env, c) @ p
                    for c in F.coords])
     return dq, 0.5 * (K + K.T) @ p + np.zeros(n)
 
@@ -175,7 +177,9 @@ def ref_twist(sys, q):
     names = sys.structure.names
     env = dict(zip(names, q))
     S = values(sys.stackel.entries, env)
-    M = np.linalg.inv(S)
+    # the program's own gated S^-1: the subject here is the jets against
+    # the tree walker; the inverse is checked against LU in test_model
+    M, _ = model.invert_with_condition(S, point=q)
     dS = firsts(sys.stackel.entries, names, env)
     return env, M, dS
 

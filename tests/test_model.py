@@ -7,6 +7,7 @@ combined with the analytic rule d(S^{-1}) = -S^{-1}(dS)S^{-1}.
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -14,17 +15,17 @@ from hypothesis import given, settings, strategies as st
 
 from blocksep import expr
 from blocksep.model import (
-    BlockIndexError, BlockStructure, DimensionMismatchError,
-    ForeignVariableError, NaturalBlock, PhasePoint, ProbePlan,
-    SingularMatrixError, StackelMatrix, TwistedSystem, _norm1,
-    block_energy, build_system, first_integral, hamiltonian,
-    inverse_derivative, invert_with_condition, matrix_derivative,
-    matrix_values, reduced_hamiltonian, separation_constants, twist_rows,
+    MAX_BLOCKS, BlockIndexError, BlockStructure, DimensionMismatchError,
+    ForeignVariableError, ModelError, NaturalBlock, PhasePoint, ProbePlan,
+    SingularMatrixError, StackelMatrix, TwistedSystem, build_system,
+    first_integral, hamiltonian, inverse_derivative, invert_with_condition,
+    matrix_values, separation_constants, twist_rows,
 )
 
 
 from conftest import (
-    PENDULA_C, PENDULA_P0, generated_inverse, make_pendula_like,
+    PENDULA_C, PENDULA_P0, block_energy, make_pendula_like,
+    matrix_derivative, reduced_hamiltonian,
 )
 
 pendula_like = make_pendula_like
@@ -94,6 +95,17 @@ def test_dimension_mismatches():
         BlockStructure((1, 1), (("q1",), ("q1",)))
 
 
+def test_block_count_is_bounded():
+    # the generated S^-1 grows about 2.2 times per block: past
+    # MAX_BLOCKS a structure is refused, not inverted another way
+    names = tuple((f"q{i}",) for i in range(1, MAX_BLOCKS + 2))
+    assert BlockStructure((1,) * MAX_BLOCKS, names[:-1]).n == MAX_BLOCKS
+    with pytest.raises(ModelError,
+                       match=f"^{MAX_BLOCKS + 1} blocks, more than the "
+                             f"{MAX_BLOCKS} supported$"):
+        BlockStructure((1,) * (MAX_BLOCKS + 1), names)
+
+
 def test_metric_symmetry_enforced():
     with pytest.raises(DimensionMismatchError):
         NaturalBlock((("1", "q1"), ("0", "1")), "0")
@@ -104,7 +116,7 @@ def test_singular_probe_rejected():
     stackel = StackelMatrix((("1", "1"), ("1", "1")))  # identically singular
     blocks = (NaturalBlock((("1",),), "0"), NaturalBlock((("1",),), "0"))
     probes = ProbePlan(points=({"q1": 0.0, "q2": 0.0},))
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match=r"at q=\(0\.0, 0\.0\)"):
         build_system(structure, stackel, blocks, probes)
 
 
@@ -351,67 +363,110 @@ _entries = st.one_of(st.floats(-1e3, 1e3, allow_nan=False),
 @given(st.integers(1, 6).flatmap(lambda n: st.lists(
     st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_float_condition_is_the_numpy_formula(rows):
-    # the gate's 1-norms run on Python floats; its cond must be the
-    # NumPy formula bit for bit
+    # the gate's cond must be the NumPy formula on its own S^-1, bit for
+    # bit: each column summed down the rows in order
     S = np.array(rows)
-    assert _norm1(rows) == float(np.abs(S).sum(axis=0).max())
     try:
-        M, cond, _ = invert_with_condition(S)
+        M, cond = invert_with_condition(S)
     except SingularMatrixError:
         return
     assert cond == (float(np.abs(S).sum(axis=0).max())
                     * float(np.abs(M).sum(axis=0).max()))
 
 
-def test_float_norm_keeps_a_nan():
-    assert math.isnan(_norm1([[1.0, 2.0], [3.0, math.nan]]))
-    assert math.isnan(_norm1([[math.nan, 9.0], [3.0, 5.0]]))
-
-
 # ---------------------------------------------------------------------------
-# the gated S^-1 that the generated fields write out on floats
+# the one gated S^-1, on floats and over stacks
+
+def _stack_points(m):
+    return [(0.001 * k, -1.0) for k in range(m)]
+
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_generated_inverse_agrees_with_the_gate(n):
-    # a cofactor inverse and an LU inverse each err by about cond*eps;
-    # both S^-1 and the condition estimate agree within 2 n cond eps
+    # a cofactor inverse and an LU inverse each err by about cond*eps:
+    # both forms of the gate agree with np.linalg.inv, and their cond
+    # with the 1-norm formula on it, within 2 n cond eps
     eps = np.finfo(float).eps
-    inverse = generated_inverse(n)
     rng = np.random.default_rng(n)
-    for _ in range(50):
-        S = rng.standard_normal((n, n))
-        M, cond, _ = invert_with_condition(S)
-        got, got_cond = inverse(S)
-        bound = 2 * n * cond * eps
-        assert np.abs(got - M).max() <= bound * np.abs(M).max()
-        assert abs(got_cond - cond) <= bound * cond
+    S = rng.standard_normal((50, n, n))
+    stack, stack_cond = invert_with_condition(S, _stack_points(50))
+    for k, s in enumerate(S):
+        want = np.linalg.inv(s)
+        want_cond = float(np.abs(s).sum(axis=0).max()
+                          * np.abs(want).sum(axis=0).max())
+        bound = 2 * n * want_cond * eps
+        for got, got_cond in (invert_with_condition(s),
+                              (stack[k], stack_cond[k])):
+            assert np.abs(got - want).max() <= bound * np.abs(want).max()
+            assert abs(got_cond - want_cond) <= bound * want_cond
 
 
-@pytest.mark.parametrize("S", [
-    [[1.0, 2.0], [2.0, 4.0]],                                # singular
-    [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]],
-    [[1e-310, 1.0], [0.0, 1.0]],                             # overflowed
-    [[1.0, 0.0, 0.0], [0.0, 1e-310, 0.0], [0.0, 0.0, 1.0]],
-    [[1.0, 1.0], [1.0, 1.0 + 1e-13]],                        # cond > 1e12
-    [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0 + 1e-12], [0.0, 1.0, 1.0]],
-])
-def test_generated_inverse_fails_as_the_gate(S):
+@pytest.mark.parametrize("S, message", [
+    ([[1.0, 2.0], [2.0, 4.0]], "matrix is singular at q={q}"),
+    ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]],
+     "matrix is singular at q={q}"),
+    ([[1e-310, 1.0], [0.0, 1.0]], "matrix inverse overflowed at q={q}"),
+    ([[1.0, 0.0, 0.0], [0.0, 1e-310, 0.0], [0.0, 0.0, 1.0]],
+     "matrix inverse overflowed at q={q}"),
+    ([[1.0, 1.0], [1.0, 1.0 + 1e-13]],           # cond > 1e12
+     "matrix numerically singular at q={q} "
+     "(1-norm condition estimate 4.003e+13)"),
+    ([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0 + 1e-12], [0.0, 1.0, 1.0]],
+     "matrix numerically singular at q={q} "
+     "(1-norm condition estimate 5.999e+13)"),
+], ids=[f"S{i}" for i in range(6)])
+def test_generated_inverse_fails_as_the_gate(S, message):
+    # the same error alone and in a stack of 200, with the failing
+    # matrix first, at row 130 and last among healthy ones
     S = np.array(S)
-    point = (0.5, -1.0)
-    with pytest.raises(SingularMatrixError) as want:
-        invert_with_condition(S, point=point)
-    with pytest.raises(SingularMatrixError) as got:
-        generated_inverse(len(S))(S, point=point)
-    message = str(want.value).split(" at q=")[0]
-    assert str(got.value).split(" at q=")[0] == message
-    assert f"at q={point!r}" in str(got.value)
-    assert got.value.point == want.value.point == point
-    if want.value.cond is None:
-        assert got.value.cond is None
-    else:
-        cond = want.value.cond
-        rel = 2 * len(S) * cond * np.finfo(float).eps
-        assert got.value.cond == pytest.approx(cond, rel=rel)
+    n = len(S)
+    cases = [(S, (0.5, -1.0))]
+    rng = np.random.default_rng(n)
+    for row in (0, 130, 199):
+        stack = rng.uniform(-1.0, 1.0, (200, n, n)) + 3.0 * np.eye(n)
+        stack[row] = S
+        cases.append((stack, _stack_points(200)))
+    for (matrices, point), row in zip(cases, (None, 0, 130, 199)):
+        want = point if row is None else point[row]
+        with pytest.raises(SingularMatrixError) as err:
+            invert_with_condition(matrices, point)
+        assert str(err.value) == message.format(q=want)
+        assert err.value.point == want
+        assert (err.value.cond is None) == ("condition" not in message)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stack_inverse_is_the_float_inverse_bit_for_bit(n):
+    # floats and arrays run the same IEEE operations, so a stack's S^-1
+    # and cond equal those of its matrices one at a time in every bit,
+    # the sign of a zero included
+    rng = np.random.default_rng(20 + n)
+    S = rng.standard_normal((40, n, n)) + n * np.eye(n)
+    S[7] = np.diag(rng.uniform(1.0, 2.0, n))
+    if n > 1:
+        S[7, -1, 0] = -0.0
+    M, cond = invert_with_condition(S, _stack_points(40))
+    rows = [invert_with_condition(s) for s in S]
+    for got, want in ((M, [m for m, _ in rows]), (cond, [c for _, c in rows])):
+        assert np.array_equal(got.view(np.uint64),
+                              np.array(want).view(np.uint64))
+    if n > 1:
+        assert (np.signbit(M[7]) & (M[7] == 0.0)).any()
+
+
+def test_a_failing_stack_warns_of_nothing():
+    # the arrays form divides by a zero determinant and meets nan and
+    # inf; the gate raises its error and NumPy warns of nothing
+    S = np.tile(np.eye(3), (6, 1, 1))
+    S[2] = 0.0
+    S[3, 1, 1] = math.nan
+    S[4, 0, 0] = math.inf
+    S[5, 2, 2] = 1e-310
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError) as err:
+            invert_with_condition(S, _stack_points(6))
+    assert str(err.value) == "matrix is singular at q=(0.002, -1.0)"
 
 
 @pytest.mark.parametrize("S", [
@@ -421,8 +476,10 @@ def test_generated_inverse_fails_as_the_gate(S):
 ])
 def test_generated_inverse_overflows_on_a_non_finite_step(S):
     # an entry or a determinant past the float range gives nan or a
-    # zero S^-1 in a cofactor inverse: it fails as an overflow
+    # zero S^-1 in a cofactor inverse: it fails as an overflow, alone
+    # and in a stack
     S = np.array(S)
-    with pytest.raises(SingularMatrixError,
-                       match=r"matrix inverse overflowed at q=\(1\.0,\)"):
-        generated_inverse(len(S))(S, point=(1.0,))
+    for matrices, point in ((S, (1.0,)), (S[None], [(1.0,)])):
+        with pytest.raises(SingularMatrixError,
+                           match=r"matrix inverse overflowed at q=\(1\.0,\)"):
+            invert_with_condition(matrices, point)

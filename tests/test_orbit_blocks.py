@@ -130,7 +130,7 @@ def healthy_stack(m=300):
 
 def test_stack_inverse_equals_row_inverses():
     S, points = healthy_stack()
-    assert np.array_equal(model.invert_stack(S, points),
+    assert np.array_equal(model.invert_with_condition(S, points)[0],
                           [model.invert_with_condition(s)[0] for s in S])
 
 
@@ -144,7 +144,7 @@ def test_stack_inverse_raises_the_first_failing_row(rows, kinds):
     first = min(rows)
     want = gate_error(S[first], points[first])
     with pytest.raises(model.ModelError) as got:
-        model.invert_stack(S, points)
+        model.invert_with_condition(S, points)
     assert type(got.value) is type(want)
     assert str(got.value) == str(want)
     assert got.value.point == points[first]
