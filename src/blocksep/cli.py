@@ -499,7 +499,10 @@ def _row(name: str, threshold: float, residuals, points) -> CheckResult:
     return CheckResult(name, float(values[i]), threshold, where)
 
 
-def _verify_checks(res: _Resolved, cfg: RunConfig) -> list[CheckResult]:
+def _verify_checks(res: _Resolved, cfg: RunConfig,
+                   err) -> list[CheckResult]:
+    """The report rows of ``verify``; the twist's note on its largest
+    cond at the probes, if any, goes to ``err`` with its probe."""
     sys_ = res.system
     n = sys_.n
     th = cfg.thresholds
@@ -522,9 +525,12 @@ def _verify_checks(res: _Resolved, cfg: RunConfig) -> list[CheckResult]:
             name, qs, lambda xs, a=a: _geo.block_eisenhart_residual(
                 sys_, a, xs)), qs))
     kinds = ("metric", "potential")
+    twists = []  # each block's twist and its probes
 
     def connection(xs):
-        out = _geo.block_levi_civita_residual(sys_, xs)
+        at = sys_.jet.positions(xs)
+        twists.append((at.twist, xs))
+        out = _geo.block_levi_civita_residual(sys_, at)
         return np.stack([out[f"{kind}_residual"] for kind in kinds], axis=1)
 
     # both rows from one call, so that the twist is made once for them
@@ -532,6 +538,10 @@ def _verify_checks(res: _Resolved, cfg: RunConfig) -> list[CheckResult]:
     for k, kind in enumerate(kinds):
         checks.append(_row(f"block-connection {kind}", th["residual"],
                            both[:, k], qs))
+    tw, xs = max(twists, key=lambda t: np.max(t[0].cond))
+    if tw.warning is not None:
+        worst = " ".join(f"{v:.6g}" for v in xs[int(np.argmax(tw.cond))])
+        print(f"verify: {tw.warning} at probe ({worst})", file=err)
 
     if res.entry is not None and res.entry.cartesian is not None:
         ref = res.entry.cartesian
@@ -568,10 +578,11 @@ def _verify_checks(res: _Resolved, cfg: RunConfig) -> list[CheckResult]:
 
 def cmd_verify(cfg: RunConfig, out=None, err=None) -> int:
     out = out or sys.stdout
+    err = err or sys.stderr
     res = _resolve_dynamic(cfg)
     out_dir = _ensure_out(cfg)
     report = VerificationReport(_header_lines(cfg, res),
-                                tuple(_verify_checks(res, cfg)))
+                                tuple(_verify_checks(res, cfg, err)))
     print(report.human(), file=out)
     _write(os.path.join(out_dir, "verify_report.txt"), report.human())
     _write(os.path.join(out_dir, "verify_report.csv"), report.machine())

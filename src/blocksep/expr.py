@@ -8,7 +8,8 @@ computed with forward-mode dual numbers, never finite differences.
 :func:`compile` turns a list of expressions into one straight-line
 function that returns every value, first partial and, with ``order=2``,
 second partial in a single call, with the same results as the
-dual-number tree walker.  Everything that evaluates expressions at many
+dual-number tree walker, on floats or, in its stack form, over arrays
+of points.  Everything that evaluates expressions at many
 points (the vector fields, the clocks, the geometry and the catalog
 residuals) runs on compiled jets; :func:`evaluate`,
 :func:`derivative` and :func:`second_derivative` walk the tree, and
@@ -48,6 +49,8 @@ import math as _math
 import operator as _operator
 import re as _re
 from typing import Mapping
+
+import numpy as _np
 
 from . import dual as _d
 from .dual import Dual
@@ -465,6 +468,20 @@ _JET_GLOBALS = {
     "_RANGE_ERRORS": _RANGE_ERRORS,
 }
 
+
+def _each(fn):
+    # fn at each entry of an array or a literal, as each float gets it
+    return lambda a: _np.fromiter(map(fn, _np.ravel(a).tolist()), float)
+
+
+# the stack form: sqrt and abs are exact ufuncs; sin, cos, tan, exp, log
+# and ** stay math's, which NumPy's own may differ from in the last bit
+_STACK_GLOBALS = dict(
+    _JET_GLOBALS, **{f: _each(_JET_GLOBALS[f]) for f in
+                     ("_sin", "_cos", "_tan", "_exp", "_log")},
+    _sqrt=_np.sqrt, abs=_np.absolute, _any=_np.any, _where=_np.where,
+    _pow=lambda a, k: _each(lambda x: x ** k)(a))
+
 _FOLD = {"+": _operator.add, "-": _operator.sub, "*": _operator.mul,
          "/": _operator.truediv, "**": _operator.pow}
 # the emitted operations that cannot raise on floats
@@ -524,9 +541,13 @@ class _JetSource:
     visited twice and reuses the values of the nodes that do not mention
     a seeded variable.  :meth:`live` then drops the temporaries that
     nothing reads, of the operations that cannot raise.
+    With ``stack`` the lines run over arrays: a check raises where it
+    holds anywhere, a dual ``abs`` selects with ``_where`` and a power
+    calls ``_pow``.
     """
 
-    def __init__(self, names):
+    def __init__(self, names, stack=False):
+        self.stack = stack
         self.args = {name: _Sym(self, f"x{i}") for i, name in
                      enumerate(names)}
         self.lines: list[str] = []
@@ -578,7 +599,9 @@ class _JetSource:
         if op in "*/" and cb == 1.0 or (
                 op == "-" and cb == 0.0 and _math.copysign(1.0, cb) > 0.0):
             return a
-        return self.emit((op, a.ref, b.ref), f"{a.ref} {op} {b.ref}")
+        code = (f"_pow({a.ref}, {b.ref})" if op == "**" and self.stack
+                else f"{a.ref} {op} {b.ref}")
+        return self.emit((op, a.ref, b.ref), code)
 
     def neg(self, a: _Sym) -> _Sym:
         if a.const is not None:
@@ -624,7 +647,8 @@ class _JetSource:
     def check(self, cond: str, message: str, offset):
         """Raise ``message`` at run time when ``cond`` holds; a condition
         already checked cannot hold here, so it is emitted once."""
-        self.once(("check", cond), f"if {cond}: raise _DomainError("
+        test = f"_any({cond})" if self.stack else cond
+        self.once(("check", cond), f"if {test}: raise _DomainError("
                                    f"{message!r}, {offset!r})")
 
     # -- the functions of dual.py --------------------------------------------
@@ -685,8 +709,9 @@ class _JetSource:
         if top:
             return self.call("abs", value)
         x = self.sym(x)
-        return self.emit(("sel", value.ref, x.ref),
-                         f"{x.ref} if {value.ref} >= 0.0 else -{x.ref}")
+        code = (f"_where({value.ref} >= 0.0, {x.ref}, -{x.ref})" if self.stack
+                else f"{x.ref} if {value.ref} >= 0.0 else -{x.ref}")
+        return self.emit(("sel", value.ref, x.ref), code)
 
     # -- the tree walk -------------------------------------------------------
 
@@ -776,7 +801,7 @@ class _JetSource:
         return out
 
 
-def compile(exprs, names, wrt=(), order=1):
+def compile(exprs, names, wrt=(), order=1, stack=False):
     """Compile expressions into one straight-line jet.
 
     Returns a function taking one float per entry of ``names``,
@@ -798,16 +823,21 @@ def compile(exprs, names, wrt=(), order=1):
     :func:`second_derivative` raises for some variable or pair of
     ``wrt``.  A variable missing from ``names`` raises
     :class:`UnboundVariableError` when the function is called.
+
+    The stack form (``stack=True``, run under ``np.errstate``) takes a
+    (P,) array per name and a (K, P) array ``out``, and writes to
+    ``out[k, p]`` entry k of the float form at index p, bit for bit; it
+    raises an :class:`ExprError` where the float form fails anywhere.
     """
-    code, consts = _jet_source(exprs, names, wrt, order)
-    namespace = dict(_JET_GLOBALS, **consts)
+    code, consts = _jet_source(exprs, names, wrt, order, stack)
+    namespace = dict(_STACK_GLOBALS if stack else _JET_GLOBALS, **consts)
     exec(_builtins.compile(code, "<expr jet>", "exec"), namespace)
     return namespace["_jet"]
 
 
-def _jet_source(exprs, names, wrt=(), order=1):
-    """The source of :func:`compile`'s function ``_jet``, and the
-    non-finite literals it reads by name."""
+def _jet_source(exprs, names, wrt=(), order=1, stack=False):
+    """The source of :func:`compile`'s function ``_jet``, in the float
+    or the stack form, and the non-finite literals it reads by name."""
     exprs = list(exprs)
     names = tuple(names)
     wrt = tuple(wrt)
@@ -817,7 +847,7 @@ def _jet_source(exprs, names, wrt=(), order=1):
         raise ValueError(f"wrt {wrt} must be distinct entries of {names}")
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, not {order!r}")
-    src = _JetSource(names)
+    src = _JetSource(names, stack)
     args = src.args
     one, zero = src.const(1.0), src.const(0.0)
     out = src.run(exprs)
@@ -849,9 +879,19 @@ def _jet_source(exprs, names, wrt=(), order=1):
                 partials(frozenset((a, b)), env,
                          lambda r: _d.real(r.im.im)
                          if isinstance(r.im, Dual) else None)
-    body = src.live(out) + ["return (" + "".join(f"{s.ref}, " for s in out)
-                            + ")"]
-    code = (f"def _jet({', '.join(s.ref for s in args.values())}):\n"
+    body = src.live(out)
+    if stack:
+        # one assignment writes every row of out that holds an array, and
+        # one per literal every row that holds it
+        rows: dict = {}
+        for k, s in enumerate(out):
+            rows.setdefault(s.ref if s.const is not None else "", []).append(k)
+        body += [f"_out[{ks}] = " + (ref or "(" + "".join(
+            f"{out[k].ref}, " for k in ks) + ")") for ref, ks in rows.items()]
+    else:
+        body.append("return (" + "".join(f"{s.ref}, " for s in out) + ")")
+    params = [s.ref for s in args.values()] + ["_out"] * stack
+    code = (f"def _jet({', '.join(params)}):\n"
             + "    try:\n" + "".join(f"        {line}\n" for line in body)
             + f"    except _RANGE_ERRORS:\n        raise _DomainError("
             f"{_OVERFLOW!r}) from None\n")

@@ -20,7 +20,8 @@ the caller's business.
 
 Every expression-backed object (a :class:`MetricField`, a
 :class:`TensorField2`, a :class:`PhaseScalar`) compiles one
-:class:`model._GridJet` the first time it is evaluated and keeps it.
+:class:`model._GridJet` the first time it is evaluated and keeps it,
+and runs its stack form once per stack of points, over arrays.
 The metric and tensor functions (:func:`riemann`, :func:`ricci_scalar`,
 :func:`christoffel`, :func:`killing_residual`, :func:`nijenhuis`,
 :func:`tsn_residuals`, :func:`haantjes`, :func:`characteristic_condition`
@@ -28,12 +29,12 @@ and the field methods), the brackets (of phase points) and the system
 residuals take one point or a stack of points, a (P, n) array-like, and
 run one chain of array operations over a leading point axis p; one
 point is a stack of one, whose result comes back without that axis (a
-float for a scalar).  A stack calls the jet once per point, so each
-point's values are its own and an error comes from the point that
-raised it.  The system residuals read the potentials and the twist
-(S^-1 and its derivatives, :class:`model.Twist`) of one
-:meth:`model.SystemJet.positions` per stack.  Nothing here walks
-expression trees.  Gamma is formed in :func:`_connection` only, and a
+float for a scalar).  Each point's values are its own alone, bit for
+bit, and an error comes from the first point that raises it.  The
+system residuals read the potentials and the twist (S^-1 and its
+derivatives, :class:`model.Twist`) of one
+:meth:`model.SystemJet.positions` per stack, or take it.  Nothing here
+walks expression trees.  Gamma is formed in :func:`_connection` only, and a
 metric inverted in :func:`_inverse` only.
 """
 
@@ -212,7 +213,7 @@ class MetricField:
         n = self.n
         args = np.column_stack([qs] + [np.broadcast_to(v, len(qs))
                                        for v in self.params.values()])
-        G, dG, d2G = self._jet.stack(args.tolist())
+        G, dG, d2G = self._jet.stack(args)
         return (G.reshape(-1, n, n), dG.reshape(-1, n, n, n),
                 d2G.reshape(-1, n, n, n, n))[:order + 1]
 
@@ -295,7 +296,7 @@ class TensorField2:
         """At each point of the stack qs: values T[p] and first partials
         dT[p, k] = d_k T."""
         n = self.n
-        T, dT = self._jet.stack(qs.tolist())
+        T, dT = self._jet.stack(qs)
         return T.reshape(-1, n, n), dT.reshape(-1, n, n, n)
 
     def values(self, point) -> np.ndarray:
@@ -389,7 +390,7 @@ class PhaseScalar:
         and tensor K with their stacked first partials, from one jet
         stack."""
         n = len(self.coords)
-        vals, first = self._jet.stack(qs.tolist())
+        vals, first = self._jet.stack(qs)
         lin = 1 + len(self.linear or ())
         K = dK = None
         if self.tensor is not None:
@@ -709,9 +710,11 @@ def _dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _positions(sys: TwistedSystem, points):
     """The :class:`model.PositionJet` of one point or of a stack of
-    points, and whether one point was given."""
+    points, or the one given, and whether one point was given."""
+    if isinstance(points, _model.PositionJet):
+        return points, False
     qs, one = _stack(sys.structure.names, points)
-    return sys.jet.positions(qs.tolist()), one
+    return sys.jet.positions(qs), one
 
 
 def _check_integral(sys: TwistedSystem, a: int):
@@ -789,7 +792,7 @@ def characteristic_condition(T: TensorField2, V, g: MetricField,
     qs, one = _shared_stack(g, T, point)
     n = g.n
     Tv, dT = _mixed_components(T, g, qs)
-    _, dV, d2V = _grid_jet((V,), g.coords, (), 2).stack(qs.tolist())
+    _, dV, d2V = _grid_jet((V,), g.coords, (), 2).stack(qs)
     dV, d2V = dV.reshape(-1, n), d2V.reshape(-1, n, n)
     # domega[p, i, j] = d_i (T dV)_j
     domega = (np.einsum("pikj,pk->pij", dT, dV)

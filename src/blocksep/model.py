@@ -263,31 +263,47 @@ class TwistedSystem:
 
 class _GridJet:
     """A compiled jet of an expression list over coordinates (and fixed
-    parameters after them): the one adapter from the flat tuple of
-    values and partials of :func:`expr.compile` to arrays.
-    :meth:`stack` takes rows of arguments, the coordinate values and
-    then the parameter values, and returns at each row p the values
-    (p, m), the first partials (p, n, m) and, at order 2, the second
-    partials (p, n, n, m)."""
+    parameters after them): the one adapter from the values and partials
+    of :func:`expr.compile` to arrays.  :meth:`stack` takes a (P, k)
+    array of arguments, the coordinate values and then the parameter
+    values, and returns at each row p the values (p, m), the first
+    partials (p, n, m) and, at order 2, the second partials
+    (p, n, n, m)."""
 
     def __init__(self, exprs, coords, params=(), order=1):
         n, m = len(coords), len(exprs)
-        self.fn = _expr.compile(exprs, tuple(coords) + tuple(params),
-                                coords, order)
+        self._spec = (exprs, tuple(coords) + tuple(params), coords, order)
+        self.fn = _expr.compile(*self._spec, stack=True)
         self.m = m
         self.n = n
+        self.width = m * (1 + n + (n * (n + 1) // 2 if order == 2 else 0))
         self.pair = None
         if order == 2:  # compile's pairs i <= j, in row-major order
             i, j = np.triu_indices(n)
             self.pair = np.empty((n, n), dtype=int)
             self.pair[i, j] = self.pair[j, i] = np.arange(len(i))
 
-    def stack(self, rows):
-        """The jet at each row of arguments (lists of floats), one call
-        of the compiled function per row, so that each row's values are
-        its own and an error is raised by its row."""
+    @cached_property
+    def _floats(self):
+        """The float form, compiled for the first block that fails."""
+        return _expr.compile(*self._spec)
+
+    def stack(self, args):
+        """The jet at each row of ``args`` from one call of the stack
+        form over its columns, each entry bit for bit the float form's
+        at its row.  A block that fails anywhere runs again row by row
+        on the float form, so that the error is raised by the first row
+        that fails, as if each row had had its own call."""
         m, n = self.m, self.n
-        out = np.array([self.fn(*row) for row in rows])
+        out = np.empty((len(args), self.width))
+        try:
+            with np.errstate(all="ignore"):
+                self.fn(*args.T, out.T)
+        except _expr.ExprError as ex:
+            for row in args.tolist():
+                self._floats(*row)
+            raise AssertionError("a block failed in the stack form only") \
+                from ex
         first = out[:, m:m + n * m].reshape(-1, n, m)
         if self.pair is None:
             return out[:, :m], first
@@ -305,7 +321,7 @@ class PositionJet:
     the stack, its S inverted by the stacks form of
     :func:`invert_with_condition`, made once."""
 
-    qs: list
+    qs: np.ndarray
     S: np.ndarray
     dS: np.ndarray
     d2S: np.ndarray
@@ -315,8 +331,8 @@ class PositionJet:
 
     @cached_property
     def twist(self) -> "Twist":
-        M, _ = invert_with_condition(self.S, self.qs)
-        return Twist(M, dS=self.dS, d2S=self.d2S)
+        return Twist(*invert_with_condition(self.S, self.qs.tolist()),
+                     dS=self.dS, d2S=self.d2S)
 
 
 class SystemJet:
@@ -342,7 +358,7 @@ class SystemJet:
     ``twist(q)`` is the :class:`Twist` at the positions q; when no
     entry of S mentions a coordinate it is ``constant_twist``, taken
     once, and the field has it written in.
-    ``positions`` takes rows of the N positions and returns a
+    ``positions`` takes a (P, N) array of positions and returns a
     :class:`PositionJet`, from one order-2 :class:`_GridJet` over the
     entries of S and the potentials.
     """
@@ -467,12 +483,13 @@ class SystemJet:
 
     def positions(self, qs) -> PositionJet:
         """S, V and their partials up to second order at each row of
-        positions qs (lists of N floats), from one :meth:`_GridJet.stack`
-        of one order-2 jet over the n*n entries of S and the n
-        potentials, along all N coordinates.  The partials along a
-        coordinate an entry does not mention are exact 0.0."""
+        positions qs, a (P, N) array, from one :meth:`_GridJet.stack` of
+        one order-2 jet over the n*n entries of S and the n potentials,
+        along all N coordinates.  The partials along a coordinate an
+        entry does not mention are exact 0.0."""
         n = self._sys.n
         nn = n * n
+        qs = np.asarray(qs, dtype=float)
         jet = self._positions.stack(qs)
         S, dS, d2S = (a[..., :nn].reshape(a.shape[:-1] + (n, n))
                       for a in jet)
@@ -681,11 +698,11 @@ class Twist:
     the residuals read (the generated field of :class:`SystemJet`
     inlines the same S^-1 and writes d_k alpha out on floats).  Row a-1
     of ``matrix`` holds the coefficients combining the block energies
-    into K_a; row 0 is the twist vector ``alpha``.  At a point ``cond``
-    is the gate's condition estimate, and ``warning`` a note when it
-    passes ``COND_WARN``.  A stack puts its point axis first, and has no
-    ``cond`` or ``warning``.  The partials need the partials of S, and
-    each is computed on first use:
+    into K_a; row 0 is the twist vector ``alpha``.  ``cond`` is the
+    gate's condition estimate, and ``warning`` a note when it passes
+    ``COND_WARN``.  A stack puts its point axis first, has one cond per
+    point, and a note on its largest.  The partials need the partials
+    of S, and each is computed on first use:
 
     * ``dmatrix[..., k, :, :]`` = d_k(S^{-1}) = -S^{-1} (d_k S) S^{-1},
       whose row 0 ``dmatrix[..., k, 0, :]`` is d_k alpha;
@@ -706,11 +723,12 @@ class Twist:
 
     @property
     def warning(self) -> str | None:
-        """A note for the results when cond passes ``COND_WARN``."""
-        if self.cond is None or not self.cond > COND_WARN:
+        """A note for the results when cond, or a stack's largest,
+        passes ``COND_WARN``."""
+        if self.cond is None or not np.max(self.cond) > COND_WARN:
             return None
         return (f"ill-conditioned separation matrix: 1-norm condition "
-                f"estimate {self.cond:.3e} exceeds {COND_WARN:.0e}")
+                f"estimate {np.max(self.cond):.3e} exceeds {COND_WARN:.0e}")
 
     @cached_property
     def dmatrix(self) -> np.ndarray:
@@ -781,8 +799,9 @@ def build_system(structure: BlockStructure, stackel: StackelMatrix,
         invert_with_condition(S, point=q)
         for r, blk in enumerate(blocks, start=1):
             g = matrix_values(blk.metric, env, f"block {r} metric entry g")
-            gdet = float(np.linalg.det(g))
-            if gdet == 0.0 or not np.isfinite(gdet):
+            # as geometry._inverse: ln |det g| neither overflows nor underflows
+            sign, logdet = np.linalg.slogdet(g)
+            if sign == 0.0 or not np.isfinite(logdet):
                 raise SingularMatrixError(
                     f"block {r} metric degenerate at probe point", point=q)
     return sys

@@ -589,6 +589,45 @@ p = 0.1, 0.1
             "q=(-0.008885415341018943, 0.28844231988074315)") in err
 
 
+def test_ill_conditioned_twist_is_noted_on_stderr(tmp_path, capsys):
+    # det S = 1e-9 (2 + q2^2), so cond1(S) is about 2e9 near q2 = 0
+    body = """
+[system]
+blocks = q1 | q2
+
+[stackel]
+row1 = "1", "1"
+row2 = "1", "1+1e-9*(2+q2^2)"
+
+[initial]
+q = 0, 0
+p = 0.1, 0.1
+"""
+    path = write_config(tmp_path, body)
+    assert cli.main(["verify", "--config", path]) == 1
+    out, err = capsys.readouterr()
+    assert "ill-conditioned" not in out
+    lines = err.splitlines()
+    assert len(lines) == 1
+    head = ("verify: ill-conditioned separation matrix: 1-norm condition "
+            "estimate ")
+    assert lines[0].startswith(head)
+    cond, probe = lines[0][len(head):].split(" exceeds 1e+08 at probe ")
+    q = [float(v) for v in probe.strip("()").split()]
+    stackel = cli._resolve_dynamic(load_config(path)).system.stackel
+    S = model.matrix_values(stackel.entries, {"q1": q[0], "q2": q[1]})
+    # the probe is printed to 6 digits; cond hardly moves over that
+    assert float(cond) == pytest.approx(
+        model.invert_with_condition(S)[1], rel=1e-3)
+    assert float(cond) > model.COND_WARN
+
+
+def test_well_conditioned_verify_writes_no_stderr(tmp_path, capsys):
+    path = write_config(tmp_path, PENDULA_BODY)
+    assert cli.main(["verify", "--config", path]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(os.path.abspath(blocksep.__file__))))

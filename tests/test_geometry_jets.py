@@ -421,6 +421,36 @@ def test_curved_metric_battery_matches_tree_walker(name):
 
 
 # ---------------------------------------------------------------------------
+# the stack form at the probes of the commands
+
+@pytest.mark.parametrize("command, name", [("verify", n) for n in DYNAMIC]
+                         + [("curvature", n) for n in FAMILIES])
+def test_grid_jets_stack_the_float_form_bit_for_bit(command, name,
+                                                    monkeypatch, tmp_path):
+    # every grid jet a command makes, at every stack of its 100 points
+    seen = []
+    real = model._GridJet.stack
+
+    def recording(jet, args):
+        seen.append((jet, np.array(args, dtype=float)))
+        return real(jet, args)
+
+    monkeypatch.setattr(model._GridJet, "stack", recording)
+    path = write_config(tmp_path, f"[system]\ncatalog = {name}\n"
+                                  "[verification]\npoints = 100\n"
+                                  f"[output]\ndirectory = {tmp_path}\n")
+    assert cli.main([command, "--config", path,
+                     "--out", str(tmp_path / "out")]) == 0
+    assert seen
+    for jet, args in seen:
+        want = np.array([jet._floats(*row) for row in args.tolist()])
+        out = np.empty((jet.width, len(args)))
+        with np.errstate(all="ignore"):
+            jet.fn(*args.T, out)
+        assert np.array_equal(out.T.view(np.uint64), want.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
 # compile counts
 
 @pytest.fixture
@@ -428,10 +458,10 @@ def compiles(monkeypatch):
     calls = []
     real = expr.compile
 
-    def counting(exprs, names, wrt=(), order=1):
+    def counting(exprs, names, wrt=(), order=1, stack=False):
         exprs = list(exprs)
-        calls.append((tuple(exprs), tuple(names), tuple(wrt), order))
-        return real(exprs, names, wrt, order)
+        calls.append((tuple(exprs), tuple(names), tuple(wrt), order, stack))
+        return real(exprs, names, wrt, order, stack)
 
     monkeypatch.setattr(expr, "compile", counting)
     return calls

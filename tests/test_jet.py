@@ -13,10 +13,11 @@ import ast
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blocksep import catalog, expr
+from blocksep import catalog, expr, model
 from blocksep.expr import (
     Add, Call, Div, DomainError, FUNCTIONS, Mul, Neg, Num, Pow, Sub,
     UnboundVariableError, Var, derivative, evaluate, parse, pretty,
@@ -357,3 +358,81 @@ def test_catalog_jets_read_every_pure_temporary(name):
     for r, blk in enumerate(sys_.blocks):
         exprs = [*sys_.stackel.entries[r], blk.potential]
         assert _unread_pure_temporaries(exprs, names, names, 2) == []
+
+
+# ---------------------------------------------------------------------------
+# the stack form
+
+def _same_bits(got, want):
+    """Equal bit for bit, signs of zero included; a nan matches a nan
+    (its payload is not the program's)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    equal = got.view(np.uint64) == want.view(np.uint64)
+    assert np.all(equal | (np.isnan(got) & np.isnan(want)))
+
+
+def _run_stack(jet, width, rows):
+    """The stack form over the columns of rows, as a (P, width) array."""
+    out = np.empty((width, len(rows)))
+    with np.errstate(all="ignore"):
+        jet(*np.array(rows, dtype=float).T, out)
+    return out.T
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_trees, min_size=1, max_size=3), _wrt, st.sampled_from([1, 2]),
+       st.sampled_from([1, 5, 128]), st.randoms(use_true_random=False))
+def test_stack_form_is_the_float_form_bit_for_bit(exprs, wrt, order, P, rnd):
+    floats = expr.compile(exprs, NAMES, wrt, order)
+    stacked = expr.compile(exprs, NAMES, wrt, order, stack=True)
+    k = len(wrt)
+    width = len(exprs) * (1 + k + (k * (k + 1) // 2 if order == 2 else 0))
+
+    def draw():
+        if rnd.random() < 0.3:
+            return rnd.choice((0.0, -0.0, 1.0, -1.0, 0.5))
+        return rnd.uniform(-3.0, 3.0)
+
+    rows = [[draw() for _ in NAMES] for _ in range(2 * P)]
+    outcomes = [_outcome(floats, *row) for row in rows]
+    good = [(row, got) for row, (got, err) in zip(rows, outcomes)
+            if err is None][:P]
+    if good:
+        _same_bits(_run_stack(stacked, width, [row for row, _ in good]),
+                   [got for _, got in good])
+    if any(err is not None for _, err in outcomes):
+        with pytest.raises(expr.ExprError):
+            _run_stack(stacked, width, rows)
+
+
+_FAILURES = [  # an expression, x where it holds, x where it fails
+    ("1 + y/(x-1)", 2.5, 1.0, "division by zero"),
+    ("y*ln(x)", 1.0, -0.5, "ln of a non-positive value"),
+    ("y + exp(800*x)", 0.0, 1.0, "value overflows the float range"),
+    ("y*(x-3)^1.5", 4.0, 1.0, "fractional power of a negative base"),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [0, 1, 77, 127])
+@pytest.mark.parametrize("source, good, bad, message", _FAILURES)
+def test_a_failing_row_in_a_stack_raises_its_float_error(source, good, bad,
+                                                        message, k):
+    # the rows after k fail too, at the division of the first expression,
+    # which comes first in the stack form
+    exprs = [parse("x/(y-5)"), parse(source)]
+    jet = model._GridJet(exprs, ("x", "y"), order=2)
+    rows = np.column_stack([good + np.linspace(-0.25, 0.25, 128),
+                            np.linspace(-1.0, 1.0, 128)])
+    rows[k, 0] = bad
+    rows[k + 1:, 1] = 5.0
+    with pytest.raises(DomainError) as want:
+        expr.compile(exprs, ("x", "y"), ("x", "y"), 2)(*rows[k].tolist())
+    with pytest.raises(DomainError) as got:
+        jet.stack(rows)
+    assert message in str(want.value)
+    assert str(got.value) == str(want.value)
+    assert got.value.offset == want.value.offset
+    if k:  # and the rows before k pass
+        jet.stack(rows[:k])

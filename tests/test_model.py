@@ -120,6 +120,29 @@ def test_singular_probe_rejected():
         build_system(structure, stackel, blocks, probes)
 
 
+def _one_block(metric):
+    return build_system(BlockStructure((3,), (("a", "b", "c"),)),
+                        StackelMatrix((("1",),)),
+                        (NaturalBlock(metric, "0"),),
+                        ProbePlan(points=({"a": 0.0, "b": 0.0, "c": 0.0},)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_metric_of_huge_entries_is_not_degenerate():
+    # det g = 1e360 overflows a float; its log from the LU factors does not
+    big = (("1e120", "0", "0"), ("0", "1e120", "0"), ("0", "0", "1e120"))
+    assert _one_block(big).n == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_singular_metric_names_its_probe():
+    singular = (("1", "a", "0"), ("a", "a^2", "0"), ("0", "0", "1"))
+    with pytest.raises(SingularMatrixError,
+                       match=r"^block 1 metric degenerate at probe point "
+                             r"at q=\(0\.0, 0\.0, 0\.0\)$"):
+        _one_block(singular)
+
+
 def test_identity_stackel():
     structure = BlockStructure((1, 1, 1), (("q1",), ("q2",), ("q3",)))
     stackel = StackelMatrix((("1", "0", "0"), ("0", "1", "0"),
