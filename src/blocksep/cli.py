@@ -26,8 +26,8 @@ from .config import ConfigError, RunConfig, load_config
 from .dynamics import (DynamicsError, IntegrationError, IntegratorConfig,
                        block_clock, compare_block_orbits, full_field_callable,
                        integrate)
-from .model import (ModelError, PhasePoint, StackelMatrix, TwistedSystem,
-                    invert_with_condition)
+from .model import (ModelError, PhasePoint, StackelMatrix, Twist,
+                    TwistedSystem, invert_with_condition)
 
 __all__ = ["main", "CheckResult", "VerificationReport", "ProbeError",
            "EXIT_OK", "EXIT_VERIFY", "EXIT_CONFIG", "EXIT_NUMERIC"]
@@ -315,11 +315,11 @@ def _csv_header(sys_: TwistedSystem) -> str:
     return ",".join(names)
 
 
-def _csv_block(sys_: TwistedSystem, traj, clocks, ts) -> np.ndarray:
-    """The values of the CSV rows at the times ts: one dense-output
-    sample, one per clock, one gated inverse of the stacked S and one
-    stacked row dot K_a = (S^-1)[a] @ E of the twist and the vector E
-    of block energies at each row."""
+def _csv_block(sys_: TwistedSystem, traj, clocks, ts):
+    """The values of the CSV rows at the times ts and the cond of S at
+    each: one dense-output sample, one per clock, one gated inverse of
+    the stacked S and one stacked row dot K_a = (S^-1)[a] @ E of the
+    twist and the vector E of block energies at each row."""
     N, n = sys_.dim, sys_.n
     states = traj.sample(ts)[:, :2 * N]
     if clocks is None:
@@ -328,32 +328,33 @@ def _csv_block(sys_: TwistedSystem, traj, clocks, ts) -> np.ndarray:
         taus = np.stack([c.tau(ts) for c in clocks], axis=1)
     jet, ys = sys_.jet, states.tolist()
     qs = [y[:N] for y in ys]
-    M, _ = invert_with_condition(jet.stackel(qs), qs)
+    M, cond = invert_with_condition(jet.stackel(qs), qs)
     E = jet.energies(ys)
     # (1, n) @ (n, 1) per row and integral rounds as (S^-1)[a] @ E does
     K = np.matmul(M[..., :, None, :], E[:, None, :, None])[..., 0, 0]
-    return np.concatenate([ts[:, None], states, taus, K], axis=1)
+    return np.concatenate([ts[:, None], states, taus, K], axis=1), cond
 
 
 def _csv_rows(sys_: TwistedSystem, traj, clocks, times):
-    """The CSV rows at the given times, and the H column, made by
-    :func:`_csv_block` for each block of up to ``_BLOCK`` times.  A
-    block that fails is made again one row at a time, so that the error
-    raised is that of the first row that fails on its own, and within a
-    row that of its twist before that of its energies."""
+    """The CSV rows at the given times, the H column and the cond of S at
+    each row, made by :func:`_csv_block` per block of up to ``_BLOCK``
+    times.  A block that fails is made again row by row, so that the
+    error raised is that of the first row that fails on its own, and
+    within a row that of its twist before that of its energies."""
     N, n = sys_.dim, sys_.n
     fmt = ",".join(["%.17g"] * (1 + 2 * N + 2 * n))
-    rows, h_vals = [], []
+    rows, h_vals, conds = [], [], []
     for i in range(0, len(times), _BLOCK):
         ts = np.asarray(times[i:i + _BLOCK], dtype=float)
         try:
-            block = _csv_block(sys_, traj, clocks, ts)
+            block, cond = _csv_block(sys_, traj, clocks, ts)
         except _EVALUATION_ERRORS + (DynamicsError,):
-            block = np.concatenate([_csv_block(sys_, traj, clocks, t[None])
-                                    for t in ts])
+            block, cond = map(np.concatenate, zip(*(
+                _csv_block(sys_, traj, clocks, t[None]) for t in ts)))
         rows += [fmt % tuple(row) for row in block.tolist()]
         h_vals += block[:, 1 + 2 * N + n].tolist()
-    return rows, h_vals
+        conds.append(cond)
+    return rows, h_vals, np.concatenate(conds)
 
 
 def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:
@@ -392,8 +393,12 @@ def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:
     clocks = [block_clock(res.system, traj, r)
               for r in range(1, res.system.n + 1)]
     times = np.linspace(cfg.t_span[0], cfg.t_span[1], cfg.samples)
-    rows, h_vals = _csv_rows(res.system, traj, clocks, times)
+    rows, h_vals, cond = _csv_rows(res.system, traj, clocks, times)
     _write(csv_path, "\n".join([_csv_header(res.system)] + rows))
+    warning = Twist(None, cond).warning
+    if warning is not None:
+        t = times[int(np.argmax(cond))]
+        print(f"simulate: {warning} at t = {t:.6g}", file=err)
 
     N = res.system.dim
     drift = float(np.max(np.abs(np.array(h_vals) - h_vals[0])))

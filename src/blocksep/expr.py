@@ -8,10 +8,11 @@ computed with forward-mode dual numbers, never finite differences.
 :func:`compile` turns a list of expressions into one straight-line
 function that returns every value, first partial and, with ``order=2``,
 second partial in a single call, with the same results as the
-dual-number tree walker, on floats or, in its stack form, over arrays
-of points.  Everything that evaluates expressions at many
-points (the vector fields, the clocks, the geometry and the catalog
-residuals) runs on compiled jets; :func:`evaluate`,
+dual-number tree walker.  It records the jet as one list of operations
+with two back ends: float source, which is compiled, and a stack runner
+that replays the list over arrays of points.  Everything that
+evaluates expressions at many points (the vector fields, the clocks,
+the geometry and the catalog residuals) runs on jets; :func:`evaluate`,
 :func:`derivative` and :func:`second_derivative` walk the tree, and
 serve as the oracle of the jets and for one-off evaluations.
 
@@ -461,12 +462,16 @@ def free_variables(e: Expression) -> frozenset:
 # ---------------------------------------------------------------------------
 # compiled jets
 
-_JET_GLOBALS = {
-    "_sin": _math.sin, "_cos": _math.cos, "_tan": _math.tan,
-    "_exp": _math.exp, "_log": _math.log, "_sqrt": _math.sqrt,
-    "_DomainError": DomainError, "_Unbound": UnboundVariableError,
-    "_RANGE_ERRORS": _RANGE_ERRORS,
-}
+_FOLD = {"+": _operator.add, "-": _operator.sub, "*": _operator.mul,
+         "/": _operator.truediv, "**": _operator.pow}
+# the recorded operations that cannot raise on floats
+_PURE = frozenset(("+", "-", "*", "neg", "abs", "sel"))
+_CALLS = {"sin": _math.sin, "cos": _math.cos, "tan": _math.tan,
+          "exp": _math.exp, "log": _math.log, "sqrt": _math.sqrt,
+          "abs": abs}
+_JET_GLOBALS = dict({f"_{fn}": f for fn, f in _CALLS.items()},
+                    _DomainError=DomainError, _Unbound=UnboundVariableError,
+                    _RANGE_ERRORS=_RANGE_ERRORS)
 
 
 def _each(fn):
@@ -474,34 +479,28 @@ def _each(fn):
     return lambda a: _np.fromiter(map(fn, _np.ravel(a).tolist()), float)
 
 
-# the stack form: sqrt and abs are exact ufuncs; sin, cos, tan, exp, log
-# and ** stay math's, which NumPy's own may differ from in the last bit
-_STACK_GLOBALS = dict(
-    _JET_GLOBALS, **{f: _each(_JET_GLOBALS[f]) for f in
-                     ("_sin", "_cos", "_tan", "_exp", "_log")},
-    _sqrt=_np.sqrt, abs=_np.absolute, _any=_np.any, _where=_np.where,
-    _pow=lambda a, k: _each(lambda x: x ** k)(a))
-
-_FOLD = {"+": _operator.add, "-": _operator.sub, "*": _operator.mul,
-         "/": _operator.truediv, "**": _operator.pow}
-# the emitted operations that cannot raise on floats
-_PURE = frozenset(("+", "-", "*", "neg", "abs", "sel"))
-_TEMPORARY = _re.compile(r"\bt\d+\b")
-_CALLS = {"sin": _math.sin, "cos": _math.cos, "tan": _math.tan,
-          "exp": _math.exp, "log": _math.log, "sqrt": _math.sqrt,
-          "abs": abs}
+# the stack runner's + - * /, negation, sqrt and abs are exact ufuncs; sin,
+# cos, tan, exp, log and ** stay math's, as NumPy's may differ in the last bit
+_STACK_OPS = dict(
+    {op: _FOLD[op] for op in "+-*/"}, neg=_np.negative, sqrt=_np.sqrt,
+    abs=_np.absolute, sel=lambda value, x: _np.where(value >= 0.0, x, -x),
+    **{fn: _each(_CALLS[fn]) for fn in ("sin", "cos", "tan", "exp", "log")})
+_COMPARE = {"==": _np.equal, "<": _np.less, "<=": _np.less_equal}
+# the float source of the ops that are not "a op b" or "_fn(a)"
+_FORMS = {"neg": "-{0}", "abs": "abs({0})",
+          "sel": "{1} if {0} >= 0.0 else -{1}"}
 
 
 class _Sym:
-    """One float of a jet's source: a literal, an argument or a
-    temporary.  Arithmetic on it writes source, so the operators of
+    """One float of a jet: a literal, an argument or a temporary.
+    Arithmetic on it records operations, so the operators of
     :class:`Dual` run over nested duals of these write the jet."""
 
     __slots__ = ("src", "ref", "const")
 
     def __init__(self, src, ref, const=None):
         self.src = src
-        self.ref = ref        # source text: a name or a literal
+        self.ref = ref        # float source text: a name or a literal
         self.const = const    # the float of a literal, else None
 
     def __neg__(self):
@@ -527,31 +526,30 @@ _Sym.__truediv__, _Sym.__rtruediv__ = _sym_operator("/")
 
 
 class _JetSource:
-    """Straight-line source for :func:`compile`.
+    """The op list of :func:`compile`'s jet.
 
     :meth:`walk` mirrors :func:`_ev` and the functions of :mod:`dual`
     over :class:`_Sym` leaves, seeded the way :func:`derivative` and
-    :func:`second_derivative` seed, so every emitted operation is one
+    :func:`second_derivative` seed, so every recorded operation is one
     the tree walker performs, operand for operand, and rounds the same.
-    Only exact rewrites are made: operations on literals are folded,
+    An op is ``(op, target, operands, extra)``, ``extra`` being a
+    check's ``(comparison, message, offset)`` or an unbound name's
+    ``(name, offset)``; the one list has two back ends, :func:`_line`
+    (float source, compiled) and :func:`_stack_jet` (over arrays).  Only
+    exact rewrites are made: operations on literals are folded,
     ``x * 1.0``, ``1.0 * x``, ``x / 1.0``, ``x - 0.0`` and ``-(-x)`` are
     ``x``.  Repeated operations on the same operands, and repeated
-    checks of the same condition, are emitted once.  One pass walks the
+    checks of the same condition, are recorded once.  One pass walks the
     values, then one pass per seeding; a pass shares a node object
     visited twice and reuses the values of the nodes that do not mention
-    a seeded variable.  :meth:`live` then drops the temporaries that
-    nothing reads, of the operations that cannot raise.
-    With ``stack`` the lines run over arrays: a check raises where it
-    holds anywhere, a dual ``abs`` selects with ``_where`` and a power
-    calls ``_pow``.
+    a seeded variable.  :meth:`live` then drops the ops that nothing
+    reads, of the operations that cannot raise.
     """
 
-    def __init__(self, names, stack=False):
-        self.stack = stack
+    def __init__(self, names):
         self.args = {name: _Sym(self, f"x{i}") for i, name in
                      enumerate(names)}
-        self.lines: list[str] = []
-        self.pure: list = []  # per line: its temporary if it cannot raise
+        self.ops: list[tuple] = []
         self.consts: dict[str, float] = {}
         self.memo: dict = {}
         self.negated: dict = {}
@@ -559,7 +557,7 @@ class _JetSource:
         self.nodes: dict = {}
         self.seeds = None
 
-    # -- emission ------------------------------------------------------------
+    # -- recording -----------------------------------------------------------
 
     def const(self, value: float) -> _Sym:
         value = float(value)
@@ -576,12 +574,12 @@ class _JetSource:
     def sym(self, x) -> _Sym:
         return x if isinstance(x, _Sym) else self.const(x)
 
-    def emit(self, key, code: str) -> _Sym:
+    def emit(self, op: str, *operands: _Sym) -> _Sym:
+        key = (op, *operands)
         sym = self.memo.get(key)
         if sym is None:
-            sym = self.memo[key] = _Sym(self, f"t{len(self.lines)}")
-            self.lines.append(f"{sym.ref} = {code}")
-            self.pure.append(sym.ref if key[0] in _PURE else None)
+            sym = self.memo[key] = _Sym(self, f"t{len(self.ops)}")
+            self.ops.append((op, sym, operands, None))
         return sym
 
     def binary(self, op: str, a, b) -> _Sym:
@@ -599,18 +597,16 @@ class _JetSource:
         if op in "*/" and cb == 1.0 or (
                 op == "-" and cb == 0.0 and _math.copysign(1.0, cb) > 0.0):
             return a
-        code = (f"_pow({a.ref}, {b.ref})" if op == "**" and self.stack
-                else f"{a.ref} {op} {b.ref}")
-        return self.emit((op, a.ref, b.ref), code)
+        return self.emit(op, a, b)
 
     def neg(self, a: _Sym) -> _Sym:
         if a.const is not None:
             return self.const(-a.const)
-        inner = self.negated.get(a.ref)
+        inner = self.negated.get(a)
         if inner is not None:
             return inner
-        out = self.emit(("neg", a.ref), f"-{a.ref}")
-        self.negated[out.ref] = a
+        out = self.emit("neg", a)
+        self.negated[out] = a
         return out
 
     def call(self, fn: str, a) -> _Sym:
@@ -622,34 +618,31 @@ class _JetSource:
                 value = None
             if type(value) is float:
                 return self.const(value)
-        name = fn if fn == "abs" else "_" + fn
-        return self.emit((fn, a.ref), f"{name}({a.ref})")
+        return self.emit(fn, a)
 
-    def once(self, key, line: str):
+    def once(self, op: str, operands, extra):
+        key = (op, *operands, extra[0])
         if key not in self.memo:
             self.memo[key] = None
-            self.lines.append(line)
-            self.pure.append(None)
+            self.ops.append((op, None, operands, extra))
 
-    def live(self, out) -> list[str]:
-        """The lines that ``out`` or a line kept needs.  A line that can
+    def live(self, out) -> list[tuple]:
+        """The ops that ``out`` or an op kept needs.  An op that can
         raise is always kept, so that a failure stays the tree walker's;
         only ``+ - *``, negation, ``abs`` and the select of a dual
         ``abs`` are dropped when nothing reads them."""
-        needed = {s.ref for s in out}
+        needed = set(out)
         kept = []
-        for line, target in zip(reversed(self.lines), reversed(self.pure)):
-            if target is None or target in needed:
-                kept.append(line)
-                needed.update(_TEMPORARY.findall(line))
+        for op in reversed(self.ops):
+            if op[0] not in _PURE or op[1] in needed:
+                kept.append(op)
+                needed.update(op[2])
         return kept[::-1]
 
-    def check(self, cond: str, message: str, offset):
-        """Raise ``message`` at run time when ``cond`` holds; a condition
-        already checked cannot hold here, so it is emitted once."""
-        test = f"_any({cond})" if self.stack else cond
-        self.once(("check", cond), f"if {test}: raise _DomainError("
-                                   f"{message!r}, {offset!r})")
+    def check(self, a: _Sym, comparison: str, message: str, offset):
+        """Raise ``message`` where ``a comparison 0.0`` holds; a condition
+        already checked cannot hold again, so it is recorded once."""
+        self.once("check", (a,), (comparison, message, offset))
 
     # -- the functions of dual.py --------------------------------------------
 
@@ -661,8 +654,8 @@ class _JetSource:
                         (k * self.powc(x.re, k - 1, offset)) * x.im)
         if k < 0.0:
             # float ** raises ZeroDivisionError here, which _ev reports
-            self.check(f"{x.ref} == 0.0",
-                       "power has no derivative at zero base", offset)
+            self.check(x, "==", "power has no derivative at zero base",
+                       offset)
         return self.binary("**", x, k)
 
     def sin(self, x):
@@ -708,10 +701,7 @@ class _JetSource:
                         self.abs(x.im, value, False))
         if top:
             return self.call("abs", value)
-        x = self.sym(x)
-        code = (f"_where({value.ref} >= 0.0, {x.ref}, -{x.ref})" if self.stack
-                else f"{x.ref} if {value.ref} >= 0.0 else -{x.ref}")
-        return self.emit(("sel", value.ref, x.ref), code)
+        return self.emit("sel", value, self.sym(x))
 
     # -- the tree walk -------------------------------------------------------
 
@@ -733,8 +723,7 @@ class _JetSource:
         if t is Var:
             x = env.get(e.name)
             if x is None:
-                self.once(("unbound", e.name),
-                          f"raise _Unbound({e.name!r}, {e.offset!r})")
+                self.once("unbound", (), (e.name, e.offset))
                 return 0.0
             return x
         if t is Num:
@@ -748,24 +737,22 @@ class _JetSource:
         if t is Div:
             num = self.walk(e.lhs, env)
             den = self.walk(e.rhs, env)
-            self.check(f"{_d.real(den).ref} == 0.0", "division by zero",
-                       e.offset)
+            self.check(_d.real(den), "==", "division by zero", e.offset)
             return num / den
         if t is Pow:
             base = self.walk(e.lhs, env)
-            b = _d.real(base).ref
+            b = _d.real(base)
             k = e._k
             if k is not None:
                 if not float(k).is_integer():
-                    self.check(f"{b} < 0.0",
-                               "fractional power of a negative base",
+                    self.check(b, "<", "fractional power of a negative base",
                                e.offset)
                 if k < 0.0:
-                    self.check(f"{b} == 0.0",
-                               "zero raised to a negative power", e.offset)
+                    self.check(b, "==", "zero raised to a negative power",
+                               e.offset)
                 return self.powc(base, k, e.offset)
             expo = self.walk(e.rhs, env)
-            self.check(f"{b} <= 0.0",
+            self.check(b, "<=",
                        "non-constant exponent requires a positive base",
                        e.offset)
             return self.exp(expo * self.ln(base))
@@ -776,15 +763,13 @@ class _JetSource:
             ra = _d.real(a)
             fn = e.fn
             if fn == "ln":
-                self.check(f"{ra.ref} <= 0.0", "ln of a non-positive value",
-                           e.offset)
+                self.check(ra, "<=", "ln of a non-positive value", e.offset)
                 return self.ln(a)
             if fn == "sqrt":
-                self.check(f"{ra.ref} < 0.0", "sqrt of a negative value",
-                           e.offset)
+                self.check(ra, "<", "sqrt of a negative value", e.offset)
                 if isinstance(a, Dual):
-                    self.check(f"{ra.ref} == 0.0",
-                               "sqrt has no derivative at zero", e.offset)
+                    self.check(ra, "==", "sqrt has no derivative at zero",
+                               e.offset)
                 return self.sqrt(a)
             if fn == "abs":
                 return self.abs(a, ra)
@@ -824,20 +809,21 @@ def compile(exprs, names, wrt=(), order=1, stack=False):
     ``wrt``.  A variable missing from ``names`` raises
     :class:`UnboundVariableError` when the function is called.
 
-    The stack form (``stack=True``, run under ``np.errstate``) takes a
-    (P,) array per name and a (K, P) array ``out``, and writes to
-    ``out[k, p]`` entry k of the float form at index p, bit for bit; it
-    raises an :class:`ExprError` where the float form fails anywhere.
+    Both forms come from one op list: the float form compiles it as
+    source; the stack form (``stack=True``, under ``np.errstate``) takes
+    a (P,) array per name, P >= 0, and a (K, P) ``out``, writes entry k
+    at p bit for bit to ``out[k, p]``, and raises where floats fail.
     """
-    code, consts = _jet_source(exprs, names, wrt, order, stack)
-    namespace = dict(_STACK_GLOBALS if stack else _JET_GLOBALS, **consts)
+    if stack:
+        return _stack_jet(*_jet_ops(exprs, names, wrt, order))
+    code, consts = _jet_source(exprs, names, wrt, order)
+    namespace = dict(_JET_GLOBALS, **consts)
     exec(_builtins.compile(code, "<expr jet>", "exec"), namespace)
     return namespace["_jet"]
 
 
-def _jet_source(exprs, names, wrt=(), order=1, stack=False):
-    """The source of :func:`compile`'s function ``_jet``, in the float
-    or the stack form, and the non-finite literals it reads by name."""
+def _jet_ops(exprs, names, wrt=(), order=1):
+    """The walked :class:`_JetSource` of a jet, and its output syms."""
     exprs = list(exprs)
     names = tuple(names)
     wrt = tuple(wrt)
@@ -847,7 +833,7 @@ def _jet_source(exprs, names, wrt=(), order=1, stack=False):
         raise ValueError(f"wrt {wrt} must be distinct entries of {names}")
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, not {order!r}")
-    src = _JetSource(names, stack)
+    src = _JetSource(names)
     args = src.args
     one, zero = src.const(1.0), src.const(0.0)
     out = src.run(exprs)
@@ -879,23 +865,81 @@ def _jet_source(exprs, names, wrt=(), order=1, stack=False):
                 partials(frozenset((a, b)), env,
                          lambda r: _d.real(r.im.im)
                          if isinstance(r.im, Dual) else None)
-    body = src.live(out)
-    if stack:
-        # one assignment writes every row of out that holds an array, and
-        # one per literal every row that holds it
-        rows: dict = {}
-        for k, s in enumerate(out):
-            rows.setdefault(s.ref if s.const is not None else "", []).append(k)
-        body += [f"_out[{ks}] = " + (ref or "(" + "".join(
-            f"{out[k].ref}, " for k in ks) + ")") for ref, ks in rows.items()]
-    else:
-        body.append("return (" + "".join(f"{s.ref}, " for s in out) + ")")
-    params = [s.ref for s in args.values()] + ["_out"] * stack
-    code = (f"def _jet({', '.join(params)}):\n"
+    return src, out
+
+
+def _line(op, target, operands, extra) -> str:
+    """One op as a line of the float source."""
+    refs = [s.ref for s in operands]
+    if op == "check":
+        return "if {} {} 0.0: raise _DomainError({!r}, {!r})".format(
+            *refs, *extra)
+    if op == "unbound":
+        return "raise _Unbound({!r}, {!r})".format(*extra)
+    form = _FORMS.get(op, f"{{0}} {op} {{1}}" if op in _FOLD else
+                      f"_{op}({{0}})")
+    return f"{target.ref} = " + form.format(*refs)
+
+
+def _jet_source(exprs, names, wrt=(), order=1):
+    """The float source of :func:`compile`'s function ``_jet``, its live
+    ops rendered line by line, and the non-finite literals it reads by
+    name."""
+    src, out = _jet_ops(exprs, names, wrt, order)
+    body = [_line(*op) for op in src.live(out)]
+    body.append("return (" + "".join(f"{s.ref}, " for s in out) + ")")
+    code = (f"def _jet({', '.join(s.ref for s in src.args.values())}):\n"
             + "    try:\n" + "".join(f"        {line}\n" for line in body)
             + f"    except _RANGE_ERRORS:\n        raise _DomainError("
             f"{_OVERFLOW!r}) from None\n")
     return code, src.consts
+
+
+def _raises(error, args, compare=None):
+    def step(a):
+        if compare is None or compare(a, 0.0).any():
+            raise error(*args)
+    return step
+
+
+def _stack_jet(src, out):
+    """:func:`compile`'s stack form: the live ops of ``src`` replayed
+    over one (P,) array per argument.  Step ``(f, t, a, b)`` sets value t
+    to f of value a (and of value b); values are keyed by ref, so that
+    the runner keeps no sym, and with it no :class:`_JetSource`, alive."""
+    names = [s.ref for s in src.args.values()]
+    values = {None: None}   # the literals, added as ops read them
+    steps = []
+    for op, target, operands, extra in src.live(out):
+        values.update((s.ref, s.const) for s in operands
+                      if s.const is not None)
+        a, b = (*[s.ref for s in operands], None, None)[:2]
+        if op == "check":
+            f = _raises(DomainError, extra[1:], _COMPARE[extra[0]])
+        elif op == "unbound":
+            f = _raises(UnboundVariableError, extra)
+        elif op == "**":
+            f, b = _each(operands[1].const.__rpow__), None   # x ** k
+        else:
+            f = _STACK_OPS[op]
+        steps.append((f, target and target.ref, a, b))
+    rows = [k for k, s in enumerate(out) if s.const is None]
+    reads = [out[k].ref for k in rows]
+    fixed = [k for k, s in enumerate(out) if s.const is not None]
+    literals = _np.array([out[k].const for k in fixed])[:, None]
+
+    def jet(*cols):
+        v = dict(values)
+        v.update(zip(names, cols))
+        try:
+            for f, t, a, b in steps:
+                v[t] = f(v[a]) if b is None else f(v[a], v[b])
+        except _RANGE_ERRORS:
+            raise DomainError(_OVERFLOW) from None
+        if rows:
+            cols[-1][rows] = [v[ref] for ref in reads]
+        cols[-1][fixed] = literals
+    return jet
 
 
 # ---------------------------------------------------------------------------

@@ -742,7 +742,8 @@ def block_eisenhart_residual(sys: TwistedSystem, a: int, point):
     M, dM = tw.matrix, tw.dmatrix
     lam = M[:, a - 1] / alpha
     # scalar powers, which can differ in the last bit from x * x
-    square = np.array([[x ** 2 for x in row] for row in alpha.tolist()])
+    square = np.array([[x ** 2 for x in row] for row in alpha.tolist()]
+                      ).reshape(alpha.shape)
     dlam = (dM[:, :, a - 1] * alpha[:, None]
             - M[:, None, a - 1] * dM[:, :, 0]) / square[:, None]
     dln = dM[:, :, 0] / alpha[:, None]

@@ -262,13 +262,13 @@ class TwistedSystem:
 
 
 class _GridJet:
-    """A compiled jet of an expression list over coordinates (and fixed
-    parameters after them): the one adapter from the values and partials
-    of :func:`expr.compile` to arrays.  :meth:`stack` takes a (P, k)
-    array of arguments, the coordinate values and then the parameter
-    values, and returns at each row p the values (p, m), the first
-    partials (p, n, m) and, at order 2, the second partials
-    (p, n, n, m)."""
+    """A jet of an expression list over coordinates (and fixed
+    parameters after them): the one adapter from :func:`expr.compile`'s
+    stack form, or for a block that fails its float form, to arrays.
+    :meth:`stack` takes a (P, k) array of arguments, P >= 0, the
+    coordinate values and then the parameter values, and returns at
+    each row p the values (p, m), the first partials (p, n, m) and, at
+    order 2, the second partials (p, n, n, m)."""
 
     def __init__(self, exprs, coords, params=(), order=1):
         n, m = len(coords), len(exprs)
@@ -304,10 +304,10 @@ class _GridJet:
                 self._floats(*row)
             raise AssertionError("a block failed in the stack form only") \
                 from ex
-        first = out[:, m:m + n * m].reshape(-1, n, m)
+        first = out[:, m:m + n * m].reshape(len(out), n, m)
         if self.pair is None:
             return out[:, :m], first
-        second = out[:, m + n * m:].reshape(len(out), -1, m)
+        second = out[:, m + n * m:].reshape(len(out), n * (n + 1) // 2, m)
         return out[:, :m], first, second[:, self.pair, :]
 
 

@@ -622,6 +622,47 @@ p = 0.1, 0.1
     assert float(cond) > model.COND_WARN
 
 
+def test_ill_conditioned_orbit_is_noted_on_stderr(tmp_path, capsys):
+    # det S = 1e-9 (2 + q2^2): cond1(S) passes 1e8 at every row
+    body = """
+[system]
+blocks = q1 | q2
+
+[stackel]
+row1 = "1", "1"
+row2 = "1", "1+1e-9*(2+q2^2)"
+
+[integration]
+t_span = 0.0, 1.0
+samples = 300
+
+[initial]
+q = 0, 0
+p = 0.1, 0.1
+"""
+    out = str(tmp_path / "out")
+    path = write_config(tmp_path, body, out=out)
+    assert cli.main(["simulate", "--config", path]) == 0
+    text, err = capsys.readouterr()
+    assert "ill-conditioned" not in text
+    lines = err.splitlines()
+    assert len(lines) == 1
+    head = ("simulate: ill-conditioned separation matrix: 1-norm condition "
+            "estimate ")
+    assert lines[0].startswith(head)
+    cond, t = lines[0][len(head):].split(" exceeds 1e+08 at t = ")
+    rows = open(os.path.join(out, "orbit.csv")).read().splitlines()[1:]
+    times = [float(row.split(",")[0]) for row in rows]
+    assert float(t) in [float(f"{x:.6g}") for x in times]
+    assert float(cond) > model.COND_WARN
+
+
+def test_well_conditioned_simulate_writes_no_stderr(tmp_path, capsys):
+    path = write_config(tmp_path, PENDULA_BODY)
+    assert cli.main(["simulate", "--config", path]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_well_conditioned_verify_writes_no_stderr(tmp_path, capsys):
     path = write_config(tmp_path, PENDULA_BODY)
     assert cli.main(["verify", "--config", path]) == 0

@@ -10,6 +10,7 @@ not.
 """
 
 import ast
+import builtins
 import math
 import struct
 
@@ -436,3 +437,23 @@ def test_a_failing_row_in_a_stack_raises_its_float_error(source, good, bad,
     assert got.value.offset == want.value.offset
     if k:  # and the rows before k pass
         jet.stack(rows[:k])
+
+
+def test_only_the_float_form_is_compiled(monkeypatch):
+    calls = []
+    real = builtins.compile
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting)
+    exprs = [parse("x/(y-5) + abs(x*y) + sqrt(y)^1.5"), parse("exp(x)*2")]
+    stacked = expr.compile(exprs, ("x", "y"), ("x", "y"), 2, stack=True)
+    assert calls == []
+    expr.compile(exprs, ("x", "y"), ("x", "y"), 2)
+    assert calls == ["<expr jet>"]
+    # the stack form runs on no points as well
+    out = np.empty((12, 0))
+    stacked(np.empty(0), np.empty(0), out)
+    assert out.shape == (12, 0)

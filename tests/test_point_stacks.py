@@ -259,3 +259,19 @@ def test_exhaustion_counts_candidates():
     assert len(calls) == 40
     assert str(err.value) == ("rejection sampling exhausted 40 tries with "
                               "only 5 of 10 points accepted")
+
+
+def test_an_empty_stack_gives_empty_results():
+    fam = catalog.load("e3-case-i")
+    none = np.empty((0, 3))
+    assert geo.riemann(fam.metric, none).shape == (0, 3, 3, 3, 3)
+    assert geo.ricci_scalar(fam.metric, none).shape == (0,)
+    sys_ = catalog.load("pendula").system
+    N, n = sys_.dim, sys_.n
+    none = np.empty((0, N))
+    at = sys_.jet.positions(none)
+    shapes = {"S": (n, n), "dS": (N, n, n), "d2S": (N, N, n, n),
+              "V": (n,), "dV": (N, n), "d2V": (N, N, n)}
+    for name, shape in shapes.items():
+        assert getattr(at, name).shape == (0, *shape), name
+    assert geo.block_eisenhart_residual(sys_, 1, none).shape == (0,)
