@@ -8,11 +8,11 @@ estimates, and 3 more stages per accepted step for its 7th-order dense
 output.  A PI controller (order-8 exponents, safety 0.9, step-ratio
 clip [0.2, 5]) picks the steps.  The step is generated from the
 tableau once per state length d, as straight-line code over the d
-components of lists of floats.  It calls the field itself, so one field
-evaluation is one Python call: a field takes the state as such a list
-and returns a sequence of d floats, the generated fields a tuple.  Each
-accepted step keeps its dense-output rows as the transposed array of
-the d rows of 7 that the step returns, not as a C-ordered copy:
+components of lists of floats.  It calls the field itself, with no
+wrapper of its own: a field takes the state as such a list and returns
+a sequence of d floats, the generated fields a tuple.  Each accepted
+step keeps its dense-output rows as the transposed array of the d rows
+of 7 that the step returns, not as a C-ordered copy:
 ``Trajectory.sample``'s products round differently on the other layout,
 and its output is kept bit for bit.  Dense output is what makes the
 orbit comparison work: the full system acts as the master clock, and
@@ -21,11 +21,13 @@ ever inverting the clock map.
 
 The vector fields are the straight-line functions that
 :class:`model.SystemJet` generates for each system the first time a
-field is asked for: ``field`` for the full system, one jet call and
-the gated inverse of S written out on floats (a constant S has its
-inverse written in), and ``reduced(r)`` for block r, with the separation
-constants bound when the callable is made.  The block clocks ride in
-the orbit's state (q, p, tau_1 .. tau_n), tau(t0) = 0: the full field
+field is asked for: ``field`` for the full system, the jet's float ops
+and the gated inverse of S written out as its own lines (a constant S
+has its inverse written in), and ``reduced(r)`` for block r, with the
+separation constants bound when the callable is made.  One field
+evaluation is two Python calls: the (t, y) closure and the kernel.
+The block clocks ride in the orbit's state (q, p, tau_1 .. tau_n),
+tau(t0) = 0: the full field
 returns d(tau_r)/dt = alpha^r(q) from the twist it uses for dH, so one
 integration yields the orbit and its clocks under one step control and
 dense output (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6).

@@ -9,12 +9,14 @@ computed with forward-mode dual numbers, never finite differences.
 function that returns every value, first partial and, with ``order=2``,
 second partial in a single call, with the same results as the
 dual-number tree walker.  It records the jet as one list of operations
-with two back ends: float source, which is compiled, and a stack runner
-that replays the list over arrays of points.  Everything that
-evaluates expressions at many points (the vector fields, the clocks,
-the geometry and the catalog residuals) runs on jets; :func:`evaluate`,
-:func:`derivative` and :func:`second_derivative` walk the tree, and
-serve as the oracle of the jets and for one-off evaluations.
+with two back ends: float source, which is compiled (and which
+:func:`jet_lines` hands to the generated fields of :mod:`model` as
+their own first lines), and a stack runner that replays the list over
+arrays of points.  Everything that evaluates expressions at many points
+(the vector fields, the clocks, the geometry and the catalog residuals)
+runs on jets; :func:`evaluate`, :func:`derivative` and
+:func:`second_derivative` walk the tree, and serve as the oracle of the
+jets and for one-off evaluations.
 
 Grammar (EBNF)::
 
@@ -816,8 +818,7 @@ def compile(exprs, names, wrt=(), order=1, stack=False):
     """
     if stack:
         return _stack_jet(*_jet_ops(exprs, names, wrt, order))
-    code, consts = _jet_source(exprs, names, wrt, order)
-    namespace = dict(_JET_GLOBALS, **consts)
+    code, namespace = _jet_source(exprs, names, wrt, order)
     exec(_builtins.compile(code, "<expr jet>", "exec"), namespace)
     return namespace["_jet"]
 
@@ -881,18 +882,41 @@ def _line(op, target, operands, extra) -> str:
     return f"{target.ref} = " + form.format(*refs)
 
 
-def _jet_source(exprs, names, wrt=(), order=1):
-    """The float source of :func:`compile`'s function ``_jet``, its live
-    ops rendered line by line, and the non-finite literals it reads by
-    name."""
+def jet_lines(exprs, names, wrt=(), order=1):
+    """:func:`compile`'s float jet in parts, for a function that runs a
+    jet as its own lines (``_jet`` itself, and the fields of
+    :mod:`model`): the refs of the arguments, one per entry of
+    ``names`` (``x0``, ``x1``, ...); the ref of each output (a
+    temporary ``t<i>``, an argument or a literal); the namespace the
+    lines read (the ``math`` functions, the error types, and the
+    non-finite literals ``_c<i>``); and ``lines(reads)``, the source of
+    the ops that the outputs of index in ``reads`` need and of every op
+    that can raise, in order, inside the jet's ``try`` that turns an
+    overflow into :class:`DomainError`: a point fails with the same
+    error whatever is read.  The lines bind no name but the
+    temporaries, and may be none at all."""
     src, out = _jet_ops(exprs, names, wrt, order)
-    body = [_line(*op) for op in src.live(out)]
-    body.append("return (" + "".join(f"{s.ref}, " for s in out) + ")")
-    code = (f"def _jet({', '.join(s.ref for s in src.args.values())}):\n"
-            + "    try:\n" + "".join(f"        {line}\n" for line in body)
-            + f"    except _RANGE_ERRORS:\n        raise _DomainError("
-            f"{_OVERFLOW!r}) from None\n")
-    return code, src.consts
+
+    def lines(reads):
+        body = [_line(*op) for op in src.live([out[k] for k in reads])]
+        if not body:
+            return []
+        return ["try:", *(f"    {line}" for line in body),
+                "except _RANGE_ERRORS:",
+                f"    raise _DomainError({_OVERFLOW!r}) from None"]
+    return ([s.ref for s in src.args.values()], [s.ref for s in out],
+            dict(_JET_GLOBALS, **src.consts), lines)
+
+
+def _jet_source(exprs, names, wrt=(), order=1):
+    """The float source of :func:`compile`'s function ``_jet``, from
+    :func:`jet_lines` over every output, and the namespace it runs in."""
+    args, outs, namespace, lines = jet_lines(exprs, names, wrt, order)
+    body = [*lines(range(len(outs))),
+            "return (" + "".join(f"{ref}, " for ref in outs) + ")"]
+    code = f"def _jet({', '.join(args)}):\n" + "".join(
+        f"    {line}\n" for line in body)
+    return code, namespace
 
 
 def _raises(error, args, compare=None):

@@ -20,8 +20,8 @@ write d(alpha) out on floats.  S^-1 and its gate are one generated
 text, :func:`_inverse_lines`, compiled in two forms by
 :func:`invert_with_condition`: on floats for a point and over arrays
 for a stack of points; the field of a varying S inlines the floats
-lines.  The text grows about 2.2 times per block, so a structure has at
-most ``MAX_BLOCKS`` blocks.
+lines, after the jet's own ops.  The text grows about 2.2 times per
+block, so a structure has at most ``MAX_BLOCKS`` blocks.
 """
 
 from __future__ import annotations
@@ -348,11 +348,14 @@ class SystemJet:
     ``field`` is the Hamiltonian field of H = alpha^r H_r, one
     straight-line function of the state (the N positions, the N momenta
     and up to n clocks tau_r, a list) returning the tuple (dH/dp,
-    -dH/dq) and one rate d(tau_r)/dt = alpha^r per clock.
+    -dH/dq) and one rate d(tau_r)/dt = alpha^r per clock.  It calls
+    nothing generated: the live ops of the jet of S and the H_r, the
+    gated S^-1 and the chain rule are its own lines.
     ``reduced(r)`` is the field of block r's reduced Hamiltonian
     H_r - c_a S[r][a], a function of block r's phase point and of the
-    constants c.  ``stackel`` takes rows of the N positions and returns
-    the n-by-n values of S at each, (m, n, n); ``energies`` takes rows
+    constants c, made the same way.  ``stackel`` takes rows of the N
+    positions and returns the n-by-n values of S at each, (m, n, n);
+    ``energies`` takes rows
     of the phase point and returns the values of the H_r at each,
     (m, n): one compiled call per row and one array for all of them.
     ``twist(q)`` is the :class:`Twist` at the positions q; when no
@@ -435,16 +438,19 @@ class SystemJet:
         entries = [e for row in sys.stackel.entries for e in row]
         free = [e.free_variables() for e in entries]
         nn, width = n * n, n * n + n
-        # the gated S^-1 with entry (a, b) bound to m{a}_{b}, and the
-        # block energies to h0 .. h{n-1}
-        head = [*_inverse_lines(n, f"y[:{N}]"),
-                _tuple(f"h{r}" for r in range(n)) + f" = v[{nn}:{width}]"]
 
-        def rate(k):
+        def head(v):
+            # the gated S^-1 with entry (a, b) bound to m{a}_{b}, and the
+            # block energies to h0 .. h{n-1}
+            return [*_inverse_lines(n, f"y[:{N}]", _tuple(map(v, range(nn)))),
+                    _tuple(f"h{r}" for r in range(n)) + " = "
+                    + _tuple(map(v, range(nn, width)))]
+
+        def rate(k, v):
             # d_k alpha . H, where d_k alpha = -(alpha . d_k S) . S^-1 runs
             # over the entries of S that mention coordinate k
             base = width * (1 + k)
-            u = {a: " + ".join(f"m0_{r} * v[{base + r * n + a}]"
+            u = {a: " + ".join(f"m0_{r} * {v(base + r * n + a)}"
                                for r in range(n)
                                if names[k] in free[r * n + a])
                  for a in range(n)}
@@ -468,10 +474,10 @@ class SystemJet:
             n = self._sys.n
             coords, p, h = self._phase(r)
             weights = {0: None} | {1 + a: f"-c{a}" for a in range(n)}
-            head = [_tuple(f"c{a}" for a in range(n)) + " = c"]
+            consts = _tuple(f"c{a}" for a in range(n)) + " = c"
             fn = self._reduced[r] = _field_function(
                 [h, *self._sys.stackel.entries[r - 1]], coords + p,
-                weights, head, params=", c")
+                weights, lambda v: [consts], params=", c")
         return fn
 
     @cached_property
@@ -497,7 +503,7 @@ class SystemJet:
         return PositionJet(qs, S, dS, d2S, V, dV, d2V)
 
 
-def _field_function(exprs, names, weights, head=(), rate=None, params="",
+def _field_function(exprs, names, weights, head=None, rate=None, params="",
                     clocks=()):
     """Generate the Hamiltonian field of F = sum_i w_i exprs[i] as one
     straight-line function ``_field(y<params>)`` of the state y, a list
@@ -505,27 +511,38 @@ def _field_function(exprs, names, weights, head=(), rate=None, params="",
     to ``len(clocks)`` clocks, that returns the tuple (dF/dp, -dF/dq)
     followed by one rate, the source text ``clocks[j]``, per clock.
 
-    It calls the first-order jet of ``exprs`` once, binding its tuple to
-    ``v``, and runs the lines of ``head``.  ``weights`` maps the index i
-    of each expression in F to the source text of w_i, a literal or a
-    name bound in ``head``, or None for 1.  The partial along a phase
-    name sums w_i times the partials of the expressions that mention the
-    name, nothing else.  ``rate(k)``, if given, returns lines and one
+    It unpacks the phase names from y and runs, as its own first lines,
+    the first-order jet of ``exprs`` from :func:`expr.jet_lines`: the
+    ops of the jet's outputs it reads, and every op that can raise, so
+    a point where the jet fails raises the jet's own error before
+    anything else runs.  Then come the lines of ``head(v)``, where
+    ``v(i)`` is the source text of the jet's output i (a temporary, an
+    argument or a literal).  ``weights`` maps the index i of each
+    expression in F to the source text of w_i, a literal or a name
+    bound in ``head``, or None for 1.  The partial along a phase name
+    sums w_i times the partials of the expressions that mention the
+    name, nothing else.  ``rate(k, v)``, if given, returns lines and one
     more term for the partial along position k (from weights that vary
     with q), or ([], None).  A varying S puts in ``head`` the floats
     lines of :func:`_inverse_lines`, the one text of S^-1 that
     :func:`invert_with_condition` also compiles, on floats and over
     stacks (at most ``MAX_BLOCKS`` blocks); they may raise
-    :class:`SingularMatrixError`."""
-    jet = _expr.compile(exprs, names, names)
+    :class:`SingularMatrixError`.  The function is one ``compile()``."""
+    args, outs, namespace, jet = _expr.jet_lines(exprs, names, names)
     width, m = len(exprs), len(names) // 2
     free = [e.free_variables() for e in exprs]
-    lines = [f"v = _jet(*y[:{2 * m}])", *head]
+    reads = set()
+
+    def v(i):
+        reads.add(i)
+        return outs[i]
+
+    lines = head(v) if head is not None else []
     for k, name in enumerate(names):
-        terms = [f"v[{width * (1 + k) + i}]" if w is None
-                 else f"{w} * v[{width * (1 + k) + i}]"
+        terms = [v(width * (1 + k) + i) if w is None
+                 else f"{w} * {v(width * (1 + k) + i)}"
                  for i, w in weights.items() if name in free[i]]
-        extra, term = rate(k) if rate is not None and k < m else ([], None)
+        extra, term = rate(k, v) if rate is not None and k < m else ([], None)
         lines += extra
         if term is not None:
             terms.append(term)
@@ -533,26 +550,28 @@ def _field_function(exprs, names, weights, head=(), rate=None, params="",
     lines.append("return " + _tuple(
         [f"g{k}" for k in range(m, 2 * m)] + [f"-g{k}" for k in range(m)]
         + list(clocks)) + "[:len(y)]")
+    lines = [f"{_tuple(args)} = y[:{2 * m}]", *jet(reads), *lines]
     code = f"def _field(y{params}):\n" + "".join(f"    {line}\n"
                                                  for line in lines)
-    namespace = {"_jet": jet, "SingularMatrixError": SingularMatrixError}
+    namespace["SingularMatrixError"] = SingularMatrixError
     exec(compile(code, "<field>", "exec"), namespace)
     return namespace["_field"]
 
 
-def _inverse_lines(n: int, point: str | None) -> list[str]:
+def _inverse_lines(n: int, point: str | None, entries: str) -> list[str]:
     """The one text of S^-1 and its gate: lines that bind m{a}_{b} to
     entry (a, b) of S^-1 and ``cond`` to |S|_1 |S^-1|_1, for the n-by-n
-    S of v[0] .. v[n*n - 1] row by row, as the adjugate over the
-    determinant, each minor expanded along its first row and written
-    once.  In order, a zero determinant is singular, a non-finite
-    determinant or S^-1 overflowed, and cond past ``COND_ERROR`` is
-    numerically singular: on floats each check raises its
+    S whose n*n entries, row by row, are the sequence of source text
+    ``entries`` (``v`` for :func:`_inverse`, the jet's refs in a field),
+    as the adjugate over the determinant, each minor expanded along its
+    first row and written once.  In order, a zero determinant is
+    singular, a non-finite determinant or S^-1 overflowed, and cond past
+    ``COND_ERROR`` is numerically singular: on floats each check raises its
     :class:`SingularMatrixError` naming the point of source text
     ``point``.  With ``point`` None the arithmetic runs over arrays,
     ``max`` elementwise, and ``ok`` is bound to where all checks pass."""
     lines = [_tuple(f"s{r}_{a}" for r in range(n) for a in range(n))
-             + f" = v[:{n * n}]"]
+             + f" = {entries}"]
     names = {}
 
     def minor(rows, cols):
@@ -659,7 +678,7 @@ def _inverse(n: int, stack: bool = False):
     ``np.errstate``.  It returns the n*n entries of S^-1 row by row and
     cond, and over a stack ``ok`` too."""
     entries = _tuple(f"m{a}_{b}" for a in range(n) for b in range(n))
-    lines = _inverse_lines(n, None if stack else "point")
+    lines = _inverse_lines(n, None if stack else "point", "v")
     lines.append(f"return {entries}, cond" + ", ok" * stack)
     code = "def inverse(v, point):\n" + "".join(f"    {line}\n"
                                                for line in lines)

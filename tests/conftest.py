@@ -140,3 +140,83 @@ def reduced_field(sys, r: int, c, point: PhasePoint) -> np.ndarray:
     block slice only (n_r positions and momenta)."""
     c = model._reduced_constants(sys, r, c).tolist()
     return np.array(sys.jet.reduced(r)(list(point.q + point.p), c))
+
+
+# ---------------------------------------------------------------------------
+# the fields as two calls: a kernel that calls a separately compiled jet
+
+def two_call_field_function(exprs, names, weights, head=(), rate=None,
+                            params="", clocks=()):
+    """``model._field_function`` as it was before the jet's ops were
+    written into the field: the kernel calls the first-order jet of
+    ``exprs`` once, binds its tuple to ``v``, and reads ``v[i]``."""
+    jet = expr.compile(exprs, names, names)
+    width, m = len(exprs), len(names) // 2
+    free = [e.free_variables() for e in exprs]
+    lines = [f"v = _jet(*y[:{2 * m}])", *head]
+    for k, name in enumerate(names):
+        terms = [f"v[{width * (1 + k) + i}]" if w is None
+                 else f"{w} * v[{width * (1 + k) + i}]"
+                 for i, w in weights.items() if name in free[i]]
+        extra, term = rate(k) if rate is not None and k < m else ([], None)
+        lines += extra
+        if term is not None:
+            terms.append(term)
+        lines.append(f"g{k} = {' + '.join(terms) or '0.0'}")
+    lines.append("return " + model._tuple(
+        [f"g{k}" for k in range(m, 2 * m)] + [f"-g{k}" for k in range(m)]
+        + list(clocks)) + "[:len(y)]")
+    code = f"def _field(y{params}):\n" + "".join(f"    {line}\n"
+                                                 for line in lines)
+    namespace = {"_jet": jet,
+                 "SingularMatrixError": model.SingularMatrixError}
+    exec(compile(code, "<field>", "exec"), namespace)
+    return namespace["_field"]
+
+
+def two_call_field(sys):
+    """``SystemJet.field`` of ``sys`` from :func:`two_call_field_function`."""
+    _tuple = model._tuple
+    n, N = sys.n, sys.dim
+    energies, names = sys.jet._energies
+    tw = sys.jet.constant_twist
+    if tw is not None:
+        alpha = [f"({a!r})" for a in tw.alpha.tolist()]
+        return two_call_field_function(energies, names,
+                                       dict(enumerate(alpha)), clocks=alpha)
+    entries = [e for row in sys.stackel.entries for e in row]
+    free = [e.free_variables() for e in entries]
+    nn, width = n * n, n * n + n
+    head = [*model._inverse_lines(n, f"y[:{N}]", f"v[:{nn}]"),
+            _tuple(f"h{r}" for r in range(n)) + f" = v[{nn}:{width}]"]
+
+    def rate(k):
+        base = width * (1 + k)
+        u = {a: " + ".join(f"m0_{r} * v[{base + r * n + a}]"
+                           for r in range(n)
+                           if names[k] in free[r * n + a])
+             for a in range(n)}
+        u = {a: terms for a, terms in u.items() if terms}
+        if not u:
+            return [], None
+        lines = [f"u{a} = {terms}" for a, terms in u.items()]
+        lines += [f"d{b} = -(" + " + ".join(f"u{a} * m{a}_{b}" for a in u)
+                  + ")" for b in range(n)]
+        return lines, "(" + " + ".join(f"d{b} * h{b}"
+                                       for b in range(n)) + ")"
+
+    alpha = [f"m0_{r}" for r in range(n)]
+    return two_call_field_function(entries + energies, names,
+                                   dict(enumerate(alpha, nn)), head, rate,
+                                   clocks=alpha)
+
+
+def two_call_reduced(sys, r: int):
+    """``SystemJet.reduced(r)`` of ``sys`` from
+    :func:`two_call_field_function`."""
+    n = sys.n
+    coords, p, h = sys.jet._phase(r)
+    weights = {0: None} | {1 + a: f"-c{a}" for a in range(n)}
+    head = [model._tuple(f"c{a}" for a in range(n)) + " = c"]
+    return two_call_field_function([h, *sys.stackel.entries[r - 1]],
+                                   coords + p, weights, head, params=", c")

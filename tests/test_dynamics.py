@@ -6,9 +6,12 @@ pipeline; the three-pendulum chain exercises the genuinely coupled
 case.  Quadrature cross-checks use composite Simpson on dense output.
 """
 
+import ast
+import builtins
 import importlib.util
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,10 +20,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     PENDULA_P0, full_field, make_pendula_like, matrix_derivative,
-    reduced_field, reduced_hamiltonian, zip_dop853,
+    reduced_field, reduced_hamiltonian, two_call_field, two_call_reduced,
+    zip_dop853,
 )
 
-from blocksep import catalog, expr, model
+from blocksep import catalog, config, expr, model
 from blocksep.dynamics import (
     _KEPT,
     BlockClock,
@@ -613,18 +617,26 @@ def _rel_err(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("name", ["pendula", "oscillators", "calogero4"])
-def test_compiled_fields_match_tree_walker(name):
-    entry = catalog.load(name)
+def _probe_states(entry):
+    """25 seeded phase points of the entry's sample box, each with
+    seeded constants c for the reduced fields."""
     sys = entry.system
     rng = np.random.default_rng(11)
     for q in entry.sample(25, 3):
         q = [float(x) for x in q]
-        p = rng.uniform(-1.0, 1.0, sys.dim)
+        p = rng.uniform(-1.0, 1.0, sys.dim).tolist()
+        yield q + p, rng.uniform(-1.0, 1.0, sys.n).tolist()
+
+
+@pytest.mark.parametrize("name", ["pendula", "oscillators", "calogero4"])
+def test_compiled_fields_match_tree_walker(name):
+    entry = catalog.load(name)
+    sys = entry.system
+    for y, c in _probe_states(entry):
+        q, p = y[:sys.dim], np.array(y[sys.dim:])
         point = PhasePoint(tuple(q), tuple(p))
         assert _rel_err(full_field(sys, point),
                         _reference_full_field(sys, q, p)) <= 1e-14
-        c = rng.uniform(-1.0, 1.0, sys.n)
         for r in range(1, sys.n + 1):
             idx = list(sys.structure.block_range(r))
             qb = [q[k] for k in idx]
@@ -632,6 +644,120 @@ def test_compiled_fields_match_tree_walker(name):
             got = reduced_field(sys, r, c, PhasePoint(tuple(qb), tuple(pb)))
             assert _rel_err(got, _reference_reduced_field(
                 sys, r, c, qb, pb)) <= 1e-14
+
+
+def _field_states(entry):
+    """Every state at which the full field is evaluated along the
+    entry's default orbit (clocks included), and the reduced constants
+    of its initial point."""
+    sys, P0 = entry.system, entry.initial_point
+    run = config.RunConfig(source="")
+    states = []
+    kernel = sys.jet.field
+
+    def field(t, y):
+        states.append(list(y))
+        return kernel(y)
+
+    integrate(field, list(P0.q + P0.p) + [0.0] * sys.n, run.t_span,
+              IntegratorConfig(rtol=run.rtol, atol=run.atol))
+    return states, model.separation_constants(sys, P0).tolist()
+
+
+@pytest.mark.parametrize("name", ["pendula", "oscillators", "calogero4"])
+def test_fields_equal_the_two_call_kernels(name):
+    """The field with the jet's ops written in returns the very tuple of
+    the kernel that calls a separately compiled jet, along the default
+    orbit and at the probe points, for the full field and each reduced
+    field."""
+    entry = catalog.load(name)
+    sys = entry.system
+    N = sys.dim
+    full = two_call_field(sys)
+    reduced = {r: two_call_reduced(sys, r) for r in range(1, sys.n + 1)}
+    states, c = _field_states(entry)
+    cases = [(y, c) for y in states] + list(_probe_states(entry))
+    assert len(states) > 500
+    for y, c in cases:
+        assert sys.jet.field(y) == full(y)
+        for r, ref in reduced.items():
+            cols = list(sys.structure.block_range(r))
+            yb = [y[k] for k in cols] + [y[N + k] for k in cols]
+            assert sys.jet.reduced(r)(yb, c) == ref(yb, c)
+
+
+@pytest.mark.parametrize("name", ["pendula", "oscillators", "calogero4"])
+def test_one_field_is_one_compile(monkeypatch, name):
+    """Generating a field compiles one function, whose jet lines bind
+    temporaries only, none named like the gate's or the chain rule's."""
+    sys = catalog.load(name).system
+    sys.jet.constant_twist   # a constant S compiles its own jet once
+    sources = []
+    real = builtins.compile
+
+    def counting(source, filename, *args, **kwargs):
+        sources.append((filename, source))
+        return real(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting)
+    for make in [lambda: sys.jet.field,
+                 *(lambda r=r: sys.jet.reduced(r)
+                   for r in range(1, sys.n + 1))]:
+        sources.clear()
+        make()
+        assert [f for f, _ in sources] == ["<field>"]
+        body = ast.parse(sources[0][1]).body[0].body
+        unpack, jet = body[0], body[1]
+        args = [t.id for t in unpack.targets[0].elts]
+        assert args == [f"x{i}" for i in range(len(args))]
+        assert isinstance(jet, ast.Try)
+        bound = {n.id for n in ast.walk(jet) if isinstance(n, ast.Name)
+                 and isinstance(n.ctx, ast.Store)}
+        assert all(re.fullmatch(r"t\d+", x) for x in bound), bound
+        after = {n.id for stmt in body[2:] for n in ast.walk(stmt)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        assert not after & bound
+
+
+def _failing_system(row1, potential1):
+    """Two one-coordinate blocks, S = [row1, (0, 1)], V_1 = potential1."""
+    return build_system(
+        BlockStructure(sizes=(1, 1), coords=(("q1",), ("q2",))),
+        StackelMatrix([row1, ["0", "1"]]),
+        [NaturalBlock([["1"]], potential1), NaturalBlock([["1"]], "0")])
+
+
+def _error(call):
+    with pytest.raises(Exception) as exc:
+        call()
+    return type(exc.value), str(exc.value), getattr(exc.value, "offset", None)
+
+
+@pytest.mark.parametrize("row1, potential1, q1, message", [
+    (["2", "1/(q1-0.5)"], "0", 0.5, "division by zero"),
+    (["2", "1"], "ln(q1)", -1.0, "ln of a non-positive value"),
+    (["2", "1"], "exp(1000*q1)", 1.0, "value overflows the float range"),
+    # S is singular at q1 = 0 as well: the jet's error comes first
+    (["q1", "1"], "ln(q1)", 0.0, "ln of a non-positive value"),
+])
+def test_field_raises_the_jets_own_error(row1, potential1, q1, message):
+    sys = _failing_system(row1, potential1)
+    y = [q1, 0.3, 0.5, 0.2]
+    energies, names = sys.jet._energies
+    entries = [e for row in sys.stackel.entries for e in row]
+    jet = expr.compile(entries + energies, names, names)
+    want = _error(lambda: jet(*y))
+    assert want[0] is expr.DomainError and message in want[1]
+    assert _error(lambda: sys.jet.field(y + [0.0, 0.0])) == want
+    assert _error(lambda: two_call_field(sys)(y)) == want
+    # block 1's reduced field: its energy, then its row of S
+    c = [0.7, -0.4]
+    coords, p, h = sys.jet._phase(1)
+    jet = expr.compile([h, *sys.stackel.entries[0]], coords + p, coords + p)
+    want = _error(lambda: jet(q1, 0.5))
+    assert want[0] is expr.DomainError and message in want[1]
+    assert _error(lambda: sys.jet.reduced(1)([q1, 0.5], c)) == want
+    assert _error(lambda: two_call_reduced(sys, 1)([q1, 0.5], c)) == want
 
 
 def _two_free_blocks(row1):
