@@ -10,8 +10,8 @@ eigenvalue, and curvature residuals.
 
 Modules:
 
-- ``expr``      expression language with exact derivatives: dual numbers
-                and compiled jets of first and second order
+- ``expr``      expression language with exact derivatives: compiled
+                jets of first and second order, made with dual numbers
 - ``model``     block structures, separation matrices, twisted systems,
                 the twist S^-1 and its derivatives
 - ``dynamics``  adaptive Runge-Kutta integration, clocks, orbit comparison

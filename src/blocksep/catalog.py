@@ -41,7 +41,13 @@ class CatalogError(Exception):
 class TransformStage:
     """One chart change.  The closed forms run new -> old (the source
     coordinates as expressions in the target ones); `forward` is the
-    exact inverse map on positions, old -> new."""
+    exact inverse map on positions, old -> new.
+
+    One first-order jet of the closed forms, compiled on the first call,
+    gives both :meth:`old_positions` (its values) and :meth:`jacobian`
+    (its first partials).  The closed forms are rotations and products
+    of sines and cosines, so no partial fails at a point where the
+    values do not."""
 
     old_names: tuple[str, ...]
     new_names: tuple[str, ...]
@@ -49,20 +55,18 @@ class TransformStage:
     forward: Callable[[Sequence[float]], tuple[float, ...]]
 
     @functools.cached_property
-    def _old_values(self):
-        return _expr.compile(self.old_exprs, self.new_names)
+    def _jet(self):
+        return _expr.compile(self.old_exprs, self.new_names, self.new_names)
 
     def old_positions(self, new_q) -> tuple[float, ...]:
-        """The closed forms at a target-chart position (compiled on the
-        first call)."""
-        return self._old_values(*new_q)
+        """The closed forms at a target-chart position."""
+        return self._jet(*new_q)[:len(self.old_exprs)]
 
     def jacobian(self, new_q) -> np.ndarray:
         """d old / d new at the given target-chart position."""
-        env = dict(zip(self.new_names, new_q))
-        return np.array([[_expr.derivative(e, env, v)
-                          for v in self.new_names]
-                         for e in self.old_exprs])
+        m, n = len(self.old_exprs), len(self.new_names)
+        # the jet's partials run along each new name in turn
+        return np.array(self._jet(*new_q)[m:]).reshape(n, m).T.copy()
 
 
 class CanonicalTransform:
@@ -70,9 +74,8 @@ class CanonicalTransform:
     lift p_new = J^T p_old, J = d old / d new.
 
     Positions map forward through the exact stage inverses; momenta
-    through stage Jacobians evaluated by dual-number differentiation of
-    the closed forms.  Mapping back solves the transposed Jacobian
-    system instead of inverting anything symbolically.
+    through the stage Jacobians, the exact first partials of the closed
+    forms.
     """
 
     def __init__(self, stages: Sequence[TransformStage]):
@@ -123,14 +126,6 @@ class CanonicalTransform:
         for stage in self.stages:
             q = tuple(float(v) for v in stage.forward(q))
             p = stage.jacobian(q).T @ p
-        return PhasePoint(q, tuple(float(v) for v in p))
-
-    def to_old(self, point: PhasePoint) -> PhasePoint:
-        q = tuple(float(v) for v in point.q)
-        p = np.array(point.p, dtype=float)
-        for stage in reversed(self.stages):
-            p = np.linalg.solve(stage.jacobian(q).T, p)
-            q = stage.old_positions(q)
         return PhasePoint(q, tuple(float(v) for v in p))
 
 

@@ -524,25 +524,28 @@ def _verify_checks(res: _Resolved, cfg: RunConfig,
             checks.append(_row(name, th["bracket"],
                                _blocked(name, probes, bracket), qs))
 
-    for a in range(2, n + 1):
-        name = f"eigenvalue-gradient K_{a}"
-        checks.append(_row(name, th["residual"], _blocked(
-            name, qs, lambda xs, a=a: _geo.block_eisenhart_residual(
-                sys_, a, xs)), qs))
+    names = [f"eigenvalue-gradient K_{a}" for a in range(2, n + 1)]
     kinds = ("metric", "potential")
     twists = []  # each block's twist and its probes
 
-    def connection(xs):
+    def separability(xs):
+        # one position jet, and with it one twist, for every row here
         at = sys_.jet.positions(xs)
         twists.append((at.twist, xs))
+        rows = [_geo.block_eisenhart_residual(sys_, a, at)
+                for a in range(2, n + 1)]
         out = _geo.block_levi_civita_residual(sys_, at)
-        return np.stack([out[f"{kind}_residual"] for kind in kinds], axis=1)
+        return np.stack(rows + [out[f"{kind}_residual"] for kind in kinds],
+                        axis=1)
 
-    # both rows from one call, so that the twist is made once for them
-    both = _blocked("block-connection", qs, connection)
-    for k, kind in enumerate(kinds):
-        checks.append(_row(f"block-connection {kind}", th["residual"],
-                           both[:, k], qs))
+    # A probe where any of these rows fails fails K_2's, which is the
+    # first to run at it: the position jet, the twist and its zeros are
+    # K_2's checks.  So that row names the failure.
+    rows = _blocked(names[0] if names else "block-connection", qs,
+                    separability)
+    names += [f"block-connection {kind}" for kind in kinds]
+    for k, name in enumerate(names):
+        checks.append(_row(name, th["residual"], rows[:, k], qs))
     tw, xs = max(twists, key=lambda t: np.max(t[0].cond))
     if tw.warning is not None:
         worst = " ".join(f"{v:.6g}" for v in xs[int(np.argmax(tw.cond))])

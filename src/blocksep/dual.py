@@ -2,18 +2,17 @@
 
 A :class:`Dual` carries a value and a single tangent component.  The
 components may themselves be duals, so nesting two levels gives exact
-second partial derivatives.  The module-level math functions accept
-plain floats or duals and dispatch on the argument type, which lets
-numeric code be written once and evaluated at any differentiation
-depth.
+second partial derivatives.  Only the arithmetic lives here: the jets
+of :func:`expr.compile` run it over symbolic floats, which records each
+operation once, and write the rules of the functions (sin, ln, the
+constant power, abs, ...) themselves.  The tree walker over duals that
+serves as the jets' oracle is kept in the test suite.
 
 Mixing duals of different nesting depth in one arithmetic expression is
 not supported; callers seed every perturbed input at the same depth.
 """
 
 from __future__ import annotations
-
-import math
 
 
 class Dual:
@@ -69,66 +68,9 @@ class Dual:
     def __pos__(self):
         return self
 
-    def __abs__(self):
-        # |x| is locally linear away from 0; at exactly 0 the right
-        # derivative is used.
-        return self if real(self) >= 0.0 else -self
-
-    def __pow__(self, k):
-        return powc(self, k)
-
 
 def real(x):
     """Deepest real part: the plain float value under any nesting."""
     while isinstance(x, Dual):
         x = x.re
     return x
-
-
-def powc(x, k):
-    """x**k for a constant real exponent k, valid for negative bases
-    when k is an integer."""
-    if k == 0:
-        return 1.0
-    if isinstance(x, Dual):
-        return Dual(powc(x.re, k), (k * powc(x.re, k - 1)) * x.im)
-    return x ** k
-
-
-def sin(x):
-    if isinstance(x, Dual):
-        return Dual(sin(x.re), cos(x.re) * x.im)
-    return math.sin(x)
-
-
-def cos(x):
-    if isinstance(x, Dual):
-        return Dual(cos(x.re), -(sin(x.re) * x.im))
-    return math.cos(x)
-
-
-def tan(x):
-    if isinstance(x, Dual):
-        c = cos(x.re)
-        return Dual(tan(x.re), x.im / (c * c))
-    return math.tan(x)
-
-
-def exp(x):
-    if isinstance(x, Dual):
-        e = exp(x.re)
-        return Dual(e, e * x.im)
-    return math.exp(x)
-
-
-def ln(x):
-    if isinstance(x, Dual):
-        return Dual(ln(x.re), x.im / x.re)
-    return math.log(x)
-
-
-def sqrt(x):
-    if isinstance(x, Dual):
-        s = sqrt(x.re)
-        return Dual(s, x.im / (s + s))
-    return math.sqrt(x)

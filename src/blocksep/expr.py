@@ -2,21 +2,21 @@
 
 Expressions are immutable syntax trees over real literals, named
 variables, the binary operators ``+ - * / ^``, unary negation, and the
-functions ``sin cos tan exp ln sqrt abs``.  Evaluation is deterministic
-IEEE double arithmetic; first and second partial derivatives are exact,
-computed with forward-mode dual numbers, never finite differences.
-:func:`compile` turns a list of expressions into one straight-line
+functions ``sin cos tan exp ln sqrt abs``.  The one evaluator is
+:func:`compile`: it turns a list of expressions into one straight-line
 function that returns every value, first partial and, with ``order=2``,
-second partial in a single call, with the same results as the
-dual-number tree walker.  It records the jet as one list of operations
-with two back ends: float source, which is compiled (and which
-:func:`jet_lines` hands to the generated fields of :mod:`model` as
-their own first lines), and a stack runner that replays the list over
-arrays of points.  Everything that evaluates expressions at many points
-(the vector fields, the clocks, the geometry and the catalog residuals)
-runs on jets; :func:`evaluate`, :func:`derivative` and
-:func:`second_derivative` walk the tree, and serve as the oracle of the
-jets and for one-off evaluations.
+second partial in a single call, in deterministic IEEE double
+arithmetic.  Partials are exact, forward-mode dual numbers
+(:class:`dual.Dual`) run once over symbolic floats when the jet is
+made, never finite differences.  It records the jet as one list of
+operations with two back ends: float source, which is compiled (and
+which :func:`jet_lines` hands to the generated fields of :mod:`model`
+as their own first lines), and a stack runner that replays the list
+over arrays of points.  Everything the commands evaluate runs on jets:
+the probe checks of a new system, the vector fields, the clocks, the
+chart changes, the geometry and the catalog residuals.  A tree walker
+over dual numbers, which gives every value, partial and failure of a
+jet bit for bit, is kept in the test suite as the jets' oracle.
 
 Grammar (EBNF)::
 
@@ -51,12 +51,10 @@ import builtins as _builtins
 import math as _math
 import operator as _operator
 import re as _re
-from typing import Mapping
 
 import numpy as _np
 
-from . import dual as _d
-from .dual import Dual
+from .dual import Dual, real as _real
 
 
 # ---------------------------------------------------------------------------
@@ -307,154 +305,30 @@ class Call(Expression):
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
 
 
-# Expression-or-number builders, so catalog code can write sin(expr)
-# and plain numeric code can share the same names.
+# builders of function calls, so that catalog code can write sin(expr)
 
 def sin(x):
-    return Call("sin", x) if isinstance(x, Expression) else _d.sin(x)
+    return Call("sin", x)
 
 
 def cos(x):
-    return Call("cos", x) if isinstance(x, Expression) else _d.cos(x)
+    return Call("cos", x)
 
 
 def tan(x):
-    return Call("tan", x) if isinstance(x, Expression) else _d.tan(x)
+    return Call("tan", x)
 
 
 def exp(x):
-    return Call("exp", x) if isinstance(x, Expression) else _d.exp(x)
+    return Call("exp", x)
 
 
 def ln(x):
-    return Call("ln", x) if isinstance(x, Expression) else _d.ln(x)
+    return Call("ln", x)
 
 
 def sqrt(x):
-    return Call("sqrt", x) if isinstance(x, Expression) else _d.sqrt(x)
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-def _ev(e, env):
-    """Recursive evaluator over an environment of floats and/or duals."""
-    t = type(e)
-    if t is Var:
-        try:
-            return env[e.name]
-        except KeyError:
-            raise UnboundVariableError(e.name, e.offset) from None
-    if t is Num:
-        return e.value
-    if t is Add:
-        return _ev(e.lhs, env) + _ev(e.rhs, env)
-    if t is Mul:
-        return _ev(e.lhs, env) * _ev(e.rhs, env)
-    if t is Sub:
-        return _ev(e.lhs, env) - _ev(e.rhs, env)
-    if t is Div:
-        num = _ev(e.lhs, env)
-        den = _ev(e.rhs, env)
-        if _d.real(den) == 0.0:
-            raise DomainError("division by zero", e.offset)
-        return num / den
-    if t is Pow:
-        base = _ev(e.lhs, env)
-        k = e._k
-        if k is not None:
-            b = _d.real(base)
-            if b < 0.0 and not float(k).is_integer():
-                raise DomainError("fractional power of a negative base", e.offset)
-            if b == 0.0 and k < 0.0:
-                raise DomainError("zero raised to a negative power", e.offset)
-            try:
-                return _d.powc(base, k)
-            except ZeroDivisionError:
-                raise DomainError("power has no derivative at zero base", e.offset) from None
-        expo = _ev(e.rhs, env)
-        if _d.real(base) <= 0.0:
-            raise DomainError("non-constant exponent requires a positive base", e.offset)
-        return _d.exp(expo * _d.ln(base))
-    if t is Neg:
-        return -_ev(e.arg, env)
-    if t is Call:
-        a = _ev(e.arg, env)
-        fn = e.fn
-        if fn == "sin":
-            return _d.sin(a)
-        if fn == "cos":
-            return _d.cos(a)
-        if fn == "tan":
-            return _d.tan(a)
-        if fn == "exp":
-            return _d.exp(a)
-        if fn == "ln":
-            if _d.real(a) <= 0.0:
-                raise DomainError("ln of a non-positive value", e.offset)
-            return _d.ln(a)
-        if fn == "sqrt":
-            ra = _d.real(a)
-            if ra < 0.0:
-                raise DomainError("sqrt of a negative value", e.offset)
-            if ra == 0.0 and isinstance(a, Dual):
-                raise DomainError("sqrt has no derivative at zero", e.offset)
-            return _d.sqrt(a)
-        return abs(a)  # "abs"
-    raise TypeError(f"not an Expression node: {e!r}")
-
-
-# what floats raise past their range (an overflow in exp or a power; sin,
-# cos or tan of an infinity): walker and jets raise DomainError(_OVERFLOW)
-_RANGE_ERRORS = (OverflowError, ValueError)
-_OVERFLOW = "value overflows the float range"
-
-
-def evaluate(e: Expression, p: Mapping[str, float]) -> float:
-    """Evaluate at a point binding every free variable to a float."""
-    try:
-        return _ev(e, p)
-    except _RANGE_ERRORS:
-        raise DomainError(_OVERFLOW) from None
-
-
-def derivative(e: Expression, p: Mapping[str, float], v: str) -> float:
-    """Exact first partial with respect to ``v`` at ``p``."""
-    if v not in e.free_variables():
-        # Exact: the expression does not mention v, so the partial is
-        # identically zero.  Free variables still need to be bound.
-        evaluate(e, p)
-        return 0.0
-    if v not in p:
-        raise UnboundVariableError(v)
-    env = dict(p)
-    env[v] = Dual(env[v], 1.0)
-    r = evaluate(e, env)
-    return r.im if isinstance(r, Dual) else 0.0
-
-
-def second_derivative(e: Expression, p: Mapping[str, float],
-                      v1: str, v2: str) -> float:
-    """Exact second partial; bitwise symmetric in (v1, v2) because the
-    seeding order is canonicalized before evaluation."""
-    fv = e.free_variables()
-    if v1 not in fv or v2 not in fv:
-        evaluate(e, p)
-        return 0.0
-    a, b = sorted((v1, v2))
-    for name in (a, b):
-        if name not in p:
-            raise UnboundVariableError(name)
-    env = dict(p)
-    if a == b:
-        env[a] = Dual(Dual(env[a], 1.0), Dual(1.0, 0.0))
-    else:
-        env[a] = Dual(Dual(env[a], 0.0), Dual(1.0, 0.0))
-        env[b] = Dual(Dual(env[b], 1.0), Dual(0.0, 0.0))
-    r = evaluate(e, env)
-    if isinstance(r, Dual) and isinstance(r.im, Dual):
-        return _d.real(r.im.im)
-    return 0.0
+    return Call("sqrt", x)
 
 
 def free_variables(e: Expression) -> frozenset:
@@ -463,6 +337,11 @@ def free_variables(e: Expression) -> frozenset:
 
 # ---------------------------------------------------------------------------
 # compiled jets
+
+# what floats raise past their range (an overflow in exp or a power; sin,
+# cos or tan of an infinity): a jet raises DomainError(_OVERFLOW) instead
+_RANGE_ERRORS = (OverflowError, ValueError)
+_OVERFLOW = "value overflows the float range"
 
 _FOLD = {"+": _operator.add, "-": _operator.sub, "*": _operator.mul,
          "/": _operator.truediv, "**": _operator.pow}
@@ -530,21 +409,23 @@ _Sym.__truediv__, _Sym.__rtruediv__ = _sym_operator("/")
 class _JetSource:
     """The op list of :func:`compile`'s jet.
 
-    :meth:`walk` mirrors :func:`_ev` and the functions of :mod:`dual`
-    over :class:`_Sym` leaves, seeded the way :func:`derivative` and
-    :func:`second_derivative` seed, so every recorded operation is one
-    the tree walker performs, operand for operand, and rounds the same.
+    :meth:`walk` applies the rules of a dual-number tree walk (the
+    tests' oracle) over :class:`_Sym` leaves: a first partial seeds its
+    variable with tangent 1.0, a second partial seeds the smaller name
+    on the outer level.  So every recorded operation is one the walk
+    performs, operand for operand, and rounds the same.
     An op is ``(op, target, operands, extra)``, ``extra`` being a
     check's ``(comparison, message, offset)`` or an unbound name's
     ``(name, offset)``; the one list has two back ends, :func:`_line`
     (float source, compiled) and :func:`_stack_jet` (over arrays).  Only
     exact rewrites are made: operations on literals are folded,
     ``x * 1.0``, ``1.0 * x``, ``x / 1.0``, ``x - 0.0`` and ``-(-x)`` are
-    ``x``.  Repeated operations on the same operands, and repeated
-    checks of the same condition, are recorded once.  One pass walks the
-    values, then one pass per seeding; a pass shares a node object
-    visited twice and reuses the values of the nodes that do not mention
-    a seeded variable.  :meth:`live` then drops the ops that nothing
+    ``x``, and so is ``x ** 1.0``; a check on a literal is decided when
+    it is recorded.  Repeated operations on the same operands, and
+    repeated checks of the same condition, are recorded once.  One pass
+    walks the values, then one pass per seeding; a pass shares a node
+    object visited twice and reuses the values of the nodes that do not
+    mention a seeded variable.  :meth:`live` then drops the ops that nothing
     reads, of the operations that cannot raise.
     """
 
@@ -596,7 +477,7 @@ class _JetSource:
                 return self.const(value)
         if op == "*" and ca == 1.0:
             return b
-        if op in "*/" and cb == 1.0 or (
+        if op in ("*", "/", "**") and cb == 1.0 or (
                 op == "-" and cb == 0.0 and _math.copysign(1.0, cb) > 0.0):
             return a
         return self.emit(op, a, b)
@@ -630,7 +511,7 @@ class _JetSource:
 
     def live(self, out) -> list[tuple]:
         """The ops that ``out`` or an op kept needs.  An op that can
-        raise is always kept, so that a failure stays the tree walker's;
+        raise is always kept, so that a failure stays the tree walk's;
         only ``+ - *``, negation, ``abs`` and the select of a dual
         ``abs`` are dropped when nothing reads them."""
         needed = set(out)
@@ -643,10 +524,14 @@ class _JetSource:
 
     def check(self, a: _Sym, comparison: str, message: str, offset):
         """Raise ``message`` where ``a comparison 0.0`` holds; a condition
-        already checked cannot hold again, so it is recorded once."""
+        already checked cannot hold again, so it is recorded once.  On a
+        literal the condition is decided now: one that cannot hold is
+        not recorded, and one that holds raises on every call."""
+        if a.const is not None and not _COMPARE[comparison](a.const, 0.0):
+            return
         self.once("check", (a,), (comparison, message, offset))
 
-    # -- the functions of dual.py --------------------------------------------
+    # -- the functions of the dual-number walk -------------------------------
 
     def powc(self, x, k, offset):
         if k == 0:
@@ -655,7 +540,8 @@ class _JetSource:
             return Dual(self.powc(x.re, k, offset),
                         (k * self.powc(x.re, k - 1, offset)) * x.im)
         if k < 0.0:
-            # float ** raises ZeroDivisionError here, which _ev reports
+            # float ** raises ZeroDivisionError here, which the walk
+            # reports
             self.check(x, "==", "power has no derivative at zero base",
                        offset)
         return self.binary("**", x, k)
@@ -694,10 +580,10 @@ class _JetSource:
         return self.call("sqrt", x)
 
     def abs(self, x, value, top=True):
-        """Dual.__abs__ without a branch: every component is negated
-        where the value is negative.  The value itself is abs(value), so
-        a -0.0 value loses its sign (the one difference from the tree
-        walker)."""
+        """The walk's dual abs without a branch: every component is
+        negated where the value is negative.  The value itself is
+        abs(value), so a -0.0 value loses its sign (the one difference
+        from the tree walk)."""
         if isinstance(x, Dual):
             return Dual(self.abs(x.re, value, top),
                         self.abs(x.im, value, False))
@@ -720,7 +606,7 @@ class _JetSource:
         return out
 
     def node(self, e, env):
-        """One node of :func:`_ev`, over symbolic floats and duals."""
+        """One node of the tree walk, over symbolic floats and duals."""
         t = type(e)
         if t is Var:
             x = env.get(e.name)
@@ -739,11 +625,11 @@ class _JetSource:
         if t is Div:
             num = self.walk(e.lhs, env)
             den = self.walk(e.rhs, env)
-            self.check(_d.real(den), "==", "division by zero", e.offset)
+            self.check(_real(den), "==", "division by zero", e.offset)
             return num / den
         if t is Pow:
             base = self.walk(e.lhs, env)
-            b = _d.real(base)
+            b = _real(base)
             k = e._k
             if k is not None:
                 if not float(k).is_integer():
@@ -762,7 +648,7 @@ class _JetSource:
             return -self.walk(e.arg, env)
         if t is Call:
             a = self.walk(e.arg, env)
-            ra = _d.real(a)
+            ra = _real(a)
             fn = e.fn
             if fn == "ln":
                 self.check(ra, "<=", "ln of a non-positive value", e.offset)
@@ -796,18 +682,17 @@ def compile(exprs, names, wrt=(), order=1, stack=False):
     then for each variable in ``wrt`` (a subset of ``names``) the first
     partials of ``exprs`` along it; then, with ``order=2``, for each
     pair ``(wrt[i], wrt[j])`` with ``i <= j`` the second partials of
-    ``exprs`` along it.  Each scalar equals, bit for bit, what
-    :func:`evaluate`, :func:`derivative` or :func:`second_derivative`
-    returns at the same point (a zero may differ in sign where ``abs``
-    meets ``-0.0``).  Partials along a variable an expression does not
-    mention are the constant 0.0 and cost nothing.
+    ``exprs`` along it.  Each scalar equals, bit for bit, what a
+    dual-number walk of the tree gives at the same point (a zero may
+    differ in sign where ``abs`` meets ``-0.0``).  Partials along a
+    variable an expression does not mention are the constant 0.0 and
+    cost nothing.
 
     Failures keep their type, message and offset: all values are
-    computed first, so a point where :func:`evaluate` fails on some
-    expression raises exactly its error; otherwise the first failure
+    computed first, so a point where the value of some expression fails
+    raises exactly the walk's error for it; otherwise the first failure
     raises, in order of the first partials and then of the second
-    partials, which is the error :func:`derivative` or
-    :func:`second_derivative` raises for some variable or pair of
+    partials, which is the walk's error for some variable or pair of
     ``wrt``.  A variable missing from ``names`` raises
     :class:`UnboundVariableError` when the function is called.
 
@@ -848,14 +733,14 @@ def _jet_ops(exprs, names, wrt=(), order=1):
             out.append(zero if r is None else src.sym(r))
 
     for v in wrt:
-        # derivative(): v seeded with tangent 1.0
+        # a first partial: v seeded with tangent 1.0
         env = dict(args)
         env[v] = Dual(args[v], one)
         partials(frozenset((v,)), env, lambda r: r.im)
     if order == 2:
         for i, v1 in enumerate(wrt):
             for v2 in wrt[i:]:
-                # second_derivative(): the smaller name on the outer level
+                # a second partial: the smaller name on the outer level
                 a, b = sorted((v1, v2))
                 env = dict(args)
                 if a == b:
@@ -864,7 +749,7 @@ def _jet_ops(exprs, names, wrt=(), order=1):
                     env[a] = Dual(Dual(args[a], zero), Dual(one, zero))
                     env[b] = Dual(Dual(args[b], one), Dual(zero, zero))
                 partials(frozenset((a, b)), env,
-                         lambda r: _d.real(r.im.im)
+                         lambda r: _real(r.im.im)
                          if isinstance(r.im, Dual) else None)
     return src, out
 

@@ -319,17 +319,6 @@ class TensorField2:
             return G @ T @ G
         return T @ G
 
-    def mixed_at(self, point) -> np.ndarray:
-        """Mixed components T^i_j at the point."""
-        T = self.values(point)
-        if self.variance == "mixed":
-            return T
-        if self.variance == "contravariant":
-            g = self._need_metric().covariant(point)
-            return T @ g
-        G = self._need_metric().contravariant(point)
-        return G @ T
-
 
 def identity_tensor(coords, metric: MetricField | None = None,
                     variance: str = "mixed") -> TensorField2:

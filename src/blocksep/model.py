@@ -132,17 +132,6 @@ class BlockStructure:
         start = sum(self.sizes[: r - 1])
         return range(start, start + self.sizes[r - 1])
 
-    def block_of(self, k: int) -> int:
-        """1-based block index owning global coordinate k (0-based k)."""
-        if not 0 <= k < self.total:
-            raise BlockIndexError(f"coordinate index {k} out of range")
-        acc = 0
-        for r, s in enumerate(self.sizes, start=1):
-            acc += s
-            if k < acc:
-                return r
-        raise AssertionError("unreachable")
-
 
 @dataclass(frozen=True)
 class StackelMatrix:
@@ -210,12 +199,6 @@ class PhasePoint:
         if len(self.q) != len(self.p):
             raise DimensionMismatchError(
                 f"{len(self.q)} positions vs {len(self.p)} momenta")
-
-    @classmethod
-    def from_array(cls, y: Sequence[float]) -> "PhasePoint":
-        y = list(y)
-        half = len(y) // 2
-        return cls(tuple(y[:half]), tuple(y[half:]))
 
     def as_array(self) -> np.ndarray:
         return np.array(self.q + self.p, dtype=float)
@@ -341,9 +324,9 @@ class SystemJet:
     asked for, never in :func:`build_system`.  Everything that evaluates
     the system at a point runs on them: the fields, the clocks, the
     integrals of :func:`hamiltonian` and its kin, and the system
-    residuals of :mod:`geometry`.  Only :func:`build_system`'s probe
-    checks and the Jacobians of :mod:`catalog`'s transform stages walk
-    the expression trees.
+    residuals of :mod:`geometry`.  Nothing walks the expression trees:
+    :func:`build_system`'s probe checks and :mod:`catalog`'s chart
+    changes run jets of their own as well.
 
     ``field`` is the Hamiltonian field of H = alpha^r H_r, one
     straight-line function of the state (the N positions, the N momenta
@@ -651,20 +634,6 @@ COND_WARN = 1e8
 MAX_BLOCKS = 8
 
 
-def matrix_values(grid, env, entry: str = "entry") -> np.ndarray:
-    """Evaluate a grid of expressions into a float matrix; an entry that
-    fails raises a ModelError naming it, ``entry[i][j]``, and env."""
-    def value(i, j, e):
-        try:
-            return _expr.evaluate(e, env)
-        except _expr.ExprError as ex:
-            raise ModelError(f"{entry}[{i}][{j}] fails at "
-                             f"q={tuple(env.values())}: {ex}") from None
-
-    return np.array([[value(i, j, e) for j, e in enumerate(row, 1)]
-                     for i, row in enumerate(grid, 1)], dtype=float)
-
-
 def inverse_derivative(M: np.ndarray, dS: np.ndarray) -> np.ndarray:
     """d(S^{-1}) from M = S^{-1} and dS, via -M (dS) M."""
     return -M @ dS @ M
@@ -774,8 +743,10 @@ def build_system(structure: BlockStructure, stackel: StackelMatrix,
     """Validate and assemble a twisted system.
 
     Rejects dimensional mismatches, any row-r separation entry or
-    block-r metric/potential mentioning a foreign coordinate, and a
-    separation matrix singular at any probe point.
+    block-r metric/potential mentioning a foreign coordinate, and, at
+    any probe point, an entry of S or of a block metric that fails to
+    evaluate, a separation matrix that fails its gate and a degenerate
+    block metric.
     """
     blocks = tuple(blocks)
     n = structure.n
@@ -811,19 +782,54 @@ def build_system(structure: BlockStructure, stackel: StackelMatrix,
 
     sys = TwistedSystem(structure, stackel, blocks, probe_envs)
 
-    # numeric validation at every probe point
+    # numeric validation at every probe point: S's gate, then block by
+    # block ln |det g| (as geometry._inverse, which neither overflows nor
+    # underflows), each after its own entries
+    grids = [("separation matrix entry S", stackel.entries)] + [
+        (f"block {r} metric entry g", blk.metric)
+        for r, blk in enumerate(blocks, start=1)]
+    jet = _expr.compile([e for _, grid in grids for row in grid for e in row],
+                        structure.names) if probe_envs else None
     for env in probe_envs:
         q = [env[c] for c in structure.names]
-        S = matrix_values(stackel.entries, env, "separation matrix entry S")
-        invert_with_condition(S, point=q)
-        for r, blk in enumerate(blocks, start=1):
-            g = matrix_values(blk.metric, env, f"block {r} metric entry g")
-            # as geometry._inverse: ln |det g| neither overflows nor underflows
+        matrices = _probe_matrices(grids, jet, structure.names, q)
+        invert_with_condition(next(matrices), point=q)
+        for r, g in enumerate(matrices, start=1):
             sign, logdet = np.linalg.slogdet(g)
             if sign == 0.0 or not np.isfinite(logdet):
                 raise SingularMatrixError(
                     f"block {r} metric degenerate at probe point", point=q)
     return sys
+
+
+def _probe_matrices(grids, jet, names, q):
+    """The matrix of each ``(label, grid)`` at the positions q, in
+    order, from one call of ``jet``, the values of every entry.  Where
+    the jet fails, each entry runs again on a jet of its own, in order,
+    so that the first entry that fails raises a :class:`ModelError`
+    naming it, ``label[i][j]``, and q, after the checks of the matrices
+    before it."""
+    try:
+        values = jet(*q)
+    except _expr.ExprError as ex:
+        for label, grid in grids:
+            yield np.array([[_entry_value(e, names, q, f"{label}[{i}][{j}]")
+                             for j, e in enumerate(row, 1)]
+                            for i, row in enumerate(grid, 1)])
+        raise AssertionError("a probe failed in the jet of every entry "
+                             "only") from ex
+    k = 0
+    for _, grid in grids:
+        m = len(grid)
+        yield np.array(values[k:k + m * m]).reshape(m, m)
+        k += m * m
+
+
+def _entry_value(e, names, q, entry: str) -> float:
+    try:
+        return _expr.compile([e], names)(*q)[0]
+    except _expr.ExprError as ex:
+        raise ModelError(f"{entry} fails at q={tuple(q)}: {ex}") from None
 
 
 def _materialize_probes(structure: BlockStructure,
@@ -877,17 +883,8 @@ def hamiltonian(sys: TwistedSystem, point: PhasePoint) -> float:
     return float(tw.alpha @ _block_energies(sys, point))
 
 
-def first_integral(sys: TwistedSystem, a: int, point: PhasePoint) -> float:
-    """K_a = sum_r (S^{-1})[a][r] H_r;  K_1 is H itself."""
-    if not 1 <= a <= sys.n:
-        raise BlockIndexError(
-            f"first-integral index {a} out of range 1..{sys.n}")
-    tw = twist_rows(sys, point)
-    return float(tw.matrix[a - 1] @ _block_energies(sys, point))
-
-
 def separation_constants(sys: TwistedSystem, point: PhasePoint) -> np.ndarray:
-    """c_a = K_a(point); c_1 = H(point)."""
+    """c_a = K_a(point) = sum_r (S^{-1})[a][r] H_r; c_1 = H(point)."""
     tw = twist_rows(sys, point)
     return tw.matrix @ _block_energies(sys, point)
 

@@ -100,17 +100,18 @@ PENDULA_C = (0.09494666248, 0.0916913483, -0.3797866499)
 # ---------------------------------------------------------------------------
 # references that the commands do not call
 
-def matrix_derivative(grid, env, v: str) -> np.ndarray:
-    """Entrywise exact partial derivative of a grid, by the tree walker."""
-    return np.array(
-        [[expr.derivative(e, env, v) for e in row] for row in grid],
-        dtype=float)
+def phase_point(y) -> PhasePoint:
+    """The phase point of a state y: its first half the positions, its
+    second half the momenta."""
+    y = list(y)
+    half = len(y) // 2
+    return PhasePoint(tuple(y[:half]), tuple(y[half:]))
 
 
-def matrix_second_derivative(grid, env, v1: str, v2: str) -> np.ndarray:
-    return np.array(
-        [[expr.second_derivative(e, env, v1, v2) for e in row]
-         for row in grid], dtype=float)
+def block_of(structure, k: int) -> int:
+    """1-based block index owning global coordinate k (0-based k)."""
+    return next(r for r in range(1, structure.n + 1)
+                if k in structure.block_range(r))
 
 
 def block_energy(sys, r: int, point: PhasePoint) -> float:

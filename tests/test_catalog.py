@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import walker
 from conftest import PENDULA_C, PENDULA_P0, block_energy
 
 from blocksep import catalog, dynamics, expr, geometry as geo, model
@@ -78,8 +79,8 @@ def phase_map_symplectic_residual(transform, point, h=1e-6):
 def test_pendula_determinant_at_origin(pendula_entry):
     det = determinant_expression(pendula_entry.system.stackel)
     env = {c: 0.0 for c in Q3}
-    assert expr.evaluate(det, env) == pytest.approx(5.0, abs=1e-12)
-    grad = tuple(expr.derivative(det, env, c) for c in Q3)
+    assert walker.evaluate(det, env) == pytest.approx(5.0, abs=1e-12)
+    grad = tuple(walker.derivative(det, env, c) for c in Q3)
     assert grad == pytest.approx((5.0, -6.0, 2.0), abs=1e-12)
 
 
@@ -172,6 +173,24 @@ def test_rotation_stage_is_orthogonal(calogero):
     assert np.max(np.abs(J.T @ J - np.eye(4))) <= 1e-15
 
 
+def test_stage_jets_equal_the_walker(calogero):
+    # each stage's positions and Jacobian come from one jet of its
+    # closed forms; they equal the tree walker's bit for bit
+    tr = calogero.cartesian.transform
+    pts = geo.rejection_sample(calogero.cartesian.sample_box, 20, seed=21,
+                               predicate=calogero.cartesian.regular)
+    for x in pts:
+        q = tuple(float(v) for v in x)
+        for stage in tr.stages:
+            q = tuple(stage.forward(q))
+            env = dict(zip(stage.new_names, q))
+            want = [walker.evaluate(e, env) for e in stage.old_exprs]
+            assert list(stage.old_positions(q)) == want
+            J, want = stage.jacobian(q), walker.stage_jacobian(stage, q)
+            assert J.shape == want.shape
+            assert J.tobytes() == want.tobytes()
+
+
 def test_center_of_mass_point_is_degenerate(calogero):
     tr = calogero.cartesian.transform
     z = tr.stages[0].forward((1.0, 1.0, 1.0, 1.0))
@@ -190,7 +209,7 @@ def test_transform_roundtrip(calogero):
     for x in pts:
         p = tuple(rng.uniform(-1, 1, 4))
         P = PhasePoint(x, p)
-        back = tr.to_old(tr.to_new(P))
+        back = walker.to_old(tr, tr.to_new(P))
         assert np.max(np.abs(np.array(back.q) - x)) <= 1e-10
         assert np.max(np.abs(np.array(back.p) - p)) <= 1e-10
         fwd = tr.new_positions(tr.old_positions(tr.new_positions(x)))
@@ -223,8 +242,8 @@ def test_printed_matrix_pair(calogero):
     for _ in range(100):
         env = {"r": rng.uniform(0.5, 2.0),
                "phi1": rng.uniform(0.3, math.pi - 0.3)}
-        S = model.matrix_values(calogero.system.stackel.entries, env)
-        M = np.array([[expr.evaluate(e, env) for e in row] for row in rows])
+        S = walker.matrix_values(calogero.system.stackel.entries, env)
+        M = np.array([[walker.evaluate(e, env) for e in row] for row in rows])
         assert np.max(np.abs(S @ M - np.eye(3))) <= 1e-12
         tw = model.twist_rows(calogero.system,
                               (env["r"], env["phi1"], 1.0, 0.5))
@@ -247,14 +266,14 @@ def test_angular_potential_certifies_split(calogero):
     for _ in range(50):
         f2 = rng.uniform(0.3, math.pi - 0.3)
         f3 = rng.uniform(-math.pi + 0.3, math.pi - 0.3)
-        base = expr.evaluate(v3, {"phi2": f2, "phi3": f3})
+        base = walker.evaluate(v3, {"phi2": f2, "phi3": f3})
         for _ in range(6):
             q = (rng.uniform(0.5, 2.0), rng.uniform(0.3, math.pi - 0.3),
                  f2, f3)
             if not calogero.regular(q):
                 continue
             x = tr.old_positions(q)
-            vx = expr.evaluate(Vc, dict(zip(calogero.cartesian.coords, x)))
+            vx = walker.evaluate(Vc, dict(zip(calogero.cartesian.coords, x)))
             scaled = q[0] ** 2 * math.sin(q[1]) ** 2 * vx
             worst = max(worst, abs(scaled - base) / max(1.0, abs(base)))
     assert worst <= 1e-8
@@ -271,8 +290,8 @@ def test_hamiltonian_agreement(calogero):
         P = PhasePoint(x, p)
         sph = ref.transform.to_new(P)
         vals = (model.hamiltonian(calogero.system, sph),
-                model.first_integral(calogero.system, 2, sph),
-                model.first_integral(calogero.system, 3, sph))
+                model.separation_constants(calogero.system, sph)[1],
+                model.separation_constants(calogero.system, sph)[2])
         refs = (ref.hamiltonian.value(P), ref.integrals[0].value(P),
                 ref.integrals[1].value(P))
         for i in range(3):
@@ -425,7 +444,7 @@ def test_case_i_system_structure():
     for _ in range(20):
         P = PhasePoint(tuple(rng.uniform(-0.5, 0.5, 3)),
                        tuple(rng.uniform(-1, 1, 3)))
-        K2 = model.first_integral(sysi, 2, P)
+        K2 = model.separation_constants(sysi, P)[1]
         H = model.hamiltonian(sysi, P)
         assert K2 + 0.7 * H == pytest.approx(0.5 * P.p[0] ** 2, abs=1e-12)
 
@@ -468,7 +487,7 @@ def test_case_ii_leaf_scalar_expected_matches_tree_walk(c1, c2):
     # the compiled scale gives the tree walker's value, bit for bit
     fam = catalog.e3_case_ii_family(c1=c1, c2=c2)
     for u in np.linspace(*fam.sample_box[0], 41):
-        lu = expr.evaluate(fam.scale, {"u": float(u)})
+        lu = walker.evaluate(fam.scale, {"u": float(u)})
         assert fam.leaf_scalar_expected(u) == 2.0 * lu * lu * c1 * c1
 
 
@@ -509,7 +528,7 @@ def test_case_ii_system_structure():
         p = tuple(rng.uniform(-1, 1, 3))
         P = PhasePoint(q, p)
         f = (1 + q[1] ** 2 + q[2] ** 2) / 2
-        K2 = model.first_integral(sysii, 2, P)
+        K2 = model.separation_constants(sysii, P)[1]
         H = model.hamiltonian(sysii, P)
         want = 0.5 * f * f * (p[1] ** 2 + p[2] ** 2)
         assert K2 + 0.4 * H == pytest.approx(want, abs=1e-12)

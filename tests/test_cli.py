@@ -12,6 +12,8 @@ import sys
 import numpy as np
 import pytest
 
+import walker
+
 import blocksep
 from blocksep import catalog, cli, config, expr, geometry, model
 from blocksep.config import ConfigError, load_config
@@ -565,6 +567,29 @@ p = 0.1, 0.1
     assert "at q=(-0.29466251667873916, 0.287260537311178)" in err
 
 
+def test_twist_failure_names_the_first_separability_row(tmp_path, capsys):
+    # the system and probe seed above: the eigenvalue-gradient and
+    # connection rows share one position jet per block of probes, and a
+    # twist that fails at a probe is named as K_2's row, which runs first
+    body = """
+[system]
+blocks = q1 | q2
+
+[stackel]
+row1 = "1", "1"
+row2 = "1", "1+exp(-0.1/abs(q2-0.29))"
+
+[initial]
+q = 0, 0
+p = 0.1, 0.1
+"""
+    path = write_config(tmp_path, body)
+    assert cli.main(["verify", "--config", path, "--seed", "6"]) == 3
+    err = capsys.readouterr().err.rstrip("\n")
+    assert err.endswith("(in check eigenvalue-gradient K_2 at "
+                        "q=(-0.29466251667873916, 0.287260537311178))")
+
+
 def test_evaluation_failure_names_check_and_probe(tmp_path, capsys):
     # the same system at probe seed 1: 1 + exp(-0.1/|q2 - 0.29|) rounds
     # to 1 near q2 = 0.29, the separation determinant to 0, and the
@@ -615,7 +640,7 @@ p = 0.1, 0.1
     cond, probe = lines[0][len(head):].split(" exceeds 1e+08 at probe ")
     q = [float(v) for v in probe.strip("()").split()]
     stackel = cli._resolve_dynamic(load_config(path)).system.stackel
-    S = model.matrix_values(stackel.entries, {"q1": q[0], "q2": q[1]})
+    S = walker.matrix_values(stackel.entries, {"q1": q[0], "q2": q[1]})
     # the probe is printed to 6 digits; cond hardly moves over that
     assert float(cond) == pytest.approx(
         model.invert_with_condition(S)[1], rel=1e-3)
@@ -689,9 +714,9 @@ def tree_walked_energies(sys_, q, p):
         kinetic = 0.0
         for i, gi in enumerate(idx):
             for j, gj in enumerate(idx):
-                gij = expr.evaluate(blk.metric[i][j], env)
+                gij = walker.evaluate(blk.metric[i][j], env)
                 kinetic += gij * p[gi] * p[gj]
-        out.append(0.5 * kinetic + expr.evaluate(blk.potential, env))
+        out.append(0.5 * kinetic + walker.evaluate(blk.potential, env))
     return np.array(out)
 
 
@@ -716,7 +741,7 @@ samples = 40
     for row in rows:
         vals = [float(v) for v in row.split(",")]
         q, p = vals[1:1 + N], vals[1 + N:1 + 2 * N]
-        S = model.matrix_values(sys_.stackel.entries, sys_.env(q))
+        S = walker.matrix_values(sys_.stackel.entries, sys_.env(q))
         M, _ = model.invert_with_condition(S)
         E = tree_walked_energies(sys_, q, p)
         assert vals[1 + 2 * N + n:] == [float(M[a] @ E) for a in range(n)]

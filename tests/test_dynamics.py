@@ -18,11 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import walker
 from conftest import (
-    PENDULA_P0, full_field, make_pendula_like, matrix_derivative,
-    reduced_field, reduced_hamiltonian, two_call_field, two_call_reduced,
-    zip_dop853,
+    PENDULA_P0, full_field, make_pendula_like, phase_point, reduced_field,
+    reduced_hamiltonian, two_call_field, two_call_reduced, zip_dop853,
 )
+from walker import matrix_derivative
 
 from blocksep import catalog, config, expr, model
 from blocksep.dynamics import (
@@ -513,7 +514,7 @@ def test_full_field_matches_fd_of_hamiltonian(pendula):
     N = pendula.dim
 
     def H(y):
-        return model.hamiltonian(pendula, PhasePoint.from_array(y))
+        return model.hamiltonian(pendula, phase_point(y))
 
     grad = np.empty(2 * N)
     for k in range(2 * N):
@@ -572,7 +573,7 @@ def _reference_full_field(sys, q, p):
     """H = alpha^r H_r differentiated entry by entry with the tree
     walker, one coordinate at a time: the oracle for the compiled jet."""
     env = dict(zip(sys.structure.names, q))
-    S = model.matrix_values(sys.stackel.entries, env)
+    S = walker.matrix_values(sys.stackel.entries, env)
     M = np.linalg.inv(S)
     alpha = M[0]
     N = sys.dim
@@ -581,8 +582,8 @@ def _reference_full_field(sys, q, p):
     for r, blk in enumerate(sys.blocks):
         idx = list(sys.structure.block_range(r + 1))
         pb = np.array([p[k] for k in idx])
-        g = model.matrix_values(blk.metric, env)
-        H[r] = 0.5 * pb @ g @ pb + expr.evaluate(blk.potential, env)
+        g = walker.matrix_values(blk.metric, env)
+        H[r] = 0.5 * pb @ g @ pb + walker.evaluate(blk.potential, env)
         qdot[idx] = alpha[r] * (g @ pb)
     pdot = np.zeros(N)
     for k, name in enumerate(sys.structure.names):
@@ -593,7 +594,7 @@ def _reference_full_field(sys, q, p):
             pb = np.array([p[j] for j in idx])
             dg = matrix_derivative(blk.metric, env, name)
             dH = (0.5 * pb @ dg @ pb
-                  + expr.derivative(blk.potential, env, name))
+                  + walker.derivative(blk.potential, env, name))
             pdot[k] -= dalpha[r] * H[r] + alpha[r] * dH
     return np.concatenate([qdot, pdot])
 
@@ -606,11 +607,11 @@ def _reference_reduced_field(sys, r, c, qb, pb):
     pdot = np.empty(len(names))
     for i, name in enumerate(names):
         dg = matrix_derivative(blk.metric, env, name)
-        dS = sum(c[a] * expr.derivative(e, env, name)
+        dS = sum(c[a] * walker.derivative(e, env, name)
                  for a, e in enumerate(sys.stackel.entries[r - 1]))
         pdot[i] = -(0.5 * pb @ dg @ pb
-                    + expr.derivative(blk.potential, env, name) - dS)
-    return np.concatenate([model.matrix_values(blk.metric, env) @ pb, pdot])
+                    + walker.derivative(blk.potential, env, name) - dS)
+    return np.concatenate([walker.matrix_values(blk.metric, env) @ pb, pdot])
 
 
 def _rel_err(got, want):
@@ -875,8 +876,8 @@ def test_reduced_field_force_with_constants(pendula):
     def veff(qv):
         env = {"q1": qv}
         row = pendula.stackel.entries[0]
-        pot = expr.evaluate(pendula.blocks[0].potential, env)
-        return pot - sum(c[a] * expr.evaluate(row[a], env) for a in range(3))
+        pot = walker.evaluate(pendula.blocks[0].potential, env)
+        return pot - sum(c[a] * walker.evaluate(row[a], env) for a in range(3))
 
     h = 1e-6
     fd = -(veff(q + h) - veff(q - h)) / (2 * h)
@@ -903,7 +904,7 @@ def test_pendula_energy_drift(pendula, pendula_orbit):
     H0 = model.hamiltonian(pendula, PENDULA_P0)
     drift = 0.0
     for y in pendula_orbit.ys:
-        H = model.hamiltonian(pendula, PhasePoint.from_array(y))
+        H = model.hamiltonian(pendula, phase_point(y))
         drift = max(drift, abs(H - H0))
     assert drift <= 1e-7
 
@@ -913,7 +914,7 @@ def test_pendula_first_integral_drift(pendula, pendula_orbit):
     scale = np.maximum(1.0, np.abs(c0))
     worst = np.zeros_like(c0)
     for y in pendula_orbit.ys[::5]:
-        c = model.separation_constants(pendula, PhasePoint.from_array(y))
+        c = model.separation_constants(pendula, phase_point(y))
         worst = np.maximum(worst, np.abs(c - c0))
     assert np.all(worst <= 100 * 1e-10 * scale)
 
@@ -923,7 +924,7 @@ def test_reduced_hamiltonian_constant_along_orbit(pendula, pendula_orbit):
     ref = [reduced_hamiltonian(pendula, r, c, PENDULA_P0)
            for r in range(1, 4)]
     for y in pendula_orbit.ys[::10]:
-        point = PhasePoint.from_array(y)
+        point = phase_point(y)
         for r in range(1, 4):
             val = reduced_hamiltonian(pendula, r, c, point)
             assert abs(val - ref[r - 1]) <= 10 * 1e-10 * max(

@@ -11,11 +11,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from walker import derivative, evaluate, second_derivative
+
 from blocksep import expr
 from blocksep.expr import (
     Add, Call, DomainError, Mul, Neg, Num, ParseError, Pow, Sub,
-    UnboundVariableError, Var, derivative, evaluate, free_variables,
-    parse, pretty, second_derivative,
+    UnboundVariableError, Var, free_variables, parse, pretty,
 )
 
 

@@ -1,18 +1,21 @@
 """The residual battery on compiled jets against a tree-walker reference.
 
 Every reference below assembles the same formulas as ``geometry`` from
-``model.matrix_values`` and conftest's ``matrix_derivative`` /
+the tree walker's ``matrix_values``, ``matrix_derivative`` and
 ``matrix_second_derivative``, that is from one tree walk per entry,
 variable and point.  The jets must agree to a relative 1e-14 at seeded
 points of every catalog entry.  The last tests count ``expr.compile``
-calls: nothing is compiled while loading, and the number of compiles of
-a command does not grow with its point count.
+calls: loading compiles only the jets of its probe checks and chart
+changes, and the number of compiles of a command does not grow with its
+point count.
 """
 
 import numpy as np
 import pytest
 
-from conftest import matrix_derivative, matrix_second_derivative
+import walker
+from conftest import block_of
+from walker import matrix_derivative, matrix_second_derivative
 
 from blocksep import catalog, cli, expr
 from blocksep import geometry as geo
@@ -40,7 +43,7 @@ def close(got, want):
 # tree-walker reference
 
 def values(grid, env):
-    return model.matrix_values(grid, env)
+    return walker.matrix_values(grid, env)
 
 
 def firsts(grid, coords, env):
@@ -161,7 +164,7 @@ def ref_gradients(F, P):
     n = len(F.coords)
     grid = F.tensor.grid
     K = values(grid, env)
-    dq = np.array([expr.derivative(F.scalar, env, c)
+    dq = np.array([walker.derivative(F.scalar, env, c)
                    + 0.5 * p @ matrix_derivative(grid, env, c) @ p
                    for c in F.coords])
     return dq, 0.5 * (K + K.T) @ p + np.zeros(n)
@@ -190,7 +193,7 @@ def ref_eisenhart(sys, a, q):
     lam = M[a - 1] / alpha
     worst = 0.0
     for k in range(sys.dim):
-        r = sys.structure.block_of(k) - 1
+        r = block_of(sys.structure, k) - 1
         dM = -M @ dS[k] @ M
         for s in range(sys.n):
             dlam = (dM[a - 1, s] * alpha[s] - M[a - 1, s] * dM[0, s]) \
@@ -212,9 +215,9 @@ def ref_levi_civita(sys, q):
     dV = [dalpha[k] @ V + alpha @ dV_m[k] for k in range(sys.dim)]
     metric = potential = 0.0
     for k in range(sys.dim):
-        r = sys.structure.block_of(k) - 1
+        r = block_of(sys.structure, k) - 1
         for l in range(sys.dim):
-            s = sys.structure.block_of(l) - 1
+            s = block_of(sys.structure, l) - 1
             if s == r:
                 continue
             d2a = alpha @ (dS[k] @ M @ dS[l] + dS[l] @ M @ dS[k]
@@ -409,7 +412,7 @@ def test_curved_metric_battery_matches_tree_walker(name):
               ref_haantjes(grid, coords, env))
         if family.leaf_metric is not None:
             leaf = family.leaf_metric(x[0])
-            lu = expr.evaluate(family.scale, {"u": x[0]})
+            lu = walker.evaluate(family.scale, {"u": x[0]})
             lf2 = expr.Num(lu * lu)
             leaf_grid = [[lf2 * family.profile * family.profile,
                           expr.Num(0.0)],
@@ -467,10 +470,25 @@ def compiles(monkeypatch):
     return calls
 
 
-def test_loading_compiles_nothing(compiles):
+def test_loading_compiles_only_probe_and_chart_jets(compiles):
+    """Loading compiles the values-only jet of each system's probe
+    checks, S's entries and then the block metrics', and the jet of each
+    chart change that carries a start point into its chart; nothing that
+    a command uses, and nothing for a metric family."""
     for name in catalog.names():
-        catalog.load(name)
-    assert compiles == []
+        compiles.clear()
+        entry = catalog.load(name)
+        want = []
+        if isinstance(entry, catalog.CatalogEntry):
+            sys_ = entry.system
+            grids = [sys_.stackel.entries] + [b.metric for b in sys_.blocks]
+            want.append((tuple(e for grid in grids for row in grid
+                               for e in row),
+                         sys_.structure.names, (), 1, False))
+            if entry.cartesian is not None:
+                want += [(st.old_exprs, st.new_names, st.new_names, 1, False)
+                         for st in entry.cartesian.transform.stages]
+        assert compiles == want
 
 
 @pytest.mark.parametrize("name", DYNAMIC)

@@ -1,7 +1,7 @@
 """Compiled jets (expr.compile) against the tree walker.
 
-The tree walker (evaluate / derivative / second_derivative over dual
-numbers) is the oracle.
+The tree walker of ``walker.py`` (evaluate / derivative /
+second_derivative over dual numbers) is the oracle.
 A jet must give the same scalars bit for bit, the same failures with the
 same messages and offsets, and an exact 0.0 for every partial along a
 variable the expression does not mention.  The one permitted difference
@@ -12,17 +12,19 @@ not.
 import ast
 import builtins
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from walker import derivative, evaluate, second_derivative
+
 from blocksep import catalog, expr, model
 from blocksep.expr import (
     Add, Call, Div, DomainError, FUNCTIONS, Mul, Neg, Num, Pow, Sub,
-    UnboundVariableError, Var, derivative, evaluate, parse, pretty,
-    second_derivative,
+    UnboundVariableError, Var, parse, pretty,
 )
 
 NAMES = ("x", "y", "z", "w")   # w never occurs in the generated trees
@@ -437,6 +439,50 @@ def test_a_failing_row_in_a_stack_raises_its_float_error(source, good, bad,
     assert got.value.offset == want.value.offset
     if k:  # and the rows before k pass
         jet.stack(rows[:k])
+
+
+def test_literal_zero_denominator_fails_as_the_walker():
+    # a check on a literal that holds is kept, and raises on every call
+    e = parse("x + 1/(2-2)")
+    with pytest.raises(DomainError) as want:
+        evaluate(e, {"x": 1.0})
+    forms = [lambda: expr.compile([e], ("x",))(1.0),
+             lambda: expr.compile([e], ("x",), ("x",))(1.0),
+             lambda: expr.compile([e], ("x",), stack=True)(
+                 np.array([1.0]), np.empty((1, 1)))]
+    for form in forms:
+        for _ in range(2):
+            with pytest.raises(DomainError) as got:
+                form()
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+            assert got.value.offset == want.value.offset
+
+
+@pytest.mark.parametrize("name", ["pendula", "oscillators"])
+def test_fields_run_no_literal_check_and_no_power_of_one(name,
+                                                         monkeypatch):
+    # a check on a literal is decided when the jet is made, and x ** 1.0
+    # is x: neither is left in the generated fields
+    sys_ = catalog.load(name).system
+    sys_.jet.constant_twist
+    sources = []
+    real = builtins.compile
+
+    def capturing(source, filename, *args, **kwargs):
+        sources.append(source)
+        return real(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", capturing)
+    sys_.jet.field
+    for r in range(1, sys_.n + 1):
+        sys_.jet.reduced(r)
+    assert len(sources) == 1 + sys_.n
+    for source in sources:
+        checked = re.findall(r"if (\S+) [=<]=? 0\.0: raise _DomainError",
+                             source)
+        assert all(re.fullmatch(r"[tx]\d+", ref) for ref in checked)
+        assert "** 1.0" not in source
 
 
 def test_only_the_float_form_is_compiled(monkeypatch):

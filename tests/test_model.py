@@ -18,15 +18,16 @@ from blocksep.model import (
     MAX_BLOCKS, BlockIndexError, BlockStructure, DimensionMismatchError,
     ForeignVariableError, ModelError, NaturalBlock, PhasePoint, ProbePlan,
     SingularMatrixError, StackelMatrix, TwistedSystem, build_system,
-    first_integral, hamiltonian, inverse_derivative, invert_with_condition,
-    matrix_values, separation_constants, twist_rows,
+    hamiltonian, inverse_derivative, invert_with_condition,
+    separation_constants, twist_rows,
 )
 
 
 from conftest import (
-    PENDULA_C, PENDULA_P0, block_energy, make_pendula_like,
-    matrix_derivative, reduced_hamiltonian,
+    PENDULA_C, PENDULA_P0, block_energy, block_of, make_pendula_like,
+    phase_point, reduced_hamiltonian,
 )
+from walker import matrix_derivative, matrix_values
 
 pendula_like = make_pendula_like
 
@@ -120,6 +121,38 @@ def test_singular_probe_rejected():
         build_system(structure, stackel, blocks, probes)
 
 
+def _two_blocks(s22, g1, g2):
+    # S = diag(1, s22) and 1-by-1 block metrics g1, g2, probed at one point
+    return build_system(BlockStructure((1, 1), (("q1",), ("q2",))),
+                        StackelMatrix((("1", "0"), ("0", s22))),
+                        (NaturalBlock(((g1,),), "0"),
+                         NaturalBlock(((g2,),), "0")),
+                        ProbePlan(points=({"q1": -1.0, "q2": -2.0},)))
+
+
+@pytest.mark.parametrize("s22, g1, g2, error, message", [
+    ("1", "1", "ln(q2)", ModelError,
+     "block 2 metric entry g[1][1] fails at q=(-1.0, -2.0): ln of a "
+     "non-positive value (sub-expression at offset 0)"),
+    # S's entries come first, then S's gate, then block by block the
+    # metric's entries and its determinant
+    ("sqrt(q2)", "ln(q1)", "1", ModelError,
+     "separation matrix entry S[2][2] fails at q=(-1.0, -2.0): sqrt of a "
+     "negative value (sub-expression at offset 0)"),
+    ("0", "ln(q1)", "1", SingularMatrixError,
+     "matrix is singular at q=(-1.0, -2.0)"),
+    ("1", "0", "ln(q2)", SingularMatrixError,
+     "block 1 metric degenerate at probe point at q=(-1.0, -2.0)"),
+], ids=["metric-entry", "entry-before-metric", "gate-before-metric",
+        "determinant-before-next-block"])
+def test_probe_failure_names_the_first_check_that_fails(s22, g1, g2, error,
+                                                        message):
+    with pytest.raises(error) as got:
+        _two_blocks(s22, g1, g2)
+    assert type(got.value) is error
+    assert str(got.value) == message
+
+
 def _one_block(metric):
     return build_system(BlockStructure((3,), (("a", "b", "c"),)),
                         StackelMatrix((("1",),)),
@@ -158,7 +191,7 @@ def test_identity_stackel():
     assert np.allclose(tw.matrix[0], [1.0, 0.0, 0.0])
     # with S = I the combinations collapse to the block energies
     for a in (1, 2, 3):
-        assert first_integral(sys, a, pt) == pytest.approx(
+        assert separation_constants(sys, pt)[a - 1] == pytest.approx(
             block_energy(sys, a, pt), rel=1e-14)
     c = separation_constants(sys, pt)
     for r in (1, 2, 3):
@@ -251,18 +284,19 @@ def test_block_energy_index_range():
         block_energy(sys, 0, P0)
     with pytest.raises(BlockIndexError):
         block_energy(sys, 4, P0)
-    with pytest.raises(BlockIndexError):
-        first_integral(sys, 4, P0)
+    with pytest.raises(IndexError):
+        separation_constants(sys, P0)[3]
 
 
 def test_reference_separation_constants():
     sys = pendula_like()
     assert hamiltonian(sys, P0) == pytest.approx(C1, abs=1e-8)
-    assert first_integral(sys, 2, P0) == pytest.approx(C2, abs=1e-8)
-    assert first_integral(sys, 3, P0) == pytest.approx(C3, abs=1e-8)
+    assert separation_constants(sys, P0)[1] == pytest.approx(C2, abs=1e-8)
+    assert separation_constants(sys, P0)[2] == pytest.approx(C3, abs=1e-8)
     c = separation_constants(sys, P0)
     assert np.allclose(c, [C1, C2, C3], atol=1e-8)
-    assert first_integral(sys, 1, P0) == pytest.approx(hamiltonian(sys, P0))
+    assert separation_constants(sys, P0)[0] == pytest.approx(
+        hamiltonian(sys, P0))
 
 
 def test_reconstruction_identity():
@@ -323,7 +357,7 @@ def test_inverse_derivative_identity():
         S = matrix_values(sys.stackel.entries, env)
         M = np.linalg.inv(S)
         for k, name in enumerate(names):
-            r = sys.structure.block_of(k)
+            r = block_of(sys.structure, k)
             dS = matrix_derivative(sys.stackel.entries, env, name)
             dM = inverse_derivative(M, dS)
             for j in range(3):
@@ -365,15 +399,15 @@ def test_single_block_system():
     pt = PhasePoint((0.5, -0.5), (1.0, 2.0))
     h1 = block_energy(sys, 1, pt)
     assert hamiltonian(sys, pt) == pytest.approx(h1 / (2 + 0.25), rel=1e-14)
-    with pytest.raises(BlockIndexError):
-        first_integral(sys, 2, pt)
+    with pytest.raises(IndexError):
+        separation_constants(sys, pt)[1]
 
 
 def test_phase_point_roundtrip():
     pt = PhasePoint((1.0, 2.0), (3.0, 4.0))
     arr = pt.as_array()
     assert np.allclose(arr, [1, 2, 3, 4])
-    assert PhasePoint.from_array(arr) == pt
+    assert phase_point(arr) == pt
     with pytest.raises(DimensionMismatchError):
         PhasePoint((1.0,), (1.0, 2.0))
 
