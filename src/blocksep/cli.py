@@ -526,12 +526,13 @@ def _verify_checks(res: _Resolved, cfg: RunConfig,
 
     names = [f"eigenvalue-gradient K_{a}" for a in range(2, n + 1)]
     kinds = ("metric", "potential")
-    twists = []  # each block's twist and its probes
+    worst = []  # each block's largest cond, its twist's note and its probe
 
     def separability(xs):
         # one position jet, and with it one twist, for every row here
         at = sys_.jet.positions(xs)
-        twists.append((at.twist, xs))
+        k = int(np.argmax(at.twist.cond))
+        worst.append((at.twist.cond[k], at.twist.warning, xs[k]))
         rows = [_geo.block_eisenhart_residual(sys_, a, at)
                 for a in range(2, n + 1)]
         out = _geo.block_levi_civita_residual(sys_, at)
@@ -546,10 +547,10 @@ def _verify_checks(res: _Resolved, cfg: RunConfig,
     names += [f"block-connection {kind}" for kind in kinds]
     for k, name in enumerate(names):
         checks.append(_row(name, th["residual"], rows[:, k], qs))
-    tw, xs = max(twists, key=lambda t: np.max(t[0].cond))
-    if tw.warning is not None:
-        worst = " ".join(f"{v:.6g}" for v in xs[int(np.argmax(tw.cond))])
-        print(f"verify: {tw.warning} at probe ({worst})", file=err)
+    _, warning, probe = max(worst, key=lambda t: t[0])
+    if warning is not None:
+        where = " ".join(f"{v:.6g}" for v in probe)
+        print(f"verify: {warning} at probe ({where})", file=err)
 
     if res.entry is not None and res.entry.cartesian is not None:
         ref = res.entry.cartesian

@@ -16,7 +16,9 @@ over arrays of points.  Everything the commands evaluate runs on jets:
 the probe checks of a new system, the vector fields, the clocks, the
 chart changes, the geometry and the catalog residuals.  A tree walker
 over dual numbers, which gives every value, partial and failure of a
-jet bit for bit, is kept in the test suite as the jets' oracle.
+jet bit for bit, is kept in the test suite as the jets' oracle.  One
+cache keeps the forms of jets, and the fields, by what they are
+(:func:`_generated`), for a process that makes the same jet again.
 
 Grammar (EBNF)::
 
@@ -425,8 +427,8 @@ class _JetSource:
     repeated checks of the same condition, are recorded once.  One pass
     walks the values, then one pass per seeding; a pass shares a node
     object visited twice and reuses the values of the nodes that do not
-    mention a seeded variable.  :meth:`live` then drops the ops that nothing
-    reads, of the operations that cannot raise.
+    mention a seeded variable.  :func:`_live` then drops the ops that
+    nothing reads, of the operations that cannot raise.
     """
 
     def __init__(self, names):
@@ -508,19 +510,6 @@ class _JetSource:
         if key not in self.memo:
             self.memo[key] = None
             self.ops.append((op, None, operands, extra))
-
-    def live(self, out) -> list[tuple]:
-        """The ops that ``out`` or an op kept needs.  An op that can
-        raise is always kept, so that a failure stays the tree walk's;
-        only ``+ - *``, negation, ``abs`` and the select of a dual
-        ``abs`` are dropped when nothing reads them."""
-        needed = set(out)
-        kept = []
-        for op in reversed(self.ops):
-            if op[0] not in _PURE or op[1] in needed:
-                kept.append(op)
-                needed.update(op[2])
-        return kept[::-1]
 
     def check(self, a: _Sym, comparison: str, message: str, offset):
         """Raise ``message`` where ``a comparison 0.0`` holds; a condition
@@ -700,25 +689,63 @@ def compile(exprs, names, wrt=(), order=1, stack=False):
     source; the stack form (``stack=True``, under ``np.errstate``) takes
     a (P,) array per name, P >= 0, and a (K, P) ``out``, writes entry k
     at p bit for bit to ``out[k, p]``, and raises where floats fail.
+    Both are cached by what the jet is, not by its objects.
     """
-    if stack:
-        return _stack_jet(*_jet_ops(exprs, names, wrt, order))
-    code, namespace = _jet_source(exprs, names, wrt, order)
-    exec(_builtins.compile(code, "<expr jet>", "exec"), namespace)
-    return namespace["_jet"]
+    return _generated("stack" if stack else "float", exprs, names, wrt, order)
 
 
-def _jet_ops(exprs, names, wrt=(), order=1):
-    """The walked :class:`_JetSource` of a jet, and its output syms."""
-    exprs = list(exprs)
-    names = tuple(names)
-    wrt = tuple(wrt)
+# the jet cache of the module docstring; a field is keyed on its text
+JETS_KEPT = 256
+_JETS: dict = {}
+
+
+def _cached(key, make):
+    hit = _JETS.pop(key, None)
+    if hit is None:
+        hit = make()
+        if len(_JETS) >= JETS_KEPT:
+            del _JETS[next(iter(_JETS))]
+    _JETS[key] = hit
+    return hit
+
+
+def _generated(form, exprs, names, wrt, order):
+    """A jet's "float", "stack" or "lines" form, from the cache.  The key
+    is one walk of the trees' DAG: per node its type, offset (errors
+    report it; ``==`` ignores it), a name or the ``repr`` of a literal
+    (-0.0 is not 0.0), and its children by first visit, so sharing
+    counts; then the roots, ``names``, ``wrt``, ``order`` and ``form``."""
+    exprs, names, wrt = list(exprs), tuple(names), tuple(wrt)
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate names in {names}")
     if len(set(wrt)) != len(wrt) or not set(wrt) <= set(names):
         raise ValueError(f"wrt {wrt} must be distinct entries of {names}")
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, not {order!r}")
+    index, nodes = {}, []
+
+    def visit(e):
+        i = index.get(id(e))
+        if i is None:
+            t = type(e)
+            if isinstance(e, _Binary):
+                node = (t, e.offset, visit(e.lhs), visit(e.rhs))
+            elif t is Var or t is Num:
+                node = (t, e.offset, e.name if t is Var else repr(e.value))
+            elif t is Neg or t is Call:
+                node = (t, e.offset, getattr(e, "fn", ""), visit(e.arg))
+            else:
+                raise TypeError(f"not an Expression node: {e!r}")
+            i = index[id(e)] = len(nodes)
+            nodes.append(node)
+        return i
+    key = (tuple(map(visit, exprs)), tuple(nodes), names, wrt, order, form)
+    return _cached(key, lambda: _jet_ops(form, exprs, names, wrt, order))
+
+
+def _jet_ops(form, exprs, names, wrt, order):
+    """A jet walked into its op list by a :class:`_JetSource`, and made
+    into a form: on a cache miss only."""
     src = _JetSource(names)
     args = src.args
     one, zero = src.const(1.0), src.const(0.0)
@@ -751,7 +778,15 @@ def _jet_ops(exprs, names, wrt=(), order=1):
                 partials(frozenset((a, b)), env,
                          lambda r: _real(r.im.im)
                          if isinstance(r.im, Dual) else None)
-    return src, out
+    if form == "stack":
+        return _stack_jet(src, out)
+    parts = _rendered(src, out)
+    if form == "lines":
+        return parts
+    namespace = dict(_JET_GLOBALS, **parts[2])
+    exec(_builtins.compile(_jet_code(*parts), "<expr jet>", "exec"),
+         namespace)
+    return namespace["_jet"]
 
 
 def _line(op, target, operands, extra) -> str:
@@ -779,29 +814,49 @@ def jet_lines(exprs, names, wrt=(), order=1):
     that can raise, in order, inside the jet's ``try`` that turns an
     overflow into :class:`DomainError`: a point fails with the same
     error whatever is read.  The lines bind no name but the
-    temporaries, and may be none at all."""
-    src, out = _jet_ops(exprs, names, wrt, order)
+    temporaries, and may be none at all.  The parts are cached."""
+    args, outs, consts, lines = _generated("lines", exprs, names, wrt, order)
+    return args, outs, dict(_JET_GLOBALS, **consts), lines
+
+
+def _live(ops, out) -> list[tuple]:
+    """The ops that ``out`` or an op kept needs.  An op that can raise
+    is always kept, so that a failure stays the tree walk's; only
+    ``+ - *``, negation, ``abs`` and the select of a dual ``abs`` are
+    dropped when nothing reads them."""
+    needed = set(out)
+    kept = []
+    for op in reversed(ops):
+        if op[0] not in _PURE or op[1] in needed:
+            kept.append(op)
+            needed.update(op[2])
+    return kept[::-1]
+
+
+def _rendered(src, out):
+    """:func:`jet_lines`'s parts, with only the literals ``_c<i>``: each
+    op as ``(op, target, operands, line)`` of refs, keeping no syms."""
+    ops = [(op[0], op[1] and op[1].ref, [s.ref for s in op[2]], _line(*op))
+           for op in src.ops]
+    outs = [s.ref for s in out]
 
     def lines(reads):
-        body = [_line(*op) for op in src.live([out[k] for k in reads])]
+        body = [op[3] for op in _live(ops, [outs[k] for k in reads])]
         if not body:
             return []
         return ["try:", *(f"    {line}" for line in body),
                 "except _RANGE_ERRORS:",
                 f"    raise _DomainError({_OVERFLOW!r}) from None"]
-    return ([s.ref for s in src.args.values()], [s.ref for s in out],
-            dict(_JET_GLOBALS, **src.consts), lines)
+    return [s.ref for s in src.args.values()], outs, src.consts, lines
 
 
-def _jet_source(exprs, names, wrt=(), order=1):
+def _jet_code(args, outs, _, lines) -> str:
     """The float source of :func:`compile`'s function ``_jet``, from
-    :func:`jet_lines` over every output, and the namespace it runs in."""
-    args, outs, namespace, lines = jet_lines(exprs, names, wrt, order)
+    :func:`jet_lines`'s parts over every output."""
     body = [*lines(range(len(outs))),
             "return (" + "".join(f"{ref}, " for ref in outs) + ")"]
-    code = f"def _jet({', '.join(args)}):\n" + "".join(
+    return f"def _jet({', '.join(args)}):\n" + "".join(
         f"    {line}\n" for line in body)
-    return code, namespace
 
 
 def _raises(error, args, compare=None):
@@ -819,7 +874,7 @@ def _stack_jet(src, out):
     names = [s.ref for s in src.args.values()]
     values = {None: None}   # the literals, added as ops read them
     steps = []
-    for op, target, operands, extra in src.live(out):
+    for op, target, operands, extra in _live(src.ops, out):
         values.update((s.ref, s.const) for s in operands
                       if s.const is not None)
         a, b = (*[s.ref for s in operands], None, None)[:2]

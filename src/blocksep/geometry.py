@@ -122,33 +122,6 @@ def _shared_stack(g: MetricField, T: TensorField2, points):
     return _stack(g.coords, points)
 
 
-_JETS: dict = {}
-_JETS_KEPT = 8
-
-
-def _grid_jet(exprs, coords, params=(), order=1) -> _model._GridJet:
-    """The jet of an expression list, compiled once and shared by every
-    object built on the same expression objects (the last
-    ``_JETS_KEPT`` lists are kept)."""
-    exprs = tuple(exprs)
-    key = (tuple(map(id, exprs)), tuple(coords), tuple(params), order)
-    hit = _JETS.pop(key, None)
-    if hit is None:
-        # the entry keeps its expressions alive, so their ids stay theirs
-        hit = (exprs, _model._GridJet(exprs, coords, params, order))
-        if len(_JETS) >= _JETS_KEPT:
-            del _JETS[next(iter(_JETS))]
-    _JETS[key] = hit
-    return hit[1]
-
-
-def _index(coords, name: str) -> int:
-    if name not in coords:
-        raise GeometryError(f"{name!r} is not one of the coordinates "
-                            f"{coords}")
-    return coords.index(name)
-
-
 def _grid_of(entries, n: int | None = None):
     rows = tuple(tuple(_model._as_expression(e) for e in row)
                  for row in entries)
@@ -173,8 +146,8 @@ class MetricField:
     A grid may also mention fixed parameters, bound by ``params``
     (name -> value); they are not coordinates and are never
     differentiated.  A value is one float, or one float per point of
-    the stacks the metric is evaluated at.  Metrics on the same grid
-    objects share one compiled jet, whatever their parameter values.
+    the stacks the metric is evaluated at.  Metrics on equal grids share
+    one compiled jet, whatever their parameter values.
     """
 
     def __init__(self, coords, grid, params=None):
@@ -204,8 +177,8 @@ class MetricField:
 
     @cached_property
     def _jet(self) -> _model._GridJet:
-        return _grid_jet([e for row in self._grid for e in row], self.coords,
-                         tuple(self.params), 2)
+        return _model._GridJet([e for row in self._grid for e in row],
+                               self.coords, tuple(self.params), 2)
 
     def _derivatives(self, qs: np.ndarray, order: int = 2):
         """At each point of the stack qs: G[p], then for order >= 1
@@ -220,17 +193,6 @@ class MetricField:
     def contravariant(self, point) -> np.ndarray:
         qs, one = _stack(self.coords, point)
         return _result(self._derivatives(qs, 0)[0], one)
-
-    def derivative(self, point, name: str) -> np.ndarray:
-        """d/d name of the contravariant components."""
-        qs, one = _stack(self.coords, point)
-        k = _index(self.coords, name)
-        return _result(self._derivatives(qs, 1)[1][:, k], one)
-
-    def second_derivative(self, point, n1: str, n2: str) -> np.ndarray:
-        qs, one = _stack(self.coords, point)
-        m, k = _index(self.coords, n1), _index(self.coords, n2)
-        return _result(self._derivatives(qs)[2][:, m, k], one)
 
     def covariant(self, point) -> np.ndarray:
         return _inverse(self.contravariant(point))
@@ -290,7 +252,8 @@ class TensorField2:
 
     @cached_property
     def _jet(self) -> _model._GridJet:
-        return _grid_jet([e for row in self.grid for e in row], self.coords)
+        return _model._GridJet([e for row in self.grid for e in row],
+                               self.coords)
 
     def _at(self, qs: np.ndarray):
         """At each point of the stack qs: values T[p] and first partials
@@ -372,7 +335,7 @@ class PhaseScalar:
         exprs = [self.scalar, *(self.linear or ())]
         if self.tensor is not None:
             exprs += [e for row in self.tensor.grid for e in row]
-        return _grid_jet(exprs, self.coords)
+        return _model._GridJet(exprs, self.coords)
 
     def _at(self, qs: np.ndarray):
         """At each point of the stack qs: the scalar W, linear terms L
@@ -782,7 +745,7 @@ def characteristic_condition(T: TensorField2, V, g: MetricField,
     qs, one = _shared_stack(g, T, point)
     n = g.n
     Tv, dT = _mixed_components(T, g, qs)
-    _, dV, d2V = _grid_jet((V,), g.coords, (), 2).stack(qs)
+    _, dV, d2V = _model._GridJet((V,), g.coords, (), 2).stack(qs)
     dV, d2V = dV.reshape(-1, n), d2V.reshape(-1, n, n)
     # domega[p, i, j] = d_i (T dV)_j
     domega = (np.einsum("pikj,pk->pij", dT, dV)

@@ -266,11 +266,6 @@ class _GridJet:
             self.pair = np.empty((n, n), dtype=int)
             self.pair[i, j] = self.pair[j, i] = np.arange(len(i))
 
-    @cached_property
-    def _floats(self):
-        """The float form, compiled for the first block that fails."""
-        return _expr.compile(*self._spec)
-
     def stack(self, args):
         """The jet at each row of ``args`` from one call of the stack
         form over its columns, each entry bit for bit the float form's
@@ -283,8 +278,9 @@ class _GridJet:
             with np.errstate(all="ignore"):
                 self.fn(*args.T, out.T)
         except _expr.ExprError as ex:
+            floats = _expr.compile(*self._spec)
             for row in args.tolist():
-                self._floats(*row)
+                floats(*row)
             raise AssertionError("a block failed in the stack form only") \
                 from ex
         first = out[:, m:m + n * m].reshape(len(out), n, m)
@@ -510,7 +506,8 @@ def _field_function(exprs, names, weights, head=None, rate=None, params="",
     lines of :func:`_inverse_lines`, the one text of S^-1 that
     :func:`invert_with_condition` also compiles, on floats and over
     stacks (at most ``MAX_BLOCKS`` blocks); they may raise
-    :class:`SingularMatrixError`.  The function is one ``compile()``."""
+    :class:`SingularMatrixError`.  The function is one ``compile()``,
+    cached by its text and literals ``_c<i>`` (:func:`expr._generated`)."""
     args, outs, namespace, jet = _expr.jet_lines(exprs, names, names)
     width, m = len(exprs), len(names) // 2
     free = [e.free_variables() for e in exprs]
@@ -537,8 +534,9 @@ def _field_function(exprs, names, weights, head=None, rate=None, params="",
     code = f"def _field(y{params}):\n" + "".join(f"    {line}\n"
                                                  for line in lines)
     namespace["SingularMatrixError"] = SingularMatrixError
-    exec(compile(code, "<field>", "exec"), namespace)
-    return namespace["_field"]
+    consts = [(k, repr(x)) for k, x in namespace.items() if type(x) is float]
+    return _expr._cached(("<field>", code, *consts), lambda: exec(compile(
+        code, "<field>", "exec"), namespace) or namespace["_field"])
 
 
 def _inverse_lines(n: int, point: str | None, entries: str) -> list[str]:
@@ -605,17 +603,10 @@ def _as_expression(e) -> Expression:
     if isinstance(e, Expression):
         return e
     if isinstance(e, str):
-        return _parsed(e)
+        return _expr.parse(e)
     if isinstance(e, (int, float)):
         return _expr.Num(float(e))
     raise TypeError(f"not an expression: {e!r}")
-
-
-@lru_cache(maxsize=256)
-def _parsed(text: str) -> Expression:
-    """The tree of a text, parsed once: the jets cached on expression
-    ids (:func:`geometry._grid_jet`) then find a text given again."""
-    return _expr.parse(text)
 
 
 def _q_of(point) -> tuple[float, ...]:

@@ -7,6 +7,7 @@ can cross-check its own constructions against these.
 """
 
 import numpy as np
+import pytest
 
 from blocksep import expr, model
 from blocksep.dynamics import (
@@ -98,6 +99,31 @@ PENDULA_C = (0.09494666248, 0.0916913483, -0.3797866499)
 
 
 # ---------------------------------------------------------------------------
+# the jet cache
+
+@pytest.fixture
+def cold_jets(monkeypatch):
+    """An empty jet cache for one test, so that what the test sees made
+    is made in it, whatever earlier tests left there."""
+    monkeypatch.setattr(expr, "_JETS", {})
+
+
+@pytest.fixture
+def generations(cold_jets, monkeypatch):
+    """The jets made from a cold cache (its misses), in order, each as
+    ``(exprs, names, wrt, order, form)``."""
+    made = []
+    real = expr._jet_ops
+
+    def counting(form, exprs, names, wrt, order):
+        made.append((tuple(exprs), names, wrt, order, form))
+        return real(form, exprs, names, wrt, order)
+
+    monkeypatch.setattr(expr, "_jet_ops", counting)
+    return made
+
+
+# ---------------------------------------------------------------------------
 # references that the commands do not call
 
 def phase_point(y) -> PhasePoint:
@@ -141,6 +167,20 @@ def reduced_field(sys, r: int, c, point: PhasePoint) -> np.ndarray:
     block slice only (n_r positions and momenta)."""
     c = model._reduced_constants(sys, r, c).tolist()
     return np.array(sys.jet.reduced(r)(list(point.q + point.p), c))
+
+
+def metric_derivative(g, point, name: str) -> np.ndarray:
+    """d/d name of the contravariant components of the metric g at one
+    point, from the metric's jet."""
+    k = g.coords.index(name)
+    return g._derivatives(np.array([point], dtype=float), 1)[1][0, k]
+
+
+def metric_second_derivative(g, point, n1: str, n2: str) -> np.ndarray:
+    """d/d n1 d/d n2 of the contravariant components of the metric g at
+    one point, from the metric's jet."""
+    m, k = g.coords.index(n1), g.coords.index(n2)
+    return g._derivatives(np.array([point], dtype=float))[2][0, m, k]
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ Commands run in-process through cli.main so exit codes, stdout reports
 and written artifacts are all observable without subprocesses.
 """
 
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -692,6 +694,35 @@ def test_well_conditioned_verify_writes_no_stderr(tmp_path, capsys):
     path = write_config(tmp_path, PENDULA_BODY)
     assert cli.main(["verify", "--config", path]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_verify_keeps_no_twist_of_a_finished_probe_block(tmp_path,
+                                                        monkeypatch):
+    # the note needs each block's largest cond and its probe, not the
+    # block's Twist with its cached partials
+    made = []
+    init = model.Twist.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    alive = []
+    row = cli._row
+
+    def counting(name, *args):
+        if name.startswith("block-connection"):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in made))
+        return row(name, *args)
+
+    monkeypatch.setattr(model.Twist, "__init__", recording)
+    monkeypatch.setattr(cli, "_row", counting)
+    path = write_config(tmp_path, PENDULA_BODY.replace("points = 60",
+                                                       "points = 300"))
+    assert cli.main(["verify", "--config", path]) == 0
+    assert len(made) >= 3   # one per block of 128 probes, at least
+    assert alive == [0, 0]
 
 
 def test_python_dash_m_runs_the_cli():

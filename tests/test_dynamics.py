@@ -688,7 +688,7 @@ def test_fields_equal_the_two_call_kernels(name):
 
 
 @pytest.mark.parametrize("name", ["pendula", "oscillators", "calogero4"])
-def test_one_field_is_one_compile(monkeypatch, name):
+def test_one_field_is_one_compile(monkeypatch, cold_jets, name):
     """Generating a field compiles one function, whose jet lines bind
     temporaries only, none named like the gate's or the chain rule's."""
     sys = catalog.load(name).system

@@ -4,9 +4,9 @@ Every reference below assembles the same formulas as ``geometry`` from
 the tree walker's ``matrix_values``, ``matrix_derivative`` and
 ``matrix_second_derivative``, that is from one tree walk per entry,
 variable and point.  The jets must agree to a relative 1e-14 at seeded
-points of every catalog entry.  The last tests count ``expr.compile``
-calls: loading compiles only the jets of its probe checks and chart
-changes, and the number of compiles of a command does not grow with its
+points of every catalog entry.  The last tests count the jets made from
+a cold jet cache: loading makes only the jets of its probe checks and
+chart changes, and the number a command makes does not grow with its
 point count.
 """
 
@@ -446,7 +446,8 @@ def test_grid_jets_stack_the_float_form_bit_for_bit(command, name,
                      "--out", str(tmp_path / "out")]) == 0
     assert seen
     for jet, args in seen:
-        want = np.array([jet._floats(*row) for row in args.tolist()])
+        floats = expr.compile(*jet._spec)
+        want = np.array([floats(*row) for row in args.tolist()])
         out = np.empty((jet.width, len(args)))
         with np.errstate(all="ignore"):
             jet.fn(*args.T, out)
@@ -457,17 +458,10 @@ def test_grid_jets_stack_the_float_form_bit_for_bit(command, name,
 # compile counts
 
 @pytest.fixture
-def compiles(monkeypatch):
-    calls = []
-    real = expr.compile
-
-    def counting(exprs, names, wrt=(), order=1, stack=False):
-        exprs = list(exprs)
-        calls.append((tuple(exprs), tuple(names), tuple(wrt), order, stack))
-        return real(exprs, names, wrt, order, stack)
-
-    monkeypatch.setattr(expr, "compile", counting)
-    return calls
+def compiles(generations):
+    """The jets made from a cold cache, each as ``(exprs, names, wrt,
+    order, form)``."""
+    return generations
 
 
 def test_loading_compiles_only_probe_and_chart_jets(compiles):
@@ -484,9 +478,10 @@ def test_loading_compiles_only_probe_and_chart_jets(compiles):
             grids = [sys_.stackel.entries] + [b.metric for b in sys_.blocks]
             want.append((tuple(e for grid in grids for row in grid
                                for e in row),
-                         sys_.structure.names, (), 1, False))
+                         sys_.structure.names, (), 1, "float"))
             if entry.cartesian is not None:
-                want += [(st.old_exprs, st.new_names, st.new_names, 1, False)
+                want += [(st.old_exprs, st.new_names, st.new_names, 1,
+                          "float")
                          for st in entry.cartesian.transform.stages]
         assert compiles == want
 
@@ -508,6 +503,7 @@ def test_curvature_compiles_do_not_grow_with_points(name, compiles,
     counts = []
     for points in (10, 1000):
         compiles.clear()
+        expr._JETS.clear()   # each run makes its own jets
         path = write_config(tmp_path, f"[system]\ncatalog = {name}\n"
                                       f"[verification]\npoints = {points}\n"
                                       f"[output]\ndirectory = {tmp_path}\n")

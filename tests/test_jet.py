@@ -11,9 +11,12 @@ not.
 
 import ast
 import builtins
+import filecmp
+import gc
 import math
 import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from walker import derivative, evaluate, second_derivative
 
-from blocksep import catalog, expr, model
+from blocksep import catalog, cli, expr, model
 from blocksep.expr import (
     Add, Call, Div, DomainError, FUNCTIONS, Mul, Neg, Num, Pow, Sub,
     UnboundVariableError, Var, parse, pretty,
@@ -331,7 +334,7 @@ def _unread_pure_temporaries(exprs, names, wrt, order):
     """The temporaries of a jet's source that nothing reads although
     their operation cannot raise (``+ - *``, negation, ``abs``, the
     select of a dual ``abs``)."""
-    code, _ = expr._jet_source(exprs, names, wrt, order)
+    code = expr._jet_code(*expr.jet_lines(exprs, names, wrt, order))
     tree = ast.parse(code)
     loaded = {n.id for n in ast.walk(tree)
               if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
@@ -460,8 +463,8 @@ def test_literal_zero_denominator_fails_as_the_walker():
 
 
 @pytest.mark.parametrize("name", ["pendula", "oscillators"])
-def test_fields_run_no_literal_check_and_no_power_of_one(name,
-                                                         monkeypatch):
+def test_fields_run_no_literal_check_and_no_power_of_one(name, monkeypatch,
+                                                         cold_jets):
     # a check on a literal is decided when the jet is made, and x ** 1.0
     # is x: neither is left in the generated fields
     sys_ = catalog.load(name).system
@@ -485,7 +488,7 @@ def test_fields_run_no_literal_check_and_no_power_of_one(name,
         assert "** 1.0" not in source
 
 
-def test_only_the_float_form_is_compiled(monkeypatch):
+def test_only_the_float_form_is_compiled(monkeypatch, cold_jets):
     calls = []
     real = builtins.compile
 
@@ -503,3 +506,165 @@ def test_only_the_float_form_is_compiled(monkeypatch):
     out = np.empty((12, 0))
     stacked(np.empty(0), np.empty(0), out)
     assert out.shape == (12, 0)
+
+
+# ---------------------------------------------------------------------------
+# the jet cache
+
+def _forms(exprs, names=("x", "y"), wrt=("x", "y"), order=1):
+    return (expr.compile(exprs, names, wrt, order),
+            expr.compile(exprs, names, wrt, order, stack=True),
+            expr.jet_lines(exprs, names, wrt, order))
+
+
+def test_equal_trees_built_apart_share_one_entry(generations):
+    text = ["x*sin(y) + 1/x", "exp(x)^2 - abs(y)"]
+    first = _forms([parse(t) for t in text])
+    again = _forms([parse(t) for t in text])
+    assert [g[4] for g in generations] == ["float", "stack", "lines"]
+    assert first[0] is again[0] and first[1] is again[1]
+    # the parts of jet_lines are the same, in a namespace of its own
+    assert first[2][:2] == again[2][:2] and first[2][3] is again[2][3]
+    assert first[2][2] == again[2][2] and first[2][2] is not again[2][2]
+    assert len(expr._JETS) == 3
+
+
+def test_what_a_jet_is_decides_a_hit(generations):
+    base = ([parse("x/y")], ("x", "y"), ("x",), 1)
+    others = [
+        ([parse(" x/y")], ("x", "y"), ("x",), 1),     # another offset
+        ([parse("x/y")], ("y", "x"), ("x",), 1),      # another name order
+        ([parse("x/y")], ("x", "y"), ("y",), 1),      # another wrt
+        ([parse("x/y")], ("x", "y"), ("x",), 2),      # another order
+    ]
+    assert others[0][0] == base[0]   # == ignores offsets; the key does not
+    for spec in [base, *others, base]:
+        expr.compile(*spec)
+    expr.compile(*base, stack=True)  # another form
+    expr.jet_lines(*base)
+    assert len(generations) == 7 and len(expr._JETS) == 7
+    # -0.0 and 0.0 are equal floats, and make different jets
+    plus = [Add(Var("x"), Num(0.0)), Add(Var("x"), Num(-0.0))]
+    assert plus[0] == plus[1]
+    got = [expr.compile([e], ("x",))(-0.0)[0] for e in plus]
+    assert [math.copysign(1.0, v) for v in got] == [1.0, -1.0]
+    assert len(generations) == 9
+    # a node's own offset is what its failure reports
+    for offset in (3, 4):
+        with pytest.raises(DomainError) as got:
+            expr.compile([Div(Var("x"), Var("y"), offset)], ("x", "y"))(
+                1.0, 0.0)
+        assert got.value.offset == offset
+    assert len(generations) == 11
+
+
+@pytest.mark.parametrize("source, point", [
+    ("ln(x) + 1/(y-2)", (0.5, 2.0)),
+    ("x + sqrt(y - 3)", (1.0, 2.0)),
+    ("x^y", (-1.0, 0.5)),
+    ("x + 2*q", (1.0, 1.0)),
+])
+def test_a_hit_fails_as_a_fresh_jet(cold_jets, source, point):
+    def failures():
+        jets = _forms([parse(source)], order=2)
+        got = []
+        for call in (lambda: jets[0](*point),
+                     lambda: jets[1](*(np.array([v]) for v in point),
+                                     np.empty((len(jets[2][1]), 1)))):
+            with pytest.raises(expr.ExprError) as err:
+                call()
+            got.append((type(err.value), str(err.value), err.value.offset))
+        return got
+
+    fresh = failures()
+    hits = failures()       # the same jets, from the cache
+    expr._JETS.clear()
+    assert hits == fresh == failures()
+
+
+def test_the_cache_keeps_its_bound(generations):
+    exprs = [[parse(f"x*{k}.5")] for k in range(expr.JETS_KEPT + 40)]
+    for e in exprs:
+        expr.compile(e, ("x",), stack=True)
+        assert len(expr._JETS) <= expr.JETS_KEPT
+    assert len(expr._JETS) == expr.JETS_KEPT
+    made = len(generations)
+    expr.compile(exprs[-1], ("x",), stack=True)   # kept
+    assert len(generations) == made
+    expr.compile(exprs[0], ("x",), stack=True)    # dropped for the last
+    assert len(generations) == made + 1
+
+
+def _config(tmp_path, name, body):
+    path = tmp_path / f"{name}.ini"
+    path.write_text(body)
+    return str(path)
+
+
+_BATTERY = [
+    ("verify", "[system]\ncatalog = pendula\n[verification]\npoints = 100\n"),
+    ("verify", "[system]\ncatalog = oscillators\n"
+               "[verification]\npoints = 100\n"),
+    ("verify", "[system]\ncatalog = calogero4\n"
+               "[verification]\npoints = 100\n"),
+    ("curvature", "[system]\ncatalog = e3-case-i\n"
+                  "[verification]\npoints = 1000\n"),
+    ("curvature", "[system]\ncatalog = e3-case-ii\n"
+                  "[verification]\npoints = 1000\n"),
+]
+
+
+def test_no_jet_source_outlives_a_battery_pass(tmp_path, monkeypatch,
+                                               cold_jets, capsys):
+    made = []
+    init = expr._JetSource.__init__
+
+    def recording(self, names):
+        init(self, names)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(expr._JetSource, "__init__", recording)
+    for k, (command, body) in enumerate(_BATTERY):
+        path = _config(tmp_path, f"run{k}", body)
+        assert cli.main([command, "--config", path,
+                         "--out", str(tmp_path / f"out{k}")]) == 0
+    gc.collect()
+    assert len(made) >= len(expr._JETS) > 0
+    assert [ref for ref in made if ref() is not None] == []
+
+
+def test_a_second_run_writes_the_same_files_from_the_cache(
+        tmp_path, monkeypatch, cold_jets, capsys):
+    runs = [
+        ("simulate", "[system]\ncatalog = calogero4\n"
+                     "[integration]\nt_span = 0.0, 3.0\n", ["--svg"]),
+        ("compare", "[system]\ncatalog = pendula\n"
+                    "[integration]\nt_span = 0.0, 5.0\n", ["--block", "2"]),
+        *((command, body, []) for command, body in _BATTERY[1::2]),
+    ]
+    calls = []
+    real_ops, real_compile = expr._jet_ops, builtins.compile
+
+    def counting(real):
+        def call(*args, **kwargs):
+            calls.append(real)
+            return real(*args, **kwargs)
+        return call
+
+    for attempt in ("first", "second"):
+        if attempt == "second":
+            (tmp_path / "out").rename(tmp_path / "first")
+            monkeypatch.setattr(expr, "_jet_ops", counting(real_ops))
+            monkeypatch.setattr(builtins, "compile", counting(real_compile))
+        for k, (command, body, extra) in enumerate(runs):
+            path = _config(tmp_path, f"run{k}", body)
+            out = tmp_path / "out" / str(k)   # the reports echo it
+            assert cli.main([command, "--config", path, "--out", str(out),
+                             *extra]) == 0
+    assert calls == []
+    for k in range(len(runs)):
+        first, second = tmp_path / "first" / str(k), tmp_path / "out" / str(k)
+        names = sorted(p.name for p in first.iterdir())
+        assert names and names == sorted(p.name for p in second.iterdir())
+        same = filecmp.cmpfiles(first, second, names, shallow=False)[0]
+        assert same == names
