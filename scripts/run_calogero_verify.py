@@ -30,6 +30,9 @@ def main(argv=None):
             out_dir=args.out + "_corrupt",
             corrupt=(1, 1, expr.parse("1+0.1*phi1"))))
         print(f"corrupted battery exit code: {bad_code} (expected 1)")
+        if bad_code != cli.EXIT_VERIFY:
+            # the battery missed the broken matrix, so the demo fails
+            return bad_code or cli.EXIT_VERIFY
 
     return code
 

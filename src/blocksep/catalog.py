@@ -23,10 +23,10 @@ import numpy as np
 from . import expr as _expr
 from . import model as _model
 from .expr import Expression
-from .geometry import (MetricField, PhaseScalar, TensorField2,
+from .geometry import (MetricField, PhaseScalar, TensorField2, build_probes,
                        determinant_expression, identity_tensor,
                        rejection_sample)
-from .model import (BlockStructure, NaturalBlock, PhasePoint, ProbePlan,
+from .model import (BlockStructure, NaturalBlock, PhasePoint,
                     StackelMatrix, TwistedSystem, build_system)
 
 
@@ -177,10 +177,9 @@ def pendula() -> CatalogEntry:
         NaturalBlock([["1"]], "-cos(q2)/2"),
         NaturalBlock([["1"]], "0"),
     ]
-    probes = ProbePlan(points=({"q1": 0.0, "q2": 0.0, "q3": 0.0},),
-                       box={"q1": (-0.3, 0.3), "q2": (-0.3, 0.3),
-                            "q3": (-0.3, 0.3)})
-    system = build_system(structure, stackel, blocks, probes)
+    box = ((-0.3, 0.3),) * 3
+    system = build_system(structure, stackel, blocks,
+                          [(0.0, 0.0, 0.0)] + build_probes(box))
     # compiled on the first call, not while loading
     det = functools.cache(lambda: _expr.compile(
         [determinant_expression(stackel)], structure.names))
@@ -194,7 +193,7 @@ def pendula() -> CatalogEntry:
         initial_point=PhasePoint((0.2, -0.2, 0.0), (0.0, 0.0, 0.0)),
         singular_set="zero set of the separation determinant",
         regular=regular,
-        sample_box=((-0.3, 0.3),) * 3,
+        sample_box=box,
     )
 
 
@@ -226,8 +225,7 @@ def oscillators(omega: Sequence[float] = (1.0, 2.0, 4.0),
     stackel = StackelMatrix(grid)
     blocks = [NaturalBlock([["1"]], f"{0.5 * w * w!r}*{nm}^2")
               for w, nm in zip(omega, names)]
-    probes = ProbePlan(points=({nm: 0.0 for nm in names},))
-    system = build_system(structure, stackel, blocks, probes)
+    system = build_system(structure, stackel, blocks, [(0.0,) * n])
 
     def closed_form(start: PhasePoint, t: float) -> PhasePoint:
         qs, ps = [], []
@@ -397,11 +395,9 @@ def calogero4() -> CatalogEntry:
         NaturalBlock([["1", "0"], ["0", "1/sin(phi2)^2"]], leaf_v),
     ]
     band = 0.3
-    probes = ProbePlan(box={"r": (0.5, 2.0),
-                            "phi1": (band, math.pi - band),
-                            "phi2": (band, math.pi - band),
-                            "phi3": (-math.pi + band, math.pi - band)})
-    system = build_system(structure, stackel, blocks, probes)
+    box = ((0.5, 2.0), (band, math.pi - band), (band, math.pi - band),
+           (-math.pi + band, math.pi - band))
+    system = build_system(structure, stackel, blocks, build_probes(box))
 
     transform = CanonicalTransform([_rotation_stage(), _spherical_stage()])
     # compiled on the first call, not while loading
@@ -428,7 +424,7 @@ def calogero4() -> CatalogEntry:
             return False
         return pair_gap(transform.old_positions(q)) > 0.05
 
-    flat = MetricField.from_expressions(
+    flat = MetricField(
         _X4, [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)])
     pair_v = _expr.parse(_PAIR_POTENTIAL)
     hamiltonian = PhaseScalar(
@@ -461,9 +457,7 @@ def calogero4() -> CatalogEntry:
         singular_set=("pair collisions and the chart degeneracies "
                       "(vanishing radius, polar angles at 0 or pi)"),
         regular=regular_spherical,
-        sample_box=((0.5, 2.0), (band, math.pi - band),
-                    (band, math.pi - band),
-                    (-math.pi + band, math.pi - band)),
+        sample_box=box,
         cartesian=reference,
     )
 
@@ -528,7 +522,7 @@ def e3_case_i(c0: float, c1: float, c2: float, c3: float, f) -> MetricField:
     zero = _expr.Num(0.0)
     axis = one / (fe * fe)
     leaf = one / (ell * ell)
-    return MetricField.from_expressions(
+    return MetricField(
         ("u", "v", "w"),
         [[axis, zero, zero], [zero, leaf, zero], [zero, zero, leaf]])
 
@@ -565,11 +559,10 @@ def case_i_residuals(c0: float, c1: float, c2: float, c3: float, f,
 
 
 def case_i_system(a: float, c0: float, c1: float, c2: float, c3: float,
-                  f, g: float = 1.0,
-                  probes: ProbePlan | None = None) -> TwistedSystem:
+                  f, g: float = 1.0, probes=()) -> TwistedSystem:
     """Two-block system on the ignorable-axis metric: the axis block
     and the leaf block, coupled by the separation matrix with free
-    constants a and g."""
+    constants a and g; checked at the (u, v, w) rows of ``probes``."""
     fe = _as_profile(f)
     ell = ignorable_direction_scale(c0, c1, c2, c3)
     gl2 = float(g) * ell * ell
@@ -607,7 +600,7 @@ def e3_case_ii(c1: float, c2: float, f) -> MetricField:
     lf2 = ell * ell * fe * fe
     one = _expr.Num(1.0)
     zero = _expr.Num(0.0)
-    return MetricField.from_expressions(
+    return MetricField(
         ("u", "v", "w"),
         [[one, zero, zero], [zero, lf2, zero], [zero, zero, lf2]])
 
@@ -636,8 +629,9 @@ def case_ii_residuals(c1: float, c2: float, f, points: Sequence,
 
 
 def case_ii_system(a: float, c1: float, c2: float, f, g: float = 1.0,
-                   probes: ProbePlan | None = None) -> TwistedSystem:
-    """Two-block system on the warped metric."""
+                   probes=()) -> TwistedSystem:
+    """Two-block system on the warped metric; checked at the (u, v, w)
+    rows of ``probes``."""
     fe = _as_profile(f)
     ell = warped_direction_scale(c1, c2)
     one = _expr.Num(1.0)
@@ -703,7 +697,7 @@ def e3_case_ii_family(c1: float = -1.0, c2: float = 0.0,
 
     def leaf_metric(u) -> MetricField:
         """The leaf metric at u, or at one u per point of a stack."""
-        return MetricField.from_expressions(
+        return MetricField(
             ("v", "w"), leaf_grid, params={"u": np.asarray(u, dtype=float)})
 
     def leaf_scalar_expected(u: float) -> float:

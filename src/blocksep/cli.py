@@ -22,12 +22,12 @@ from . import catalog as _catalog
 from . import expr as _expr
 from . import geometry as _geo
 from .catalog import CatalogEntry, CatalogError, MetricFamily
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, inline_probe_box, load_config
 from .dynamics import (DynamicsError, IntegrationError, IntegratorConfig,
                        block_clock, compare_block_orbits, full_field_callable,
                        integrate)
-from .model import (ModelError, PhasePoint, StackelMatrix, Twist,
-                    TwistedSystem, invert_with_condition)
+from .model import (ModelError, PhasePoint, StackelMatrix, TwistedSystem,
+                    cond_warning, invert_with_condition)
 
 __all__ = ["main", "CheckResult", "VerificationReport", "ProbeError",
            "EXIT_OK", "EXIT_VERIFY", "EXIT_CONFIG", "EXIT_NUMERIC"]
@@ -291,16 +291,15 @@ def _write(path: str, text: str) -> None:
 def _sample_positions(res: _Resolved, cfg: RunConfig):
     if res.entry is not None and res.entry.sample_box is not None:
         return res.entry.sample(cfg.points, cfg.seed)
-    # inline systems probe a box around the initial point
-    lo_hi = [(qk - 0.3, qk + 0.3) for qk in res.initial.q]
-    return _geo.rejection_sample(tuple(lo_hi), cfg.points, cfg.seed)
+    return _geo.rejection_sample(inline_probe_box(res.initial.q),
+                                 cfg.points, cfg.seed)
 
 
 def _phase_probes(res: _Resolved, cfg: RunConfig):
     positions = _sample_positions(res, cfg)
-    rng = np.random.default_rng(cfg.seed + 1)
-    momenta = rng.uniform(-1.0, 1.0, (len(positions), res.system.dim))
-    return [PhasePoint(q, tuple(p)) for q, p in zip(positions, momenta)]
+    momenta = _geo.rejection_sample(((-1.0, 1.0),) * res.system.dim,
+                                    len(positions), cfg.seed + 1)
+    return [PhasePoint(q, p) for q, p in zip(positions, momenta)]
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +394,7 @@ def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:
     times = np.linspace(cfg.t_span[0], cfg.t_span[1], cfg.samples)
     rows, h_vals, cond = _csv_rows(res.system, traj, clocks, times)
     _write(csv_path, "\n".join([_csv_header(res.system)] + rows))
-    warning = Twist(None, cond).warning
+    warning = cond_warning(cond)
     if warning is not None:
         t = times[int(np.argmax(cond))]
         print(f"simulate: {warning} at t = {t:.6g}", file=err)
@@ -526,13 +525,13 @@ def _verify_checks(res: _Resolved, cfg: RunConfig,
 
     names = [f"eigenvalue-gradient K_{a}" for a in range(2, n + 1)]
     kinds = ("metric", "potential")
-    worst = []  # each block's largest cond, its twist's note and its probe
+    worst = []  # each block's largest cond and its probe
 
     def separability(xs):
         # one position jet, and with it one twist, for every row here
         at = sys_.jet.positions(xs)
         k = int(np.argmax(at.twist.cond))
-        worst.append((at.twist.cond[k], at.twist.warning, xs[k]))
+        worst.append((at.twist.cond[k], xs[k]))
         rows = [_geo.block_eisenhart_residual(sys_, a, at)
                 for a in range(2, n + 1)]
         out = _geo.block_levi_civita_residual(sys_, at)
@@ -547,14 +546,15 @@ def _verify_checks(res: _Resolved, cfg: RunConfig,
     names += [f"block-connection {kind}" for kind in kinds]
     for k, name in enumerate(names):
         checks.append(_row(name, th["residual"], rows[:, k], qs))
-    _, warning, probe = max(worst, key=lambda t: t[0])
+    cond, probe = max(worst, key=lambda t: t[0])
+    warning = cond_warning(cond)
     if warning is not None:
         where = " ".join(f"{v:.6g}" for v in probe)
         print(f"verify: {warning} at probe ({where})", file=err)
 
     if res.entry is not None and res.entry.cartesian is not None:
         ref = res.entry.cartesian
-        flat = _geo.MetricField.from_expressions(
+        flat = _geo.MetricField(
             ref.coords,
             [[1.0 if i == j else 0.0 for j in range(len(ref.coords))]
              for i in range(len(ref.coords))])

@@ -15,7 +15,9 @@ semicolons and hash marks inside expressions.
 Sections:
 
     [system]        catalog = <name> plus builder parameters, or an
-                    inline definition: blocks = q1 | q2 | q3
+                    inline definition: blocks = q1 | q2 | q3, checked
+                    at the initial point and 20 seeded points of
+                    :func:`inline_probe_box`
     [stackel]       row1 = ... rowN = ...   (inline systems)
     [blockR]        metric = <matrix>, potential = <quoted expr>
     [initial]       q = <floats>, p = <floats>
@@ -36,11 +38,12 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 from . import expr as _expr
-from . import model as _model
+from .geometry import build_probes
 from .model import (BlockStructure, ModelError, NaturalBlock, PhasePoint,
-                    ProbePlan, StackelMatrix, TwistedSystem, build_system)
+                    StackelMatrix, TwistedSystem, build_system)
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "DEFAULT_THRESHOLDS"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "inline_probe_box",
+           "DEFAULT_THRESHOLDS"]
 
 
 class ConfigError(Exception):
@@ -346,6 +349,12 @@ def _system_param(section: _Section, key: str):
         return value
 
 
+def inline_probe_box(q) -> tuple[tuple[float, float], ...]:
+    """The box an inline system is probed in, around its initial
+    positions q: at load time, and by ``verify``."""
+    return tuple((x - 0.3, x + 0.3) for x in q)
+
+
 def _inline_system(path: str, system: _Section, sections: dict,
                    blocks_item, initial_q) -> TwistedSystem:
     blocks_value, blocks_line = blocks_item
@@ -357,10 +366,6 @@ def _inline_system(path: str, system: _Section, sections: dict,
         coords.append(names)
     sizes = tuple(len(c) for c in coords)
     n = len(sizes)
-
-    box_spec = system.floats("box")
-    if box_spec is not None and len(box_spec) != 2:
-        raise ConfigError(f"{path}: [system] box expects 'lo, hi'")
 
     stackel_sec = _empty_section(path, "stackel", sections)
     rows = []
@@ -392,15 +397,10 @@ def _inline_system(path: str, system: _Section, sections: dict,
     try:
         structure = BlockStructure(sizes, tuple(coords))
         # probes anchor on the initial point so systems singular at the
-        # origin still validate; box entries are offsets from that anchor
-        if initial_q is not None and len(initial_q) == structure.total:
-            anchor = dict(zip(structure.names, initial_q))
-        else:
-            anchor = {c: 0.0 for c in structure.names}
-        lo, hi = box_spec if box_spec is not None else (-0.3, 0.3)
-        probes = ProbePlan(points=(dict(anchor),),
-                           box={c: (anchor[c] + lo, anchor[c] + hi)
-                                for c in structure.names})
+        # origin still validate
+        if initial_q is None or len(initial_q) != structure.total:
+            initial_q = (0.0,) * structure.total
+        probes = [tuple(initial_q)] + build_probes(inline_probe_box(initial_q))
         return build_system(structure, StackelMatrix(rows), naturals, probes)
     except ModelError as ex:
         raise ConfigError(f"{path}: invalid inline system: {ex}") from None

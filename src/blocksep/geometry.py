@@ -163,10 +163,6 @@ class MetricField:
         self._grid = rows
 
     @classmethod
-    def from_expressions(cls, coords, grid, params=None) -> "MetricField":
-        return cls(coords, grid, params)
-
-    @classmethod
     def from_system(cls, sys: TwistedSystem) -> "MetricField":
         alpha = symbolic_inverse_row(sys.stackel, 1)
         return cls(sys.structure.names, _block_diagonal(sys, alpha))
@@ -868,3 +864,9 @@ def rejection_sample(box, count: int, seed: int, predicate=None,
         out += [pt for pt in map(tuple, draws)
                 if predicate is None or predicate(pt)]
     return out
+
+
+def build_probes(box) -> list:
+    """The points of ``box`` a system is checked at when it is built,
+    after its declared point if it has one: 20, drawn at seed 42."""
+    return rejection_sample(box, 20, 42)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -205,22 +205,12 @@ class PhasePoint:
 
 
 @dataclass(frozen=True)
-class ProbePlan:
-    """Validation points: user-declared points plus uniform samples in a
-    coordinate box (fixed seed for reproducibility)."""
-
-    points: tuple[Mapping[str, float], ...] = ()
-    box: Mapping[str, tuple[float, float]] | None = None
-    samples: int = 20
-    seed: int = 42
-
-
-@dataclass(frozen=True)
 class TwistedSystem:
     structure: BlockStructure
     stackel: StackelMatrix
     blocks: tuple[NaturalBlock, ...]
-    probes: tuple[Mapping[str, float], ...] = ()
+    # the positions build_system checked, each ordered like structure.names
+    probes: tuple[tuple[float, ...], ...] = ()
 
     @property
     def n(self) -> int:
@@ -231,11 +221,7 @@ class TwistedSystem:
         return self.structure.total
 
     def env(self, q: Sequence[float]) -> dict:
-        names = self.structure.names
-        if len(q) != len(names):
-            raise DimensionMismatchError(
-                f"{len(q)} coordinates for {len(names)} names")
-        return dict(zip(names, (float(x) for x in q)))
+        return dict(zip(self.structure.names, _position_values(self, q)))
 
     @cached_property
     def jet(self) -> "SystemJet":
@@ -671,6 +657,15 @@ def invert_with_condition(S: np.ndarray, point=None):
     return np.stack(entries, axis=-1).reshape(S.shape), cond
 
 
+def cond_warning(cond) -> str | None:
+    """A note for the results when cond, or the largest of an array of
+    conds, passes ``COND_WARN``."""
+    if not np.max(cond) > COND_WARN:
+        return None
+    return (f"ill-conditioned separation matrix: 1-norm condition "
+            f"estimate {np.max(cond):.3e} exceeds {COND_WARN:.0e}")
+
+
 class Twist:
     """S^{-1} at a point, or at each point of a stack, from
     :func:`invert_with_condition`, with the partials of the twist that
@@ -678,10 +673,9 @@ class Twist:
     inlines the same S^-1 and writes d_k alpha out on floats).  Row a-1
     of ``matrix`` holds the coefficients combining the block energies
     into K_a; row 0 is the twist vector ``alpha``.  ``cond`` is the
-    gate's condition estimate, and ``warning`` a note when it passes
-    ``COND_WARN``.  A stack puts its point axis first, has one cond per
-    point, and a note on its largest.  The partials need the partials
-    of S, and each is computed on first use:
+    gate's condition estimate (see :func:`cond_warning`).  A stack puts
+    its point axis first and has one cond per point.  The partials need
+    the partials of S, and each is computed on first use:
 
     * ``dmatrix[..., k, :, :]`` = d_k(S^{-1}) = -S^{-1} (d_k S) S^{-1},
       whose row 0 ``dmatrix[..., k, 0, :]`` is d_k alpha;
@@ -699,15 +693,6 @@ class Twist:
     @property
     def alpha(self) -> np.ndarray:
         return self.matrix[..., 0, :]
-
-    @property
-    def warning(self) -> str | None:
-        """A note for the results when cond, or a stack's largest,
-        passes ``COND_WARN``."""
-        if self.cond is None or not np.max(self.cond) > COND_WARN:
-            return None
-        return (f"ill-conditioned separation matrix: 1-norm condition "
-                f"estimate {np.max(self.cond):.3e} exceeds {COND_WARN:.0e}")
 
     @cached_property
     def dmatrix(self) -> np.ndarray:
@@ -730,14 +715,15 @@ class Twist:
 
 def build_system(structure: BlockStructure, stackel: StackelMatrix,
                  blocks: Sequence[NaturalBlock],
-                 probes: ProbePlan | None = None) -> TwistedSystem:
+                 probes: Sequence[Sequence[float]] = ()) -> TwistedSystem:
     """Validate and assemble a twisted system.
 
-    Rejects dimensional mismatches, any row-r separation entry or
-    block-r metric/potential mentioning a foreign coordinate, and, at
-    any probe point, an entry of S or of a block metric that fails to
-    evaluate, a separation matrix that fails its gate and a degenerate
-    block metric.
+    ``probes`` are positions, each ordered like ``structure.names``.
+    Rejects dimensional mismatches, a probe of the wrong width, any
+    row-r separation entry or block-r metric/potential mentioning a
+    foreign coordinate, and, at any probe, an entry of S or of a block
+    metric that fails to evaluate, a separation matrix that fails its
+    gate and a degenerate block metric.
     """
     blocks = tuple(blocks)
     n = structure.n
@@ -769,9 +755,8 @@ def build_system(structure: BlockStructure, stackel: StackelMatrix,
         for name in sorted(blk.potential.free_variables() - own):
             raise ForeignVariableError(f"block {r} potential", name, r)
 
-    probe_envs = _materialize_probes(structure, probes)
-
-    sys = TwistedSystem(structure, stackel, blocks, probe_envs)
+    probes = tuple(_checked_positions(structure.names, q) for q in probes)
+    sys = TwistedSystem(structure, stackel, blocks, probes)
 
     # numeric validation at every probe point: S's gate, then block by
     # block ln |det g| (as geometry._inverse, which neither overflows nor
@@ -780,9 +765,8 @@ def build_system(structure: BlockStructure, stackel: StackelMatrix,
         (f"block {r} metric entry g", blk.metric)
         for r, blk in enumerate(blocks, start=1)]
     jet = _expr.compile([e for _, grid in grids for row in grid for e in row],
-                        structure.names) if probe_envs else None
-    for env in probe_envs:
-        q = [env[c] for c in structure.names]
+                        structure.names) if probes else None
+    for q in probes:
         matrices = _probe_matrices(grids, jet, structure.names, q)
         invert_with_condition(next(matrices), point=q)
         for r, g in enumerate(matrices, start=1):
@@ -823,38 +807,19 @@ def _entry_value(e, names, q, entry: str) -> float:
         raise ModelError(f"{entry} fails at q={tuple(q)}: {ex}") from None
 
 
-def _materialize_probes(structure: BlockStructure,
-                        probes: ProbePlan | None):
-    if probes is None:
-        return ()
-    names = structure.names
-    out = []
-    for pt in probes.points:
-        missing = [c for c in names if c not in pt]
-        if missing:
-            raise DimensionMismatchError(
-                f"probe point missing coordinates {missing}")
-        out.append({c: float(pt[c]) for c in names})
-    if probes.box is not None:
-        missing = [c for c in names if c not in probes.box]
-        if missing:
-            raise DimensionMismatchError(
-                f"probe box missing coordinates {missing}")
-        rng = np.random.default_rng(probes.seed)
-        for _ in range(probes.samples):
-            env = {}
-            for c in names:
-                lo, hi = probes.box[c]
-                env[c] = float(rng.uniform(lo, hi))
-            out.append(env)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
+def _checked_positions(names, point) -> tuple[float, ...]:
+    q = _q_of(point)
+    if len(q) != len(names):
+        raise DimensionMismatchError(
+            f"{len(q)} coordinates for {len(names)} names")
+    return q
+
+
 def _position_values(sys: TwistedSystem, point) -> list[float]:
-    return list(sys.env(_q_of(point)).values())
+    return list(_checked_positions(sys.structure.names, point))
 
 
 def _block_energies(sys: TwistedSystem, point: PhasePoint) -> np.ndarray:

@@ -13,8 +13,9 @@ from blocksep import expr, model
 from blocksep.dynamics import (
     _COUPLING, _DENSE, _ERROR5, _KEPT, _NODES, _ORDER3,
 )
+from blocksep.geometry import build_probes
 from blocksep.model import (
-    BlockIndexError, BlockStructure, NaturalBlock, PhasePoint, ProbePlan,
+    BlockIndexError, BlockStructure, NaturalBlock, PhasePoint,
     StackelMatrix, build_system,
 )
 
@@ -32,10 +33,8 @@ def make_pendula_like():
         NaturalBlock((("1",),), "-cos(q2)/2"),
         NaturalBlock((("1",),), "0"),
     )
-    probes = ProbePlan(points=({"q1": 0.0, "q2": 0.0, "q3": 0.0},),
-                       box={"q1": (-0.3, 0.3), "q2": (-0.3, 0.3),
-                            "q3": (-0.3, 0.3)})
-    return build_system(structure, stackel, blocks, probes)
+    return build_system(structure, stackel, blocks,
+                        [(0.0, 0.0, 0.0)] + build_probes(((-0.3, 0.3),) * 3))
 
 
 def zip_dop853():

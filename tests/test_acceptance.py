@@ -223,7 +223,7 @@ def test_criterion_07_calogero_matrix_identity(calogero):
 
 def test_criterion_08_killing_suite(calogero):
     ref = calogero.cartesian
-    flat = geo.MetricField.from_expressions(
+    flat = geo.MetricField(
         ref.coords, [[1.0 if i == j else 0.0 for j in range(4)]
                      for i in range(4)])
     pts = geo.rejection_sample(ref.sample_box, 40, seed=19,

@@ -316,7 +316,7 @@ def test_conserved_tensor_eigenvalues(calogero):
 
 def test_conserved_tensor_geometry(calogero):
     ref = calogero.cartesian
-    flat = geo.MetricField.from_expressions(
+    flat = geo.MetricField(
         ref.coords, [[1.0 if i == j else 0.0 for j in range(4)]
                      for i in range(4)])
     V = ref.hamiltonian.scalar

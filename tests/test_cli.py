@@ -5,6 +5,8 @@ and written artifacts are all observable without subprocesses.
 """
 
 import gc
+import hashlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -67,6 +69,16 @@ def write_config(tmp_path, body, name="run.ini", out=None):
     path = tmp_path / name
     path.write_text(body + f"\n[output]\ndirectory = {out}\n")
     return str(path)
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def readme_inline_body():
+    """The inline-system config of README.md, as written there."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read().split("An inline system replaces", 1)[1]
+    return text.split("```ini\n", 1)[1].split("```", 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +216,38 @@ def test_pairs_parsing(tmp_path):
                    "[output]\npairs = q1-p1\n")
     with pytest.raises(ConfigError, match="q1:p1"):
         load_config(str(bad))
+
+
+def test_system_box_key_is_rejected(tmp_path, capsys):
+    # an inline system is probed in one box around its initial point,
+    # the box verify samples; there is no key to narrow it
+    body = INLINE_BODY.replace("blocks = q1 | q2 | q3\n",
+                               "blocks = q1 | q2 | q3\nbox = -0.1, 0.1\n")
+    path = write_config(tmp_path, body)
+    assert cli.main(["simulate", "--config", path]) == 2
+    assert "[system] unknown key 'box'" in capsys.readouterr().err
+
+
+# sha256 of the float64 rows each system was checked at when built:
+# the declared point, if any, then 20 points of its box at seed 42
+@pytest.mark.parametrize("name, shape, digest", [
+    ("pendula", (21, 3),
+     "66e66218129d78fbcf0b8d7024752a5fbf7d821079776d5712afbc01c380cec3"),
+    ("calogero4", (20, 4),
+     "c487ea953065f4266561dd09ca9add48a5c7b32054539acdd4cd167f3538894d"),
+    ("oscillators", (1, 3),
+     "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0"),
+    ("readme-inline", (21, 3),
+     "e98e6093faf76c0852ea727a6dbef4810a91adfad8477d155014df798f2618f1"),
+])
+def test_build_probes_are_pinned(tmp_path, name, shape, digest):
+    if name == "readme-inline":
+        sys_ = load_config(write_config(tmp_path, readme_inline_body())).inline
+    else:
+        sys_ = catalog.load(name).system
+    rows = np.array(sys_.probes, dtype="<f8")
+    assert rows.shape == shape
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
 
 def test_system_params_decoded(tmp_path):
@@ -403,7 +447,6 @@ def test_simulate_failure_partial_csv(tmp_path, capsys):
     body = """
 [system]
 blocks = q1 | q2
-box = -0.1, 0.1
 [stackel]
 row1 = "q1", "1"
 row2 = "0", "1"
@@ -786,7 +829,6 @@ def test_partial_csv_survives_clock_model_error(tmp_path, capsys,
     body = """
 [system]
 blocks = q1 | q2
-box = -0.1, 0.1
 [stackel]
 row1 = "q1", "1"
 row2 = "0", "1"
@@ -956,3 +998,29 @@ def test_expression_failure_exits_with_its_code(command, body, code, message,
     path = write_config(tmp_path, body)
     assert cli.main([command, "--config", path]) == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "verify"])
+def test_readme_inline_config_runs(tmp_path, capsys, command):
+    path = write_config(tmp_path, readme_inline_body())
+    assert cli.main([command, "--config", path]) == 0
+
+
+def test_corrupt_demo_fails_unless_the_corrupted_battery_fails(
+        tmp_path, capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "run_calogero_verify",
+        os.path.join(ROOT, "scripts", "run_calogero_verify.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argv = ["--points", "10", "--out", str(tmp_path / "calogero4"),
+            "--corrupt"]
+    assert script.main(argv) == 0
+    assert "corrupted battery exit code: 1" in capsys.readouterr().out
+
+    # a battery that passes the corrupted matrix fails the demo
+    verify = cli.cmd_verify
+    monkeypatch.setattr(cli, "cmd_verify", lambda cfg: (
+        cli.EXIT_OK if cfg.corrupt is not None else verify(cfg)))
+    assert script.main(argv) == cli.EXIT_VERIFY
+    assert "corrupted battery exit code: 0" in capsys.readouterr().out

@@ -60,18 +60,17 @@ Q3 = ("q1", "q2", "q3")
 
 def flat_metric(coords):
     n = len(coords)
-    return MetricField.from_expressions(
+    return MetricField(
         coords, [[1.0 if i == j else 0.0 for j in range(n)]
                  for i in range(n)])
 
 
 def polar_metric():
-    return MetricField.from_expressions(("r", "theta"),
-                                        [["1", "0"], ["0", "1/r^2"]])
+    return MetricField(("r", "theta"), [["1", "0"], ["0", "1/r^2"]])
 
 
 def sphere_metric():
-    return MetricField.from_expressions(
+    return MetricField(
         ("theta", "phi"), [["1", "0"], ["0", "1/sin(theta)^2"]])
 
 
@@ -177,11 +176,11 @@ def test_tensor_symmetry_tag_enforced():
 
 def test_metric_symmetry_enforced():
     with pytest.raises(GeometryError, match="mirror"):
-        MetricField.from_expressions(("x", "y"), [["1", "x"], ["y", "1"]])
+        MetricField(("x", "y"), [["1", "x"], ["y", "1"]])
 
 
 def test_degenerate_metric_rejected():
-    g = MetricField.from_expressions(("x", "y"), [["x", "0"], ["0", "1"]])
+    g = MetricField(("x", "y"), [["x", "0"], ["0", "1"]])
     with pytest.raises(DegenerateMetricError):
         g.covariant((0.0, 1.0))
     with pytest.raises(DegenerateMetricError):
@@ -695,7 +694,7 @@ def test_characteristic_identity_any_potential(flat4):
 def test_characteristic_potential_text_compiles_once(generations):
     # a potential given as text parses to one tree, so its jet is found
     # again by the next call: one jet made for T, one for V
-    g = MetricField.from_expressions(("x", "y"), [["1", "0"], ["0", "1"]])
+    g = MetricField(("x", "y"), [["1", "0"], ["0", "1"]])
     T = TensorField2(("x", "y"), [["y", "0"], ["0", "x"]], "mixed",
                      metric=g)
     for x in (0.1, 0.2, 0.3, 0.4, 0.5):

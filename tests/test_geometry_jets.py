@@ -361,7 +361,7 @@ def test_cartesian_battery_matches_tree_walker():
     coords = ref.coords
     n = len(coords)
     ident = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    flat = geo.MetricField.from_expressions(coords, ident)
+    flat = geo.MetricField(coords, ident)
     flat_grid = metric_grid(flat)
     V = ref.hamiltonian.scalar
     pts = geo.rejection_sample(ref.sample_box, 6, 3, predicate=ref.regular)

@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 from blocksep import expr
 from blocksep.model import (
     MAX_BLOCKS, BlockIndexError, BlockStructure, DimensionMismatchError,
-    ForeignVariableError, ModelError, NaturalBlock, PhasePoint, ProbePlan,
+    ForeignVariableError, ModelError, NaturalBlock, PhasePoint,
     SingularMatrixError, StackelMatrix, TwistedSystem, build_system,
-    hamiltonian, inverse_derivative, invert_with_condition,
+    cond_warning, hamiltonian, inverse_derivative, invert_with_condition,
     separation_constants, twist_rows,
 )
 
@@ -116,9 +116,17 @@ def test_singular_probe_rejected():
     structure = BlockStructure((1, 1), (("q1",), ("q2",)))
     stackel = StackelMatrix((("1", "1"), ("1", "1")))  # identically singular
     blocks = (NaturalBlock((("1",),), "0"), NaturalBlock((("1",),), "0"))
-    probes = ProbePlan(points=({"q1": 0.0, "q2": 0.0},))
     with pytest.raises(SingularMatrixError, match=r"at q=\(0\.0, 0\.0\)"):
-        build_system(structure, stackel, blocks, probes)
+        build_system(structure, stackel, blocks, [(0.0, 0.0)])
+
+
+def test_probe_of_the_wrong_width_rejected():
+    structure = BlockStructure((1, 1), (("q1",), ("q2",)))
+    stackel = StackelMatrix((("1", "0"), ("0", "1")))
+    blocks = (NaturalBlock((("1",),), "0"), NaturalBlock((("1",),), "0"))
+    with pytest.raises(DimensionMismatchError,
+                       match="^3 coordinates for 2 names$"):
+        build_system(structure, stackel, blocks, [(0.0, 0.0), (0, 0, 0)])
 
 
 def _two_blocks(s22, g1, g2):
@@ -127,7 +135,7 @@ def _two_blocks(s22, g1, g2):
                         StackelMatrix((("1", "0"), ("0", s22))),
                         (NaturalBlock(((g1,),), "0"),
                          NaturalBlock(((g2,),), "0")),
-                        ProbePlan(points=({"q1": -1.0, "q2": -2.0},)))
+                        [(-1.0, -2.0)])
 
 
 @pytest.mark.parametrize("s22, g1, g2, error, message", [
@@ -157,7 +165,7 @@ def _one_block(metric):
     return build_system(BlockStructure((3,), (("a", "b", "c"),)),
                         StackelMatrix((("1",),)),
                         (NaturalBlock(metric, "0"),),
-                        ProbePlan(points=({"a": 0.0, "b": 0.0, "c": 0.0},)))
+                        [(0.0, 0.0, 0.0)])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -183,8 +191,7 @@ def test_identity_stackel():
     blocks = (NaturalBlock((("1",),), "-cos(q1)/2"),
               NaturalBlock((("1",),), "q2^2"),
               NaturalBlock((("1",),), "0"))
-    sys = build_system(structure, stackel, blocks,
-                       ProbePlan(points=({"q1": 0, "q2": 0, "q3": 0},)))
+    sys = build_system(structure, stackel, blocks, [(0, 0, 0)])
     pt = PhasePoint((0.3, 0.5, -0.2), (1.0, 2.0, 3.0))
     tw = twist_rows(sys, pt)
     assert np.allclose(tw.matrix, np.eye(3))
@@ -211,15 +218,14 @@ def test_twist_rows_at_origin_vs_adjugate():
     assert det == pytest.approx(5.0)
     assert np.allclose(tw.matrix, Minv, atol=1e-14)
     assert np.allclose(tw.matrix[0], [0.0, -0.2, 0.4], atol=1e-14)
-    assert tw.warning is None
+    assert cond_warning(tw.cond) is None
 
 
 def test_twist_rows_product_identity_at_probes():
     sys = pendula_like()
-    for env in sys.probes:
-        q = [env[c] for c in sys.structure.names]
+    for q in sys.probes:
         tw = twist_rows(sys, q)
-        S = matrix_values(sys.stackel.entries, env)
+        S = matrix_values(sys.stackel.entries, sys.env(q))
         assert np.max(np.abs(S @ tw.matrix - np.eye(3))) <= 1e-12
 
 
@@ -255,13 +261,13 @@ def test_ill_conditioned_warning_and_error():
     # condition ~ 4/eps: eps = 1e-10 warns, eps = 1e-13 errors
     warn_sys = build_system(
         structure, StackelMatrix((("1", "1"), ("1", "1.0000000001"))),
-        blocks, ProbePlan(points=({"q1": 0, "q2": 0},)))
+        blocks, [(0, 0)])
     tw = twist_rows(warn_sys, PhasePoint((0, 0), (0, 0)))
-    assert tw.warning is not None
+    assert cond_warning(tw.cond) is not None
     assert tw.cond > 1e8
     bad = build_system(
         structure, StackelMatrix((("1", "1"), ("1", "1.0000000000001"))),
-        blocks, None)
+        blocks)
     with pytest.raises(SingularMatrixError):
         twist_rows(bad, PhasePoint((0, 0), (0, 0)))
 
@@ -394,8 +400,7 @@ def test_single_block_system():
     structure = BlockStructure((2,), (("u", "v"),))
     stackel = StackelMatrix((("2+u^2",),))
     blocks = (NaturalBlock((("1", "0"), ("0", "1")), "u*v"),)
-    sys = build_system(structure, stackel, blocks,
-                       ProbePlan(points=({"u": 0.0, "v": 0.0},)))
+    sys = build_system(structure, stackel, blocks, [(0.0, 0.0)])
     pt = PhasePoint((0.5, -0.5), (1.0, 2.0))
     h1 = block_energy(sys, 1, pt)
     assert hamiltonian(sys, pt) == pytest.approx(h1 / (2 + 0.25), rel=1e-14)

@@ -40,7 +40,7 @@ def cartesian():
     in all three variances."""
     ref = catalog.load("calogero4").cartesian
     n = len(ref.coords)
-    flat = geo.MetricField.from_expressions(
+    flat = geo.MetricField(
         ref.coords, [[1.0 if i == j else 0.0 for j in range(n)]
                      for i in range(n)])
     pts = geo.rejection_sample(ref.sample_box, 100, 1236,
@@ -164,7 +164,7 @@ DEGENERATE = [["x", "0"], ["0", "1"]]       # singular where x = 0
 
 
 def riemann_of(grid):
-    g = geo.MetricField.from_expressions(("x", "y"), grid)
+    g = geo.MetricField(("x", "y"), grid)
     return lambda qs: geo.riemann(g, qs)
 
 
