@@ -397,10 +397,11 @@ def _inline_system(path: str, system: _Section, sections: dict,
     try:
         structure = BlockStructure(sizes, tuple(coords))
         # probes anchor on the initial point so systems singular at the
-        # origin still validate
-        if initial_q is None or len(initial_q) != structure.total:
-            initial_q = (0.0,) * structure.total
-        probes = [tuple(initial_q)] + build_probes(inline_probe_box(initial_q))
+        # origin validate; without a fitting one each command rejects it
+        probes = ()
+        if initial_q is not None and len(initial_q) == structure.total:
+            probes = [tuple(initial_q)] + build_probes(
+                inline_probe_box(initial_q))
         return build_system(structure, StackelMatrix(rows), naturals, probes)
     except ModelError as ex:
         raise ConfigError(f"{path}: invalid inline system: {ex}") from None

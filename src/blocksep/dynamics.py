@@ -10,14 +10,14 @@ clip [0.2, 5]) picks the steps.  The step is generated from the
 tableau once per state length d, as straight-line code over the d
 components of lists of floats.  It calls the field itself, with no
 wrapper of its own: a field takes the state as such a list and returns
-a sequence of d floats, the generated fields a tuple.  Each accepted
-step keeps its dense-output rows as the transposed array of the d rows
-of 7 that the step returns, not as a C-ordered copy:
-``Trajectory.sample``'s products round differently on the other layout,
-and its output is kept bit for bit.  Dense output is what makes the
-orbit comparison work: the full system acts as the master clock, and
-the reduced orbit is sampled at the rescaled times tau_r(t) without
-ever inverting the clock map.
+a sequence of d floats, the generated fields a tuple.  The dense-output
+coefficients of all accepted steps are kept in one (S, d, 7) float64
+array, and ``Trajectory.sample`` multiplies each time's weights into
+the transposed (7, d) view of its step's slice: a C-ordered (7, d)
+layout rounds differently, and the samples are kept bit for bit.  Dense
+output is what makes the orbit comparison work: the full system acts as
+the master clock, and the reduced orbit is sampled at the rescaled
+times tau_r(t) without ever inverting the clock map.
 
 The vector fields are the straight-line functions that
 :class:`model.SystemJet` generates for each system the first time a
@@ -39,6 +39,7 @@ backward whenever the twist function is negative along the orbit.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache, cached_property
 from typing import Callable
@@ -338,9 +339,9 @@ def _dop853(d):
       sums of the squared 5th- and 3rd-order error estimates, each
       component over atol + rtol max(|y|, |y1|);
     * ``_dense(f, t, h, y, y1, kept)`` makes stages 14 to 16 and returns
-      the 7 dense-output coefficients of each component, d rows of 7,
-      which ``integrate`` keeps as their transposed array F: the (7, d)
-      view that ``Trajectory.sample`` rounds with.
+      the 7 dense-output coefficients of each component, component after
+      component, as one flat tuple of 7 d floats: the row of the step in
+      ``Trajectory``'s (S, d, 7) array of coefficients.
 
     The functions call the field f themselves, once per stage, with no
     wrapper in between: an ``ExprError`` or ``ModelError`` of f leaves
@@ -377,7 +378,7 @@ def _dop853(d):
                   f"2.0 * dy - h * (a1_{c} + a13_{c}), "
                   + ", ".join(f"h * ({_terms(f'D{r}_', c)})"
                               for r in range(4, 8)) + ")"]
-    dense.append("return [" + ", ".join(f"r{c}" for c in range(d)) + "]")
+    dense.append("return (" + ", ".join(f"*r{c}" for c in range(d)) + ",)")
     _function("_dense(f, t, h, y, y1, kept)",
               ["A14_", "A15_", "A16_", "D4_", "D5_", "D6_", "D7_"], dense,
               namespace)
@@ -395,6 +396,9 @@ _BETA2 = 0.4 / 8
 # accepted plus rejected steps before an integration gives up
 _MAX_STEPS = 1_000_000
 _EPS = float(np.finfo(float).eps)
+# times per gather of Trajectory.sample: its temporaries (56 d bytes a
+# time for the gathered coefficients) stay this size for any count
+_CHUNK = 256
 
 
 @dataclass
@@ -416,16 +420,18 @@ class Trajectory:
     """Accepted-step samples plus per-step dense-output coefficients.
 
     Times are strictly monotone in the direction of integration.  Step i
-    runs from ``ts[i]`` to ``ts[i + 1]`` and keeps the 7 rows F of the
-    7th-order DOP853 interpolant; ``sample`` at x = (t - ts[i]) / h, with
-    u = 1 - x, is ys[i] + (x, xu, x^2 u, x^2 u^2, x^3 u^2, x^3 u^3,
-    x^4 u^3) @ F.
+    runs from ``ts[i]`` over the signed length ``h[i]`` and keeps the 7
+    coefficients of each component of the 7th-order DOP853 interpolant
+    in ``F[i]``, a (d, 7) slice of one (S, d, 7) array; ``sample`` at
+    x = (t - ts[i]) / h[i], with u = 1 - x, is ys[i] + (x, xu, x^2 u,
+    x^2 u^2, x^3 u^2, x^3 u^3, x^4 u^3) @ F[i].T.
     """
 
-    def __init__(self, ts, ys, steps, stats: IntegrationStats):
+    def __init__(self, ts, ys, h, coefficients, stats: IntegrationStats):
         self.ts = np.asarray(ts, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
-        self._steps = steps  # list of (t_old, h, F[7 x d])
+        self.h = np.asarray(h, dtype=float)
+        self.F = np.frombuffer(coefficients).reshape(len(self.h), -1, 7)
         self.stats = stats
         self.direction = 1.0 if self.ts[-1] >= self.ts[0] else -1.0
         self._keys = self.ts * self.direction
@@ -448,11 +454,12 @@ class Trajectory:
     def sample(self, t) -> np.ndarray:
         """Dense-output state at time t (within the covered span), or at
         each time of an array t, one row per time in the order given.
-        The times are located with one ``searchsorted``, and each run of
-        times in one step takes its interpolant as one stack of
-        (1, 7) @ (7, d) products: that rounds as one time at a time does,
-        where one (k, 7) gemm or a gathered (k, 7, d) array of F need
-        not.  A time outside the span raises, naming the first one."""
+        One ``searchsorted`` locates every time's step; then each chunk
+        of up to ``_CHUNK`` times gathers its steps' coefficients and
+        takes one stack of (1, 7) @ (7, d) products, each (7, d) factor
+        the transposed slice of its step, so that every time rounds as
+        it does alone and the temporary arrays stay the chunk's size.
+        A time outside the span raises, naming the first one."""
         ts = np.asarray(t, dtype=float)
         if ts.ndim == 0:
             return self.sample(ts[None])[0]
@@ -465,25 +472,20 @@ class Trajectory:
             raise DynamicsError(
                 f"time {float(ts[outside[0]])} outside trajectory span "
                 f"[{self.t_start}, {self.t_end}]")
-        idx = np.searchsorted(self._keys, keys, side="right") - 1
-        idx = np.clip(idx, 0, len(self._steps) - 1)
-        x = np.clip((ts - self.ts[idx]) / self._h[idx], 0.0, 1.0)
-        xu = x * (1.0 - x)
-        xu2 = xu * xu
-        xu3 = xu2 * xu
-        w = np.stack((x, xu, x * xu, xu2, x * xu2, xu3, x * xu3), axis=1)
+        # inner step ends only: a time in the slack takes an end step
+        steps = np.searchsorted(self._keys[1:-1], keys, side="right")
         out = np.empty((len(ts), self.dim))
-        starts = np.flatnonzero(np.diff(idx, prepend=-1)).tolist()
-        for a, b in zip(starts, starts[1:] + [len(ts)]):
-            i = int(idx[a])
-            out[a:b] = self.ys[i] + np.matmul(w[a:b, None, :],
-                                              self._steps[i][2])[:, 0]
+        for a in range(0, len(ts), _CHUNK):
+            idx = steps[a:a + _CHUNK]
+            x = np.clip((ts[a:a + _CHUNK] - self.ts[idx]) / self.h[idx],
+                        0.0, 1.0)
+            xu = x * (1.0 - x)
+            xu2 = xu * xu
+            xu3 = xu2 * xu
+            w = np.stack((x, xu, x * xu, xu2, x * xu2, xu3, x * xu3), axis=1)
+            out[a:a + _CHUNK] = self.ys[idx] + np.matmul(
+                w[:, None, :], self.F[idx].transpose(0, 2, 1))[:, 0]
         return out
-
-    @cached_property
-    def _h(self) -> np.ndarray:
-        """The signed length of every step."""
-        return np.array([step[1] for step in self._steps])
 
     def rates(self, column: int, cuts: int) -> tuple[np.ndarray, np.ndarray]:
         """The times that cut each step in ``cuts`` equal parts, its ends
@@ -497,8 +499,8 @@ class Trajectory:
                        2 * x * u * (u - x), x * x * u * (3 * u - 2 * x),
                        3 * (x * u) ** 2 * (u - x),
                        x ** 3 * u * u * (4 * u - 3 * x)])
-        h = self._h[:, None]
-        F = np.array([step[2][:, column] for step in self._steps])
+        h = self.h[:, None]
+        F = self.F[:, column]
         return (self.ts[:-1, None] + h * x).ravel(), (F @ dw / h).ravel()
 
 
@@ -548,13 +550,14 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
 
     ts = [t0]
     ys = [y]
-    steps = []
+    steps = []  # the signed length of each accepted step
+    coeffs = array("d")  # and its 7 d dense-output coefficients
     accepted = 0
     rejected = 0
 
     def bail(reason, t_last):
         stats = IntegrationStats(accepted, rejected, nfev, rtol, atol)
-        partial = (Trajectory(ts, ys, steps, stats) if steps else None)
+        partial = (Trajectory(ts, ys, steps, coeffs, stats) if steps else None)
         raise IntegrationError(reason, t_last, ys[-1], partial)
 
     try:
@@ -604,7 +607,8 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
             continue
 
         if err <= 1.0:
-            steps.append((t, hs, np.array(F).T))
+            steps.append(hs)
+            coeffs.extend(F)
             t = t1 if h == abs(t1 - t) else t + hs
             y, k1 = y1, kept[-1]  # first-same-as-last
             ts.append(t)
@@ -622,7 +626,7 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
             h *= max(_FACTOR_MIN, min(1.0, _SAFETY * err ** (-_BETA1)))
 
     stats = IntegrationStats(accepted, rejected, nfev, rtol, atol)
-    return Trajectory(ts, ys, steps, stats)
+    return Trajectory(ts, ys, steps, coeffs, stats)
 
 
 class _FieldFailure(Exception):

@@ -76,9 +76,9 @@ def zip_dop853():
     dense += ["rows = []",
               over(["y", "y1"], (*_KEPT, 14, 15, 16)) + ":",
               "    dy = y1_ - y_",
-              "    rows.append((dy, h * a1 - dy, 2.0 * dy - h * (a1 + a13), "
-              + ", ".join(f"h * ({terms(row)})" for row in _DENSE) + "))",
-              "return rows"]
+              "    rows += (dy, h * a1 - dy, 2.0 * dy - h * (a1 + a13), "
+              + ", ".join(f"h * ({terms(row)})" for row in _DENSE) + ")",
+              "return tuple(rows)"]
     code = "".join(f"def {name}:\n" + "".join(f"    {line}\n"
                                                for line in body)
                    for name, body in (

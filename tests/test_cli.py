@@ -1000,6 +1000,33 @@ def test_expression_failure_exits_with_its_code(command, body, code, message,
     assert message in capsys.readouterr().err
 
 
+SINGULAR_AT_ORIGIN = """
+[system]
+blocks = q1 | q2
+[stackel]
+row1 = "q1", "1"
+row2 = "0", "1"
+"""
+
+
+@pytest.mark.parametrize("command, initial, message", [
+    *((command, "", "an inline system needs [initial] q")
+      for command in ("simulate", "compare", "verify")),
+    ("curvature", "", "needs a catalog metric family, not an inline system"),
+    ("simulate", "[initial]\nq = 0.5\n",
+     "initial point has 1 coordinates for a 2-dimensional system"),
+])
+def test_inline_system_without_its_initial_point_names_it(
+        tmp_path, capsys, command, initial, message):
+    # S is singular at the origin; with no initial point to probe
+    # around, each command rejects the config for the missing point,
+    # not for the origin
+    path = write_config(tmp_path, SINGULAR_AT_ORIGIN + initial)
+    assert cli.main([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "singular" not in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare", "verify"])
 def test_readme_inline_config_runs(tmp_path, capsys, command):
     path = write_config(tmp_path, readme_inline_body())

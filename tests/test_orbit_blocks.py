@@ -2,25 +2,29 @@
 
 ``Trajectory.sample`` at an array of times must equal, bit for bit, the
 sample at each time taken one at a time, on forward and backward orbits,
-at step ends and at unsorted times; an array holding a time outside the
-span names the first such time.  The CSV rows of ``simulate`` are made
-per block of ``cli._BLOCK`` times (one sample, one stacked gated inverse
-of S, one stacked row dot) and must be byte-identical to rows made one
-time at a time; a block holding a row whose S fails the gate raises the
+at step ends and at unsorted and repeated times, over several gathers
+of ``dynamics._CHUNK`` times; an array holding a time outside the span
+names the first such time, and a sample's temporary memory stays the
+size of one gather.  The CSV rows of ``simulate`` are made per block of
+``cli._CSV_BLOCK`` times (one sample, one stacked gated inverse of S,
+one stacked row dot) and must be byte-identical to rows made one time
+at a time; a block holding a row whose S fails the gate raises the
 error of the first failing row, as the rows one at a time would.
 """
 
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import PENDULA_P0, make_pendula_like
 
-from blocksep import catalog, cli, expr, model
-from blocksep.dynamics import (DynamicsError, IntegratorConfig, block_clock,
+from blocksep import catalog, cli, dynamics, expr, model
+from blocksep.dynamics import (DynamicsError, IntegrationError,
+                               IntegratorConfig, block_clock,
                                compare_block_orbits, full_field_callable,
                                integrate)
 
@@ -41,7 +45,9 @@ def interpolant(traj, t):
     key = t * traj.direction
     i = int(np.searchsorted(traj.ts * traj.direction, key, side="right")) - 1
     i = min(max(i, 0), len(traj) - 2)
-    t_old, h, F = traj._steps[i]
+    t_old, h = float(traj.ts[i]), float(traj.h[i])
+    F = traj.F[i].T  # the step's (7, d) layout, strides (8, 8 * 7)
+    assert F.shape == (7, traj.dim) and F.strides == (8, 56)
     x = min(max((t - t_old) / h, 0.0), 1.0)
     xu = x * (1.0 - x)
     xu2 = xu * xu
@@ -57,20 +63,78 @@ def one_by_one(traj, ts):
 # ---------------------------------------------------------------------------
 # the array sample
 
-@pytest.mark.parametrize("span", [(0.0, 6.0), (0.0, -6.0)])
+@pytest.mark.parametrize("span", [(0.0, 10.0), (0.0, -10.0)])
 def test_array_sample_equals_per_time_sample(span):
-    sys_ = make_pendula_like()
-    traj = orbit(sys_, PENDULA_P0, span)
-    assert len(traj) > 5
+    # sorted, unsorted and repeated times over many steps, in three
+    # gathers and a partial one
+    entry = catalog.load("oscillators")
+    traj = orbit(entry.system, entry.initial_point, span, 1e-8, 1e-10)
+    assert len(traj) > 40
     rng = np.random.default_rng(7)
-    ts = np.concatenate([np.linspace(*span, 301), traj.ts,
-                         [traj.t_start, traj.t_end],
-                         rng.permutation(np.linspace(*span, 97))])
+    sorted_ = np.linspace(*span, 1301)
+    ts = np.concatenate([sorted_, traj.ts, [traj.t_start, traj.t_end],
+                         rng.permutation(np.linspace(*span, 97)),
+                         rng.choice(sorted_, 200)])
+    assert len(ts) > 3 * dynamics._CHUNK
     want = one_by_one(traj, ts)
     assert np.array_equal(traj.sample(ts), want)
     assert np.array_equal([traj.sample(float(t)) for t in ts], want)
     assert np.array_equal(traj.sample(ts.tolist()), want)
     assert traj.sample(ts[:0]).shape == (0, traj.dim)
+    assert traj.sample(span[1]).shape == (traj.dim,)
+
+
+def test_partial_orbit_samples_as_per_time_sample():
+    # y0' = y0^2 blows up at t = 1; the orbit up to there is sampled
+    def field(t, y):
+        return (y[0] * y[0], math.sin(t + y[1]) * y[0])
+
+    with pytest.raises(IntegrationError) as exc:
+        integrate(field, [1.0, 0.5], (0.0, 2.0),
+                  IntegratorConfig(rtol=1e-8, atol=1e-10))
+    partial = exc.value.partial
+    assert len(partial) > 20
+    ts = np.linspace(0.0, partial.t_end, 2 * dynamics._CHUNK + 7)
+    assert np.array_equal(partial.sample(ts), one_by_one(partial, ts))
+
+
+def rates_per_step(traj, column, cuts):
+    """``Trajectory.rates`` as one row of F per step, stacked."""
+    x = np.linspace(0.0, 1.0, cuts + 1)
+    u = 1.0 - x
+    dw = np.array([np.ones_like(x), u - x, x * (2 * u - x),
+                   2 * x * u * (u - x), x * x * u * (3 * u - 2 * x),
+                   3 * (x * u) ** 2 * (u - x),
+                   x ** 3 * u * u * (4 * u - 3 * x)])
+    h = traj.h[:, None]
+    F = np.array([traj.F[i].T[:, column] for i in range(len(traj) - 1)])
+    return (traj.ts[:-1, None] + h * x).ravel(), (F @ dw / h).ravel()
+
+
+@pytest.mark.parametrize("span", [(0.0, 6.0), (0.0, -6.0)])
+def test_rates_equal_the_per_step_rates(span):
+    sys_ = make_pendula_like()
+    traj = orbit(sys_, PENDULA_P0, span)
+    for column in (0, traj.dim - 1):
+        for got, want in zip(traj.rates(column, 64),
+                             rates_per_step(traj, column, 64)):
+            assert np.array_equal(got, want)
+
+
+def test_sampling_many_times_keeps_its_memory_small():
+    # the gather runs per chunk of times: an unchunked one would hold
+    # 7 coefficients per output entry at once
+    sys_ = make_pendula_like()
+    traj = orbit(sys_, PENDULA_P0, (0.0, 6.0))
+    ts = np.linspace(0.0, 6.0, 100_000)
+    tracemalloc.start()
+    try:
+        out = traj.sample(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (len(ts), traj.dim)
+    assert peak <= 3 * out.nbytes
 
 
 def test_array_sample_names_the_first_time_outside_the_span():
@@ -168,9 +232,13 @@ def per_row_csv(sys_, traj, clocks, times):
     return rows
 
 
+# rows of a CSV: two full blocks and a partial one
+B = cli._CSV_BLOCK
+ROWS = 2 * B + 44
+
+
 @pytest.mark.parametrize("name", ["pendula", "oscillators", "calogero4"])
 def test_simulate_rows_equal_per_row_rows(name, tmp_path, capsys):
-    # 300 rows: two full blocks and a partial one
     out = str(tmp_path / "out")
     path = tmp_path / "run.ini"
     path.write_text(f"""
@@ -180,7 +248,7 @@ catalog = {name}
 t_span = 0.0, 10.0
 rtol = 1e-6
 atol = 1e-8
-samples = 300
+samples = {ROWS}
 [output]
 directory = {out}
 """)
@@ -190,7 +258,7 @@ directory = {out}
     sys_ = entry.system
     traj = orbit(sys_, entry.initial_point, (0.0, 10.0))
     clocks = [block_clock(sys_, traj, r) for r in range(1, sys_.n + 1)]
-    rows = per_row_csv(sys_, traj, clocks, np.linspace(0.0, 10.0, 300))
+    rows = per_row_csv(sys_, traj, clocks, np.linspace(0.0, 10.0, ROWS))
     want = "\n".join([cli._csv_header(sys_)] + rows) + "\n"
     with open(os.path.join(out, "orbit.csv"), encoding="utf-8") as fh:
         assert fh.read() == want
@@ -198,11 +266,11 @@ directory = {out}
 
 @pytest.fixture
 def rigged():
-    """A pendula-like orbit over 300 CSV times, its rows' positions, and
-    a function that makes S at chosen rows a given matrix."""
+    """A pendula-like orbit over ``ROWS`` CSV times, its rows' positions,
+    and a function that makes S at chosen rows a given matrix."""
     sys_ = make_pendula_like()
     traj = orbit(sys_, PENDULA_P0, (0.0, 3.0))
-    times = np.linspace(0.0, 3.0, 300)
+    times = np.linspace(0.0, 3.0, ROWS)
     N = sys_.dim
     qs = [tuple(state[:N].tolist()) for state in one_by_one(traj, times)]
     jet = sys_.jet
@@ -217,8 +285,9 @@ def rigged():
     return sys_, traj, clocks, times, qs, rig
 
 
-@pytest.mark.parametrize("rows", [(140, 200, 290), (290, 200, 131),
-                                  (260, 256, 255)])
+@pytest.mark.parametrize("rows", [(B + 12, B + 72, 2 * B + 34),
+                                  (2 * B + 34, B + 72, B + 3),
+                                  (2 * B + 4, 2 * B, 2 * B - 1)])
 @pytest.mark.parametrize("kinds", list(itertools.permutations(sorted(BAD))))
 def test_blocked_rows_raise_the_first_failing_row(rigged, rows, kinds,
                                                   monkeypatch):
@@ -234,7 +303,8 @@ def test_blocked_rows_raise_the_first_failing_row(rigged, rows, kinds,
 
 
 @pytest.mark.parametrize("gate_row, energy_row, wins", [
-    (201, 200, "energies"), (200, 201, "gate"), (200, 200, "gate")])
+    (B + 73, B + 72, "energies"), (B + 72, B + 73, "gate"),
+    (B + 72, B + 72, "gate")])
 def test_blocked_rows_keep_the_row_order_of_errors(rigged, gate_row,
                                                    energy_row, wins,
                                                    monkeypatch):
