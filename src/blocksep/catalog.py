@@ -6,7 +6,7 @@ oscillators with constant twist, the four-body inverse-square system
 carried into spherical blocks by an orthogonal rotation plus a
 spherical chart, and two families of 3D metrics built around a
 distinguished direction (leaf profile times a one-variable scale).
-Entries bundle the validated system with its declared singular set,
+Entries bundle the validated system with its regularity test,
 sampling boxes, and a recommended starting point, so the command line
 and the test suite can drive them without re-deriving anything.
 """
@@ -150,7 +150,6 @@ class CatalogEntry:
     name: str
     system: TwistedSystem
     initial_point: PhasePoint
-    singular_set: str = ""
     regular: Optional[Callable[[Sequence[float]], bool]] = None
     sample_box: Optional[tuple[tuple[float, float], ...]] = None
     cartesian: Optional[CartesianReference] = None
@@ -191,7 +190,6 @@ def pendula() -> CatalogEntry:
         name="pendula",
         system=system,
         initial_point=PhasePoint((0.2, -0.2, 0.0), (0.0, 0.0, 0.0)),
-        singular_set="zero set of the separation determinant",
         regular=regular,
         sample_box=box,
     )
@@ -247,7 +245,6 @@ def oscillators(omega: Sequence[float] = (1.0, 2.0, 4.0),
         name="oscillators",
         system=system,
         initial_point=PhasePoint(q0, p0),
-        singular_set="none (constant invertible separation matrix)",
         regular=None,
         sample_box=((-1.0, 1.0),) * n,
         closed_form=closed_form,
@@ -424,17 +421,14 @@ def calogero4() -> CatalogEntry:
             return False
         return pair_gap(transform.old_positions(q)) > 0.05
 
-    flat = MetricField(
-        _X4, [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)])
     pair_v = _expr.parse(_PAIR_POTENTIAL)
     hamiltonian = PhaseScalar(
-        _X4, tensor=identity_tensor(_X4, metric=flat,
-                                    variance="contravariant"),
+        _X4, tensor=identity_tensor(_X4, variance="contravariant"),
         scalar=pair_v)
     k_one = TensorField2(_X4, _quadratic_tensor_one(), "contravariant",
-                         metric=flat, symmetric=True)
+                         symmetric=True)
     k_two = TensorField2(_X4, _quadratic_tensor_two(), "contravariant",
-                         metric=flat, symmetric=True)
+                         symmetric=True)
     w_one = _expr.parse(f"({_PAIR_SUM} - {_SQUARE_SUM}/2)"
                         f"*({_PAIR_POTENTIAL})")
     w_two = _expr.parse(f"{_SQUARE_SUM}*({_PAIR_POTENTIAL})")
@@ -454,8 +448,6 @@ def calogero4() -> CatalogEntry:
         name="calogero4",
         system=system,
         initial_point=start,
-        singular_set=("pair collisions and the chart degeneracies "
-                      "(vanishing radius, polar angles at 0 or pi)"),
         regular=regular_spherical,
         sample_box=box,
         cartesian=reference,
@@ -492,7 +484,7 @@ def _leaf_points(points):
 
 def _as_profile(f) -> Expression:
     e = _model._as_expression(f)
-    extra = _expr.free_variables(e) - {"v", "w"}
+    extra = e.free_variables() - {"v", "w"}
     if extra:
         raise CatalogError(
             "leaf profile may only depend on v and w, found "

@@ -322,12 +322,9 @@ def _csv_block(sys_: TwistedSystem, traj, clocks, ts):
     each: one dense-output sample, one per clock, one gated inverse of
     the stacked S and one stacked row dot K_a = (S^-1)[a] @ E of the
     twist and the vector E of block energies at each row."""
-    N, n = sys_.dim, sys_.n
+    N = sys_.dim
     states = traj.sample(ts)[:, :2 * N]
-    if clocks is None:
-        taus = np.full((len(ts), n), math.nan)
-    else:
-        taus = np.stack([c.tau(ts) for c in clocks], axis=1)
+    taus = np.stack([c.tau(ts) for c in clocks], axis=1)
     jet, ys = sys_.jet, states.tolist()
     qs = [y[:N] for y in ys]
     M, cond = invert_with_condition(jet.stackel(qs), qs)
@@ -338,15 +335,16 @@ def _csv_block(sys_: TwistedSystem, traj, clocks, ts):
 
 
 def _csv_rows(sys_: TwistedSystem, traj, clocks, times):
-    """The CSV rows at the given times, the H column and the cond of S at
-    each row, made by :func:`_csv_block` per block of up to
-    ``_CSV_BLOCK`` times.  A block that fails is made again row by row,
-    so that the error raised is that of the first row that fails on its
-    own, and within a row that of its twist before that of its
-    energies."""
+    """The CSV rows at the given times as text and as one array of their
+    values, and the cond of S at each row, made by :func:`_csv_block`
+    per block of up to ``_CSV_BLOCK`` times.  A block that fails is made
+    again row by row, so that the error raised is that of the first row
+    that fails on its own, and within a row that of its twist before
+    that of its energies."""
     N, n = sys_.dim, sys_.n
     fmt = ",".join(["%.17g"] * (1 + 2 * N + 2 * n))
-    rows, h_vals, conds = [], [], []
+    rows, conds = [], []
+    values = np.empty((len(times), 1 + 2 * N + 2 * n))
     for i in range(0, len(times), _CSV_BLOCK):
         ts = np.asarray(times[i:i + _CSV_BLOCK], dtype=float)
         try:
@@ -355,15 +353,23 @@ def _csv_rows(sys_: TwistedSystem, traj, clocks, times):
             block, cond = map(np.concatenate, zip(*(
                 _csv_block(sys_, traj, clocks, t[None]) for t in ts)))
         rows += [fmt % tuple(row) for row in block.tolist()]
-        h_vals += block[:, 1 + 2 * N + n].tolist()
+        values[i:i + len(ts)] = block
         conds.append(cond)
-    return rows, h_vals, np.concatenate(conds)
+    return rows, values, np.concatenate(conds)
 
 
 def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
     res = _resolve_dynamic(cfg)
+    N, n = res.system.dim, res.system.n
+    pairs = ()
+    if cfg.svg:
+        pairs = cfg.pairs or tuple((i + 1, i + 1) for i in range(N))
+        for qi, pj in pairs:
+            if not (1 <= qi <= N and 1 <= pj <= N):
+                raise ConfigError(
+                    f"plot pair q{qi}:p{pj} outside dimension {N}")
     out_dir = _ensure_out(cfg)
     csv_path = os.path.join(out_dir, "orbit.csv")
     header = [f"# {line}" for line in _header_lines(cfg, res)]
@@ -372,7 +378,7 @@ def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:
     icfg = IntegratorConfig(rtol=cfg.rtol, atol=cfg.atol)
     field = full_field_callable(res.system)
     # the orbit carries its block clocks, tau_r(t0) = 0
-    y0 = np.concatenate([res.initial.as_array(), np.zeros(res.system.n)])
+    y0 = np.concatenate([res.initial.as_array(), np.zeros(n)])
     try:
         traj = integrate(field, y0, cfg.t_span, icfg)
     except IntegrationError as ex:
@@ -380,12 +386,8 @@ def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:
         if ex.partial is not None:
             t_good = np.unique(np.linspace(cfg.t_span[0], ex.t_last,
                                            cfg.samples))
-            try:
-                clocks = [block_clock(res.system, ex.partial, r)
-                          for r in range(1, res.system.n + 1)]
-            except (DynamicsError, ModelError):
-                # without its clocks the partial orbit is still written
-                clocks = None
+            clocks = [block_clock(res.system, ex.partial, r)
+                      for r in range(1, n + 1)]
             lines += _csv_rows(res.system, ex.partial, clocks, t_good)[0]
         _write(csv_path, "\n".join(lines))
         print(f"simulate: FAILED integration of {res.label!r}: {ex}",
@@ -393,36 +395,28 @@ def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:
         print(f"simulate: partial orbit written to {csv_path}", file=err)
         return EXIT_NUMERIC
 
-    clocks = [block_clock(res.system, traj, r)
-              for r in range(1, res.system.n + 1)]
+    clocks = [block_clock(res.system, traj, r) for r in range(1, n + 1)]
     times = np.linspace(cfg.t_span[0], cfg.t_span[1], cfg.samples)
-    rows, h_vals, cond = _csv_rows(res.system, traj, clocks, times)
+    rows, values, cond = _csv_rows(res.system, traj, clocks, times)
     _write(csv_path, "\n".join([_csv_header(res.system)] + rows))
     warning = cond_warning(cond)
     if warning is not None:
         t = times[int(np.argmax(cond))]
         print(f"simulate: {warning} at t = {t:.6g}", file=err)
 
-    N = res.system.dim
-    drift = float(np.max(np.abs(np.array(h_vals) - h_vals[0])))
+    h_vals = values[:, 1 + 2 * N + n]
+    drift = float(np.max(np.abs(h_vals - h_vals[0])))
     print(f"simulate: {res.label}, {len(times)} rows -> {csv_path}",
           file=out)
     print(f"simulate: energy drift max |H - H(0)| = {drift:.6e}", file=out)
 
-    if cfg.svg:
-        pairs = cfg.pairs or tuple((i + 1, i + 1) for i in range(N))
-        states = traj.sample(times)
-        for qi, pj in pairs:
-            if not (1 <= qi <= N and 1 <= pj <= N):
-                raise ConfigError(
-                    f"plot pair q{qi}:p{pj} outside dimension {N}")
-            path = os.path.join(out_dir, f"phase_q{qi}_p{pj}.svg")
-            write_polyline_svg(
-                path,
-                [("orbit", states[:, qi - 1], states[:, N + pj - 1])],
-                f"{res.label}: phase portrait",
-                f"q{qi}", f"p{pj}")
-            print(f"simulate: wrote {path}", file=out)
+    # the portraits read the q and p columns of the CSV rows
+    for qi, pj in pairs:
+        path = os.path.join(out_dir, f"phase_q{qi}_p{pj}.svg")
+        write_polyline_svg(
+            path, [("orbit", values[:, qi], values[:, N + pj])],
+            f"{res.label}: phase portrait", f"q{qi}", f"p{pj}")
+        print(f"simulate: wrote {path}", file=out)
     return EXIT_OK
 
 
@@ -568,8 +562,8 @@ def _verify_checks(res: _Resolved, cfg: RunConfig,
         for idx, scalar in enumerate(ref.integrals, start=2):
             grid = scalar.tensor.grid
             k_cov = _geo.TensorField2(ref.coords, grid, "covariant",
-                                      metric=flat, symmetric=True)
-            k_mix = _geo.TensorField2(ref.coords, grid, "mixed", metric=flat)
+                                      symmetric=True)
+            k_mix = _geo.TensorField2(ref.coords, grid, "mixed")
             battery = (
                 ("killing", th["killing"],
                  lambda xs: _geo.killing_residual(flat, k_cov, xs)),
@@ -656,29 +650,41 @@ def cmd_curvature(cfg: RunConfig, out=None, err=None) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+# every subcommand's override flags, each named after the RunConfig
+# field it sets
+_FLAGS = {
+    "--out": dict(dest="out_dir", help="output directory override"),
+    "--svg": dict(action="store_const", const=True,
+                  help="force SVG output on"),
+    "--block": dict(type=int, help="block index override"),
+    "--seed": dict(type=int, help="probe seed override"),
+    "--rtol": dict(type=float, help="integrator rtol"),
+    "--atol": dict(type=float, help="integrator atol"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blocksep",
         description="numerical laboratory for block-twisted natural "
                     "Hamiltonians")
     sub = parser.add_subparsers(dest="command", required=True)
+    # each subcommand takes --config and the flags it reads
     specs = {
-        "simulate": "integrate the full system and write the orbit CSV",
-        "compare": "full orbit projection against the reduced block orbit",
-        "verify": "run the residual battery at seeded probe points",
-        "curvature": "flatness and leaf-curvature checks for the metric "
-                     "families",
+        "simulate": ("integrate the full system and write the orbit CSV",
+                     ("--out", "--svg", "--rtol", "--atol")),
+        "compare": ("full orbit projection against the reduced block orbit",
+                    ("--block", "--out", "--rtol", "--atol")),
+        "verify": ("run the residual battery at seeded probe points",
+                   ("--out", "--seed")),
+        "curvature": ("flatness and leaf-curvature checks for the metric "
+                      "families", ("--out", "--seed")),
     }
-    for name, blurb in specs.items():
+    for name, (blurb, flags) in specs.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", required=True, help="run config path")
-        p.add_argument("--block", type=int, help="block index override")
-        p.add_argument("--out", help="output directory override")
-        p.add_argument("--svg", action="store_true",
-                       help="force SVG output on")
-        p.add_argument("--seed", type=int, help="probe seed override")
-        p.add_argument("--rtol", type=float, help="integrator rtol")
-        p.add_argument("--atol", type=float, help="integrator atol")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     sub.add_parser("list", help="print catalog names")
     return parser
 
@@ -698,11 +704,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(name)
         return EXIT_OK
     try:
-        cfg = load_config(args.config)
-        cfg = cfg.override(out_dir=args.out, seed=args.seed,
-                           rtol=args.rtol, atol=args.atol,
-                           block=args.block,
-                           svg=True if args.svg else None)
+        overrides = {k: v for k, v in vars(args).items()
+                     if k not in ("command", "config")}
+        cfg = load_config(args.config).override(**overrides)
     except (ConfigError, CatalogError, ModelError) as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return EXIT_CONFIG

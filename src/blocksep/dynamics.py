@@ -677,12 +677,9 @@ def _initial_step(f, t0, y0, f0, direction, cfg, span):
 # Hamiltonian vector fields
 
 def _rhs(kernel, *params) -> Callable:
-    """The (t, y) -> y' closure of a field kernel, for integrate: a list
-    goes straight to the kernel and its tuple comes back; an ndarray
-    gives an ndarray."""
+    """The (t, y) -> y' closure of a field kernel, for integrate: the
+    state list goes straight to the kernel and its tuple comes back."""
     def rhs(t, y):
-        if isinstance(y, np.ndarray):
-            return np.array(kernel(y.tolist(), *params))
         return kernel(y, *params)
 
     return rhs
@@ -784,20 +781,17 @@ def _alpha_on_trajectory(sys: TwistedSystem, trajectory: Trajectory, r: int):
 
 def block_clock(sys: TwistedSystem, trajectory: Trajectory,
                 r: int) -> BlockClock:
-    """The block-r clock of an orbit integrated with its clocks.  An
-    orbit of (q, p) alone is integrated again, with its clocks, from
-    its first state over its span at its rtol and atol."""
+    """The block-r clock of an orbit integrated with its clocks, whose
+    state is (q, p, tau_1 .. tau_n); an orbit of any other width raises
+    :class:`DynamicsError`."""
     if not 1 <= r <= sys.n:
         raise _model.BlockIndexError(
             f"block index {r} out of range 1..{sys.n}")
     N = sys.dim
-    if trajectory.dim == 2 * N:
-        cfg = IntegratorConfig(rtol=trajectory.stats.rtol,
-                               atol=trajectory.stats.atol)
-        trajectory = integrate(
-            full_field_callable(sys),
-            np.concatenate([trajectory.ys[0], np.zeros(sys.n)]),
-            (trajectory.t_start, trajectory.t_end), cfg)
+    if trajectory.dim != 2 * N + sys.n:
+        raise DynamicsError(
+            f"an orbit of {trajectory.dim} components has no block clocks; "
+            f"integrate the {2 * N + sys.n} of (q, p) and its clocks")
     return BlockClock(r, trajectory, 2 * N + r - 1,
                       _alpha_on_trajectory(sys, trajectory, r))
 

@@ -307,34 +307,10 @@ class Call(Expression):
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
 
 
-# builders of function calls, so that catalog code can write sin(expr)
-
-def sin(x):
-    return Call("sin", x)
-
-
-def cos(x):
-    return Call("cos", x)
-
-
-def tan(x):
-    return Call("tan", x)
-
+# the builder of exp calls, for the catalog's scale functions
 
 def exp(x):
     return Call("exp", x)
-
-
-def ln(x):
-    return Call("ln", x)
-
-
-def sqrt(x):
-    return Call("sqrt", x)
-
-
-def free_variables(e: Expression) -> frozenset:
-    return e.free_variables()
 
 
 # ---------------------------------------------------------------------------

@@ -72,16 +72,8 @@ _VARIANCES = ("contravariant", "covariant", "mixed")
 
 def _point_of(coords, point) -> tuple:
     """The coordinate values of a point specification, ordered like
-    ``coords``, as the jets take them.
-
-    Accepts a dict (must bind every coordinate), a PhasePoint (its q
-    part is used), or a plain sequence ordered like ``coords``.
-    """
-    if isinstance(point, dict):
-        missing = [c for c in coords if c not in point]
-        if missing:
-            raise GeometryError(f"point does not bind {missing[0]!r}")
-        return tuple(float(point[c]) for c in coords)
+    ``coords``, as the jets take them: a PhasePoint (its q part is
+    used) or a plain sequence ordered like ``coords``."""
     if isinstance(point, PhasePoint):
         point = point.q
     vals = tuple(float(x) for x in point)
@@ -96,7 +88,7 @@ def _stack(coords, points):
     a (P, n) array ordered like ``coords``, and whether one point was
     given.  One point is anything :func:`_point_of` takes; a stack is a
     sequence of coordinate sequences, or a 2-D array."""
-    if isinstance(points, (dict, PhasePoint)) or np.ndim(points) == 1:
+    if isinstance(points, PhasePoint) or np.ndim(points) == 1:
         return np.array([_point_of(coords, points)]), True
     qs = np.asarray(points, dtype=float)
     if qs.ndim != 2 or qs.shape[1] != len(coords):
@@ -213,15 +205,12 @@ def _inverse(G: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class TensorField2:
     """Rank-2 tensor field as an expression grid with a variance tag.
-
-    ``metric`` is only needed for numeric index shuffling and for the
-    operations that must convert variance on the fly.
-    """
+    The operations that must convert variance take the metric as an
+    argument of their own."""
 
     coords: tuple
     grid: tuple
     variance: str
-    metric: MetricField | None = None
     symmetric: bool = False
 
     def __post_init__(self):
@@ -262,29 +251,11 @@ class TensorField2:
         qs, one = _stack(self.coords, point)
         return _result(self._at(qs)[0], one)
 
-    def _need_metric(self):
-        if self.metric is None:
-            raise GeometryError(
-                "index shuffling needs an associated metric")
-        return self.metric
 
-    def raised(self, point) -> np.ndarray:
-        """Contravariant components at the point."""
-        T = self.values(point)
-        if self.variance == "contravariant":
-            return T
-        G = self._need_metric().contravariant(point)
-        if self.variance == "covariant":
-            return G @ T @ G
-        return T @ G
-
-
-def identity_tensor(coords, metric: MetricField | None = None,
-                    variance: str = "mixed") -> TensorField2:
+def identity_tensor(coords, variance: str = "mixed") -> TensorField2:
     n = len(coords)
     grid = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    return TensorField2(tuple(coords), grid, variance, metric,
-                        symmetric=True)
+    return TensorField2(tuple(coords), grid, variance, symmetric=True)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +263,7 @@ def identity_tensor(coords, metric: MetricField | None = None,
 
 @dataclass(frozen=True)
 class PhaseScalar:
-    """F = (1/2) K^ij p_i p_j + L^i p_i + W on the phase space.
+    """F = (1/2) K^ij p_i p_j + W on the phase space.
 
     Quadratic in momenta by construction; the momentum gradient is
     analytic, the position gradient comes from derivatives of the
@@ -301,7 +272,6 @@ class PhaseScalar:
 
     coords: tuple
     tensor: TensorField2 | None = None
-    linear: tuple | None = None
     scalar: object = 0.0
 
     def __post_init__(self):
@@ -316,64 +286,28 @@ class PhaseScalar:
                 raise GeometryError(
                     f"coefficient tensor is {self.tensor.n}-dimensional, "
                     f"expected {n}")
-        if self.linear is not None:
-            lin = tuple(_model._as_expression(e) for e in self.linear)
-            if len(lin) != n:
-                raise GeometryError(
-                    f"linear coefficient has {len(lin)} entries, "
-                    f"expected {n}")
-            object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "scalar",
                            _model._as_expression(self.scalar))
 
     @cached_property
     def _jet(self) -> _model._GridJet:
-        exprs = [self.scalar, *(self.linear or ())]
+        exprs = [self.scalar]
         if self.tensor is not None:
             exprs += [e for row in self.tensor.grid for e in row]
         return _model._GridJet(exprs, self.coords)
 
-    def _at(self, qs: np.ndarray):
-        """At each point of the stack qs: the scalar W, linear terms L
-        and tensor K with their stacked first partials, from one jet
-        stack."""
-        n = len(self.coords)
-        vals, first = self._jet.stack(qs)
-        lin = 1 + len(self.linear or ())
-        K = dK = None
-        if self.tensor is not None:
-            K = vals[:, lin:].reshape(-1, n, n)
-            dK = first[:, :, lin:].reshape(-1, n, n, n)
-        return (vals[:, 0], vals[:, 1:lin], K, first[:, :, 0],
-                first[:, :, 1:lin], dK)
-
-    def value(self, point: PhasePoint) -> float:
-        qs = np.array([_point_of(self.coords, point)])
-        W, L, K, _, _, _ = self._at(qs)
-        p = np.asarray(point.p, dtype=float)
-        out = W[0]
-        if self.linear is not None:
-            out += sum(L[0, i] * p[i] for i in range(L.shape[1]))
-        if self.tensor is not None:
-            out += 0.5 * float(p @ K[0] @ p)
-        return float(out)
-
     def _gradients(self, qs: np.ndarray, ps: np.ndarray):
         """(d/dq, d/dp) at each point of the stack of positions qs and
-        momenta ps, two (P, n) arrays."""
-        _, L, K, dW, dL, dK = self._at(qs)
+        momenta ps, two (P, n) arrays, from one jet stack of W and K."""
+        n = len(self.coords)
+        vals, first = self._jet.stack(qs)
         dp = np.zeros(ps.shape)
+        dq = first[:, :, 0].copy()
         if self.tensor is not None:
+            K = vals[:, 1:].reshape(-1, n, n)
+            dK = first[:, :, 1:].reshape(-1, n, n, n)
             dp += ((0.5 * (K + K.transpose(0, 2, 1)))
                    @ ps[:, :, None])[:, :, 0]
-        if self.linear is not None:
-            dp += L
-        dq = dW.copy()
-        if self.linear is not None:
-            for k in range(dq.shape[1]):
-                dq[:, k] += sum(dL[:, k, i] * ps[:, i]
-                                for i in range(L.shape[1]))
-        if self.tensor is not None:
             pdK = ps[:, None, None, :] @ dK  # row k: p @ dK[k], per point
             dq += 0.5 * (pdK @ ps[:, None, :, None])[:, :, 0, 0]
         return dq, dp
@@ -519,66 +453,6 @@ def nijenhuis(T: TensorField2, point) -> np.ndarray:
     return _result(_torsion_from(*T._at(qs)), one)
 
 
-def eigenvalue_groups(values, scale: float = 1e-8):
-    """Cluster eigenvalues by relative gap scale*(1 + |value|).
-
-    Returns (groups, degenerate) where groups is a tuple of
-    (representative, multiplicity) pairs and degenerate flags a
-    clustering that changes when the tolerance is multiplied by 10.
-    """
-    vals = np.asarray(values)
-
-    def split(tol):
-        order = np.lexsort((vals.imag, vals.real)) if np.iscomplexobj(
-            vals) else np.argsort(vals)
-        groups = []
-        for idx in order:
-            v = vals[idx]
-            if groups and abs(v - groups[-1][-1]) <= tol * (1 + abs(v)):
-                groups[-1].append(v)
-            else:
-                groups.append([v])
-        return groups
-
-    base = split(scale)
-    wide = split(scale * 10)
-    degenerate = [len(grp) for grp in base] != [len(grp) for grp in wide]
-    reps = tuple((complex(np.mean(grp)) if np.iscomplexobj(vals)
-                  else float(np.mean(grp)), len(grp)) for grp in base)
-    return reps, degenerate
-
-
-def eigenspace_completeness(T: TensorField2, point) -> dict:
-    """Whether each eigenvalue cluster of a mixed tensor field has a
-    full eigenspace at one point (``diagonalizable``), and whether that
-    answer or the clustering is unstable there (``degenerate_point``).
-
-    Kernel dimensions come from SVD with a relative cutoff of 1e-8;
-    instability of the answer under a 10x larger cutoff is flagged.
-    """
-    if T.variance != "mixed":
-        raise VarianceError("eigenspace_completeness expects mixed "
-                            "components")
-    Tv = T.values(point)
-    eigvals = np.linalg.eigvals(Tv)
-    groups, degenerate = eigenvalue_groups(eigvals)
-    n = Tv.shape[0]
-
-    def complete(cutoff_scale):
-        for value, mult in groups:
-            sv = np.linalg.svd(Tv - value * np.eye(n), compute_uv=False)
-            top = max(float(sv[0]), 1.0)
-            kernel = int(np.sum(sv <= cutoff_scale * top))
-            if kernel != mult:
-                return False
-        return True
-
-    ok = complete(1e-8)
-    if ok != complete(1e-7):
-        degenerate = True
-    return {"diagonalizable": ok, "degenerate_point": degenerate}
-
-
 def haantjes(T: TensorField2, point) -> dict:
     """Torsion-based integrability data of a mixed tensor field.
 
@@ -587,8 +461,6 @@ def haantjes(T: TensorField2, point) -> dict:
 
       H^k_ns T^n_m T^s_l - (H^s_nl T^n_m - H^s_nm T^n_l) T^k_s
         + H^n_ml T^k_s T^s_n.
-
-    The eigenspace check is :func:`eigenspace_completeness`.
     """
     if T.variance != "mixed":
         raise VarianceError("haantjes expects mixed components")

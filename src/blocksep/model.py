@@ -220,9 +220,6 @@ class TwistedSystem:
     def dim(self) -> int:
         return self.structure.total
 
-    def env(self, q: Sequence[float]) -> dict:
-        return dict(zip(self.structure.names, _position_values(self, q)))
-
     @cached_property
     def jet(self) -> "SystemJet":
         """Compiled jets of the system's expressions, made on first use

@@ -133,6 +133,12 @@ def phase_point(y) -> PhasePoint:
     return PhasePoint(tuple(y[:half]), tuple(y[half:]))
 
 
+def position_env(sys, q) -> dict:
+    """The tree walker's binding of each coordinate name of sys to its
+    value in q."""
+    return dict(zip(sys.structure.names, (float(v) for v in q)))
+
+
 def block_of(structure, k: int) -> int:
     """1-based block index owning global coordinate k (0-based k)."""
     return next(r for r in range(1, structure.n + 1)
@@ -166,6 +172,16 @@ def reduced_field(sys, r: int, c, point: PhasePoint) -> np.ndarray:
     block slice only (n_r positions and momenta)."""
     c = model._reduced_constants(sys, r, c).tolist()
     return np.array(sys.jet.reduced(r)(list(point.q + point.p), c))
+
+
+def phase_value(F, point: PhasePoint) -> float:
+    """F = (1/2) K^ij p_i p_j + W of a phase scalar at a phase point,
+    from its tensor's values and a jet of W."""
+    value = expr.compile([F.scalar], F.coords)(*point.q)[0]
+    if F.tensor is not None:
+        p = np.asarray(point.p, dtype=float)
+        value += 0.5 * float(p @ F.tensor.values(point.q) @ p)
+    return float(value)
 
 
 def metric_derivative(g, point, name: str) -> np.ndarray:

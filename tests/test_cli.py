@@ -4,6 +4,7 @@ Commands run in-process through cli.main so exit codes, stdout reports
 and written artifacts are all observable without subprocesses.
 """
 
+import argparse
 import gc
 import hashlib
 import importlib.util
@@ -17,9 +18,10 @@ import numpy as np
 import pytest
 
 import walker
+from conftest import position_env
 
 import blocksep
-from blocksep import catalog, cli, config, expr, geometry, model
+from blocksep import catalog, cli, config, dynamics, expr, geometry, model
 from blocksep.config import ConfigError, load_config
 
 PENDULA_BODY = """
@@ -481,6 +483,102 @@ def test_simulate_svg_closed_curve(tmp_path, capsys):
     assert "<polyline" in svg and "q1" in svg and "p1" in svg
 
 
+def test_simulate_checks_plot_pairs_before_integrating(tmp_path, capsys,
+                                                       monkeypatch):
+    # a pair outside the dimension is a config error found before the
+    # orbit is integrated and before anything is printed or written
+    calls = []
+    monkeypatch.setattr(cli, "integrate", lambda *args: calls.append(args))
+    out = str(tmp_path / "out")
+    path = tmp_path / "run.ini"
+    path.write_text(PENDULA_BODY + f"""
+[output]
+directory = {out}
+pairs = q1:p1, q9:p1
+""")
+    assert cli.main(["simulate", "--config", str(path), "--svg"]) == 2
+    captured = capsys.readouterr()
+    assert "plot pair q9:p1 outside dimension 3" in captured.err
+    assert captured.out == ""
+    assert calls == []
+    assert not os.path.exists(os.path.join(out, "orbit.csv"))
+
+
+def test_simulate_svg_reads_the_csv_samples(tmp_path, capsys, monkeypatch):
+    # the phase portraits take the q and p columns of the CSV rows: --svg
+    # samples the orbit no more often than a run without it, and each
+    # portrait is the one drawn from one sample of every row time
+    calls = []
+    sample = dynamics.Trajectory.sample
+
+    def counted(self, t):
+        calls.append(None)
+        return sample(self, t)
+
+    monkeypatch.setattr(dynamics.Trajectory, "sample", counted)
+    out = str(tmp_path / "out")
+    path = write_config(tmp_path, PENDULA_BODY, out=out)
+    counts = []
+    for flags in ([], ["--svg"]):
+        calls.clear()
+        assert cli.main(["simulate", "--config", path, *flags]) == 0
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert counts[1] == counts[0]
+
+    cfg = config.load_config(path)
+    entry = catalog.load("pendula")
+    y0 = np.concatenate([entry.initial_point.as_array(),
+                         np.zeros(entry.system.n)])
+    traj = dynamics.integrate(
+        dynamics.full_field_callable(entry.system), y0, cfg.t_span,
+        dynamics.IntegratorConfig(rtol=cfg.rtol, atol=cfg.atol))
+    states = traj.sample(np.linspace(*cfg.t_span, cfg.samples))
+    N = entry.system.dim
+    for k in range(1, N + 1):
+        want = str(tmp_path / f"want_{k}.svg")
+        cli.write_polyline_svg(
+            want, [("orbit", states[:, k - 1], states[:, N + k - 1])],
+            "pendula: phase portrait", f"q{k}", f"p{k}")
+        with open(os.path.join(out, f"phase_q{k}_p{k}.svg"), "rb") as got:
+            assert got.read() == open(want, "rb").read()
+
+
+# the override flags each subcommand reads, besides --config
+FLAGS = {
+    "simulate": {"--out", "--svg", "--rtol", "--atol"},
+    "compare": {"--block", "--out", "--rtol", "--atol"},
+    "verify": {"--out", "--seed"},
+    "curvature": {"--out", "--seed"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command, flags in FLAGS.items():
+        options = {o for a in commands[command]._actions
+                   for o in a.option_strings}
+        assert options == flags | {"--config", "-h", "--help"}
+    assert sum(len(flags) for flags in FLAGS.values()) == 12
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_a_flag_a_subcommand_does_not_read_is_an_error(command, tmp_path,
+                                                       capsys):
+    path = write_config(tmp_path, PENDULA_BODY)
+    for flag, value in (("--block", "1"), ("--svg", None), ("--seed", "1"),
+                        ("--rtol", "1e-6"), ("--atol", "1e-8")):
+        if flag in FLAGS[command]:
+            continue
+        argv = [command, "--config", path, flag] + ([value] if value else [])
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_compare_pendula_block1(tmp_path, capsys):
     out = str(tmp_path / "out")
     path = write_config(tmp_path, PENDULA_BODY, out=out)
@@ -781,7 +879,7 @@ def test_python_dash_m_runs_the_cli():
 
 def tree_walked_energies(sys_, q, p):
     """Block energies by one tree walk per metric entry and potential."""
-    env = sys_.env(q)
+    env = position_env(sys_, q)
     out = []
     for r, blk in enumerate(sys_.blocks, start=1):
         idx = sys_.structure.block_range(r)
@@ -815,47 +913,11 @@ samples = 40
     for row in rows:
         vals = [float(v) for v in row.split(",")]
         q, p = vals[1:1 + N], vals[1 + N:1 + 2 * N]
-        S = walker.matrix_values(sys_.stackel.entries, sys_.env(q))
+        S = walker.matrix_values(sys_.stackel.entries,
+                                 position_env(sys_, q))
         M, _ = model.invert_with_condition(S)
         E = tree_walked_energies(sys_, q, p)
         assert vals[1 + 2 * N + n:] == [float(M[a] @ E) for a in range(n)]
-
-
-def test_partial_csv_survives_clock_model_error(tmp_path, capsys,
-                                                 monkeypatch):
-    # the system of test_simulate_failure_partial_csv, with clocks that
-    # fail with a model error (a singular twist, say): the partial orbit
-    # is still written, without clock columns
-    body = """
-[system]
-blocks = q1 | q2
-[stackel]
-row1 = "q1", "1"
-row2 = "0", "1"
-[block1]
-[block2]
-[initial]
-q = 0.5, 0.0
-p = -0.5, 0.2
-[integration]
-t_span = 0.0, 5.0
-samples = 60
-"""
-
-    def failing_clock(sys_, trajectory, r):
-        raise model.SingularMatrixError("matrix numerically singular",
-                                        cond=1e13, point=(0.0, 0.0))
-
-    monkeypatch.setattr(cli, "block_clock", failing_clock)
-    out = str(tmp_path / "out")
-    path = write_config(tmp_path, body, out=out)
-    assert cli.main(["simulate", "--config", path]) == 3
-    err = capsys.readouterr().err
-    assert "partial orbit written" in err
-    rows = open(os.path.join(out, "orbit.csv")).read().splitlines()
-    assert rows[0] == "t,q1,q2,p1,p2,tau_1,tau_2,H,K_2"
-    assert len(rows) > 10
-    assert all(row.split(",")[5:7] == ["nan", "nan"] for row in rows[1:])
 
 
 @pytest.mark.parametrize("target, check", [

@@ -112,6 +112,11 @@ def pendula():
     return make_pendula_like()
 
 
+def _with_clocks(sys, y):
+    """The state y of (q, p) followed by the system's clocks at 0."""
+    return np.concatenate([np.asarray(y, dtype=float), np.zeros(sys.n)])
+
+
 @pytest.fixture(scope="module")
 def pendula_orbit(pendula):
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12)
@@ -812,7 +817,8 @@ def test_constant_twist_is_folded_into_the_field(monkeypatch):
     monkeypatch.setattr(model, "invert_with_condition", counted)
     field = full_field_callable(sys)
     assert len(calls) == 1
-    traj = integrate(field, entry.initial_point.as_array(), (0.0, 3.0))
+    traj = integrate(field, _with_clocks(sys, entry.initial_point.as_array()),
+                     (0.0, 3.0))
     clocks = [block_clock(sys, traj, r) for r in range(1, sys.n + 1)]
     assert len(calls) == 1
     alpha = sys.jet.constant_twist.alpha
@@ -820,8 +826,8 @@ def test_constant_twist_is_folded_into_the_field(monkeypatch):
         assert clock.tau(3.0) == pytest.approx(3.0 * alpha[r], rel=1e-12)
     N = sys.dim
     for y in traj.ys[::7]:
-        q, p = y[:N].tolist(), y[N:].tolist()
-        assert _rel_err(field(0.0, y),
+        q, p = y[:N].tolist(), y[N:2 * N].tolist()
+        assert _rel_err(np.array(field(0.0, q + p)),
                         _reference_full_field(sys, q, p)) <= 1e-14
 
 
@@ -973,8 +979,8 @@ def test_twisted_oscillator_closed_form():
 def test_constant_twist_clock_is_linear():
     sys = twisted_oscillators()
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12)
-    traj = integrate(full_field_callable(sys), [1.0, 0.5, 0.3, -0.2],
-                     (0.0, 5.0), cfg)
+    traj = integrate(full_field_callable(sys),
+                     _with_clocks(sys, [1.0, 0.5, 0.3, -0.2]), (0.0, 5.0), cfg)
     clock = block_clock(sys, traj, 2)
     assert not clock.sign_changed
     assert clock.first_sign_change is None
@@ -999,8 +1005,8 @@ def test_constant_twist_comparison():
 
 def test_clock_alpha_identically_one():
     sys = one_block_oscillator()
-    traj = integrate(full_field_callable(sys), [1.0, 0.0], (0.0, 4.0),
-                     IntegratorConfig(rtol=1e-10, atol=1e-12))
+    traj = integrate(full_field_callable(sys), _with_clocks(sys, [1.0, 0.0]),
+                     (0.0, 4.0), IntegratorConfig(rtol=1e-10, atol=1e-12))
     clock = block_clock(sys, traj, 1)
     assert not clock.sign_changed
     for t in (0.0, 0.7, 2.2, 4.0):
@@ -1010,7 +1016,8 @@ def test_clock_alpha_identically_one():
 def test_identity_matrix_freezes_other_blocks():
     sys = decoupled_pendula()
     P0 = PhasePoint((0.2, 0.1, 0.3), (0.0, 0.2, 0.1))
-    traj = integrate(full_field_callable(sys), P0.as_array(), (0.0, 8.0),
+    traj = integrate(full_field_callable(sys),
+                     _with_clocks(sys, P0.as_array()), (0.0, 8.0),
                      IntegratorConfig(rtol=1e-10, atol=1e-12))
     clock1 = block_clock(sys, traj, 1)
     assert clock1.tau(8.0) == pytest.approx(8.0, abs=1e-9)
@@ -1026,8 +1033,9 @@ def test_identity_matrix_freezes_other_blocks():
 
 def test_pendula_clock_matches_simpson(pendula):
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12)
-    traj = integrate(full_field_callable(pendula), PENDULA_P0.as_array(),
-                     (0.0, 10.0), cfg)
+    traj = integrate(full_field_callable(pendula),
+                     _with_clocks(pendula, PENDULA_P0.as_array()), (0.0, 10.0),
+                     cfg)
     clock = block_clock(pendula, traj, 1)
 
     # composite Simpson over the dense output
@@ -1050,8 +1058,9 @@ def test_pendula_first_twist_negative(pendula):
     assert tw.matrix[0][0] == pytest.approx(-0.2 / 7.2256, abs=1e-12)
     # so the block-1 clock runs backward initially
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12)
-    traj = integrate(full_field_callable(pendula), PENDULA_P0.as_array(),
-                     (0.0, 1.0), cfg)
+    traj = integrate(full_field_callable(pendula),
+                     _with_clocks(pendula, PENDULA_P0.as_array()), (0.0, 1.0),
+                     cfg)
     clock = block_clock(pendula, traj, 1)
     assert clock.initial_sign == -1.0
     assert clock.tau(1.0) < 0.0
@@ -1208,27 +1217,22 @@ def _counting_integrate(monkeypatch):
     return calls
 
 
-def _with_clocks(sys, y):
-    return np.concatenate([np.asarray(y, dtype=float), np.zeros(sys.n)])
-
-
 @pytest.mark.parametrize("name", ["pendula", "oscillators", "calogero4"])
 def test_field_returns_the_clock_rates_the_state_carries(name):
     entry = catalog.load(name)
     sys = entry.system
     field = full_field_callable(sys)
     N = sys.dim
-    y = entry.initial_point.as_array() + 0.01
-    q = y[:N].tolist()
+    y = (entry.initial_point.as_array() + 0.01).tolist()
     # a constant S has the gate's twist written in, and a varying one
     # inlines the gate's own lines: the rates are the twist's alpha
-    alpha = sys.jet.twist(q).alpha
+    alpha = sys.jet.twist(y[:N]).alpha
     plain = field(0.0, y)
-    assert plain.shape == (2 * N,)
+    assert len(plain) == 2 * N
     for extra in range(1, sys.n + 1):
-        out = field(0.0, np.concatenate([y, np.arange(extra, 0.0, -1.0)]))
-        assert out.shape == (2 * N + extra,)
-        assert np.array_equal(out[:2 * N], plain)
+        out = field(0.0, y + [float(k) for k in range(extra, 0, -1)])
+        assert len(out) == 2 * N + extra
+        assert out[:2 * N] == plain
         assert np.array_equal(out[2 * N:], alpha[:extra])
 
 
@@ -1239,10 +1243,9 @@ def _assert_same_trajectory(a, b):
 
 
 @pytest.mark.parametrize("name", ["pendula", "oscillators", "calogero4"])
-def test_field_on_lists_integrates_as_on_arrays(name):
+def test_integrate_hands_the_field_lists(name):
     # integrate hands the field the stages' list and gets the kernel's
-    # tuple back; the same closure given an ndarray returns an ndarray,
-    # and both orbits agree bit for bit
+    # tuple back
     entry = catalog.load(name)
     sys = entry.system
     field = full_field_callable(sys)
@@ -1255,20 +1258,8 @@ def test_field_on_lists_integrates_as_on_arrays(name):
 
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12)
     y0 = _with_clocks(sys, entry.initial_point.as_array())
-    plain = integrate(on_lists, y0, (0.0, 5.0), cfg)
+    integrate(on_lists, y0, (0.0, 5.0), cfg)
     assert seen == {(list, tuple)}
-    _assert_same_trajectory(plain, integrate(
-        lambda t, y: field(t, np.array(y)), y0, (0.0, 5.0), cfg))
-
-
-def test_reduced_field_on_lists_integrates_as_on_arrays(pendula):
-    c = model.separation_constants(pendula, PENDULA_P0)
-    field = reduced_field_callable(pendula, 1, c)
-    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12)
-    y0 = [PENDULA_P0.q[0], PENDULA_P0.p[0]]
-    _assert_same_trajectory(
-        integrate(field, y0, (0.0, 5.0), cfg),
-        integrate(lambda t, y: field(t, np.array(y)), y0, (0.0, 5.0), cfg))
 
 
 def test_block_clock_reads_its_orbit_column(pendula, monkeypatch):
@@ -1291,22 +1282,18 @@ def test_block_clock_reads_its_orbit_column(pendula, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["pendula", "oscillators"])
-def test_clock_of_a_phase_orbit_is_the_run_with_clocks(name):
-    # an orbit of (q, p) alone is integrated again with its clocks; the
-    # clock equals the column of that run bit for bit
+def test_clock_of_a_phase_orbit_raises(name, monkeypatch):
+    # an orbit of (q, p) alone has no clock columns: it is refused, and
+    # not integrated again
     entry = catalog.load(name)
     sys = entry.system
-    cfg = IntegratorConfig(rtol=1e-7, atol=1e-9)
-    y0 = entry.initial_point.as_array()
-    field = full_field_callable(sys)
-    phase = integrate(field, y0, (0.0, 4.0), cfg)
-    run = integrate(field, _with_clocks(sys, y0), (0.0, 4.0), cfg)
-    N = sys.dim
-    ts = np.linspace(0.0, 4.0, 41)
+    phase = integrate(full_field_callable(sys), entry.initial_point.as_array(),
+                      (0.0, 4.0), IntegratorConfig(rtol=1e-7, atol=1e-9))
+    calls = _counting_integrate(monkeypatch)
     for r in range(1, sys.n + 1):
-        clock = block_clock(sys, phase, r)
-        assert np.array_equal(clock.tau(ts),
-                              run.sample(ts)[:, 2 * N + r - 1])
+        with pytest.raises(DynamicsError, match="has no block clocks"):
+            block_clock(sys, phase, r)
+    assert calls == []
 
 
 def test_compare_integrates_twice(pendula, monkeypatch):
@@ -1327,8 +1314,8 @@ def test_coarse_clocks_follow_the_fine_orbit():
 
     def clocks(rtol, atol):
         traj = integrate(full_field_callable(sys),
-                         entry.initial_point.as_array(), (0.0, 30.0),
-                         IntegratorConfig(rtol=rtol, atol=atol))
+                         _with_clocks(sys, entry.initial_point.as_array()),
+                         (0.0, 30.0), IntegratorConfig(rtol=rtol, atol=atol))
         return [block_clock(sys, traj, r).tau(ts)
                 for r in range(1, sys.n + 1)]
 

@@ -16,7 +16,7 @@ from walker import derivative, evaluate, second_derivative
 from blocksep import expr
 from blocksep.expr import (
     Add, Call, DomainError, Mul, Neg, Num, ParseError, Pow, Sub,
-    UnboundVariableError, Var, free_variables, parse, pretty,
+    UnboundVariableError, Var, parse, pretty,
 )
 
 
@@ -58,7 +58,7 @@ def test_pendula_matrix_entry():
 def test_single_variable_node():
     e = parse("q2")
     assert isinstance(e, Var)
-    assert free_variables(e) == {"q2"}
+    assert e.free_variables() == {"q2"}
 
 
 def test_syntax_error_offset():
@@ -138,7 +138,7 @@ def test_unbound_variable():
 
 def test_free_variables_exact():
     e = parse("sin(a)*b + c^2 - a")
-    assert free_variables(e) == {"a", "b", "c"}
+    assert e.free_variables() == {"a", "b", "c"}
 
 
 # ---------------------------------------------------------------------------

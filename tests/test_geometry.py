@@ -16,6 +16,7 @@ import pytest
 import walker
 from conftest import (
     PENDULA_P0, make_pendula_like, metric_derivative, metric_second_derivative,
+    phase_value,
 )
 
 from blocksep import expr, geometry as geo, model
@@ -32,8 +33,6 @@ from blocksep.geometry import (
     block_levi_civita_residual,
     characteristic_condition,
     christoffel,
-    eigenspace_completeness,
-    eigenvalue_groups,
     first_integral_scalar,
     haantjes,
     identity_tensor,
@@ -186,36 +185,17 @@ def test_degenerate_metric_rejected():
     with pytest.raises(DegenerateMetricError):
         christoffel(g, (0.0, 1.0))
     # a contravariant tensor is lowered through the same gated inverse
-    K = TensorField2(("x", "y"), [["1", "0"], ["0", "y"]], "contravariant",
-                     metric=g)
+    K = TensorField2(("x", "y"), [["1", "0"], ["0", "y"]], "contravariant")
     with pytest.raises(DegenerateMetricError):
         tsn_residuals(K, g, (0.0, 0.3))
     with pytest.raises(DegenerateMetricError):
         characteristic_condition(K, "x*y", g, (0.0, 0.3))
 
 
-def test_index_shuffle_involution():
-    pol = polar_metric()
-    T = TensorField2(("r", "theta"), [["r^2", "1"], ["1", "r+theta^2"]],
-                     "covariant", metric=pol)
-    pt = (2.0, 0.5)
-    gcov = pol.covariant(pt)
-    back = gcov @ T.raised(pt) @ gcov
-    assert np.max(np.abs(back - T.values(pt))) <= 1e-12
-
-
-def test_shuffle_requires_metric():
-    T = TensorField2(("x", "y"), [["1", "0"], ["0", "2"]], "covariant")
-    with pytest.raises(GeometryError, match="metric"):
-        T.raised((0.1, 0.2))
-
-
 def test_point_binding_errors():
     g = polar_metric()
     with pytest.raises(GeometryError, match="coordinates"):
         g.contravariant((1.0,))
-    with pytest.raises(GeometryError, match="does not bind"):
-        g.contravariant({"r": 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +203,20 @@ def test_point_binding_errors():
 
 def test_coordinate_momentum_bracket():
     F = PhaseScalar(Q3, scalar="q1")
-    G = PhaseScalar(Q3, linear=("1", "0", "0"))
+
+    def half_square(k):  # (1/2) p_k^2
+        grid = [["1" if i == j == k else "0" for j in range(3)]
+                for i in range(3)]
+        return PhaseScalar(Q3, tensor=TensorField2(Q3, grid,
+                                                   "contravariant"))
+
+    G = half_square(0)
     pt = PhasePoint((0.1, 0.2, 0.3), (0.4, 0.5, 0.6))
-    assert poisson_bracket(F, G, pt) == 1.0
-    assert poisson_bracket(G, F, pt) == -1.0
+    # {q1, p1^2 / 2} = p1
+    assert poisson_bracket(F, G, pt) == 0.4
+    assert poisson_bracket(G, F, pt) == -0.4
     # different coordinates commute
-    G2 = PhaseScalar(Q3, linear=("0", "1", "0"))
-    assert poisson_bracket(F, G2, pt) == 0.0
+    assert poisson_bracket(F, half_square(1), pt) == 0.0
     assert poisson_bracket(F, F, pt) == 0.0
 
 
@@ -240,9 +227,9 @@ def test_phase_scalar_matches_model_values(pendula):
     for _ in range(25):
         pt = PhasePoint(tuple(rng.uniform(-0.3, 0.3, 3)),
                         tuple(rng.uniform(-1, 1, 3)))
-        assert H.value(pt) == pytest.approx(
+        assert phase_value(H, pt) == pytest.approx(
             model.hamiltonian(pendula, pt), abs=1e-12)
-        assert K2.value(pt) == pytest.approx(
+        assert phase_value(K2, pt) == pytest.approx(
             model.separation_constants(pendula, pt)[1], abs=1e-12)
 
 
@@ -403,9 +390,9 @@ def test_metric_is_killing():
 
 def test_quartet_tensors_are_killing(flat4):
     k1 = TensorField2(X4, quartet_first_tensor(), "covariant",
-                      metric=flat4, symmetric=True)
+                      symmetric=True)
     k2 = TensorField2(X4, quartet_second_tensor(), "covariant",
-                      metric=flat4, symmetric=True)
+                      symmetric=True)
     rng = np.random.default_rng(9)
     for _ in range(100):
         pt = tuple(rng.uniform(-1.5, 1.5, 4))
@@ -422,8 +409,7 @@ def test_non_killing_detected():
 
 
 def test_killing_requires_covariant(flat4):
-    K = TensorField2(X4, quartet_second_tensor(), "contravariant",
-                     metric=flat4)
+    K = TensorField2(X4, quartet_second_tensor(), "contravariant")
     with pytest.raises(VarianceError):
         killing_residual(flat4, K, (0.1, 0.2, 0.3, 0.4))
 
@@ -475,33 +461,26 @@ def test_torsion_fd_oracle():
 
 
 def test_torsion_requires_mixed(flat4):
-    K = TensorField2(X4, quartet_second_tensor(), "contravariant",
-                     metric=flat4)
+    K = TensorField2(X4, quartet_second_tensor(), "contravariant")
     with pytest.raises(VarianceError):
         nijenhuis(K, (0.1, 0.2, 0.3, 0.4))
 
 
 def test_haantjes_identity():
-    T, pt = identity_tensor(Q3), (0.1, 0.2, 0.3)
-    result = haantjes(T, pt) | eigenspace_completeness(T, pt)
+    result = haantjes(identity_tensor(Q3), (0.1, 0.2, 0.3))
     assert np.max(np.abs(result["tensor"])) == 0.0
     assert result["condition_residual"] == 0.0
-    assert not result["diagonalizable"] is False
 
 
 def test_rotating_frame_fails_integrability():
-    T, pt = rotating_frame_tensor(), (0.3, -0.2, 0.7)
-    result = haantjes(T, pt) | eigenspace_completeness(T, pt)
+    result = haantjes(rotating_frame_tensor(), (0.3, -0.2, 0.7))
     assert np.max(np.abs(result["tensor"])) > 1e-3
     assert result["condition_residual"] > 1e-3
-    # pointwise the tensor is symmetric with distinct eigenvalues
-    assert result["diagonalizable"]
-    assert not result["degenerate_point"]
 
 
 def test_quartet_second_passes_integrability(flat4):
     grid = quartet_second_tensor()
-    T = TensorField2(X4, grid, "mixed", metric=flat4)
+    T = TensorField2(X4, grid, "mixed")
     rng = np.random.default_rng(13)
     for _ in range(20):
         pt = tuple(rng.uniform(-1.2, 1.2, 4))
@@ -516,13 +495,12 @@ def test_quartet_second_passes_integrability(flat4):
 
 
 def test_tsn_identity_zero(flat4):
-    T = identity_tensor(X4, metric=flat4)
+    T = identity_tensor(X4)
     assert tsn_residuals(T, flat4, (0.1, 0.2, 0.3, 0.4)) == (0.0, 0.0, 0.0)
 
 
 def test_tsn_quartet_second(flat4):
-    T = TensorField2(X4, quartet_second_tensor(), "contravariant",
-                     metric=flat4)
+    T = TensorField2(X4, quartet_second_tensor(), "contravariant")
     rng = np.random.default_rng(17)
     for _ in range(20):
         pt = tuple(rng.uniform(-1.2, 1.2, 4))
@@ -542,7 +520,7 @@ def test_tsn_variance_flexibility(flat4):
     give identical residuals on a flat metric."""
     pt = (0.4, -0.3, 0.8, 1.2)
     grid = quartet_second_tensor()
-    rs = [tsn_residuals(TensorField2(X4, grid, var, metric=flat4),
+    rs = [tsn_residuals(TensorField2(X4, grid, var),
                         flat4, pt)
           for var in ("contravariant", "covariant", "mixed")]
     for r in rs[1:]:
@@ -554,7 +532,7 @@ def test_tsn_variance_flexibility(flat4):
 def test_tsn_takes_the_metric_once(variance, monkeypatch):
     g = polar_metric()
     T = TensorField2(("r", "theta"), [["r^2", "1"], ["1", "r+theta^2"]],
-                     variance, metric=g)
+                     variance)
     calls = []
     inverse, derivatives = geo._inverse, geo.MetricField._derivatives
 
@@ -569,22 +547,6 @@ def test_tsn_takes_the_metric_once(variance, monkeypatch):
                         counted("derivatives", derivatives))
     tsn_residuals(T, g, (1.3, 0.4))
     assert sorted(calls) == ["derivatives", "inverse"]
-
-
-# ---------------------------------------------------------------------------
-# eigenvalue grouping
-
-def test_eigenvalue_groups_basic():
-    groups, degenerate = eigenvalue_groups([1.0, 1.0 + 1e-12, 2.0])
-    assert [m for _, m in groups] == [2, 1]
-    assert not degenerate
-
-
-def test_eigenvalue_groups_unstable_flag():
-    # the gap sits between the base tolerance and ten times it
-    groups, degenerate = eigenvalue_groups([1.0, 1.0 + 5e-8, 2.0])
-    assert [m for _, m in groups] == [1, 1, 1]
-    assert degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +641,14 @@ def test_corrupted_system_fails_residuals(pendula):
 # characteristic condition
 
 def test_characteristic_constant_potential(flat4):
-    T = TensorField2(X4, quartet_second_tensor(), "mixed", metric=flat4)
+    T = TensorField2(X4, quartet_second_tensor(), "mixed")
     assert characteristic_condition(T, "3.5", flat4,
                                     (0.4, -0.3, 0.8, 1.2)) == 0.0
 
 
 def test_characteristic_identity_any_potential(flat4):
     V = expr.parse("x1^2*x2 + sin(x3)*x4")
-    res = characteristic_condition(identity_tensor(X4, metric=flat4), V,
+    res = characteristic_condition(identity_tensor(X4), V,
                                    flat4, (0.4, -0.3, 0.8, 1.2))
     assert res <= 1e-12
 
@@ -695,8 +657,7 @@ def test_characteristic_potential_text_compiles_once(generations):
     # a potential given as text parses to one tree, so its jet is found
     # again by the next call: one jet made for T, one for V
     g = MetricField(("x", "y"), [["1", "0"], ["0", "1"]])
-    T = TensorField2(("x", "y"), [["y", "0"], ["0", "x"]], "mixed",
-                     metric=g)
+    T = TensorField2(("x", "y"), [["y", "0"], ["0", "x"]], "mixed")
     for x in (0.1, 0.2, 0.3, 0.4, 0.5):
         characteristic_condition(T, "x*y", g, (x, 0.7))
     compiled = [list(exprs) for exprs, *_ in generations]
@@ -708,8 +669,8 @@ def test_characteristic_quartet_potential(flat4):
     """Both quadratic-integral tensors preserve closedness for the
     pairwise inverse-square potential away from collisions."""
     V = pairwise_inverse_square()
-    T1 = TensorField2(X4, quartet_first_tensor(), "mixed", metric=flat4)
-    T2 = TensorField2(X4, quartet_second_tensor(), "mixed", metric=flat4)
+    T1 = TensorField2(X4, quartet_first_tensor(), "mixed")
+    T2 = TensorField2(X4, quartet_second_tensor(), "mixed")
 
     def separated(pt):
         return all(abs(pt[i] - pt[j]) > 0.05
@@ -724,7 +685,7 @@ def test_characteristic_quartet_potential(flat4):
 
 def test_characteristic_detects_mismatch(flat4):
     V = expr.parse("x1^2*x2 + x3*x4^3")
-    T = TensorField2(X4, quartet_second_tensor(), "mixed", metric=flat4)
+    T = TensorField2(X4, quartet_second_tensor(), "mixed")
     assert characteristic_condition(T, V, flat4,
                                     (0.4, -0.3, 0.8, 1.2)) > 1e-3
 

@@ -367,9 +367,8 @@ def test_cartesian_battery_matches_tree_walker():
     pts = geo.rejection_sample(ref.sample_box, 6, 3, predicate=ref.regular)
     for scalar in ref.integrals:
         grid = scalar.tensor.grid
-        k_cov = geo.TensorField2(coords, grid, "covariant", metric=flat,
-                                 symmetric=True)
-        k_mix = geo.TensorField2(coords, grid, "mixed", metric=flat)
+        k_cov = geo.TensorField2(coords, grid, "covariant", symmetric=True)
+        k_mix = geo.TensorField2(coords, grid, "mixed")
         for x in pts:
             env = dict(zip(coords, x))
             close(geo.christoffel(flat, x), ref_christoffel(flat_grid,
@@ -402,7 +401,7 @@ def test_curved_metric_battery_matches_tree_walker(name):
             g, geo.TensorField2(coords, grid, "covariant"), x),
             ref_killing(grid, coords, grid, env))
         for variance in ("contravariant", "covariant"):
-            T = geo.TensorField2(coords, grid, variance, metric=g)
+            T = geo.TensorField2(coords, grid, variance)
             close(geo.tsn_residuals(T, g, x),
                   ref_tsn(grid, variance, grid, coords, env))
             close(geo.characteristic_condition(T, V, g, x),

@@ -25,7 +25,7 @@ from blocksep.model import (
 
 from conftest import (
     PENDULA_C, PENDULA_P0, block_energy, block_of, make_pendula_like,
-    phase_point, reduced_hamiltonian,
+    phase_point, position_env, reduced_hamiltonian,
 )
 from walker import matrix_derivative, matrix_values
 
@@ -225,7 +225,8 @@ def test_twist_rows_product_identity_at_probes():
     sys = pendula_like()
     for q in sys.probes:
         tw = twist_rows(sys, q)
-        S = matrix_values(sys.stackel.entries, sys.env(q))
+        S = matrix_values(sys.stackel.entries,
+                          position_env(sys, q))
         assert np.max(np.abs(S @ tw.matrix - np.eye(3))) <= 1e-12
 
 
@@ -233,7 +234,7 @@ def test_determinant_against_cofactor_oracle():
     # the determinant's value 5 and gradient (5, -6, 2) at the origin
     # pin the matrix data; nearby, compare against cofactor expansion
     sys = pendula_like()
-    env0 = sys.env([0.0, 0.0, 0.0])
+    env0 = position_env(sys, [0.0, 0.0, 0.0])
     S0 = matrix_values(sys.stackel.entries, env0)
     assert np.linalg.det(S0) == pytest.approx(5.0, rel=1e-14)
     h = 1e-7
@@ -243,14 +244,17 @@ def test_determinant_against_cofactor_oracle():
         qm = [0.0] * 3
         qp[k] = h
         qm[k] = -h
-        dp = np.linalg.det(matrix_values(sys.stackel.entries, sys.env(qp)))
-        dm = np.linalg.det(matrix_values(sys.stackel.entries, sys.env(qm)))
+        dp = np.linalg.det(matrix_values(sys.stackel.entries,
+                                         position_env(sys, qp)))
+        dm = np.linalg.det(matrix_values(sys.stackel.entries,
+                                         position_env(sys, qm)))
         grad.append((dp - dm) / (2 * h))
     assert np.allclose(grad, [5.0, -6.0, 2.0], atol=1e-6)
     rng = random.Random(5)
     for _ in range(20):
         q = [rng.uniform(-0.3, 0.3) for _ in range(3)]
-        S = matrix_values(sys.stackel.entries, sys.env(q))
+        S = matrix_values(sys.stackel.entries,
+                          position_env(sys, q))
         _, det_oracle = adjugate3(S)
         assert np.linalg.det(S) == pytest.approx(det_oracle, rel=1e-12)
 
@@ -314,7 +318,7 @@ def test_reconstruction_identity():
         p = [rng.uniform(-1.0, 1.0) for _ in range(3)]
         pt = PhasePoint(q, p)
         c = separation_constants(sys, pt)
-        env = sys.env(q)
+        env = position_env(sys, q)
         S = matrix_values(sys.stackel.entries, env)
         for r in range(1, 4):
             h_r = block_energy(sys, r, pt)
@@ -359,7 +363,7 @@ def test_inverse_derivative_identity():
     worst = 0.0
     for _ in range(30):
         q = [rng.uniform(-0.3, 0.3) for _ in range(3)]
-        env = sys.env(q)
+        env = position_env(sys, q)
         S = matrix_values(sys.stackel.entries, env)
         M = np.linalg.inv(S)
         for k, name in enumerate(names):
@@ -378,7 +382,7 @@ def test_inverse_derivative_vs_finite_difference():
     q = [0.11, -0.07, 0.23]
     h = 1e-6
     for k, name in enumerate(sys.structure.names):
-        env = sys.env(q)
+        env = position_env(sys, q)
         S = matrix_values(sys.stackel.entries, env)
         M = np.linalg.inv(S)
         dS = matrix_derivative(sys.stackel.entries, env, name)
@@ -387,8 +391,10 @@ def test_inverse_derivative_vs_finite_difference():
         qm = list(q)
         qp[k] += h
         qm[k] -= h
-        Mp = np.linalg.inv(matrix_values(sys.stackel.entries, sys.env(qp)))
-        Mm = np.linalg.inv(matrix_values(sys.stackel.entries, sys.env(qm)))
+        Mp = np.linalg.inv(matrix_values(sys.stackel.entries,
+                                         position_env(sys, qp)))
+        Mm = np.linalg.inv(matrix_values(sys.stackel.entries,
+                                         position_env(sys, qm)))
         fd = (Mp - Mm) / (2 * h)
         assert np.max(np.abs(dM - fd)) <= 1e-7
 

@@ -45,8 +45,7 @@ def cartesian():
                      for i in range(n)])
     pts = geo.rejection_sample(ref.sample_box, 100, 1236,
                                predicate=ref.regular)
-    tensors = [{v: geo.TensorField2(ref.coords, s.tensor.grid, v,
-                                    metric=flat)
+    tensors = [{v: geo.TensorField2(ref.coords, s.tensor.grid, v)
                 for v in ("covariant", "mixed", "contravariant")}
                for s in ref.integrals]
     return flat, pts, ref.hamiltonian.scalar, tensors
