@@ -152,8 +152,14 @@ class CatalogEntry:
     initial_point: PhasePoint
     regular: Optional[Callable[[Sequence[float]], bool]] = None
     sample_box: Optional[tuple[tuple[float, float], ...]] = None
-    cartesian: Optional[CartesianReference] = None
+    # makes the Cartesian reference, once; only verify reads it
+    reference: Optional[Callable[[], CartesianReference]] = None
     closed_form: Optional[Callable[[PhasePoint, float], PhasePoint]] = None
+
+    @property
+    def cartesian(self) -> Optional[CartesianReference]:
+        """The flat-chart reference, made on first read, or None."""
+        return None if self.reference is None else self.reference()
 
     def sample(self, count: int, seed: int):
         """Seeded regular positions from the declared box."""
@@ -376,7 +382,7 @@ def calogero4() -> CatalogEntry:
     axis.  The two-angle block carries the whole interaction through a
     single function of those angles; the radial and polar blocks are
     free.  The flat-chart Hamiltonian and its two quadratic integrals
-    ride along as the Cartesian reference.
+    ride along as the Cartesian reference, made on first read.
     """
     leaf_v, separations = _angular_leaf_potential()
     structure = BlockStructure((1, 1, 2),
@@ -421,26 +427,27 @@ def calogero4() -> CatalogEntry:
             return False
         return pair_gap(transform.old_positions(q)) > 0.05
 
-    pair_v = _expr.parse(_PAIR_POTENTIAL)
-    hamiltonian = PhaseScalar(
-        _X4, tensor=identity_tensor(_X4, variance="contravariant"),
-        scalar=pair_v)
-    k_one = TensorField2(_X4, _quadratic_tensor_one(), "contravariant",
-                         symmetric=True)
-    k_two = TensorField2(_X4, _quadratic_tensor_two(), "contravariant",
-                         symmetric=True)
-    w_one = _expr.parse(f"({_PAIR_SUM} - {_SQUARE_SUM}/2)"
-                        f"*({_PAIR_POTENTIAL})")
-    w_two = _expr.parse(f"{_SQUARE_SUM}*({_PAIR_POTENTIAL})")
-    reference = CartesianReference(
-        coords=_X4,
-        hamiltonian=hamiltonian,
-        integrals=(PhaseScalar(_X4, tensor=k_one, scalar=w_one),
-                   PhaseScalar(_X4, tensor=k_two, scalar=w_two)),
-        transform=transform,
-        regular=regular_cartesian,
-        sample_box=((-1.5, 1.5),) * 4,
-    )
+    @functools.cache
+    def reference():
+        hamiltonian = PhaseScalar(
+            _X4, tensor=identity_tensor(_X4, variance="contravariant"),
+            scalar=_expr.parse(_PAIR_POTENTIAL))
+        k_one = TensorField2(_X4, _quadratic_tensor_one(), "contravariant",
+                             symmetric=True)
+        k_two = TensorField2(_X4, _quadratic_tensor_two(), "contravariant",
+                             symmetric=True)
+        w_one = _expr.parse(f"({_PAIR_SUM} - {_SQUARE_SUM}/2)"
+                            f"*({_PAIR_POTENTIAL})")
+        w_two = _expr.parse(f"{_SQUARE_SUM}*({_PAIR_POTENTIAL})")
+        return CartesianReference(
+            coords=_X4,
+            hamiltonian=hamiltonian,
+            integrals=(PhaseScalar(_X4, tensor=k_one, scalar=w_one),
+                       PhaseScalar(_X4, tensor=k_two, scalar=w_two)),
+            transform=transform,
+            regular=regular_cartesian,
+            sample_box=((-1.5, 1.5),) * 4,
+        )
 
     start = transform.to_new(PhasePoint((-1.2, -0.4, 0.4, 1.2),
                                         (0.2, -0.1, 0.3, -0.2)))
@@ -450,7 +457,7 @@ def calogero4() -> CatalogEntry:
         initial_point=start,
         regular=regular_spherical,
         sample_box=box,
-        cartesian=reference,
+        reference=reference,
     )
 
 

@@ -189,12 +189,11 @@ def write_polyline_svg(path: str, series, title: str, xlabel: str,
            f'font-size="10">{y1:.4g}</text>']
     for k, (label, xs, ys) in enumerate(series):
         color = _COLORS[k % len(_COLORS)]
-        # canvas coordinates, one array expression per axis
-        cx = (left + (np.asarray(xs, dtype=float) - x0) / (x1 - x0)
-              * (right - left)).tolist()
-        cy = (bottom - (np.asarray(ys, dtype=float) - y0) / (y1 - y0)
-              * (bottom - top)).tolist()
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(cx, cy))
+        # canvas coordinates, one row per point, written by one format
+        xy = ((np.column_stack([xs, ys]).astype(float) - (x0, y0))
+              / (x1 - x0, y1 - y0) * (right - left, top - bottom)
+              + (left, bottom))
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         out.append(f'<polyline points="{pts}" fill="none" '
                    f'stroke="{color}" stroke-width="1.2"/>')
         out.append(f'<text x="{right - 8}" y="{top + 16 + 14 * k}" '
@@ -266,6 +265,11 @@ def _resolve_dynamic(cfg: RunConfig) -> _Resolved:
         raise ConfigError(
             f"initial point has {len(initial.q)} coordinates for the "
             f"{sys_.dim}-dimensional system {label!r}")
+    # a phase-portrait pair is checked whether or not it is drawn
+    for qi, pj in cfg.pairs or ():
+        if not (1 <= qi <= sys_.dim and 1 <= pj <= sys_.dim):
+            raise ConfigError(
+                f"plot pair q{qi}:p{pj} outside dimension {sys_.dim}")
     if cfg.corrupt is not None:
         sys_ = _corrupted(sys_, cfg.corrupt)
     return _Resolved(label, sys_, initial, entry)
@@ -319,31 +323,32 @@ def _csv_header(sys_: TwistedSystem) -> str:
 
 def _csv_block(sys_: TwistedSystem, traj, clocks, ts):
     """The values of the CSV rows at the times ts and the cond of S at
-    each: one dense-output sample, one per clock, one gated inverse of
-    the stacked S and one stacked row dot K_a = (S^-1)[a] @ E of the
-    twist and the vector E of block energies at each row."""
+    each, over arrays: one dense-output sample, one per clock, one stack
+    call each of S and of the block energies E on the sampled (P, 2N)
+    states, one gated inverse of the stacked S and one stacked row dot
+    K_a = (S^-1)[a] @ E at each row."""
     N = sys_.dim
     states = traj.sample(ts)[:, :2 * N]
     taus = np.stack([c.tau(ts) for c in clocks], axis=1)
-    jet, ys = sys_.jet, states.tolist()
-    qs = [y[:N] for y in ys]
+    jet, qs = sys_.jet, states[:, :N]
     M, cond = invert_with_condition(jet.stackel(qs), qs)
-    E = jet.energies(ys)
+    E = jet.energies(states)
     # (1, n) @ (n, 1) per row and integral rounds as (S^-1)[a] @ E does
     K = np.matmul(M[..., :, None, :], E[:, None, :, None])[..., 0, 0]
     return np.concatenate([ts[:, None], states, taus, K], axis=1), cond
 
 
 def _csv_rows(sys_: TwistedSystem, traj, clocks, times):
-    """The CSV rows at the given times as text and as one array of their
-    values, and the cond of S at each row, made by :func:`_csv_block`
-    per block of up to ``_CSV_BLOCK`` times.  A block that fails is made
-    again row by row, so that the error raised is that of the first row
-    that fails on its own, and within a row that of its twist before
-    that of its energies."""
+    """The CSV rows at the given times as text, one string of rows per
+    block, and as one array of their values, and the cond of S at each
+    row, made by :func:`_csv_block` per block of up to ``_CSV_BLOCK``
+    times and formatted by one ``%`` per block.  A block that fails is
+    made again row by row, so that the error raised is that of the
+    first row that fails on its own, and within a row that of its twist
+    before that of its energies."""
     N, n = sys_.dim, sys_.n
     fmt = ",".join(["%.17g"] * (1 + 2 * N + 2 * n))
-    rows, conds = [], []
+    text, conds = [], []
     values = np.empty((len(times), 1 + 2 * N + 2 * n))
     for i in range(0, len(times), _CSV_BLOCK):
         ts = np.asarray(times[i:i + _CSV_BLOCK], dtype=float)
@@ -352,10 +357,11 @@ def _csv_rows(sys_: TwistedSystem, traj, clocks, times):
         except _EVALUATION_ERRORS + (DynamicsError,):
             block, cond = map(np.concatenate, zip(*(
                 _csv_block(sys_, traj, clocks, t[None]) for t in ts)))
-        rows += [fmt % tuple(row) for row in block.tolist()]
+        text.append("\n".join([fmt] * len(ts))
+                    % tuple(block.ravel().tolist()))
         values[i:i + len(ts)] = block
         conds.append(cond)
-    return rows, values, np.concatenate(conds)
+    return text, values, np.concatenate(conds)
 
 
 def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:
@@ -366,10 +372,6 @@ def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:
     pairs = ()
     if cfg.svg:
         pairs = cfg.pairs or tuple((i + 1, i + 1) for i in range(N))
-        for qi, pj in pairs:
-            if not (1 <= qi <= N and 1 <= pj <= N):
-                raise ConfigError(
-                    f"plot pair q{qi}:p{pj} outside dimension {N}")
     out_dir = _ensure_out(cfg)
     csv_path = os.path.join(out_dir, "orbit.csv")
     header = [f"# {line}" for line in _header_lines(cfg, res)]
@@ -397,8 +399,8 @@ def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:
 
     clocks = [block_clock(res.system, traj, r) for r in range(1, n + 1)]
     times = np.linspace(cfg.t_span[0], cfg.t_span[1], cfg.samples)
-    rows, values, cond = _csv_rows(res.system, traj, clocks, times)
-    _write(csv_path, "\n".join([_csv_header(res.system)] + rows))
+    text, values, cond = _csv_rows(res.system, traj, clocks, times)
+    _write(csv_path, "\n".join([_csv_header(res.system)] + text))
     warning = cond_warning(cond)
     if warning is not None:
         t = times[int(np.argmax(cond))]
@@ -563,7 +565,7 @@ def _verify_checks(res: _Resolved, cfg: RunConfig,
             grid = scalar.tensor.grid
             k_cov = _geo.TensorField2(ref.coords, grid, "covariant",
                                       symmetric=True)
-            k_mix = _geo.TensorField2(ref.coords, grid, "mixed")
+            k_mix = k_cov.tagged("mixed")  # one jet for both tags
             battery = (
                 ("killing", th["killing"],
                  lambda xs: _geo.killing_residual(flat, k_cov, xs)),

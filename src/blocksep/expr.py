@@ -144,48 +144,6 @@ class Expression:
     def __str__(self):
         return pretty(self)
 
-    # -- construction sugar --------------------------------------------------
-
-    def __add__(self, other):
-        o = _coerce(other)
-        return Add(self, o) if o is not None else NotImplemented
-
-    def __radd__(self, other):
-        o = _coerce(other)
-        return Add(o, self) if o is not None else NotImplemented
-
-    def __sub__(self, other):
-        o = _coerce(other)
-        return Sub(self, o) if o is not None else NotImplemented
-
-    def __rsub__(self, other):
-        o = _coerce(other)
-        return Sub(o, self) if o is not None else NotImplemented
-
-    def __mul__(self, other):
-        o = _coerce(other)
-        return Mul(self, o) if o is not None else NotImplemented
-
-    def __rmul__(self, other):
-        o = _coerce(other)
-        return Mul(o, self) if o is not None else NotImplemented
-
-    def __truediv__(self, other):
-        o = _coerce(other)
-        return Div(self, o) if o is not None else NotImplemented
-
-    def __rtruediv__(self, other):
-        o = _coerce(other)
-        return Div(o, self) if o is not None else NotImplemented
-
-    def __pow__(self, other):
-        o = _coerce(other)
-        return Pow(self, o) if o is not None else NotImplemented
-
-    def __rpow__(self, other):
-        o = _coerce(other)
-        return Pow(o, self) if o is not None else NotImplemented
-
     def __neg__(self):
         return Neg(self)
 
@@ -270,6 +228,26 @@ class Pow(_Binary):
         elif isinstance(rhs, Neg) and isinstance(rhs.arg, Num):
             k = -rhs.arg.value
         self._k = k
+
+
+def _build_operator(node):
+    """The forward and reflected dunders of an operator building a
+    ``node`` of an expression and an expression or a number."""
+    def forward(self, other):
+        o = _coerce(other)
+        return node(self, o) if o is not None else NotImplemented
+
+    def reflected(self, other):
+        o = _coerce(other)
+        return node(o, self) if o is not None else NotImplemented
+    return forward, reflected
+
+
+Expression.__add__, Expression.__radd__ = _build_operator(Add)
+Expression.__sub__, Expression.__rsub__ = _build_operator(Sub)
+Expression.__mul__, Expression.__rmul__ = _build_operator(Mul)
+Expression.__truediv__, Expression.__rtruediv__ = _build_operator(Div)
+Expression.__pow__, Expression.__rpow__ = _build_operator(Pow)
 
 
 class Neg(Expression):

@@ -240,6 +240,13 @@ class TensorField2:
         return _model._GridJet([e for row in self.grid for e in row],
                                self.coords)
 
+    def tagged(self, variance: str) -> "TensorField2":
+        """The same grid under another variance tag, not tagged
+        symmetric, sharing this field's jet."""
+        other = TensorField2(self.coords, self.grid, variance)
+        other.__dict__["_jet"] = self._jet
+        return other
+
     def _at(self, qs: np.ndarray):
         """At each point of the stack qs: values T[p] and first partials
         dT[p, k] = d_k T."""

@@ -249,6 +249,11 @@ class _GridJet:
             self.pair = np.empty((n, n), dtype=int)
             self.pair[i, j] = self.pair[j, i] = np.arange(len(i))
 
+    @cached_property
+    def floats(self):
+        """The float form of the same jet, one point per call."""
+        return _expr.compile(*self._spec)
+
     def stack(self, args):
         """The jet at each row of ``args`` from one call of the stack
         form over its columns, each entry bit for bit the float form's
@@ -261,9 +266,8 @@ class _GridJet:
             with np.errstate(all="ignore"):
                 self.fn(*args.T, out.T)
         except _expr.ExprError as ex:
-            floats = _expr.compile(*self._spec)
             for row in args.tolist():
-                floats(*row)
+                self.floats(*row)
             raise AssertionError("a block failed in the stack form only") \
                 from ex
         first = out[:, m:m + n * m].reshape(len(out), n, m)
@@ -293,7 +297,7 @@ class PositionJet:
 
     @cached_property
     def twist(self) -> "Twist":
-        return Twist(*invert_with_condition(self.S, self.qs.tolist()),
+        return Twist(*invert_with_condition(self.S, self.qs),
                      dS=self.dS, d2S=self.d2S)
 
 
@@ -315,14 +319,17 @@ class SystemJet:
     gated S^-1 and the chain rule are its own lines.
     ``reduced(r)`` is the field of block r's reduced Hamiltonian
     H_r - c_a S[r][a], a function of block r's phase point and of the
-    constants c, made the same way.  ``stackel`` takes rows of the N
-    positions and returns the n-by-n values of S at each, (m, n, n);
-    ``energies`` takes rows
-    of the phase point and returns the values of the H_r at each,
-    (m, n): one compiled call per row and one array for all of them.
-    ``twist(q)`` is the :class:`Twist` at the positions q; when no
-    entry of S mentions a coordinate it is ``constant_twist``, taken
-    once, and the field has it written in.
+    constants c, made the same way.  ``stackel`` takes a (P, N) array
+    of positions and returns the n-by-n values of S at each row,
+    (P, n, n); ``energies`` takes a (P, 2N) array of phase points and
+    returns the values of the H_r at each row, (P, n).  Each is one
+    call of a values-only :class:`_GridJet`'s stack form, bit for bit
+    the float form at every row, which raises the float form's error of
+    the first row that fails.  A single point runs the float form
+    instead, which costs a tenth of a one-row stack: ``twist(q)`` is
+    the :class:`Twist` at the positions q; when no entry of S mentions
+    a coordinate it is ``constant_twist``, taken once, and the field
+    has it written in.
     ``positions`` takes a (P, N) array of positions and returns a
     :class:`PositionJet`, from one order-2 :class:`_GridJet` over the
     entries of S and the potentials.
@@ -352,16 +359,23 @@ class SystemJet:
         return [h for _, _, h in phase], names
 
     @cached_property
-    def stackel(self):
-        n = self._sys.n
-        fn = _expr.compile([e for row in self._sys.stackel.entries
-                            for e in row], self._sys.structure.names)
-        return lambda qs: np.array([fn(*q) for q in qs]).reshape(-1, n, n)
+    def _S(self) -> _GridJet:  # the n*n entries of S, row by row
+        sys = self._sys
+        return _GridJet([e for row in sys.stackel.entries for e in row], (),
+                        sys.structure.names)
 
     @cached_property
-    def energies(self):
-        fn = _expr.compile(*self._energies)
-        return lambda ys: np.array([fn(*y) for y in ys])
+    def _H(self) -> _GridJet:  # the block energies
+        return _GridJet(self._energies[0], (), self._energies[1])
+
+    def stackel(self, qs) -> np.ndarray:
+        """S at each row of the positions qs, (P, N): (P, n, n)."""
+        n = self._sys.n
+        return self._S.stack(np.asarray(qs, dtype=float))[0].reshape(-1, n, n)
+
+    def energies(self, ys) -> np.ndarray:
+        """The H_r at each row of the phase points ys, (P, 2N): (P, n)."""
+        return self._H.stack(np.asarray(ys, dtype=float))[0]
 
     @cached_property
     def constant_twist(self) -> "Twist | None":
@@ -374,8 +388,8 @@ class SystemJet:
                for e in row):
             return None
         try:
-            return Twist(*invert_with_condition(
-                self.stackel([[0.0] * sys.dim])[0]))
+            return Twist(*invert_with_condition(np.reshape(
+                self._S.floats(*[0.0] * sys.dim), (sys.n, sys.n))))
         except (ModelError, _expr.ExprError):
             return None
 
@@ -384,7 +398,9 @@ class SystemJet:
         tw = self.constant_twist
         if tw is not None:
             return tw
-        return Twist(*invert_with_condition(self.stackel([q])[0], q))
+        n = self._sys.n
+        return Twist(*invert_with_condition(
+            np.reshape(self._S.floats(*q), (n, n)), q))
 
     @cached_property
     def field(self):
@@ -592,12 +608,6 @@ def _as_expression(e) -> Expression:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _q_of(point) -> tuple[float, ...]:
-    if isinstance(point, PhasePoint):
-        return point.q
-    return tuple(float(x) for x in point)
-
-
 # ---------------------------------------------------------------------------
 # numeric matrix helpers, the gated inverse of S and the twist
 
@@ -634,7 +644,8 @@ def _inverse(n: int, stack: bool = False):
 
 def invert_with_condition(S: np.ndarray, point=None):
     """(S^-1, cond) of one n-by-n matrix S, or of each matrix of a stack
-    S (P, n, n) with one point per matrix, behind the gate of
+    S (P, n, n) with one point per matrix (a sequence, or the rows of a
+    (P, N) array), behind the gate of
     :func:`_inverse_lines`.  A failing matrix raises
     :class:`SingularMatrixError` naming its point; a failing stack runs
     its first failing matrix again on floats, which raises its own
@@ -649,7 +660,9 @@ def invert_with_condition(S: np.ndarray, point=None):
         entries, cond, ok = _inverse(n, True)(S.reshape(-1, n * n).T, point)
     if not ok.all():
         k = int(np.argmin(ok))
-        _inverse(n)(S[k].ravel().tolist(), point[k])
+        at = point[k]
+        _inverse(n)(S[k].ravel().tolist(),
+                    at.tolist() if isinstance(at, np.ndarray) else at)
         raise AssertionError("a matrix failed the gate in a stack only")
     return np.stack(entries, axis=-1).reshape(S.shape), cond
 
@@ -808,7 +821,8 @@ def _entry_value(e, names, q, entry: str) -> float:
 # evaluation
 
 def _checked_positions(names, point) -> tuple[float, ...]:
-    q = _q_of(point)
+    q = point.q if isinstance(point, PhasePoint) else tuple(
+        float(x) for x in point)
     if len(q) != len(names):
         raise DimensionMismatchError(
             f"{len(q)} coordinates for {len(names)} names")
@@ -821,8 +835,8 @@ def _position_values(sys: TwistedSystem, point) -> list[float]:
 
 def _block_energies(sys: TwistedSystem, point: PhasePoint) -> np.ndarray:
     """The block energies H_r at the phase point."""
-    return sys.jet.energies([_position_values(sys, point)
-                             + list(point.p)])[0]
+    return np.array(sys.jet._H.floats(*_position_values(sys, point),
+                                      *point.p))
 
 
 def twist_rows(sys: TwistedSystem, point) -> Twist:

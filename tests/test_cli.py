@@ -504,6 +504,64 @@ pairs = q1:p1, q9:p1
     assert not os.path.exists(os.path.join(out, "orbit.csv"))
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare", "verify"])
+def test_plot_pairs_are_checked_without_svg(tmp_path, capsys, monkeypatch,
+                                            command):
+    # a pair outside the dimension is a config error even when no
+    # portrait is drawn, found before the orbit is integrated
+    calls = []
+    monkeypatch.setattr(cli, "integrate", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "compare_block_orbits",
+                        lambda *args, **kw: calls.append(args))
+    out = str(tmp_path / "out")
+    path = tmp_path / "run.ini"
+    path.write_text(PENDULA_BODY + f"""
+[output]
+directory = {out}
+svg = false
+pairs = q9:p1
+""")
+    assert cli.main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "plot pair q9:p1 outside dimension 3" in captured.err
+    assert captured.out == ""
+    assert calls == []
+    assert not os.path.exists(out)
+
+
+CALOGERO_SHORT = """
+[system]
+catalog = calogero4
+[integration]
+t_span = 0.0, 2.0
+samples = 50
+[verification]
+seed = 5
+points = 10
+"""
+
+
+def test_only_verify_builds_the_cartesian_reference(tmp_path, capsys,
+                                                    monkeypatch):
+    built = []
+    real = catalog.CartesianReference
+
+    def counted(*args, **kw):
+        built.append(None)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(catalog, "CartesianReference", counted)
+    path = write_config(tmp_path, CALOGERO_SHORT, out=str(tmp_path / "out"))
+    for command, code in (("simulate", 0), ("compare", 0)):
+        assert cli.main([command, "--config", path]) == code
+        assert built == []
+    assert cli.main(["verify", "--config", path]) == 0
+    assert len(built) == 1
+    entry = catalog.load("calogero4")
+    assert entry.cartesian is entry.cartesian and len(built) == 2
+    capsys.readouterr()
+
+
 def test_simulate_svg_reads_the_csv_samples(tmp_path, capsys, monkeypatch):
     # the phase portraits take the q and p columns of the CSV rows: --svg
     # samples the orbit no more often than a run without it, and each
@@ -645,6 +703,27 @@ points = 25
     rows = open(os.path.join(out, "verify_report.csv")).read().splitlines()
     assert all(r.rsplit(",", 1)[1].startswith("worst at (")
                for r in rows[1:])
+
+
+def test_verify_makes_one_jet_per_flat_chart_grid(tmp_path, capsys,
+                                                 monkeypatch):
+    # K's covariant and mixed tags are one grid, and one jet
+    made = []
+    init = model._GridJet.__init__
+
+    def counted(self, exprs, *args, **kw):
+        made.append(tuple(exprs))
+        init(self, exprs, *args, **kw)
+
+    monkeypatch.setattr(model._GridJet, "__init__", counted)
+    path = write_config(tmp_path, CALOGERO_SHORT, out=str(tmp_path / "out"))
+    assert cli.main(["verify", "--config", path]) == 0
+    capsys.readouterr()
+    # the grids, equal in structure to the ones verify read
+    grids = [tuple(e for row in K.tensor.grid for e in row)
+             for K in catalog.load("calogero4").cartesian.integrals]
+    assert grids[0] != grids[1]
+    assert made.count(grids[0]) == made.count(grids[1]) == 1
 
 
 def test_verify_rejects_metric_family(tmp_path, capsys):

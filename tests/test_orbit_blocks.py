@@ -5,11 +5,15 @@ sample at each time taken one at a time, on forward and backward orbits,
 at step ends and at unsorted and repeated times, over several gathers
 of ``dynamics._CHUNK`` times; an array holding a time outside the span
 names the first such time, and a sample's temporary memory stays the
-size of one gather.  The CSV rows of ``simulate`` are made per block of
-``cli._CSV_BLOCK`` times (one sample, one stacked gated inverse of S,
-one stacked row dot) and must be byte-identical to rows made one time
-at a time; a block holding a row whose S fails the gate raises the
-error of the first failing row, as the rows one at a time would.
+size of one gather.  S and the block energies over a stack of rows
+equal their float form at each row, bit for bit, and a stack raises the
+float form's error of its first failing row.  The CSV rows of
+``simulate`` are made per block of ``cli._CSV_BLOCK`` times (one
+sample, one stack call each of S and the energies, one stacked gated
+inverse of S, one stacked row dot) and must be byte-identical to rows
+made one time at a time, forward and backward; a block holding a row
+whose S fails the gate raises the error of the first failing row, as
+the rows one at a time would.
 """
 
 import itertools
@@ -215,6 +219,69 @@ def test_stack_inverse_raises_the_first_failing_row(rows, kinds):
 
 
 # ---------------------------------------------------------------------------
+# S and the block energies over a stack of rows
+
+def float_forms(sys_):
+    """S's entries and the block energies compiled on floats, one point
+    per call, from the expressions the jet compiles."""
+    entries = [e for row in sys_.stackel.entries for e in row]
+    return (expr.compile(entries, sys_.structure.names),
+            expr.compile(*sys_.jet._energies))
+
+
+def random_rows(entry, count, seed):
+    """Phase points with positions in the entry's box, (count, 2N)."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(entry.sample_box).T
+    qs = rng.uniform(lo, hi, (count, len(lo)))
+    return np.hstack([qs, rng.uniform(-1.0, 1.0, qs.shape)])
+
+
+@pytest.mark.parametrize("name", ["pendula", "oscillators", "calogero4"])
+def test_stack_stackel_and_energies_equal_the_float_form(name):
+    entry = catalog.load(name)
+    sys_ = entry.system
+    n, N = sys_.n, sys_.dim
+    ys = random_rows(entry, 300, 5)
+    S_at, H_at = float_forms(sys_)
+    S = sys_.jet.stackel(ys[:, :N])
+    H = sys_.jet.energies(ys)
+    assert S.shape == (300, n, n) and H.shape == (300, n)
+    want_S = np.array([S_at(*y) for y in ys[:, :N].tolist()])
+    want_H = np.array([H_at(*y) for y in ys.tolist()])
+    assert S.reshape(300, -1).tobytes() == want_S.tobytes()
+    assert H.tobytes() == want_H.tobytes()
+    # a single point runs the float form, with the same values
+    y = ys[7].tolist()
+    assert np.array_equal(sys_.jet.twist(y[:N]).matrix,
+                          model.invert_with_condition(S[7])[0])
+    assert np.array_equal(model._block_energies(
+        sys_, model.PhasePoint(y[:N], y[N:])), H[7])
+
+
+@pytest.mark.parametrize("rows", [(3,), (0, 255), (140, 20, 299)])
+def test_stack_stackel_raises_the_float_error_of_the_first_row(rows):
+    # calogero4's S[1][3] = -1/r^2 divides by zero where r = 0, and
+    # 1/sin(phi2)^2 in block 3's metric where phi2 = 0
+    entry = catalog.load("calogero4")
+    sys_ = entry.system
+    N = sys_.dim
+    S_at, H_at = float_forms(sys_)
+    for column, jet_call, float_call, width in (
+            (0, sys_.jet.stackel, S_at, N),
+            (2, sys_.jet.energies, H_at, 2 * N)):
+        ys = random_rows(entry, 300, 9)[:, :width]
+        ys[list(rows), column] = 0.0
+        with pytest.raises(expr.DomainError) as want:
+            float_call(*ys[min(rows)].tolist())
+        with pytest.raises(expr.ExprError) as got:
+            jet_call(ys)
+        assert type(got.value) is expr.DomainError
+        assert str(got.value) == str(want.value)
+        assert got.value.offset == want.value.offset is not None
+
+
+# ---------------------------------------------------------------------------
 # the CSV rows
 
 def per_row_csv(sys_, traj, clocks, times):
@@ -237,18 +304,27 @@ B = cli._CSV_BLOCK
 ROWS = 2 * B + 44
 
 
+# (span, rtol, atol, rows): the readout settings, the orbits settings
+# and a backward span
+SETTINGS = [((0.0, 10.0), 1e-6, 1e-8, ROWS), ((0.0, 10.0), 1e-10, 1e-12, 600),
+            ((0.0, -10.0), 1e-6, 1e-8, ROWS)]
+
+
+@pytest.mark.parametrize("span, rtol, atol, rows", SETTINGS,
+                         ids=["readout", "orbits", "backward"])
 @pytest.mark.parametrize("name", ["pendula", "oscillators", "calogero4"])
-def test_simulate_rows_equal_per_row_rows(name, tmp_path, capsys):
+def test_simulate_rows_equal_per_row_rows(name, span, rtol, atol, rows,
+                                          tmp_path, capsys):
     out = str(tmp_path / "out")
     path = tmp_path / "run.ini"
     path.write_text(f"""
 [system]
 catalog = {name}
 [integration]
-t_span = 0.0, 10.0
-rtol = 1e-6
-atol = 1e-8
-samples = {ROWS}
+t_span = {span[0]!r}, {span[1]!r}
+rtol = {rtol!r}
+atol = {atol!r}
+samples = {rows}
 [output]
 directory = {out}
 """)
@@ -256,9 +332,9 @@ directory = {out}
     capsys.readouterr()
     entry = catalog.load(name)
     sys_ = entry.system
-    traj = orbit(sys_, entry.initial_point, (0.0, 10.0))
+    traj = orbit(sys_, entry.initial_point, span, rtol, atol)
     clocks = [block_clock(sys_, traj, r) for r in range(1, sys_.n + 1)]
-    rows = per_row_csv(sys_, traj, clocks, np.linspace(0.0, 10.0, ROWS))
+    rows = per_row_csv(sys_, traj, clocks, np.linspace(*span, rows))
     want = "\n".join([cli._csv_header(sys_)] + rows) + "\n"
     with open(os.path.join(out, "orbit.csv"), encoding="utf-8") as fh:
         assert fh.read() == want
