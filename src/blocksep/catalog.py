@@ -484,9 +484,17 @@ class MetricFamily:
         return rejection_sample(self.sample_box, count, seed)
 
 
-def _leaf_points(points):
-    """Accept either leaf pairs (v, w) or full (u, v, w) triples."""
-    return [(p[1], p[2]) if len(p) > 2 else (p[0], p[1]) for p in points]
+def _leaf_points(points) -> np.ndarray:
+    """(v, w) of leaf pairs (v, w) or full (u, v, w) triples, (P, 2)."""
+    pts = np.array(points, dtype=float) if len(points) else np.empty((0, 2))
+    return pts[:, int(pts.shape[1] > 2):][:, :2]
+
+
+def _columns(jet: _model._GridJet, args) -> list:
+    """An order-2 jet at each row of args, with the point axis last: the
+    values [k], the first partials [i][k] and the second [i][j][k]."""
+    return [np.moveaxis(part, 0, -1)
+            for part in jet.stack(np.asarray(args, dtype=float))]
 
 
 def _as_profile(f) -> Expression:
@@ -531,27 +539,26 @@ def case_i_residuals(c0: float, c1: float, c2: float, c3: float, f,
     """Max-norm report for the flatness system of the ignorable-axis
     family: the leaf-flatness equation, the three mixed scale/profile
     equations, and their reduced form after substituting the built-in
-    scale."""
+    scale, at leaf pairs (v, w) or full (u, v, w) points, one stack."""
     fe = _as_profile(f)
     ell = ignorable_direction_scale(c0, c1, c2, c3)
-    leaf = ("v", "w")
-    jet = _expr.compile([ell, fe], leaf, leaf, order=2)
+    vw = _leaf_points(points)
+    jet = _model._GridJet([ell, fe], ("v", "w"), (), 2)
+    (l, _), ((lv, fv), (lw, fw)), (((lvv, fvv), (_, fvw)),
+                                   (_, (lww, fww))) = _columns(jet, vw)
     names = ("leaf_flatness", "mixed_vv", "mixed_ww", "mixed_vw",
              "reduced_vv", "reduced_ww", "reduced_vw")
-    rows = np.empty((len(points), len(names)))
-    for i, pt in enumerate(points):
-        v, w = float(pt[0]), float(pt[1])
-        (l, _, lv, fv, lw, fw,
-         lvv, fvv, _, fvw, lww, fww) = jet(v, w)
-        rows[i] = (
+    with np.errstate(all="ignore"):
+        a, b = c1 - c0 * vw[:, 0], c3 + c0 * vw[:, 1]
+        rows = np.stack([
             l * (lvv + lww) - lv * lv - lw * lw,
             l * fvv - lv * fv + lw * fw,
             l * fww + lv * fv - lw * fw,
             l * fvw - lv * fw - lw * fv,
-            fvv + (c1 - c0 * v) * fv - (c3 + c0 * w) * fw,
-            fww - (c1 - c0 * v) * fv + (c3 + c0 * w) * fw,
-            fvw + (c3 + c0 * w) * fv + (c1 - c0 * v) * fw,
-        )
+            fvv + a * fv - b * fw,
+            fww - a * fv + b * fw,
+            fvw + b * fv + a * fw,
+        ], axis=1)
     # keeps a nan, unlike Python's max
     worst = np.max(np.abs(rows), axis=0, initial=0.0)
     return dict(zip(names, worst.tolist()))
@@ -582,11 +589,10 @@ def warped_direction_scale(c1: float, c2: float) -> Expression:
     return _expr.Num(-1.0) / (c1 * u + c2)
 
 
-def _scale_jet(c1: float, c2: float):
+def _scale_jet(c1: float, c2: float) -> _model._GridJet:
     """The warped scale with its first and second derivative, as one
     jet over u."""
-    return _expr.compile([warped_direction_scale(c1, c2)], ("u",), ("u",),
-                         order=2)
+    return _model._GridJet([warped_direction_scale(c1, c2)], ("u",), (), 2)
 
 
 def e3_case_ii(c1: float, c2: float, f) -> MetricField:
@@ -607,22 +613,20 @@ def e3_case_ii(c1: float, c2: float, f) -> MetricField:
 def case_ii_residuals(c1: float, c2: float, f, points: Sequence,
                       u_values: Sequence[float] = (), axis=None) -> dict:
     """Max-norm report for the warped family: the axis ODE for the
-    scale (zero for the built-in reciprocal-linear scale) and the leaf
-    profile equation tying the leaf curvature to c1.  ``axis`` is the
-    scale's second-order jet over u (:func:`_scale_jet`), if made
-    already."""
+    scale (zero for the built-in reciprocal-linear scale) at u_values
+    and the leaf profile equation tying the leaf curvature to c1 at
+    ``points`` (as :func:`case_i_residuals` takes them), each over one
+    stack.  ``axis`` is :func:`_scale_jet`'s jet, if made already."""
     fe = _as_profile(f)
     axis = axis or _scale_jet(c1, c2)
-    ode = []
-    for u in u_values:
-        l, lu, luu = axis(float(u))
-        ode.append(luu * l - 2 * lu * lu)
-    leaf = ("v", "w")
-    profile = _expr.compile([fe], leaf, leaf, order=2)
-    residuals = []
-    for pt in points:
-        fval, fv, fw, fvv, _, fww = profile(float(pt[0]), float(pt[1]))
-        residuals.append(fval * (fvv + fww) - fv * fv - fw * fw - c1 * c1)
+    (l,), ((lu,),), (((luu,),),) = _columns(axis,
+                                            np.reshape(u_values, (-1, 1)))
+    jet = _model._GridJet([fe], ("v", "w"), (), 2)
+    (fval,), ((fv,), (fw,)), (((fvv,), _), (_, (fww,))) = _columns(
+        jet, _leaf_points(points))
+    with np.errstate(all="ignore"):
+        ode = luu * l - 2 * lu * lu
+        residuals = fval * (fvv + fww) - fv * fv - fw * fw - c1 * c1
     return {"axis_ode": float(np.max(np.abs(ode), initial=0.0)),
             "leaf_profile": float(np.max(np.abs(residuals), initial=0.0))}
 
@@ -657,7 +661,7 @@ def e3_case_i_family(c0: float = 0.0, c1: float = 1.0, c2: float = 1.0,
     ell = ignorable_direction_scale(c0, c1, c2, c3)
 
     def residuals(points):
-        return case_i_residuals(c0, c1, c2, c3, fe, _leaf_points(points))
+        return case_i_residuals(c0, c1, c2, c3, fe, points)
 
     return MetricFamily(
         name="e3-case-i",
@@ -685,23 +689,26 @@ def e3_case_ii_family(c1: float = -1.0, c2: float = 0.0,
 
     def residuals(points):
         us = sorted({float(p[0]) for p in points if len(p) > 2}) or [1.0]
-        return case_ii_residuals(c1, c2, fe, _leaf_points(points),
-                                 u_values=us, axis=axis())
+        return case_ii_residuals(c1, c2, fe, points, u_values=us,
+                                 axis=axis())
 
     # one grid for every leaf, with u a bound parameter, so that all
-    # leaf metrics share one compiled jet
+    # leaf metrics share this one's jet, made on first use
     lf2 = ell * ell * fe * fe
     zero = _expr.Num(0.0)
-    leaf_grid = ((lf2, zero), (zero, lf2))
+    leaf = MetricField(("v", "w"), ((lf2, zero), (zero, lf2)),
+                       params={"u": 1.0})
 
     def leaf_metric(u) -> MetricField:
         """The leaf metric at u, or at one u per point of a stack."""
-        return MetricField(
-            ("v", "w"), leaf_grid, params={"u": np.asarray(u, dtype=float)})
+        return leaf.with_params(u=np.asarray(u, dtype=float))
 
-    def leaf_scalar_expected(u: float) -> float:
-        lu = axis()(float(u))[0]
-        return 2.0 * lu * lu * c1 * c1
+    def leaf_scalar_expected(u):
+        """2 l(u)^2 c1^2 at a float u, or at each entry of an array."""
+        (lu,), _, _ = _columns(axis(), np.reshape(u, (-1, 1)))
+        with np.errstate(all="ignore"):
+            want = 2.0 * lu * lu * c1 * c1
+        return want.reshape(np.shape(u)) if np.ndim(u) else float(want[0])
 
     box_u = (0.5, 2.0) if c2 == 0.0 else (abs(c2) + 0.5, abs(c2) + 2.0)
     return MetricFamily(

@@ -27,7 +27,7 @@ from .dynamics import (DynamicsError, IntegrationError, IntegratorConfig,
                        block_clock, compare_block_orbits, full_field_callable,
                        integrate)
 from .model import (ModelError, PhasePoint, StackelMatrix, TwistedSystem,
-                    cond_warning, invert_with_condition)
+                    _GridJet, cond_warning, invert_with_condition)
 
 __all__ = ["main", "CheckResult", "VerificationReport", "ProbeError",
            "EXIT_OK", "EXIT_VERIFY", "EXIT_CONFIG", "EXIT_NUMERIC"]
@@ -554,13 +554,11 @@ def _verify_checks(res: _Resolved, cfg: RunConfig,
 
     if res.entry is not None and res.entry.cartesian is not None:
         ref = res.entry.cartesian
-        flat = _geo.MetricField(
-            ref.coords,
-            [[1.0 if i == j else 0.0 for j in range(len(ref.coords))]
-             for i in range(len(ref.coords))])
+        flat = _geo.MetricField(ref.coords,
+                                _geo.identity_tensor(ref.coords).grid)
         pts = _geo.rejection_sample(ref.sample_box, cfg.points,
                                     cfg.seed + 2, predicate=ref.regular)
-        V = ref.hamiltonian.scalar
+        V = _GridJet((ref.hamiltonian.scalar,), ref.coords, (), 2)
         for idx, scalar in enumerate(ref.integrals, start=2):
             grid = scalar.tensor.grid
             k_cov = _geo.TensorField2(ref.coords, grid, "covariant",
@@ -618,8 +616,7 @@ def _curvature_checks(family: MetricFamily, cfg: RunConfig):
     if family.leaf_metric is not None:
         def leaf_errors(qs):
             qs = np.asarray(qs, dtype=float)
-            want = np.array([family.leaf_scalar_expected(u)
-                             for u in qs[:, 0].tolist()])
+            want = family.leaf_scalar_expected(qs[:, 0])
             got = _geo.ricci_scalar(family.leaf_metric(qs[:, 0]), qs[:, 1:])
             return np.abs(got - want) / np.maximum(1.0, np.abs(want))
 

@@ -50,6 +50,7 @@ requires a positive base.
 from __future__ import annotations
 
 import builtins as _builtins
+import itertools as _itertools
 import math as _math
 import operator as _operator
 import re as _re
@@ -311,9 +312,11 @@ _JET_GLOBALS = dict({f"_{fn}": f for fn, f in _CALLS.items()},
                     _RANGE_ERRORS=_RANGE_ERRORS)
 
 
-def _each(fn):
-    # fn at each entry of an array or a literal, as each float gets it
-    return lambda a: _np.fromiter(map(fn, _np.ravel(a).tolist()), float)
+def _each(fn, *more):
+    # fn at each entry of an array or a literal (and of the endless
+    # iterators ``more``), as each float gets it
+    return lambda a: _np.fromiter(map(fn, _np.ravel(a).tolist(), *more),
+                                  float)
 
 
 # the stack runner's + - * /, negation, sqrt and abs are exact ufuncs; sin,
@@ -836,8 +839,8 @@ def _stack_jet(src, out):
             f = _raises(DomainError, extra[1:], _COMPARE[extra[0]])
         elif op == "unbound":
             f = _raises(UnboundVariableError, extra)
-        elif op == "**":
-            f, b = _each(operands[1].const.__rpow__), None   # x ** k
+        elif op == "**":   # x ** k: the builtin pow, faster than k.__rpow__
+            f, b = _each(pow, _itertools.repeat(operands[1].const)), None
         else:
             f = _STACK_OPS[op]
         steps.append((f, target and target.ref, a, b))

@@ -40,7 +40,7 @@ metric inverted in :func:`_inverse` only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -163,6 +163,13 @@ class MetricField:
     def n(self) -> int:
         return len(self.coords)
 
+    def with_params(self, **params) -> "MetricField":
+        """The same grid at other parameter values, sharing the jet."""
+        other = MetricField(self.coords, self._grid,
+                            {name: params[name] for name in self.params})
+        other.__dict__["_jet"] = self._jet
+        return other
+
     @cached_property
     def _jet(self) -> _model._GridJet:
         return _model._GridJet([e for row in self._grid for e in row],
@@ -274,12 +281,16 @@ class PhaseScalar:
 
     Quadratic in momenta by construction; the momentum gradient is
     analytic, the position gradient comes from derivatives of the
-    coefficient expressions.
+    coefficient expressions.  The gradients at each stack of phase
+    points are kept for the scalar's life, so make a scalar per task.
     """
 
     coords: tuple
     tensor: TensorField2 | None = None
     scalar: object = 0.0
+    # the gradients at each stack of phase points, by its bytes
+    _kept: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
@@ -330,8 +341,11 @@ def poisson_bracket(F: PhaseScalar, G: PhaseScalar, points):
     points = [points] if one else list(points)
     qs = np.array([_point_of(F.coords, P) for P in points])
     ps = np.array([P.p for P in points], dtype=float)
-    dqF, dpF = F._gradients(qs, ps)
-    dqG, dpG = G._gradients(qs, ps)
+    key = qs.tobytes() + ps.tobytes()  # each scalar's gradients once
+    for S in (F, G):
+        if key not in S._kept:
+            S._kept[key] = S._gradients(qs, ps)
+    (dqF, dpF), (dqG, dpG) = F._kept[key], G._kept[key]
     return _result(_dots(dqF, dpG) - _dots(dpF, dqG), one)
 
 
@@ -383,9 +397,10 @@ def _riemann(g: MetricField, qs: np.ndarray):
     dA = (d2g.transpose(0, 1, 3, 2, 4) + d2g.transpose(0, 1, 3, 4, 2) - d2g)
     dGamma = 0.5 * (np.einsum("pmil,pljk->pmijk", dG, A)
                     + np.einsum("pil,pmljk->pmijk", G, dA))
+    # Gamma^i_km Gamma^m_jl; Gamma^i_lm Gamma^m_jk is it with k, l swapped
+    GG = np.einsum("pikm,pmjl->pijkl", Gamma, Gamma)
     R = (dGamma.transpose(0, 2, 3, 1, 4) - dGamma.transpose(0, 2, 3, 4, 1)
-         + np.einsum("pikm,pmjl->pijkl", Gamma, Gamma)
-         - np.einsum("pilm,pmjk->pijkl", Gamma, Gamma))
+         + GG - GG.transpose(0, 1, 2, 4, 3))
     return R, G
 
 
@@ -615,12 +630,15 @@ def block_levi_civita_residual(sys: TwistedSystem, point) -> dict:
 
 def characteristic_condition(T: TensorField2, V, g: MetricField,
                              point):
-    """max |d(T dV)|: closedness of the one-form (T dV)_j = T^k_j d_k V."""
-    V = _model._as_expression(V)
+    """max |d(T dV)|: closedness of the one-form (T dV)_j = T^k_j d_k V.
+    V is an expression, or its order-2 :class:`model._GridJet` over g's
+    coords, which a caller of many stacks makes once."""
+    if not isinstance(V, _model._GridJet):
+        V = _model._GridJet((_model._as_expression(V),), g.coords, (), 2)
     qs, one = _shared_stack(g, T, point)
     n = g.n
     Tv, dT = _mixed_components(T, g, qs)
-    _, dV, d2V = _model._GridJet((V,), g.coords, (), 2).stack(qs)
+    _, dV, d2V = V.stack(qs)
     dV, d2V = dV.reshape(-1, n), d2V.reshape(-1, n, n)
     # domega[p, i, j] = d_i (T dV)_j
     domega = (np.einsum("pikj,pk->pij", dT, dV)

@@ -7,7 +7,8 @@ variable and point.  The jets must agree to a relative 1e-14 at seeded
 points of every catalog entry.  The last tests count the jets made from
 a cold jet cache: loading makes only the jets of its probe checks and
 chart changes, and the number a command makes does not grow with its
-point count.
+point count.  A command makes each grid jet once, and verify evaluates
+each integral's gradients once per block of probes.
 """
 
 import numpy as np
@@ -510,3 +511,55 @@ def test_curvature_compiles_do_not_grow_with_points(name, compiles,
                          "--out", str(tmp_path / "out")]) == 0
         counts.append(len(compiles))
     assert counts[0] == counts[1] <= 4
+
+
+# ---------------------------------------------------------------------------
+# work counts: what one command evaluates or makes once
+
+@pytest.mark.parametrize("command, name, points, count", [
+    ("verify", "calogero4", 100, 8),
+    ("curvature", "e3-case-i", 1000, 2),
+    ("curvature", "e3-case-ii", 1000, 4),
+])
+def test_commands_make_each_grid_jet_once(command, name, points, count,
+                                          monkeypatch, tmp_path):
+    # verify: the characteristic rows of K_2 and K_3 share one order-2
+    # jet of the pair potential; curvature: the leaf metrics of all the
+    # blocks of points share one jet
+    made = []
+    real = model._GridJet.__init__
+
+    def recording(jet, exprs, *args, **kwargs):
+        made.append(tuple(exprs))
+        real(jet, exprs, *args, **kwargs)
+
+    monkeypatch.setattr(model._GridJet, "__init__", recording)
+    path = write_config(tmp_path, f"[system]\ncatalog = {name}\n"
+                                  f"[verification]\npoints = {points}\n"
+                                  f"[output]\ndirectory = {tmp_path}\n")
+    assert cli.main([command, "--config", path,
+                     "--out", str(tmp_path / "out")]) == 0
+    assert len(made) == count
+    if command == "verify":
+        V = catalog.load(name).cartesian.hamiltonian.scalar
+        assert [exprs for exprs in made if exprs == (V,)] == [(V,)]
+
+
+def test_bracket_rows_evaluate_each_integral_once(monkeypatch, tmp_path):
+    # pendula's rows bracket(H,K_2), bracket(H,K_3) and bracket(K_2,K_3)
+    # at 100 probes, one block: each integral's gradients are evaluated
+    # once and shared by the rows that need them
+    seen = []
+    real = geo.PhaseScalar._gradients
+
+    def counted(F, qs, ps):
+        seen.append((F, len(qs)))
+        return real(F, qs, ps)
+
+    monkeypatch.setattr(geo.PhaseScalar, "_gradients", counted)
+    path = write_config(tmp_path, "[system]\ncatalog = pendula\n"
+                                  f"[output]\ndirectory = {tmp_path}\n")
+    assert cli.main(["verify", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 0
+    assert [n for _, n in seen] == [100, 100, 100]
+    assert len({id(F) for F, _ in seen}) == 3

@@ -274,3 +274,129 @@ def test_an_empty_stack_gives_empty_results():
     for name, shape in shapes.items():
         assert getattr(at, name).shape == (0, *shape), name
     assert geo.block_eisenhart_residual(sys_, 1, none).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the E3 equations and the expected leaf curvature on one stack
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+# the presets and a member of each family whose equations do not vanish
+CASE_I = [catalog.e3_case_i_family(),
+          catalog.e3_case_i_family(f="2*exp(-v)*cos(w)+0.01*v^2")]
+CASE_II = [catalog.e3_case_ii_family(),
+           catalog.e3_case_ii_family(f="(1.01+v^2+w^2)/2")]
+
+
+def case_i_rows(fam, points):
+    """The seven case i equations at each point, one float jet call and
+    Python arithmetic per point."""
+    c0, c1, c2, c3 = (value for _, value in fam.parameters)
+    jet = expr.compile([fam.scale, fam.profile], ("v", "w"), ("v", "w"),
+                       order=2)
+    rows = []
+    for _, v, w in points:
+        (l, _, lv, fv, lw, fw,
+         lvv, fvv, _, fvw, lww, fww) = jet(v, w)
+        rows.append((l * (lvv + lww) - lv * lv - lw * lw,
+                     l * fvv - lv * fv + lw * fw,
+                     l * fww + lv * fv - lw * fw,
+                     l * fvw - lv * fw - lw * fv,
+                     fvv + (c1 - c0 * v) * fv - (c3 + c0 * w) * fw,
+                     fww - (c1 - c0 * v) * fv + (c3 + c0 * w) * fw,
+                     fvw + (c3 + c0 * w) * fv + (c1 - c0 * v) * fw))
+    return np.array(rows)
+
+
+def case_ii_rows(fam, points):
+    """The case ii axis ODE and profile equation at each point."""
+    c1, _ = (value for _, value in fam.parameters)
+    axis = expr.compile([fam.scale], ("u",), ("u",), order=2)
+    profile = expr.compile([fam.profile], ("v", "w"), ("v", "w"), order=2)
+    rows = []
+    for u, v, w in points:
+        l, lu, luu = axis(u)
+        f, fv, fw, fvv, _, fww = profile(v, w)
+        rows.append((luu * l - 2 * lu * lu,
+                     f * (fvv + fww) - fv * fv - fw * fw - c1 * c1))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("fam", CASE_I, ids=["preset", "nonzero"])
+def test_case_i_equations_equal_a_loop_over_points(fam):
+    pts = fam.sample(1000, 1234)
+    rows = case_i_rows(fam, pts)
+    if fam is CASE_I[1]:
+        assert np.max(np.abs(rows)) > 1e-3
+    report = fam.residuals(pts)
+    assert list(report) == ["leaf_flatness", "mixed_vv", "mixed_ww",
+                            "mixed_vw", "reduced_vv", "reduced_ww",
+                            "reduced_vw"]
+    assert (bits(list(report.values()))
+            == bits(np.max(np.abs(rows), axis=0))).all()
+    # each row on its own: a stack of one point gives that point's row
+    for q, row in zip(pts[::50], rows[::50]):
+        one = list(fam.residuals([q]).values())
+        assert (bits(one) == bits(np.abs(row))).all()
+
+
+@pytest.mark.parametrize("fam", CASE_II, ids=["preset", "nonzero"])
+def test_case_ii_equations_equal_a_loop_over_points(fam):
+    pts = fam.sample(1000, 1234)
+    rows = case_ii_rows(fam, pts)
+    c1, c2 = (value for _, value in fam.parameters)
+    report = catalog.case_ii_residuals(c1, c2, fam.profile,
+                                       [q[1:] for q in pts],
+                                       u_values=[q[0] for q in pts])
+    assert (bits([report["axis_ode"], report["leaf_profile"]])
+            == bits(np.max(np.abs(rows), axis=0))).all()
+    assert fam.residuals(pts)["leaf_profile"] == report["leaf_profile"]
+    if fam is CASE_II[1]:
+        assert report["leaf_profile"] > 1e-3
+    for q, row in zip(pts[::50], rows[::50]):
+        one = catalog.case_ii_residuals(c1, c2, fam.profile, [q[1:]],
+                                        u_values=[q[0]])
+        assert (bits([one["axis_ode"], one["leaf_profile"]])
+                == bits(np.abs(row))).all()
+
+
+@pytest.mark.parametrize("fam", CASE_II, ids=["preset", "nonzero"])
+def test_leaf_scalar_expected_equals_a_loop_over_points(fam):
+    c1, _ = (value for _, value in fam.parameters)
+    axis = expr.compile([fam.scale], ("u",), ("u",), order=2)
+    us = np.array(fam.sample(1000, 1234))[:, 0]
+    want = []
+    for u in us.tolist():
+        lu = axis(u)[0]
+        want.append(2.0 * lu * lu * c1 * c1)
+    got = fam.leaf_scalar_expected(us)
+    assert got.shape == us.shape
+    assert (bits(got) == bits(want)).all()
+    for u, w in zip(us.tolist(), want):
+        one = fam.leaf_scalar_expected(u)
+        assert type(one) is float and bits(one) == bits(w)
+
+
+def two_einsum_riemann(g, qs):
+    """R^i_jkl at each point of qs, with both Gamma Gamma terms taken by
+    an einsum of their own."""
+    G, _, dG, dg, d2g = geo._covariant_derivatives(g, qs)
+    A, Gamma = geo._connection(G, dg)
+    dA = (d2g.transpose(0, 1, 3, 2, 4) + d2g.transpose(0, 1, 3, 4, 2) - d2g)
+    dGamma = 0.5 * (np.einsum("pmil,pljk->pmijk", dG, A)
+                    + np.einsum("pil,pmljk->pmijk", G, dA))
+    return (dGamma.transpose(0, 2, 3, 1, 4) - dGamma.transpose(0, 2, 3, 4, 1)
+            + np.einsum("pikm,pmjl->pijkl", Gamma, Gamma)
+            - np.einsum("pilm,pmjk->pijkl", Gamma, Gamma))
+
+
+@pytest.mark.parametrize("fam", CASE_I + CASE_II,
+                         ids=["i", "i-nonzero", "ii", "ii-nonzero"])
+def test_riemann_equals_the_two_einsum_formula(fam):
+    pts = np.array(fam.sample(1000, 1234))
+    R = geo.riemann(fam.metric, pts)
+    assert (bits(R) == bits(two_einsum_riemann(fam.metric, pts))).all()
+    if fam in (CASE_I[1], CASE_II[1]):
+        assert np.max(np.abs(R)) > 1e-3
