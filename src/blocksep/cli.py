@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -662,6 +663,7 @@ _FLAGS = {
 }
 
 
+@cache  # a process that calls main more than once builds it once
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blocksep",

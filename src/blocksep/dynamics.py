@@ -10,11 +10,14 @@ clip [0.2, 5]) picks the steps.  The step is generated from the
 tableau once per state length d, as straight-line code over the d
 components of lists of floats.  It calls the field itself, with no
 wrapper of its own: a field takes the state as such a list and returns
-a sequence of d floats, the generated fields a tuple.  The dense-output
-coefficients of all accepted steps are kept in one (S, d, 7) float64
-array, and ``Trajectory.sample`` multiplies each time's weights into
-the transposed (7, d) view of its step's slice: a C-ordered (7, d)
-layout rounds differently, and the samples are kept bit for bit.  Dense
+a sequence of d floats, the generated fields a tuple.  Each accepted
+step keeps the 12 stages that its dense output reads, and one array
+pass per 64 steps makes them into those steps' dense-output
+coefficients, bit for bit the per-step sums on floats, appended to one
+(S, d, 7) float64 array.  ``Trajectory.sample`` multiplies each time's
+weights into the transposed (7, d) view of its step's slice: a
+C-ordered (7, d) layout rounds differently, and the samples are kept
+bit for bit.  Dense
 output is what makes the orbit comparison work: the full system acts as
 the master clock, and the reduced orbit is sampled at the rescaled
 times tau_r(t) without ever inverting the clock map.
@@ -24,8 +27,8 @@ The vector fields are the straight-line functions that
 field is asked for: ``field`` for the full system, the jet's float ops
 and the gated inverse of S written out as its own lines (a constant S
 has its inverse written in), and ``reduced(r)`` for block r, with the
-separation constants bound when the callable is made.  One field
-evaluation is two Python calls: the (t, y) closure and the kernel.
+separation constants bound by ``functools.partial`` when the callable
+is made.  One field evaluation is one Python call, of the kernel.
 The block clocks ride in the orbit's state (q, p, tau_1 .. tau_n),
 tau(t0) = 0: the full field
 returns d(tau_r)/dt = alpha^r(q) from the twist it uses for dH, so one
@@ -41,7 +44,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field as dataclass_field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -254,17 +258,19 @@ _DENSE = (
      16: -0.14972683625798562581422125276e+3},
 )
 
-# the stages of a step that its error sums and its dense output read
+# the stages of a step that its error sums read, and the stages that its
+# dense output reads, in the order of the rows of _DENSE
 _KEPT = (1, 6, 7, 8, 9, 10, 11, 12, 13)
+_STORED = (*_KEPT, 14, 15, 16)
+# the weight of stored stage j in dense row r at [j, r - 4]
+_DENSE_WEIGHTS = np.array([[row[j] for row in _DENSE] for j in _STORED])
 
 # every weight row of the tableau under the prefix of the names its
 # weights take in the generated step: coupling row i as A{i}_{j}, the
-# error weights as E{j}, b minus the 3rd-order weights as B{j} and dense
-# row r as D{r}_{j}
+# error weights as E{j} and b minus the 3rd-order weights as B{j}
 _ROWS = {**{f"A{i}_": row for i, row in _COUPLING.items()},
          "E": _ERROR5,
-         "B": {j: b - _ORDER3.get(j, 0.0) for j, b in _COUPLING[13].items()},
-         **{f"D{r}_": row for r, row in enumerate(_DENSE, 4)}}
+         "B": {j: b - _ORDER3.get(j, 0.0) for j, b in _COUPLING[13].items()}}
 
 
 def _terms(prefix, c) -> str:
@@ -287,9 +293,9 @@ def _state(i, d) -> str:
 
 def _stage(i, n, state, d) -> list[str]:
     """Source lines that make stage i at ``state``, the n-th field call
-    of its function, and unpack it; a kept stage is also bound to k{i}."""
+    of its function, and unpack it; a stored stage is also bound to k{i}."""
     point = "t + h" if i == 13 else f"t + {_NODES[i]!r} * h"
-    kept = f"k{i} = " if i in _KEPT else ""
+    kept = f"k{i} = " if i in _STORED else ""
     return [f"n = {n}", f"{kept}k = f({point}, {state})",
             _unpack(f"a{i}", "k", d)]
 
@@ -338,10 +344,10 @@ def _dop853(d):
     * ``_error_sums(y, y1, kept, atol, rtol)`` returns s5 and s3, the
       sums of the squared 5th- and 3rd-order error estimates, each
       component over atol + rtol max(|y|, |y1|);
-    * ``_dense(f, t, h, y, y1, kept)`` makes stages 14 to 16 and returns
-      the 7 dense-output coefficients of each component, component after
-      component, as one flat tuple of 7 d floats: the row of the step in
-      ``Trajectory``'s (S, d, 7) array of coefficients.
+    * ``_dense(f, t, h, y, kept)`` makes stages 14 to 16 and returns the
+      stages ``_STORED``, the field's own sequences: the step's 7th-order
+      dense output is their linear combination, which
+      :func:`_dense_coefficients` makes over many steps at once.
 
     The functions call the field f themselves, once per stage, with no
     wrapper in between: an ``ExprError`` or ``ModelError`` of f leaves
@@ -358,9 +364,10 @@ def _dop853(d):
     _function("_stages(f, t, h, y, k1)", [f"A{i}_" for i in range(2, 14)],
               _guarded(unpack, stages, d) + [f"return y1, ({kept})"],
               namespace)
-    unpack = [_unpack("y", "y", d), _unpack("y1", "y1", d), f"{kept} = kept",
+    unpack = [f"{kept} = kept",
               *(_unpack(f"a{j}", f"k{j}", d) for j in _KEPT)]
-    sums = [*unpack, "s5 = s3 = 0.0"]
+    sums = [_unpack("y", "y", d), _unpack("y1", "y1", d), *unpack,
+            "s5 = s3 = 0.0"]
     for c in range(d):
         sums += [f"sc = atol + rtol * max(abs(y_{c}), abs(y1_{c}))",
                  f"e = ({_terms('E', c)}) / sc",
@@ -369,19 +376,12 @@ def _dop853(d):
                  "s3 += e * e"]
     _function("_error_sums(y, y1, kept, atol, rtol)", ["E", "B"],
               sums + ["return s5, s3"], namespace)
-    dense = _guarded(unpack, [line for i in range(14, 17)
-                              for line in _stage(i, i - 13, _state(i, d), d)],
-                     d)
-    for c in range(d):
-        dense += [f"dy = y1_{c} - y_{c}",
-                  f"r{c} = (dy, h * a1_{c} - dy, "
-                  f"2.0 * dy - h * (a1_{c} + a13_{c}), "
-                  + ", ".join(f"h * ({_terms(f'D{r}_', c)})"
-                              for r in range(4, 8)) + ")"]
-    dense.append("return (" + ", ".join(f"*r{c}" for c in range(d)) + ",)")
-    _function("_dense(f, t, h, y, y1, kept)",
-              ["A14_", "A15_", "A16_", "D4_", "D5_", "D6_", "D7_"], dense,
-              namespace)
+    dense = _guarded([_unpack("y", "y", d), *unpack],
+                     [line for i in range(14, 17)
+                      for line in _stage(i, i - 13, _state(i, d), d)], d)
+    stored = ", ".join(f"k{j}" for j in _STORED)
+    _function("_dense(f, t, h, y, kept)", ["A14_", "A15_", "A16_"],
+              dense + [f"return ({stored})"], namespace)
     return namespace["_stages"], namespace["_error_sums"], namespace["_dense"]
 
 
@@ -399,6 +399,10 @@ _EPS = float(np.finfo(float).eps)
 # times per gather of Trajectory.sample: its temporaries (56 d bytes a
 # time for the gathered coefficients) stay this size for any count
 _CHUNK = 256
+# accepted steps whose stages integrate holds, as floats in one buffer,
+# before it makes their dense-output coefficients: one array pass per
+# this many steps, with temporaries of this many steps' size
+_HELD = 64
 
 
 @dataclass
@@ -515,7 +519,11 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
     the step generated for the state's length (:func:`_dop853`), and
     ``stats.field_evaluations`` is the number of calls made.  The error
     of a step of size h is |h| s5 / sqrt((s5 + 0.01 s3) d) for a state
-    of d components, and a step is accepted when it is at most 1.
+    of d components, and a step is accepted when it is at most 1.  An
+    accepted step's stages ``_STORED`` are copied into one float64
+    buffer, and every ``_HELD`` steps :func:`_dense_coefficients` makes
+    the held steps' dense-output coefficients in one array pass and
+    appends them to one float64 buffer, the orbit's (S, d, 7) array.
 
     Raises :class:`DynamicsError` unless atol > 0 and rtol >= 0, both
     finite, or when the field returns a sequence not of y0's length, and
@@ -552,13 +560,26 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
     ys = [y]
     steps = []  # the signed length of each accepted step
     coeffs = array("d")  # and its 7 d dense-output coefficients
+    held = array("d")  # the stages _STORED of the steps not yet in coeffs
     accepted = 0
     rejected = 0
 
-    def bail(reason, t_last):
+    def keep():  # the held steps' coefficients into coeffs
+        n = len(held) // (len(_STORED) * len(y))
+        coeffs.frombytes(_dense_coefficients(
+            np.array(ys[-n - 1:]), np.array(steps[-n:]),
+            np.frombuffer(held).reshape(n, len(_STORED), len(y))).tobytes())
+        del held[:]
+
+    def trajectory():
+        if held:
+            keep()
         stats = IntegrationStats(accepted, rejected, nfev, rtol, atol)
-        partial = (Trajectory(ts, ys, steps, coeffs, stats) if steps else None)
-        raise IntegrationError(reason, t_last, ys[-1], partial)
+        return Trajectory(ts, ys, steps, coeffs, stats)
+
+    def bail(reason, t_last):
+        orbit = trajectory() if steps else None
+        raise IntegrationError(reason, t_last, ys[-1], orbit)
 
     try:
         k1 = f(t0, y)
@@ -595,7 +616,7 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
             nfev += 12
             err = _error_norm(error_sums, h, y, y1, kept, atol, rtol)
             if err <= 1.0:
-                F = dense(field, t, hs, y, y1, kept)
+                ks = dense(field, t, hs, y, kept)
                 nfev += 3
         except _FieldFailure as ff:
             # try to creep toward the failure with smaller steps
@@ -608,11 +629,13 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
 
         if err <= 1.0:
             steps.append(hs)
-            coeffs.extend(F)
+            held.extend(chain.from_iterable(ks))
             t = t1 if h == abs(t1 - t) else t + hs
             y, k1 = y1, kept[-1]  # first-same-as-last
             ts.append(t)
             ys.append(y)
+            if len(steps) % _HELD == 0:
+                keep()
             accepted += 1
             if err == 0.0:
                 factor = _FACTOR_MAX
@@ -625,8 +648,7 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
             rejected += 1
             h *= max(_FACTOR_MIN, min(1.0, _SAFETY * err ** (-_BETA1)))
 
-    stats = IntegrationStats(accepted, rejected, nfev, rtol, atol)
-    return Trajectory(ts, ys, steps, coeffs, stats)
+    return trajectory()
 
 
 class _FieldFailure(Exception):
@@ -648,6 +670,37 @@ def _error_norm(error_sums, h, y, y1, kept, atol, rtol):
         return 0.0
     err = h * s5 / math.sqrt(deno * len(y))
     return math.inf if math.isnan(err) else err
+
+
+def _dense_coefficients(ys, h, stages):
+    """The C-ordered (S, d, 7) array ``Trajectory.F`` of the 7 dense-output
+    coefficients of each component at each of S steps, from the states
+    ys (S + 1, d), the signed step lengths h (S,) and each step's stages
+    ``_STORED`` (S, 12, d).  With dy = y1 - y they are dy, h k1 - dy,
+    2 dy - h (k1 + k13) and h sum_j d_rj k_j for the rows r of
+    ``_DENSE``, its terms added left to right in the tableau's order
+    (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6).  Every array op
+    is the IEEE op of the same sum on floats, so each coefficient has
+    that sum's bits, and an overflow gives its inf or nan, unwarned.
+    The four sums run over the stages made stage-major, so that each op
+    covers all S * d components in one contiguous sweep."""
+    S, n, d = stages.shape
+    h = h[:, None]
+    k1, k13 = stages[:, 0], stages[:, _STORED.index(13)]
+    F = np.empty((S, d, 7))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dy = ys[1:] - ys[:-1]
+        F[..., 0] = dy
+        F[..., 1] = h * k1 - dy
+        F[..., 2] = 2.0 * dy - h * (k1 + k13)
+        k = stages.transpose(1, 0, 2).reshape(n, S * d)
+        rows = _DENSE_WEIGHTS[0][:, None] * k[0]
+        for j in range(1, n):
+            rows += _DENSE_WEIGHTS[j][:, None] * k[j]
+        rows = rows.reshape(4, S, d)
+        rows *= h
+        F[..., 3:] = rows.transpose(1, 2, 0)
+    return F
 
 
 def _initial_step(f, t0, y0, f0, direction, cfg, span):
@@ -676,25 +729,18 @@ def _initial_step(f, t0, y0, f0, direction, cfg, span):
 # ---------------------------------------------------------------------------
 # Hamiltonian vector fields
 
-def _rhs(kernel, *params) -> Callable:
-    """The (t, y) -> y' closure of a field kernel, for integrate: the
-    state list goes straight to the kernel and its tuple comes back."""
-    def rhs(t, y):
-        return kernel(y, *params)
-
-    return rhs
-
-
 def full_field_callable(sys: TwistedSystem) -> Callable:
-    """(t, y) -> y' closure over the full phase space and any block
-    clocks, for integrate."""
-    return _rhs(sys.jet.field)  # generated now, not inside the first step
+    """The generated (t, y) -> y' kernel over the full phase space and
+    any block clocks, for integrate."""
+    return sys.jet.field  # generated now, not inside the first step
 
 
 def reduced_field_callable(sys: TwistedSystem, r: int, c) -> Callable:
+    """The generated (t, y) -> y' kernel of block r's reduced system,
+    with the separation constants c bound by ``partial``."""
     c = _model._reduced_constants(sys, r, c).tolist()
     # the kernel is generated now, not inside the first step
-    return _rhs(sys.jet.reduced(r), c)
+    return partial(sys.jet.reduced(r), c)
 
 
 # ---------------------------------------------------------------------------

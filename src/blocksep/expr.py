@@ -697,6 +697,7 @@ def _generated(form, exprs, names, wrt, order):
             nodes.append(node)
         return i
     key = (tuple(map(visit, exprs)), tuple(nodes), names, wrt, order, form)
+    del visit  # it calls itself: a reference cycle until deleted
     return _cached(key, lambda: _jet_ops(form, exprs, names, wrt, order))
 
 

@@ -26,6 +26,7 @@ block, so a structure has at most ``MAX_BLOCKS`` blocks.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -312,15 +313,16 @@ class SystemJet:
     changes run jets of their own as well.
 
     ``field`` is the Hamiltonian field of H = alpha^r H_r, one
-    straight-line function of the state (the N positions, the N momenta
-    and up to n clocks tau_r, a list) returning the tuple (dH/dp,
-    -dH/dq) and one rate d(tau_r)/dt = alpha^r per clock.  It calls
-    nothing generated: the live ops of the jet of S and the H_r, the
-    gated S^-1 and the chain rule are its own lines.
+    straight-line function ``field(t, y)`` of the time, unread, and the
+    state (the N positions, the N momenta and up to n clocks tau_r, a
+    list) returning the tuple (dH/dp, -dH/dq) and one rate
+    d(tau_r)/dt = alpha^r per clock.  It calls nothing generated: the
+    live ops of the jet of S and the H_r, the gated S^-1 and the chain
+    rule are its own lines.
     ``reduced(r)`` is the field of block r's reduced Hamiltonian
-    H_r - c_a S[r][a], a function of block r's phase point and of the
-    constants c, made the same way.  ``stackel`` takes a (P, N) array
-    of positions and returns the n-by-n values of S at each row,
+    H_r - c_a S[r][a], ``reduced(r)(c, t, y)`` of the constants c and
+    block r's phase point, made the same way.  ``stackel`` takes a (P, N)
+    array of positions and returns the n-by-n values of S at each row,
     (P, n, n); ``energies`` takes a (P, 2N) array of phase points and
     returns the values of the H_r at each row, (P, n).  Each is one
     call of a values-only :class:`_GridJet`'s stack form, bit for bit
@@ -336,7 +338,10 @@ class SystemJet:
     """
 
     def __init__(self, sys: TwistedSystem):
-        self._sys = sys
+        # a copy, made before sys keeps this jet, so that the system and
+        # its jet are no reference cycle: both go with the last reference
+        # to the system, not at the next full collection
+        self._sys = copy.copy(sys)
         self._reduced = {}
 
     def _phase(self, r: int):
@@ -455,7 +460,7 @@ class SystemJet:
             consts = _tuple(f"c{a}" for a in range(n)) + " = c"
             fn = self._reduced[r] = _field_function(
                 [h, *self._sys.stackel.entries[r - 1]], coords + p,
-                weights, lambda v: [consts], params=", c")
+                weights, lambda v: [consts], params="c, ")
         return fn
 
     @cached_property
@@ -484,10 +489,13 @@ class SystemJet:
 def _field_function(exprs, names, weights, head=None, rate=None, params="",
                     clocks=()):
     """Generate the Hamiltonian field of F = sum_i w_i exprs[i] as one
-    straight-line function ``_field(y<params>)`` of the state y, a list
-    of floats over ``names`` (m positions, then m momenta) and then up
-    to ``len(clocks)`` clocks, that returns the tuple (dF/dp, -dF/dq)
-    followed by one rate, the source text ``clocks[j]``, per clock.
+    straight-line function ``_field(<params>t, y)`` of the time t, which
+    it does not read, and the state y, a list of floats over ``names``
+    (m positions, then m momenta) and then up to ``len(clocks)`` clocks,
+    that returns the tuple (dF/dp, -dF/dq) followed by one rate, the
+    source text ``clocks[j]``, per clock.  Parameters come first, so
+    that ``functools.partial`` binds them and the integrator calls the
+    function itself.
 
     It unpacks the phase names from y and runs, as its own first lines,
     the first-order jet of ``exprs`` from :func:`expr.jet_lines`: the
@@ -530,7 +538,7 @@ def _field_function(exprs, names, weights, head=None, rate=None, params="",
         [f"g{k}" for k in range(m, 2 * m)] + [f"-g{k}" for k in range(m)]
         + list(clocks)) + "[:len(y)]")
     lines = [f"{_tuple(args)} = y[:{2 * m}]", *jet(reads), *lines]
-    code = f"def _field(y{params}):\n" + "".join(f"    {line}\n"
+    code = f"def _field({params}t, y):\n" + "".join(f"    {line}\n"
                                                  for line in lines)
     namespace["SingularMatrixError"] = SingularMatrixError
     consts = [(k, repr(x)) for k, x in namespace.items() if type(x) is float]
@@ -575,6 +583,7 @@ def _inverse_lines(n: int, point: str | None, entries: str) -> list[str]:
     inverse = [f"m{a}_{b} = {'-' if (a + b) % 2 else ''}"
                f"{minor(rest[b], rest[a])} / {det}"
                for a in every for b in every]
+    del minor  # it calls itself: a reference cycle until deleted
     cols = [f"col{b}" for b in every]
     inverse += [f"{col} = " + " + ".join(f"abs(m{a}_{b})" for a in every)
                 for b, col in enumerate(cols)]
@@ -770,21 +779,52 @@ def build_system(structure: BlockStructure, stackel: StackelMatrix,
 
     # numeric validation at every probe point: S's gate, then block by
     # block ln |det g| (as geometry._inverse, which neither overflows nor
-    # underflows), each after its own entries
+    # underflows), each after its own entries.  The probes are checked
+    # over one stack; a stack that fails runs probe by probe, so that the
+    # first check to fail raises its own error
     grids = [("separation matrix entry S", stackel.entries)] + [
         (f"block {r} metric entry g", blk.metric)
         for r, blk in enumerate(blocks, start=1)]
-    jet = _expr.compile([e for _, grid in grids for row in grid for e in row],
-                        structure.names) if probes else None
-    for q in probes:
-        matrices = _probe_matrices(grids, jet, structure.names, q)
-        invert_with_condition(next(matrices), point=q)
-        for r, g in enumerate(matrices, start=1):
-            sign, logdet = np.linalg.slogdet(g)
-            if sign == 0.0 or not np.isfinite(logdet):
-                raise SingularMatrixError(
-                    f"block {r} metric degenerate at probe point", point=q)
+    entries = [e for _, grid in grids for row in grid for e in row]
+    if probes and not _probes_pass(grids, entries, structure.names, probes):
+        jet = _expr.compile(entries, structure.names)
+        for q in probes:
+            matrices = _probe_matrices(grids, jet, structure.names, q)
+            invert_with_condition(next(matrices), point=q)
+            for r, g in enumerate(matrices, start=1):
+                if _degenerate(*np.linalg.slogdet(g)):
+                    raise SingularMatrixError(
+                        f"block {r} metric degenerate at probe point",
+                        point=q)
     return sys
+
+
+def _degenerate(sign, logdet):
+    """Where a metric with this ``slogdet`` is degenerate."""
+    return (sign == 0.0) | ~np.isfinite(logdet)
+
+
+def _probes_pass(grids, entries, names, probes) -> bool:
+    """Whether every probe passes the checks of :func:`build_system`,
+    from one call of the values-only stack form of the ``entries`` of
+    the ``(label, grid)`` matrices over the probes, one stacked
+    :func:`invert_with_condition` of S and one stacked ``slogdet`` per
+    block metric: each the float form's values at every probe."""
+    qs = np.array(probes)
+    values = np.empty((len(entries), len(qs)))
+    matrices, k = [], 0
+    try:
+        with np.errstate(all="ignore"):
+            _expr.compile(entries, names, stack=True)(*qs.T, values)
+        for _, grid in grids:
+            m = len(grid)
+            matrices.append(values[k:k + m * m].T.reshape(-1, m, m))
+            k += m * m
+        invert_with_condition(matrices[0], qs)
+    except (_expr.ExprError, ModelError):
+        return False
+    return not any(_degenerate(*np.linalg.slogdet(g)).any()
+                   for g in matrices[1:])
 
 
 def _probe_matrices(grids, jet, names, q):

@@ -163,7 +163,7 @@ def reduced_hamiltonian(sys, r: int, c, point: PhasePoint) -> float:
 
 def full_field(sys, point: PhasePoint) -> np.ndarray:
     """Hamiltonian vector field of H = alpha^r H_r: (dq/dt, dp/dt)."""
-    return np.array(sys.jet.field(list(point.q + point.p)))
+    return np.array(sys.jet.field(0.0, list(point.q + point.p)))
 
 
 def reduced_field(sys, r: int, c, point: PhasePoint) -> np.ndarray:
@@ -171,7 +171,7 @@ def reduced_field(sys, r: int, c, point: PhasePoint) -> np.ndarray:
     H_r - c_a S[r][a] on the block-r phase space.  ``point`` holds the
     block slice only (n_r positions and momenta)."""
     c = model._reduced_constants(sys, r, c).tolist()
-    return np.array(sys.jet.reduced(r)(list(point.q + point.p), c))
+    return np.array(sys.jet.reduced(r)(c, 0.0, list(point.q + point.p)))
 
 
 def phase_value(F, point: PhasePoint) -> float:

@@ -385,6 +385,29 @@ def test_missing_config_flag():
     assert exc.value.code == 2
 
 
+def test_main_builds_one_parser(monkeypatch, capsys):
+    # the parser is built on the first call only, and the built one
+    # still rejects an unknown flag with exit code 2
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        if self.prog == "blocksep":
+            built.append(self)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert cli.main(["list"]) == 0
+    assert cli.main(["list"]) == 0
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["list", "--no-such-flag"])
+        assert exc.value.code == 2
+    assert len(built) == 1
+    assert "--no-such-flag" in capsys.readouterr().err
+
+
 def test_simulate_pendula(tmp_path, capsys):
     out = str(tmp_path / "out")
     path = write_config(tmp_path, PENDULA_BODY, out=out)
@@ -943,6 +966,22 @@ def test_verify_keeps_no_twist_of_a_finished_probe_block(tmp_path,
     assert cli.main(["verify", "--config", path]) == 0
     assert len(made) >= 3   # one per block of 128 probes, at least
     assert alive == [0, 0]
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "verify"])
+def test_a_run_leaves_no_reference_cycle(tmp_path, capsys, command):
+    # the system and its jet, and the closures that call themselves,
+    # are freed as their last reference goes: a run leaves the cyclic
+    # collector nothing to find
+    path = write_config(tmp_path, PENDULA_BODY)
+    assert cli.main([command, "--config", path]) == 0  # first-use caches
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main([command, "--config", path]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_python_dash_m_runs_the_cli():

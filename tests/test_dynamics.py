@@ -13,6 +13,7 @@ import math
 import os
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,9 +26,10 @@ from conftest import (
 )
 from walker import matrix_derivative
 
-from blocksep import catalog, config, expr, model
+from blocksep import catalog, config, dynamics, expr, model
 from blocksep.dynamics import (
     _KEPT,
+    _STORED,
     BlockClock,
     ComparisonReport,
     DynamicsError,
@@ -35,6 +37,7 @@ from blocksep.dynamics import (
     IntegrationError,
     IntegratorConfig,
     Trajectory,
+    _dense_coefficients,
     _dop853,
     block_clock,
     compare_block_orbits,
@@ -378,10 +381,23 @@ def _nonlinear(t, y):
                  for c in range(d))
 
 
+def _recording(field):
+    """field, with the list of the sequences it returns."""
+    made = []
+
+    def recorded(t, y):
+        made.append(field(t, y))
+        return made[-1]
+
+    return recorded, made
+
+
 @pytest.mark.parametrize("d", [*range(1, 13), 40])
 def test_generated_step_rounds_as_the_zip_sums(d):
     # the step written out per component against the same sums over zip:
-    # y1, every kept stage, s5, s3 and every dense row, bit for bit
+    # y1, every kept stage, s5, s3 and stages 14 to 16, and the dense
+    # rows of the array pass over the stored stages against the zip
+    # sums' rows, bit for bit
     rng = np.random.default_rng(d)
     oracle = zip_dop853()
     step = _dop853(d)
@@ -398,9 +414,92 @@ def test_generated_step_rounds_as_the_zip_sums(d):
         assert np.array_equal(
             _bits(step[1](y, y1, kept, 1e-12, 1e-10)),
             _bits(oracle[1](y, y1, kept, 1e-12, 1e-10)))
-        assert np.array_equal(_bits(step[2](_nonlinear, t, h, y, y1, kept)),
-                              _bits(oracle[2](_nonlinear, t, h, y, y1,
-                                              kept)))
+        field, made = _recording(_nonlinear)
+        rows = oracle[2](field, t, h, y, y1, kept)
+        stages = step[2](_nonlinear, t, h, y, kept)
+        assert len(stages) == len(_STORED)
+        assert stages[:len(_KEPT)] == kept
+        assert np.array_equal(_bits(stages[len(_KEPT):]), _bits(made))
+        F = _dense_coefficients(np.array([y, y1]), np.array([h]),
+                                np.array([stages]))
+        assert F.shape == (1, d, 7) and F.flags.c_contiguous
+        assert np.array_equal(_bits(F.ravel()), _bits(rows))
+
+
+def _assert_rows_are_the_zip_rows(traj, field):
+    """Each step's coefficients in traj.F, bit for bit the zip sums'
+    dense rows of the step remade from (ts[i], h[i], ys[i]), whose y1
+    is ys[i + 1]."""
+    oracle = zip_dop853()
+    assert traj.F.shape == (len(traj) - 1, traj.dim, 7)
+    assert traj.F.flags.c_contiguous
+    for i, h in enumerate(traj.h.tolist()):
+        t, y = float(traj.ts[i]), traj.ys[i].tolist()
+        y1, kept = oracle[0](field, t, h, y, field(t, y))
+        assert np.array_equal(_bits(y1), _bits(traj.ys[i + 1]))
+        assert np.array_equal(_bits(traj.F[i].ravel()),
+                              _bits(oracle[2](field, t, h, y, y1, kept)))
+
+
+@pytest.mark.parametrize("span", [(0.0, 60.0), (0.0, -60.0)])
+def test_orbit_coefficients_are_the_zip_rows(span):
+    # more than 2 _HELD steps: the coefficients come from several passes
+    traj = integrate(_pendulum, [0.5, -0.25, 1.0], span,
+                     IntegratorConfig(rtol=1e-10, atol=1e-12))
+    assert len(traj) - 1 > 2 * dynamics._HELD
+    _assert_rows_are_the_zip_rows(traj, _pendulum)
+
+
+def test_coefficients_do_not_depend_on_the_held_steps(monkeypatch):
+    # one array pass per step (nothing left held at the end), per 3
+    # steps and per _HELD steps make the same coefficients
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12)
+    want = integrate(_pendulum, [0.5, -0.25, 1.0], (0.0, 40.0), cfg)
+    for held in (1, 3):
+        monkeypatch.setattr(dynamics, "_HELD", held)
+        _assert_same_trajectory(
+            integrate(_pendulum, [0.5, -0.25, 1.0], (0.0, 40.0), cfg), want)
+
+
+def test_one_step_orbit_coefficients_are_the_zip_rows():
+    traj = integrate(_nonlinear, [0.4, -0.3, 0.2], (0.0, 1e-3),
+                     IntegratorConfig(rtol=1e-6, atol=1e-8))
+    assert len(traj) == 2
+    _assert_rows_are_the_zip_rows(traj, _nonlinear)
+
+
+def test_partial_orbit_coefficients_are_the_zip_rows():
+    # y0' = y0^2 blows up at t = 1
+    def field(t, y):
+        return (y[0] * y[0], math.sin(t + y[1]) * y[0])
+
+    with pytest.raises(IntegrationError) as exc:
+        integrate(field, [1.0, 0.5], (0.0, 2.0),
+                  IntegratorConfig(rtol=1e-8, atol=1e-10))
+    partial = exc.value.partial
+    assert len(partial) - 1 > dynamics._HELD
+    _assert_rows_are_the_zip_rows(partial, field)
+
+
+def test_overflowing_rows_are_the_zip_rows_unwarned():
+    # states and stages at +-1e308: y1 - y overflows to inf, and inf -
+    # inf in the sums of the rows makes nan, as on floats, with no
+    # RuntimeWarning
+    big = (1e308, -1e308, 0.5)
+
+    def field(t, y):
+        return big
+
+    y, y1, h = [-1e308, 1.0, -2.0], [1e308, -1e308, 3.0], 0.25
+    kept = (big,) * len(_KEPT)
+    rows = zip_dop853()[2](field, 0.0, h, y, y1, kept)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stages = _dop853(3)[2](field, 0.0, h, y, kept)
+        F = _dense_coefficients(np.array([y, y1]), np.array([h]),
+                                np.array([stages]))
+    assert np.isinf(F).any() and np.isnan(F).any()
+    assert np.array_equal(_bits(F.ravel()), _bits(rows))
 
 
 def test_making_the_step_keeps_its_memory_small():
@@ -663,7 +762,7 @@ def _field_states(entry):
 
     def field(t, y):
         states.append(list(y))
-        return kernel(y)
+        return kernel(t, y)
 
     integrate(field, list(P0.q + P0.p) + [0.0] * sys.n, run.t_span,
               IntegratorConfig(rtol=run.rtol, atol=run.atol))
@@ -685,11 +784,11 @@ def test_fields_equal_the_two_call_kernels(name):
     cases = [(y, c) for y in states] + list(_probe_states(entry))
     assert len(states) > 500
     for y, c in cases:
-        assert sys.jet.field(y) == full(y)
+        assert sys.jet.field(0.0, y) == full(y)
         for r, ref in reduced.items():
             cols = list(sys.structure.block_range(r))
             yb = [y[k] for k in cols] + [y[N + k] for k in cols]
-            assert sys.jet.reduced(r)(yb, c) == ref(yb, c)
+            assert sys.jet.reduced(r)(c, 0.0, yb) == ref(yb, c)
 
 
 @pytest.mark.parametrize("name", ["pendula", "oscillators", "calogero4"])
@@ -754,7 +853,7 @@ def test_field_raises_the_jets_own_error(row1, potential1, q1, message):
     jet = expr.compile(entries + energies, names, names)
     want = _error(lambda: jet(*y))
     assert want[0] is expr.DomainError and message in want[1]
-    assert _error(lambda: sys.jet.field(y + [0.0, 0.0])) == want
+    assert _error(lambda: sys.jet.field(0.0, y + [0.0, 0.0])) == want
     assert _error(lambda: two_call_field(sys)(y)) == want
     # block 1's reduced field: its energy, then its row of S
     c = [0.7, -0.4]
@@ -762,7 +861,7 @@ def test_field_raises_the_jets_own_error(row1, potential1, q1, message):
     jet = expr.compile([h, *sys.stackel.entries[0]], coords + p, coords + p)
     want = _error(lambda: jet(q1, 0.5))
     assert want[0] is expr.DomainError and message in want[1]
-    assert _error(lambda: sys.jet.reduced(1)([q1, 0.5], c)) == want
+    assert _error(lambda: sys.jet.reduced(1)(c, 0.0, [q1, 0.5])) == want
     assert _error(lambda: two_call_reduced(sys, 1)([q1, 0.5], c)) == want
 
 

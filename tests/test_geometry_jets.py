@@ -466,9 +466,9 @@ def compiles(generations):
 
 def test_loading_compiles_only_probe_and_chart_jets(compiles):
     """Loading compiles the values-only jet of each system's probe
-    checks, S's entries and then the block metrics', and the jet of each
-    chart change that carries a start point into its chart; nothing that
-    a command uses, and nothing for a metric family."""
+    checks, S's entries and then the block metrics', in its stack form,
+    and the jet of each chart change that carries a start point into its
+    chart; nothing that a command uses, and nothing for a metric family."""
     for name in catalog.names():
         compiles.clear()
         entry = catalog.load(name)
@@ -478,7 +478,7 @@ def test_loading_compiles_only_probe_and_chart_jets(compiles):
             grids = [sys_.stackel.entries] + [b.metric for b in sys_.blocks]
             want.append((tuple(e for grid in grids for row in grid
                                for e in row),
-                         sys_.structure.names, (), 1, "float"))
+                         sys_.structure.names, (), 1, "stack"))
             if entry.cartesian is not None:
                 want += [(st.old_exprs, st.new_names, st.new_names, 1,
                           "float")

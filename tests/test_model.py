@@ -161,6 +161,44 @@ def test_probe_failure_names_the_first_check_that_fails(s22, g1, g2, error,
     assert str(got.value) == message
 
 
+def _probed(g1, probes):
+    # S = diag(1, q2) and block metrics g1 and 1, at several probes
+    return build_system(BlockStructure((1, 1), (("q1",), ("q2",))),
+                        StackelMatrix((("1", "0"), ("0", "q2"))),
+                        (NaturalBlock(((g1,),), "0"),
+                         NaturalBlock((("1",),), "0")),
+                        probes)
+
+
+@pytest.mark.parametrize("g1, probes, error, message", [
+    # probe 3 fails its block metric, probe 5 S's gate
+    ("q1", [(1.0, 1.0), (2.0, 1.0), (0.0, 1.0), (1.0, 2.0), (1.0, 0.0)],
+     SingularMatrixError,
+     "block 1 metric degenerate at probe point at q=(0.0, 1.0)"),
+    # probe 3 fails S's gate, probe 5 its block metric
+    ("q1", [(1.0, 1.0), (2.0, 1.0), (1.0, 0.0), (1.0, 2.0), (0.0, 1.0)],
+     SingularMatrixError, "matrix is singular at q=(1.0, 0.0)"),
+    # probe 3 fails a metric entry, probe 5 S's gate
+    ("sqrt(q1)", [(1.0, 1.0), (2.0, 1.0), (-1.0, 1.0), (1.0, 2.0),
+                  (1.0, 0.0)], ModelError,
+     "block 1 metric entry g[1][1] fails at q=(-1.0, 1.0): sqrt of a "
+     "negative value (sub-expression at offset 0)"),
+], ids=["metric-before-gate", "gate-before-metric", "entry-before-gate"])
+def test_probe_stack_raises_the_first_failing_probes_error(g1, probes, error,
+                                                           message):
+    # the probes are checked in one stack, and where it fails probe by
+    # probe: the error is the first failing probe's, as if alone
+    with pytest.raises(error) as got:
+        _probed(g1, probes)
+    assert type(got.value) is error
+    assert str(got.value) == message
+    with pytest.raises(error) as alone:
+        _probed(g1, probes[2:3])
+    assert str(alone.value) == message
+    assert _probed(g1, probes[:2] + probes[3:4]).probes == tuple(
+        probes[:2] + probes[3:4])
+
+
 def _one_block(metric):
     return build_system(BlockStructure((3,), (("a", "b", "c"),)),
                         StackelMatrix((("1",),)),
