@@ -143,6 +143,11 @@ class CartesianReference:
     transform: CanonicalTransform
     regular: Callable[[Sequence[float]], bool]
     sample_box: tuple[tuple[float, float], ...]
+    flat: MetricField                 # the chart's metric, and its jet
+
+    @functools.cached_property
+    def potential(self) -> _model._GridJet:  # H's potential, order 2
+        return _model._GridJet((self.hamiltonian.scalar,), self.coords, (), 2)
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,7 @@ class CatalogEntry:
     reference: Optional[Callable[[], CartesianReference]] = None
     closed_form: Optional[Callable[[PhasePoint, float], PhasePoint]] = None
 
-    @property
+    @functools.cached_property
     def cartesian(self) -> Optional[CartesianReference]:
         """The flat-chart reference, made on first read, or None."""
         return None if self.reference is None else self.reference()
@@ -427,7 +432,6 @@ def calogero4() -> CatalogEntry:
             return False
         return pair_gap(transform.old_positions(q)) > 0.05
 
-    @functools.cache
     def reference():
         hamiltonian = PhaseScalar(
             _X4, tensor=identity_tensor(_X4, variance="contravariant"),
@@ -447,6 +451,7 @@ def calogero4() -> CatalogEntry:
             transform=transform,
             regular=regular_cartesian,
             sample_box=((-1.5, 1.5),) * 4,
+            flat=MetricField(_X4, identity_tensor(_X4).grid),
         )
 
     start = transform.to_new(PhasePoint((-1.2, -0.4, 0.4, 1.2),
@@ -734,6 +739,7 @@ _BUILDERS = {
     "e3-case-i": e3_case_i_family,
     "e3-case-ii": e3_case_ii_family,
 }
+_ENTRIES: dict = {}  # the items load built, kept as the jets are
 
 
 def names() -> tuple[str, ...]:
@@ -741,11 +747,13 @@ def names() -> tuple[str, ...]:
 
 
 def load(name: str, **params):
-    """Build a catalog item by its command-line name."""
+    """The catalog item of a name and parameters, built once per process
+    (parameters keyed by name, type and ``repr``): shared, so read-only."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         known = ", ".join(_BUILDERS)
         raise CatalogError(f"unknown catalog entry {name!r}; "
                            f"known names: {known}") from None
-    return builder(**params)
+    key = (name, *((k, type(v), repr(v)) for k, v in sorted(params.items())))
+    return _expr._cached(key, lambda: builder(**params), _ENTRIES)

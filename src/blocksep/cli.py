@@ -28,7 +28,7 @@ from .dynamics import (DynamicsError, IntegrationError, IntegratorConfig,
                        block_clock, compare_block_orbits, full_field_callable,
                        integrate)
 from .model import (ModelError, PhasePoint, StackelMatrix, TwistedSystem,
-                    _GridJet, cond_warning, invert_with_condition)
+                    cond_warning, invert_with_condition)
 
 __all__ = ["main", "CheckResult", "VerificationReport", "ProbeError",
            "EXIT_OK", "EXIT_VERIFY", "EXIT_CONFIG", "EXIT_NUMERIC"]
@@ -516,13 +516,20 @@ def _verify_checks(res: _Resolved, cfg: RunConfig,
     qs = [P.q for P in probes]
 
     scalars = [_geo.first_integral_scalar(sys_, a) for a in range(1, n + 1)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            name = f"bracket({'H' if i == 0 else f'K_{i + 1}'},K_{j + 1})"
-            bracket = (lambda ps, F=scalars[i], G=scalars[j]:
-                       np.abs(_geo.poisson_bracket(F, G, ps)))
-            checks.append(_row(name, th["bracket"],
-                               _blocked(name, probes, bracket), qs))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    names = [f"bracket({'H' if i == 0 else f'K_{i + 1}'},K_{j + 1})"
+             for i, j in pairs]
+
+    def brackets(ps):
+        at = _geo.PhaseStack(sys_.structure.names, ps)  # gradients once
+        return np.abs([_geo.poisson_bracket(scalars[i], scalars[j], at)
+                       for i, j in pairs]).T
+
+    # Each integral divides by det S and holds every potential, so a
+    # probe where any bracket fails fails H's gradients, taken first.
+    rows = _blocked(names[0], probes, brackets) if pairs else ()
+    for k, name in enumerate(names):
+        checks.append(_row(name, th["bracket"], rows[:, k], qs))
 
     names = [f"eigenvalue-gradient K_{a}" for a in range(2, n + 1)]
     kinds = ("metric", "potential")
@@ -555,27 +562,21 @@ def _verify_checks(res: _Resolved, cfg: RunConfig,
 
     if res.entry is not None and res.entry.cartesian is not None:
         ref = res.entry.cartesian
-        flat = _geo.MetricField(ref.coords,
-                                _geo.identity_tensor(ref.coords).grid)
         pts = _geo.rejection_sample(ref.sample_box, cfg.points,
                                     cfg.seed + 2, predicate=ref.regular)
-        V = _GridJet((ref.hamiltonian.scalar,), ref.coords, (), 2)
         for idx, scalar in enumerate(ref.integrals, start=2):
-            grid = scalar.tensor.grid
-            k_cov = _geo.TensorField2(ref.coords, grid, "covariant",
-                                      symmetric=True)
-            k_mix = k_cov.tagged("mixed")  # one jet for both tags
+            k_cov, k_mix = map(scalar.tensor.tagged, ("covariant", "mixed"))
             battery = (
                 ("killing", th["killing"],
-                 lambda xs: _geo.killing_residual(flat, k_cov, xs)),
+                 lambda xs: _geo.killing_residual(ref.flat, k_cov, xs)),
                 ("torsion-normality", th["tensor"],
-                 lambda xs: np.max(_geo.tsn_residuals(k_mix, flat, xs),
+                 lambda xs: np.max(_geo.tsn_residuals(k_mix, ref.flat, xs),
                                    axis=1)),
                 ("haantjes-condition", th["tensor"],
                  lambda xs: _geo.haantjes(k_mix, xs)["condition_residual"]),
                 ("characteristic", th["tensor"],
-                 lambda xs: _geo.characteristic_condition(k_mix, V, flat,
-                                                          xs)),
+                 lambda xs: _geo.characteristic_condition(
+                     k_mix, ref.potential, ref.flat, xs)),
             )
             for kind, bound, fn in battery:
                 name = f"{kind} K_{idx}"

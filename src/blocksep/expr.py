@@ -656,13 +656,15 @@ JETS_KEPT = 256
 _JETS: dict = {}
 
 
-def _cached(key, make):
-    hit = _JETS.pop(key, None)
+def _cached(key, make, kept=None):
+    """make()'s value for key, from ``kept`` (else the jet cache)."""
+    kept = _JETS if kept is None else kept
+    hit = kept.pop(key, None)
     if hit is None:
         hit = make()
-        if len(_JETS) >= JETS_KEPT:
-            del _JETS[next(iter(_JETS))]
-    _JETS[key] = hit
+        if len(kept) >= JETS_KEPT:
+            del kept[next(iter(kept))]
+    kept[key] = hit
     return hit
 
 

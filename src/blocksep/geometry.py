@@ -40,7 +40,7 @@ metric inverted in :func:`_inverse` only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -275,22 +275,19 @@ def identity_tensor(coords, variance: str = "mixed") -> TensorField2:
 # ---------------------------------------------------------------------------
 # phase-space scalars and Poisson brackets
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself: a dict key
 class PhaseScalar:
     """F = (1/2) K^ij p_i p_j + W on the phase space.
 
     Quadratic in momenta by construction; the momentum gradient is
     analytic, the position gradient comes from derivatives of the
-    coefficient expressions.  The gradients at each stack of phase
-    points are kept for the scalar's life, so make a scalar per task.
+    coefficient expressions.  A scalar keeps its jet and nothing it was
+    evaluated at, so one scalar serves every task.
     """
 
     coords: tuple
     tensor: TensorField2 | None = None
     scalar: object = 0.0
-    # the gradients at each stack of phase points, by its bytes
-    _kept: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
@@ -331,21 +328,28 @@ class PhaseScalar:
         return dq, dp
 
 
+class PhaseStack(dict):
+    """Phase points as two (P, n) arrays, positions ``qs`` and momenta
+    ``ps``, holding by scalar the gradients taken at them, once."""
+
+    def __init__(self, coords, points):
+        self.qs = np.array([_point_of(coords, P) for P in points])
+        self.ps = np.array([P.p for P in points], dtype=float)
+
+
 def poisson_bracket(F: PhaseScalar, G: PhaseScalar, points):
     """{F, G} = sum_i dF/dq^i dG/dp_i - dF/dp_i dG/dq^i at one phase
-    point, or at each of a sequence of them."""
+    point, or at each of a sequence of them or of a :class:`PhaseStack`."""
     if F.coords != G.coords:
         raise GeometryError(
             "bracket arguments live on different phase spaces")
     one = isinstance(points, PhasePoint)
-    points = [points] if one else list(points)
-    qs = np.array([_point_of(F.coords, P) for P in points])
-    ps = np.array([P.p for P in points], dtype=float)
-    key = qs.tobytes() + ps.tobytes()  # each scalar's gradients once
+    if not isinstance(points, PhaseStack):
+        points = PhaseStack(F.coords, [points] if one else list(points))
     for S in (F, G):
-        if key not in S._kept:
-            S._kept[key] = S._gradients(qs, ps)
-    (dqF, dpF), (dqG, dpG) = F._kept[key], G._kept[key]
+        if S not in points:
+            points[S] = S._gradients(points.qs, points.ps)
+    (dqF, dpF), (dqG, dpG) = points[F], points[G]
     return _result(_dots(dqF, dpG) - _dots(dpF, dqG), one)
 
 
@@ -720,6 +724,9 @@ def first_integral_scalar(sys: TwistedSystem, a: int) -> PhaseScalar:
     (1/2) k_a^ij p_i p_j + W_a with k_a block-diagonal from the inverse
     separation row and W_a the same row applied to the potentials."""
     _check_integral(sys, a)
+    kept = sys.jet.integrals  # made once per system, kept with its jet
+    if a in kept:
+        return kept[a]
     row = symbolic_inverse_row(sys.stackel, a)
     names = sys.structure.names
     grid = _block_diagonal(sys, row)
@@ -728,7 +735,7 @@ def first_integral_scalar(sys: TwistedSystem, a: int) -> PhaseScalar:
         term = row[r] * sys.blocks[r].potential
         W = term if W is None else W + term
     tensor = TensorField2(names, grid, "contravariant", symmetric=True)
-    return PhaseScalar(names, tensor=tensor, scalar=W)
+    return kept.setdefault(a, PhaseScalar(names, tensor=tensor, scalar=W))
 
 
 # ---------------------------------------------------------------------------

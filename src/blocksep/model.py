@@ -343,6 +343,7 @@ class SystemJet:
         # to the system, not at the next full collection
         self._sys = copy.copy(sys)
         self._reduced = {}
+        self.integrals = {}  # geometry.first_integral_scalar's, by index
 
     def _phase(self, r: int):
         """Block r's phase names and its energy H_r as an expression in

@@ -1,15 +1,16 @@
 """Shared fixtures: a small three-block system used across suites, and
 the references that only tests call.
 
-Kept independent of the catalog module on purpose, so the model and
-dynamics suites exercise hand-assembled systems and the catalog suite
-can cross-check its own constructions against these.
+The systems here are built without the catalog module on purpose, so
+the model and dynamics suites exercise hand-assembled systems and the
+catalog suite can cross-check its own constructions against these; the
+catalog is imported only to empty its entry cache.
 """
 
 import numpy as np
 import pytest
 
-from blocksep import expr, model
+from blocksep import catalog, expr, model
 from blocksep.dynamics import (
     _COUPLING, _DENSE, _ERROR5, _KEPT, _NODES, _ORDER3,
 )
@@ -102,9 +103,11 @@ PENDULA_C = (0.09494666248, 0.0916913483, -0.3797866499)
 
 @pytest.fixture
 def cold_jets(monkeypatch):
-    """An empty jet cache for one test, so that what the test sees made
-    is made in it, whatever earlier tests left there."""
+    """An empty jet cache and an empty catalog entry cache for one test,
+    so that what the test sees made is made in it, whatever earlier
+    tests left there."""
     monkeypatch.setattr(expr, "_JETS", {})
+    monkeypatch.setattr(catalog, "_ENTRIES", {})
 
 
 @pytest.fixture

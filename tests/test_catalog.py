@@ -550,3 +550,46 @@ def test_registry_load():
     assert fam.leaf_scalar_expected(1.0) == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(CatalogError, match="known names"):
         catalog.load("three-body")
+
+
+# ---------------------------------------------------------------------------
+# the entry cache: one build per name and parameters in a process
+
+def test_load_returns_the_entry_it_built(cold_jets):
+    entry = catalog.load("pendula")
+    assert catalog.load("pendula") is entry
+    fam = catalog.load("e3-case-ii", c1=-2.0, c2=0.5)
+    assert catalog.load("e3-case-ii", c2=0.5, c1=-2.0) is fam
+    assert catalog.load("e3-case-ii") is not fam
+    assert len(catalog._ENTRIES) == 3
+
+
+def test_load_keys_each_parameter_by_its_type_and_repr(cold_jets):
+    # -0.0 == 0.0 and 1 == 1.0, but each is an entry of its own
+    plus = catalog.load("e3-case-ii", c2=0.0)
+    minus = catalog.load("e3-case-ii", c2=-0.0)
+    assert plus is not minus
+    assert catalog.load("e3-case-ii", c2=-0.0) is minus
+    assert catalog.load("e3-case-ii", c2=0.0) is plus
+    assert catalog.load("e3-case-ii", c1=-1) is not catalog.load(
+        "e3-case-ii", c1=-1.0)
+    # a parameter need not be hashable
+    omega = [1.0, 2.0, 4.0]
+    assert catalog.load("oscillators", omega=omega) is catalog.load(
+        "oscillators", omega=list(omega))
+    assert len(catalog._ENTRIES) == 5
+
+
+def test_a_builder_that_raises_is_not_kept(cold_jets, monkeypatch):
+    calls = []
+    real = catalog.e3_case_ii_family
+
+    def counted(**params):
+        calls.append(None)
+        return real(**params)
+
+    monkeypatch.setitem(catalog._BUILDERS, "e3-case-ii", counted)
+    for k in (1, 2):
+        with pytest.raises(CatalogError, match="cannot both vanish"):
+            catalog.load("e3-case-ii", c1=0.0, c2=0.0)
+        assert len(calls) == k and catalog._ENTRIES == {}

@@ -10,6 +10,7 @@ import hashlib
 import importlib.util
 import math
 import os
+import shutil
 import subprocess
 import sys
 import weakref
@@ -379,6 +380,19 @@ def test_bad_builder_parameter(tmp_path, capsys):
     assert "bad parameters" in capsys.readouterr().err
 
 
+def test_a_failed_build_fails_the_same_again(tmp_path, capsys, cold_jets):
+    # nothing is kept of a builder that raises: a second call in the
+    # process builds again and reports in the same words
+    path = tmp_path / "bad.ini"
+    path.write_text("[system]\ncatalog = pendula\nmass = 2\n")
+    for _ in range(2):
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: bad parameters for catalog entry 'pendula': "
+            "pendula() got an unexpected keyword argument 'mass'\n")
+    assert catalog._ENTRIES == {}
+
+
 def test_missing_config_flag():
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate"])
@@ -565,7 +579,7 @@ points = 10
 
 
 def test_only_verify_builds_the_cartesian_reference(tmp_path, capsys,
-                                                    monkeypatch):
+                                                    monkeypatch, cold_jets):
     built = []
     real = catalog.CartesianReference
 
@@ -580,8 +594,11 @@ def test_only_verify_builds_the_cartesian_reference(tmp_path, capsys,
         assert built == []
     assert cli.main(["verify", "--config", path]) == 0
     assert len(built) == 1
+    # the entry verify loaded, with the reference it built
     entry = catalog.load("calogero4")
-    assert entry.cartesian is entry.cartesian and len(built) == 2
+    assert entry.cartesian is entry.cartesian and len(built) == 1
+    assert cli.main(["verify", "--config", path]) == 0
+    assert catalog.load("calogero4") is entry and len(built) == 1
     capsys.readouterr()
 
 
@@ -729,7 +746,7 @@ points = 25
 
 
 def test_verify_makes_one_jet_per_flat_chart_grid(tmp_path, capsys,
-                                                 monkeypatch):
+                                                 monkeypatch, cold_jets):
     # K's covariant and mixed tags are one grid, and one jet
     made = []
     init = model._GridJet.__init__
@@ -747,6 +764,75 @@ def test_verify_makes_one_jet_per_flat_chart_grid(tmp_path, capsys,
              for K in catalog.load("calogero4").cartesian.integrals]
     assert grids[0] != grids[1]
     assert made.count(grids[0]) == made.count(grids[1]) == 1
+
+
+def test_a_warm_verify_builds_and_keys_nothing(tmp_path, capsys,
+                                              monkeypatch, cold_jets):
+    # a second verify of calogero4, at another seed, parses no
+    # expression, builds no system, makes no grid jet and walks no jet
+    # key: its entry, the integrals' scalars and the flat-chart jets are
+    # those of the first
+    path = write_config(tmp_path, CALOGERO_SHORT, out=str(tmp_path / "out"))
+    assert cli.main(["verify", "--config", path]) == 0
+    calls = []
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for module, name in ((expr, "parse"), (expr, "_generated"),
+                         (model, "build_system"), (catalog, "build_system")):
+        monkeypatch.setattr(module, name,
+                            counting(name, getattr(module, name)))
+    monkeypatch.setattr(model._GridJet, "__init__", counting(
+        "_GridJet", model._GridJet.__init__))
+    assert cli.main(["verify", "--config", path, "--seed", "6"]) == 0
+    assert "# seed = 6" in capsys.readouterr().out
+    assert calls == []
+
+
+def _outputs(argv, capsys):
+    """The exit code, stdout, stderr and written files of one command,
+    whose --out directory is the last argument, which it then removes."""
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    files = {name: open(os.path.join(argv[-1], name), "rb").read()
+             for name in sorted(os.listdir(argv[-1]))}
+    shutil.rmtree(argv[-1])
+    return code, out, err, files
+
+
+def test_held_entries_leave_no_trace_in_later_outputs(tmp_path, capsys,
+                                                      cold_jets):
+    # verify at seeds 1234, 1235 and 1234 with other commands between,
+    # all in one process, writes what each writes in a cold process
+    bodies = {
+        "calogero4": CALOGERO_SHORT,
+        "pendula": PENDULA_BODY,
+        "e3-case-ii": "[system]\ncatalog = e3-case-ii\n"
+                      "[verification]\npoints = 50\n",
+    }
+    paths = {name: write_config(tmp_path, body, name=f"{name}.ini")
+             for name, body in bodies.items()}
+    runs = [("verify", "calogero4", "1234"), ("simulate", "calogero4", None),
+            ("verify", "calogero4", "1235"), ("compare", "pendula", None),
+            ("curvature", "e3-case-ii", "1234"),
+            ("verify", "calogero4", "1234")]
+
+    def argv(k):  # the reports echo the --out directory
+        command, name, seed = runs[k]
+        return [command, "--config", paths[name],
+                *(["--seed", seed] if seed else []),
+                "--out", str(tmp_path / "out")]
+
+    warm = [_outputs(argv(k), capsys) for k in range(len(runs))]
+    for k in range(len(runs)):
+        expr._JETS.clear()
+        catalog._ENTRIES.clear()
+        assert _outputs(argv(k), capsys) == warm[k]
+    assert [w[0] for w in warm] == [0] * len(runs)
 
 
 def test_verify_rejects_metric_family(tmp_path, capsys):

@@ -901,7 +901,7 @@ def test_integration_into_the_gate_keeps_the_partial_orbit():
                        atol=1e-12)
 
 
-def test_constant_twist_is_folded_into_the_field(monkeypatch):
+def test_constant_twist_is_folded_into_the_field(monkeypatch, cold_jets):
     # oscillators has a constant S: its gated inverse is taken once,
     # when the field is made, and never while integrating or clocking
     calls = []

@@ -503,7 +503,8 @@ def test_curvature_compiles_do_not_grow_with_points(name, compiles,
     counts = []
     for points in (10, 1000):
         compiles.clear()
-        expr._JETS.clear()   # each run makes its own jets
+        expr._JETS.clear()   # each run makes its own jets and entry
+        catalog._ENTRIES.clear()
         path = write_config(tmp_path, f"[system]\ncatalog = {name}\n"
                                       f"[verification]\npoints = {points}\n"
                                       f"[output]\ndirectory = {tmp_path}\n")
@@ -522,7 +523,7 @@ def test_curvature_compiles_do_not_grow_with_points(name, compiles,
     ("curvature", "e3-case-ii", 1000, 4),
 ])
 def test_commands_make_each_grid_jet_once(command, name, points, count,
-                                          monkeypatch, tmp_path):
+                                          monkeypatch, tmp_path, cold_jets):
     # verify: the characteristic rows of K_2 and K_3 share one order-2
     # jet of the pair potential; curvature: the leaf metrics of all the
     # blocks of points share one jet
