@@ -539,16 +539,23 @@ def e3_case_i(c0: float, c1: float, c2: float, c3: float, f) -> MetricField:
         [[axis, zero, zero], [zero, leaf, zero], [zero, zero, leaf]])
 
 
+def _leaf_jet(*exprs) -> _model._GridJet:
+    """Expressions over the leaf (v, w) with their first and second
+    derivatives, as one jet."""
+    return _model._GridJet(list(exprs), ("v", "w"), (), 2)
+
+
 def case_i_residuals(c0: float, c1: float, c2: float, c3: float, f,
-                     points: Sequence) -> dict:
+                     points: Sequence, jet=None) -> dict:
     """Max-norm report for the flatness system of the ignorable-axis
     family: the leaf-flatness equation, the three mixed scale/profile
     equations, and their reduced form after substituting the built-in
-    scale, at leaf pairs (v, w) or full (u, v, w) points, one stack."""
-    fe = _as_profile(f)
-    ell = ignorable_direction_scale(c0, c1, c2, c3)
+    scale, at leaf pairs (v, w) or full (u, v, w) points, one stack.
+    ``jet`` is the scale's and profile's :func:`_leaf_jet`, if made
+    already."""
+    jet = jet or _leaf_jet(ignorable_direction_scale(c0, c1, c2, c3),
+                           _as_profile(f))
     vw = _leaf_points(points)
-    jet = _model._GridJet([ell, fe], ("v", "w"), (), 2)
     (l, _), ((lv, fv), (lw, fw)), (((lvv, fvv), (_, fvw)),
                                    (_, (lww, fww))) = _columns(jet, vw)
     names = ("leaf_flatness", "mixed_vv", "mixed_ww", "mixed_vw",
@@ -616,19 +623,20 @@ def e3_case_ii(c1: float, c2: float, f) -> MetricField:
 
 
 def case_ii_residuals(c1: float, c2: float, f, points: Sequence,
-                      u_values: Sequence[float] = (), axis=None) -> dict:
+                      u_values: Sequence[float] = (), axis=None,
+                      leaf=None) -> dict:
     """Max-norm report for the warped family: the axis ODE for the
     scale (zero for the built-in reciprocal-linear scale) at u_values
     and the leaf profile equation tying the leaf curvature to c1 at
     ``points`` (as :func:`case_i_residuals` takes them), each over one
-    stack.  ``axis`` is :func:`_scale_jet`'s jet, if made already."""
-    fe = _as_profile(f)
+    stack.  ``axis`` is :func:`_scale_jet`'s jet and ``leaf`` the
+    profile's :func:`_leaf_jet`, if made already."""
     axis = axis or _scale_jet(c1, c2)
+    leaf = leaf or _leaf_jet(_as_profile(f))
     (l,), ((lu,),), (((luu,),),) = _columns(axis,
                                             np.reshape(u_values, (-1, 1)))
-    jet = _model._GridJet([fe], ("v", "w"), (), 2)
     (fval,), ((fv,), (fw,)), (((fvv,), _), (_, (fww,))) = _columns(
-        jet, _leaf_points(points))
+        leaf, _leaf_points(points))
     with np.errstate(all="ignore"):
         ode = luu * l - 2 * lu * lu
         residuals = fval * (fvv + fww) - fv * fv - fw * fw - c1 * c1
@@ -664,9 +672,11 @@ def e3_case_i_family(c0: float = 0.0, c1: float = 1.0, c2: float = 1.0,
     fe = _as_profile(f)
     metric = e3_case_i(c0, c1, c2, c3, fe)
     ell = ignorable_direction_scale(c0, c1, c2, c3)
+    # compiled on the first call, not while loading
+    jet = functools.cache(lambda: _leaf_jet(ell, fe))
 
     def residuals(points):
-        return case_i_residuals(c0, c1, c2, c3, fe, points)
+        return case_i_residuals(c0, c1, c2, c3, fe, points, jet=jet())
 
     return MetricFamily(
         name="e3-case-i",
@@ -689,13 +699,15 @@ def e3_case_ii_family(c1: float = -1.0, c2: float = 0.0,
     ell = warped_direction_scale(c1, c2)
 
     # the scale's jet serves the residuals and the expected leaf
-    # curvature; compiled on the first call, not while loading
+    # curvature; compiled on the first call, not while loading, as is
+    # the profile's
     axis = functools.cache(lambda: _scale_jet(c1, c2))
+    profile = functools.cache(lambda: _leaf_jet(fe))
 
     def residuals(points):
         us = sorted({float(p[0]) for p in points if len(p) > 2}) or [1.0]
         return case_ii_residuals(c1, c2, fe, points, u_values=us,
-                                 axis=axis())
+                                 axis=axis(), leaf=profile())
 
     # one grid for every leaf, with u a bound parameter, so that all
     # leaf metrics share this one's jet, made on first use
@@ -746,14 +758,24 @@ def names() -> tuple[str, ...]:
     return tuple(_BUILDERS)
 
 
+def _param_key(v):
+    """A parameter as a key: its type and ``repr``, or for an array,
+    whose ``repr`` elides entries past 1,000, its dtype, shape and
+    bytes."""
+    if isinstance(v, np.ndarray):
+        return type(v), v.dtype.str, v.shape, v.tobytes()
+    return type(v), repr(v)
+
+
 def load(name: str, **params):
     """The catalog item of a name and parameters, built once per process
-    (parameters keyed by name, type and ``repr``): shared, so read-only."""
+    (parameters keyed by name and :func:`_param_key`): shared, so
+    read-only."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         known = ", ".join(_BUILDERS)
         raise CatalogError(f"unknown catalog entry {name!r}; "
                            f"known names: {known}") from None
-    key = (name, *((k, type(v), repr(v)) for k, v in sorted(params.items())))
+    key = (name, *((k, _param_key(v)) for k, v in sorted(params.items())))
     return _expr._cached(key, lambda: builder(**params), _ENTRIES)

@@ -339,16 +339,147 @@ def _csv_block(sys_: TwistedSystem, traj, clocks, ts):
     return np.concatenate([ts[:, None], states, taus, K], axis=1), cond
 
 
+@cache
+def _g17_tables():
+    """The tables of :func:`_g17_digits` and :func:`_g17`, from Python
+    ints and strings.  Entry j of each is for E = j - 27 (j = 0..48):
+    the least double >= 10^(E+1); 10^(16-E) as a pair (hi, lo), hi the
+    double nearest to it and lo the double nearest to the rest (hi + lo
+    is the power exactly for E <= 16, and to about 2^-106 of it above);
+    and how ``%.17g`` lays out a value of exponent E, as the digits
+    before its point and the slots before its digits ("0." and zeros,
+    below 1) and after them ("e-XX"), each slot a row."""
+    def pair(k):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        hi = num / den   # int / int rounds correctly
+        a, b = hi.as_integer_ratio()
+        return hi, (num * b - a * den) / (den * b)
+
+    bounds, his, los, whole, before, after = [], [], [], [], [], []
+    for E in range(-27, 22):
+        hi, lo = pair(E + 1)
+        bounds.append(math.nextafter(hi, math.inf) if lo > 0 else hi)
+        hi, lo = pair(16 - E)
+        his.append(hi)
+        los.append(lo)
+        # %g: "d.ddde-XX" below 1e-4 and from 1e17 up, else fixed point
+        sci = E < -4 or E >= 17
+        whole.append(1 if sci else max(E + 1, 0))
+        before.append(b"" if sci or E >= 0 else b"0." + b"0" * (-E - 1))
+        after.append(b"e%+03d" % E if sci else b"")
+    slots = [np.frombuffer(b"".join(t.ljust(width, b"\0") for t in ts),
+                           np.uint8).reshape(len(ts), width).T.copy()
+             for ts, width in ((before, 5), (after, 4))]
+    return (np.array(bounds), np.array(his), np.array(los),
+            np.array(whole, np.uint8), *slots)
+
+
+def _g17_digits(x: np.ndarray):
+    """The 17 significant digits that ``%.17g`` prints of each value x,
+    as a (17, len(x)) array (all 0 for zero), and j = E + 27 for E its
+    decimal exponent after rounding (10^E <= |x| < 10^(E+1) before it),
+    for every x the arrays settle, which the third array marks.
+
+    They settle zero and any x with -25 <= E <= 19.  |x| 10^(16-E) is
+    formed as p + rest, p the rounded product by the power's high part
+    and rest the exact rounding error of p (Dekker's two-product) plus
+    |x| times the power's low part; the whole is known to better than
+    1e-14.  Rounded to the nearest integer it is the 17 digits, unless
+    its fraction lies within 1e-6 of one half, where that accuracy
+    cannot pick the side (or ``%`` breaks an exact tie to even)."""
+    bounds, his, los = _g17_tables()[:3]
+    a = np.abs(x)
+    zero = a == 0.0
+    ok = (a >= bounds[1]) & (a < bounds[46])   # 1e-25 <= |x| < 1e20
+    a = np.where(ok, a, 1.0)    # 1.0 stands in for every other value
+    # log10 may miss E by one either way next to a power of ten
+    j = np.floor(np.log10(a)).astype(np.intp) + 27
+    j -= a < bounds[j - 1]
+    j += a >= bounds[j]
+
+    # |x| 10^(16-E) == p + rest, in [1e16, 1e17)
+    hi = his[j]
+    p = a * hi
+    ah = a * 134217729.0       # 2^27 + 1 splits a double in halves
+    ah -= ah - a
+    al = a - ah
+    hh = hi * 134217729.0
+    hh -= hh - hi
+    hl = hi - hh
+    rest = ah * hh - p
+    rest += ah * hl
+    rest += al * hh
+    rest += al * hl
+    rest += a * los[j]
+    n = np.floor(rest)
+    rest -= n
+    settled = (ok | zero) & (np.abs(rest - 0.5) >= 1e-6)
+    n = p.astype(np.int64) + n.astype(np.int64) + (rest >= 0.5)
+    carry = n == 10 ** 17      # 9.99...95e16 rounds up to the next E
+    n[carry] = 10 ** 16
+    n[zero] = 0
+    # digits 0-7 and 8-16 of n from its quotient and remainder by 10^9,
+    # last to first, by uint32 // 10 (the quotient, below 10^8, gets a
+    # leading 0, dropped)
+    top = n // 10 ** 9
+    v = np.stack([top, n - top * 10 ** 9]).astype(np.uint32)
+    digits = np.empty((2, 9, len(x)), np.uint8)
+    for k in range(8, -1, -1):
+        q = v // 10
+        digits[:, k] = v - q * 10
+        v = q
+    return digits.reshape(18, -1)[1:], j + carry, settled
+
+
+def _g17(block: np.ndarray) -> str:
+    """The rows of a 2-D float block as ``%.17g`` text, byte for byte:
+    values joined by ``,``, rows by newlines, none after the last.  The
+    digits are :func:`_g17_digits`', laid out as ``%g`` lays them
+    out, in fixed slots whose unused bytes are NUL and deleted at the
+    end; a value they do not settle (near a rounding tie, nan, ±inf,
+    any other |x| below 1e-25 or from 1e20 up) is formatted by ``%``
+    alone, into its own slots."""
+    x = block.ravel()
+    digits, j, settled = _g17_digits(x)
+    whole, before, after = _g17_tables()[3:]
+    # the slots of value i are column i: row 0 its sign, 1-5 the slots
+    # before its digits, 6 + 2k digit k and 7 + 2k a point after it,
+    # 40-43 its exponent and 44 its separator
+    slots = np.zeros((45, len(x)), np.uint8)
+    slots[0] = np.signbit(x) * np.uint8(ord("-"))
+    np.take(before, j, axis=1, out=slots[1:6])
+    np.take(after, j, axis=1, out=slots[40:44])
+    # the significant digits, trailing zeros dropped (none for zero),
+    # and those before the point, which %g shows all
+    col = np.arange(1, 18, dtype=np.uint8)[:, None]
+    nd = ((digits != 0) * col).max(axis=0)
+    w = whole[j]
+    slots[6:40:2] = (digits + np.uint8(ord("0"))) * (col <= np.maximum(nd, w))
+    slots[7:40:2] = (col == w * (nd > w)) * np.uint8(ord("."))
+    ends = slots[44].reshape(block.shape)
+    ends[:, :-1] = ord(",")
+    ends[:-1, -1] = ord("\n")
+
+    for i in np.flatnonzero(~settled):
+        s = np.frombuffer(b"%.17g" % x[i], np.uint8)
+        slots[:44, i] = 0
+        slots[:len(s), i] = s
+    return slots.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _csv_rows(sys_: TwistedSystem, traj, clocks, times):
     """The CSV rows at the given times as text, one string of rows per
     block, and as one array of their values, and the cond of S at each
     row, made by :func:`_csv_block` per block of up to ``_CSV_BLOCK``
-    times and formatted by one ``%`` per block.  A block that fails is
-    made again row by row, so that the error raised is that of the
-    first row that fails on its own, and within a row that of its twist
-    before that of its energies."""
+    times.  The text of a block is :func:`_g17`'s, ``%.17g``'s bytes
+    made over arrays: each value's 17 digits are its scaled value, a
+    double-double known to 1e-14, rounded to an integer, which is how
+    ``%`` rounds wherever that value lies more than 1e-6 from a half;
+    ``%`` itself formats the rest and the values out of range.  A block
+    that fails is made again row by row, so that the error raised is
+    that of the first row that fails on its own, and within a row that
+    of its twist before that of its energies."""
     N, n = sys_.dim, sys_.n
-    fmt = ",".join(["%.17g"] * (1 + 2 * N + 2 * n))
     text, conds = [], []
     values = np.empty((len(times), 1 + 2 * N + 2 * n))
     for i in range(0, len(times), _CSV_BLOCK):
@@ -358,8 +489,7 @@ def _csv_rows(sys_: TwistedSystem, traj, clocks, times):
         except _EVALUATION_ERRORS + (DynamicsError,):
             block, cond = map(np.concatenate, zip(*(
                 _csv_block(sys_, traj, clocks, t[None]) for t in ts)))
-        text.append("\n".join([fmt] * len(ts))
-                    % tuple(block.ravel().tolist()))
+        text.append(_g17(block))
         values[i:i + len(ts)] = block
         conds.append(cond)
     return text, values, np.concatenate(conds)

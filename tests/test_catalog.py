@@ -564,7 +564,8 @@ def test_load_returns_the_entry_it_built(cold_jets):
     assert len(catalog._ENTRIES) == 3
 
 
-def test_load_keys_each_parameter_by_its_type_and_repr(cold_jets):
+def test_load_keys_each_parameter_by_its_type_and_repr(cold_jets,
+                                                      monkeypatch):
     # -0.0 == 0.0 and 1 == 1.0, but each is an entry of its own
     plus = catalog.load("e3-case-ii", c2=0.0)
     minus = catalog.load("e3-case-ii", c2=-0.0)
@@ -578,6 +579,19 @@ def test_load_keys_each_parameter_by_its_type_and_repr(cold_jets):
     assert catalog.load("oscillators", omega=omega) is catalog.load(
         "oscillators", omega=list(omega))
     assert len(catalog._ENTRIES) == 5
+    # NumPy elides the repr of an array of more than 1,000 entries: an
+    # array is keyed by its dtype, shape and bytes
+    monkeypatch.setitem(catalog._BUILDERS, "arrays", lambda **p: object())
+    a, b = np.ones(1001), np.ones(1001)
+    b[500] = 2.0
+    assert repr(a) == repr(b)
+    assert catalog.load("arrays", omega=a) is not catalog.load("arrays",
+                                                                omega=b)
+    assert catalog.load("arrays", omega=b.copy()) is catalog.load(
+        "arrays", omega=b)
+    assert catalog.load("arrays", omega=a.reshape(7, 143)) is not \
+        catalog.load("arrays", omega=a)
+    assert len(catalog._ENTRIES) == 8
 
 
 def test_a_builder_that_raises_is_not_kept(cold_jets, monkeypatch):

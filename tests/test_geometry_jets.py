@@ -526,7 +526,8 @@ def test_commands_make_each_grid_jet_once(command, name, points, count,
                                           monkeypatch, tmp_path, cold_jets):
     # verify: the characteristic rows of K_2 and K_3 share one order-2
     # jet of the pair potential; curvature: the leaf metrics of all the
-    # blocks of points share one jet
+    # blocks of points share one jet; a second run in the process makes
+    # no grid jet and walks no jet key: its item holds them
     made = []
     real = model._GridJet.__init__
 
@@ -544,6 +545,18 @@ def test_commands_make_each_grid_jet_once(command, name, points, count,
     if command == "verify":
         V = catalog.load(name).cartesian.hamiltonian.scalar
         assert [exprs for exprs in made if exprs == (V,)] == [(V,)]
+    made.clear()
+    walks = []
+    real_generated = expr._generated
+
+    def walking(*args):
+        walks.append(args[0])
+        return real_generated(*args)
+
+    monkeypatch.setattr(expr, "_generated", walking)
+    assert cli.main([command, "--config", path,
+                     "--out", str(tmp_path / "out")]) == 0
+    assert made == [] and walks == []
 
 
 def test_bracket_rows_evaluate_each_integral_once(monkeypatch, tmp_path):

@@ -13,7 +13,8 @@ sample, one stack call each of S and the energies, one stacked gated
 inverse of S, one stacked row dot) and must be byte-identical to rows
 made one time at a time, forward and backward; a block holding a row
 whose S fails the gate raises the error of the first failing row, as
-the rows one at a time would.
+the rows one at a time would.  A block's text equals ``%.17g`` of each
+value, on drawn blocks and on a list of edge values.
 """
 
 import itertools
@@ -23,6 +24,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import PENDULA_P0, make_pendula_like
 
@@ -338,6 +340,49 @@ directory = {out}
     want = "\n".join([cli._csv_header(sys_)] + rows) + "\n"
     with open(os.path.join(out, "orbit.csv"), encoding="utf-8") as fh:
         assert fh.read() == want
+
+
+def percent_rows(block):
+    """A block's rows as ``%.17g`` text, one value at a time."""
+    return "\n".join(",".join("%.17g" % v for v in row)
+                     for row in block.tolist())
+
+
+# a failing block is reported as drawn: shrinking a pool and a shape of
+# up to 4,500 values, each step checked against % one value at a time,
+# ran for minutes
+@settings(max_examples=300, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.lists(st.floats(width=64), min_size=1, max_size=64),
+       st.integers(1, 300), st.integers(1, 15), st.integers(0, 2 ** 32 - 1))
+def test_row_text_is_percent_17g(pool, rows, cols, seed):
+    # the values of a block are drawn from the pool, which may hold nan,
+    # +-inf, +-0.0 and subnormals
+    pick = np.random.default_rng(seed).integers(len(pool), size=(rows, cols))
+    block = np.array(pool)[pick]
+    assert cli._g17(block) == percent_rows(block)
+
+
+def _edge_values():
+    # ties of the 18th digit (% rounds them to even); each power of ten
+    # from 1e-26 to 1e21 and its neighbours, which hold the ends of the
+    # array range (1e-25 and 1e20) and the %g switch points (1e-5, 1e-4,
+    # 1e16 and 1e17); a 17-nines literal, which is 1e17; zeros, nan,
+    # infinities and the extremes of the doubles
+    values = [1234567890123456.75, 1234567890123456.25, 99999999999999999.0,
+              0.0, math.nan, math.inf, 5e-324, 2.2250738585072014e-308,
+              1.7976931348623157e308]
+    for e in range(-26, 22):
+        power = float(f"1e{e}")
+        values += [np.nextafter(power, 0.0), power,
+                   np.nextafter(power, math.inf)]
+    return np.array(values + [-v for v in values])
+
+
+@pytest.mark.parametrize("shape", [(-1, 1), (1, -1), (-1, 6)])
+def test_row_text_is_percent_17g_at_the_edges(shape):
+    block = _edge_values().reshape(shape)
+    assert cli._g17(block) == percent_rows(block)
 
 
 @pytest.fixture
