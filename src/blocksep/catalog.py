@@ -89,14 +89,6 @@ class CanonicalTransform:
                     f"{left.new_names} then {right.old_names}")
         self.stages = stages
 
-    @property
-    def old_names(self) -> tuple[str, ...]:
-        return self.stages[0].old_names
-
-    @property
-    def new_names(self) -> tuple[str, ...]:
-        return self.stages[-1].new_names
-
     def new_positions(self, old_q) -> tuple[float, ...]:
         q = tuple(float(v) for v in old_q)
         for stage in self.stages:
@@ -108,17 +100,6 @@ class CanonicalTransform:
         for stage in reversed(self.stages):
             q = stage.old_positions(q)
         return q
-
-    def jacobian(self, new_q) -> np.ndarray:
-        """Composite d old / d new at a target-chart position."""
-        coords = [tuple(float(v) for v in new_q)]
-        for stage in reversed(self.stages):
-            coords.insert(0, stage.old_positions(coords[0]))
-        J = None
-        for stage, q in zip(self.stages, coords[1:]):
-            Js = stage.jacobian(q)
-            J = Js if J is None else J @ Js
-        return J
 
     def to_new(self, point: PhasePoint) -> PhasePoint:
         q = tuple(float(v) for v in point.q)
@@ -751,7 +732,8 @@ _BUILDERS = {
     "e3-case-i": e3_case_i_family,
     "e3-case-ii": e3_case_ii_family,
 }
-_ENTRIES: dict = {}  # the items load built, kept as the jets are
+ENTRIES_KEPT = 256
+_ENTRIES: dict = {}  # the items load built, least recently used first
 
 
 def names() -> tuple[str, ...]:
@@ -769,8 +751,9 @@ def _param_key(v):
 
 def load(name: str, **params):
     """The catalog item of a name and parameters, built once per process
-    (parameters keyed by name and :func:`_param_key`): shared, so
-    read-only."""
+    (parameters keyed by name and :func:`_param_key`) and kept while it
+    is among the ``ENTRIES_KEPT`` last used: shared, so read-only.  The
+    item holds the jets it makes, so a kept item makes none again."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
@@ -778,4 +761,10 @@ def load(name: str, **params):
         raise CatalogError(f"unknown catalog entry {name!r}; "
                            f"known names: {known}") from None
     key = (name, *((k, _param_key(v)) for k, v in sorted(params.items())))
-    return _expr._cached(key, lambda: builder(**params), _ENTRIES)
+    entry = _ENTRIES.pop(key, None)
+    if entry is None:
+        entry = builder(**params)
+        if len(_ENTRIES) >= ENTRIES_KEPT:
+            del _ENTRIES[next(iter(_ENTRIES))]
+    _ENTRIES[key] = entry
+    return entry

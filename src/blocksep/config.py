@@ -89,6 +89,8 @@ class RunConfig:
             if not value > 0.0:
                 self._fail(
                     f"threshold {name!r} must be positive, got {value!r}")
+        if not all(map(math.isfinite, self.t_span)):
+            self._fail(f"time span must be finite, got {self.t_span!r}")
         if self.t_span[0] == self.t_span[1]:
             self._fail("time span must have nonzero length")
         if self.points < 1 or self.samples < 2:
@@ -424,7 +426,7 @@ def _corrupt_spec(section: _Section):
                                       lineno))
 
 
-def _pair_spec(section: _Section, n_hint=None):
+def _pair_spec(section: _Section):
     item = section.raw("pairs")
     if item is None:
         return None
@@ -488,25 +490,23 @@ def load_config(path: str) -> RunConfig:
         inline = _inline_system(path, system, sections, blocks_item, q)
         system.finish()
 
+    # the keys the file gives; RunConfig's defaults fill in the rest
     integ = _empty_section(path, "integration", sections)
-    t_span = integ.floats("t_span", (0.0, 30.0))
-    if len(t_span) != 2:
+    given = {"t_span": integ.floats("t_span")}
+    if given["t_span"] is not None and len(given["t_span"]) != 2:
         raise ConfigError(f"{path}: [integration] t_span expects 't0, t1'")
-    rtol = integ.number("rtol", 1e-10)
-    atol = integ.number("atol", 1e-12)
-    samples = integ.number("samples", 600, kind=int)
+    given.update(rtol=integ.number("rtol"), atol=integ.number("atol"),
+                 samples=integ.number("samples", kind=int))
     integ.finish()
 
     output = _empty_section(path, "output", sections)
-    out_dir = output.text("directory", "out")
-    svg = output.boolean("svg", False)
-    pairs = _pair_spec(output)
+    given.update(out_dir=output.text("directory"), svg=output.boolean("svg"),
+                 pairs=_pair_spec(output))
     output.finish()
 
     verif = _empty_section(path, "verification", sections)
-    seed = verif.number("seed", 1234, kind=int)
-    points = verif.number("points", 100, kind=int)
-    block = verif.number("block", 1, kind=int)
+    given.update((key, verif.number(key, kind=int))
+                 for key in ("seed", "points", "block"))
     thresholds = dict(DEFAULT_THRESHOLDS)
     for key in DEFAULT_THRESHOLDS:
         value = verif.number(key)
@@ -524,18 +524,9 @@ def load_config(path: str) -> RunConfig:
         system_params=system_params,
         inline=inline,
         initial=initial,
-        t_span=(float(t_span[0]), float(t_span[1])),
-        rtol=float(rtol),
-        atol=float(atol),
-        samples=int(samples),
-        out_dir=out_dir,
-        svg=bool(svg),
-        pairs=pairs,
-        block=int(block),
-        seed=int(seed),
-        points=int(points),
         thresholds=thresholds,
         corrupt=corrupt,
+        **{key: value for key, value in given.items() if value is not None},
     )
     if inline is not None and initial is not None:
         if len(initial.q) != inline.dim:

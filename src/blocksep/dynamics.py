@@ -526,7 +526,8 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
     appends them to one float64 buffer, the orbit's (S, d, 7) array.
 
     Raises :class:`DynamicsError` unless atol > 0 and rtol >= 0, both
-    finite, or when the field returns a sequence not of y0's length, and
+    finite, and the span's ends are finite and distinct, or when the
+    field returns a sequence not of y0's length, and
     :class:`IntegrationError` on step underflow or when the field fails
     to evaluate (for example on hitting the singular set of the
     separation matrix); the error carries the partial trajectory.
@@ -539,6 +540,8 @@ def integrate(field: Callable, y0, t_span, config: IntegratorConfig | None
                             "non-negative, both finite")
     y = np.asarray(y0, dtype=float).tolist()
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise DynamicsError(f"non-finite integration span {(t0, t1)!r}")
     if t1 == t0:
         raise DynamicsError("degenerate integration span")
     direction = 1.0 if t1 > t0 else -1.0

@@ -16,9 +16,9 @@ over arrays of points.  Everything the commands evaluate runs on jets:
 the probe checks of a new system, the vector fields, the clocks, the
 chart changes, the geometry and the catalog residuals.  A tree walker
 over dual numbers, which gives every value, partial and failure of a
-jet bit for bit, is kept in the test suite as the jets' oracle.  One
-cache keeps the forms of jets, and the fields, by what they are
-(:func:`_generated`), for a process that makes the same jet again.
+jet bit for bit, is kept in the test suite as the jets' oracle.  A jet
+is held by the object that made it (a system, a field, a catalog
+item), so a process makes each one as often as it makes that object.
 
 Grammar (EBNF)::
 
@@ -646,34 +646,13 @@ def compile(exprs, names, wrt=(), order=1, stack=False):
     source; the stack form (``stack=True``, under ``np.errstate``) takes
     a (P,) array per name, P >= 0, and a (K, P) ``out``, writes entry k
     at p bit for bit to ``out[k, p]``, and raises where floats fail.
-    Both are cached by what the jet is, not by its objects.
     """
-    return _generated("stack" if stack else "float", exprs, names, wrt, order)
+    return _jet_ops("stack" if stack else "float", exprs, names, wrt, order)
 
 
-# the jet cache of the module docstring; a field is keyed on its text
-JETS_KEPT = 256
-_JETS: dict = {}
-
-
-def _cached(key, make, kept=None):
-    """make()'s value for key, from ``kept`` (else the jet cache)."""
-    kept = _JETS if kept is None else kept
-    hit = kept.pop(key, None)
-    if hit is None:
-        hit = make()
-        if len(kept) >= JETS_KEPT:
-            del kept[next(iter(kept))]
-    kept[key] = hit
-    return hit
-
-
-def _generated(form, exprs, names, wrt, order):
-    """A jet's "float", "stack" or "lines" form, from the cache.  The key
-    is one walk of the trees' DAG: per node its type, offset (errors
-    report it; ``==`` ignores it), a name or the ``repr`` of a literal
-    (-0.0 is not 0.0), and its children by first visit, so sharing
-    counts; then the roots, ``names``, ``wrt``, ``order`` and ``form``."""
+def _jet_ops(form, exprs, names, wrt, order):
+    """A jet walked into its op list by a :class:`_JetSource`, and made
+    into its "float", "stack" or "lines" form."""
     exprs, names, wrt = list(exprs), tuple(names), tuple(wrt)
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate names in {names}")
@@ -681,31 +660,6 @@ def _generated(form, exprs, names, wrt, order):
         raise ValueError(f"wrt {wrt} must be distinct entries of {names}")
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, not {order!r}")
-    index, nodes = {}, []
-
-    def visit(e):
-        i = index.get(id(e))
-        if i is None:
-            t = type(e)
-            if isinstance(e, _Binary):
-                node = (t, e.offset, visit(e.lhs), visit(e.rhs))
-            elif t is Var or t is Num:
-                node = (t, e.offset, e.name if t is Var else repr(e.value))
-            elif t is Neg or t is Call:
-                node = (t, e.offset, getattr(e, "fn", ""), visit(e.arg))
-            else:
-                raise TypeError(f"not an Expression node: {e!r}")
-            i = index[id(e)] = len(nodes)
-            nodes.append(node)
-        return i
-    key = (tuple(map(visit, exprs)), tuple(nodes), names, wrt, order, form)
-    del visit  # it calls itself: a reference cycle until deleted
-    return _cached(key, lambda: _jet_ops(form, exprs, names, wrt, order))
-
-
-def _jet_ops(form, exprs, names, wrt, order):
-    """A jet walked into its op list by a :class:`_JetSource`, and made
-    into a form: on a cache miss only."""
     src = _JetSource(names)
     args = src.args
     one, zero = src.const(1.0), src.const(0.0)
@@ -774,8 +728,8 @@ def jet_lines(exprs, names, wrt=(), order=1):
     that can raise, in order, inside the jet's ``try`` that turns an
     overflow into :class:`DomainError`: a point fails with the same
     error whatever is read.  The lines bind no name but the
-    temporaries, and may be none at all.  The parts are cached."""
-    args, outs, consts, lines = _generated("lines", exprs, names, wrt, order)
+    temporaries, and may be none at all."""
+    args, outs, consts, lines = _jet_ops("lines", exprs, names, wrt, order)
     return args, outs, dict(_JET_GLOBALS, **consts), lines
 
 

@@ -515,7 +515,7 @@ def _field_function(exprs, names, weights, head=None, rate=None, params="",
     :func:`invert_with_condition` also compiles, on floats and over
     stacks (at most ``MAX_BLOCKS`` blocks); they may raise
     :class:`SingularMatrixError`.  The function is one ``compile()``,
-    cached by its text and literals ``_c<i>`` (:func:`expr._generated`)."""
+    held by the :class:`SystemJet` that asked for it."""
     args, outs, namespace, jet = _expr.jet_lines(exprs, names, names)
     width, m = len(exprs), len(names) // 2
     free = [e.free_variables() for e in exprs]
@@ -542,9 +542,8 @@ def _field_function(exprs, names, weights, head=None, rate=None, params="",
     code = f"def _field({params}t, y):\n" + "".join(f"    {line}\n"
                                                  for line in lines)
     namespace["SingularMatrixError"] = SingularMatrixError
-    consts = [(k, repr(x)) for k, x in namespace.items() if type(x) is float]
-    return _expr._cached(("<field>", code, *consts), lambda: exec(compile(
-        code, "<field>", "exec"), namespace) or namespace["_field"])
+    exec(compile(code, "<field>", "exec"), namespace)
+    return namespace["_field"]
 
 
 def _inverse_lines(n: int, point: str | None, entries: str) -> list[str]:

@@ -7,6 +7,8 @@ catalog suite can cross-check its own constructions against these; the
 catalog is imported only to empty its entry cache.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,13 @@ def make_pendula_like():
     )
     return build_system(structure, stackel, blocks,
                         [(0.0, 0.0, 0.0)] + build_probes(((-0.3, 0.3),) * 3))
+
+
+@functools.cache
+def pendula_like():
+    """One :func:`make_pendula_like` system, with the jets it makes, for
+    the tests that only read it."""
+    return make_pendula_like()
 
 
 def zip_dop853():
@@ -99,20 +108,19 @@ PENDULA_C = (0.09494666248, 0.0916913483, -0.3797866499)
 
 
 # ---------------------------------------------------------------------------
-# the jet cache
+# the catalog entry cache
 
 @pytest.fixture
 def cold_jets(monkeypatch):
-    """An empty jet cache and an empty catalog entry cache for one test,
-    so that what the test sees made is made in it, whatever earlier
-    tests left there."""
-    monkeypatch.setattr(expr, "_JETS", {})
+    """An empty catalog entry cache for one test, so that the jets the
+    test sees made are made in it, whatever items earlier tests left
+    there holding theirs."""
     monkeypatch.setattr(catalog, "_ENTRIES", {})
 
 
 @pytest.fixture
 def generations(cold_jets, monkeypatch):
-    """The jets made from a cold cache (its misses), in order, each as
+    """The jets made in the test, in order, each as
     ``(exprs, names, wrt, order, form)``."""
     made = []
     real = expr._jet_ops
@@ -179,8 +187,9 @@ def reduced_field(sys, r: int, c, point: PhasePoint) -> np.ndarray:
 
 def phase_value(F, point: PhasePoint) -> float:
     """F = (1/2) K^ij p_i p_j + W of a phase scalar at a phase point,
-    from its tensor's values and a jet of W."""
-    value = expr.compile([F.scalar], F.coords)(*point.q)[0]
+    from its tensor's values and the float form of the scalar's jet,
+    which it makes once."""
+    value = F._jet.floats(*point.q)[0]
     if F.tensor is not None:
         p = np.asarray(point.p, dtype=float)
         value += 0.5 * float(p @ F.tensor.values(point.q) @ p)

@@ -229,7 +229,7 @@ def test_criterion_08_killing_suite(calogero):
                      for i in range(4)])
     pts = geo.rejection_sample(ref.sample_box, 40, seed=19,
                                predicate=ref.regular)
-    V = ref.hamiltonian.scalar
+    V = ref.potential
     worst = {"killing": 0.0, "tsn": 0.0, "charcond": 0.0}
     haantjes_second = 0.0
     for pos, scalar in enumerate(ref.integrals):

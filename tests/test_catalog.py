@@ -320,7 +320,7 @@ def test_conserved_tensor_geometry(calogero):
     flat = geo.MetricField(
         ref.coords, [[1.0 if i == j else 0.0 for j in range(4)]
                      for i in range(4)])
-    V = ref.hamiltonian.scalar
+    V = ref.potential
     pts = geo.rejection_sample(ref.sample_box, 30, seed=19,
                                predicate=ref.regular)
     for scalar in ref.integrals:
@@ -592,6 +592,19 @@ def test_load_keys_each_parameter_by_its_type_and_repr(cold_jets,
     assert catalog.load("arrays", omega=a.reshape(7, 143)) is not \
         catalog.load("arrays", omega=a)
     assert len(catalog._ENTRIES) == 8
+
+
+def test_load_keeps_the_items_last_used(cold_jets, monkeypatch):
+    monkeypatch.setitem(catalog._BUILDERS, "items", lambda k: object())
+    items = [catalog.load("items", k=k)
+             for k in range(catalog.ENTRIES_KEPT + 40)]
+    assert len(catalog._ENTRIES) == catalog.ENTRIES_KEPT
+    assert catalog.load("items", k=len(items) - 1) is items[-1]  # kept
+    assert catalog.load("items", k=40) is items[40]   # the oldest kept
+    # the dropped are built again, in place of the least recently used
+    assert catalog.load("items", k=0) is not items[0]
+    assert catalog.load("items", k=len(items) - 1) is items[-1]
+    assert catalog.load("items", k=41) is not items[41]
 
 
 def test_a_builder_that_raises_is_not_kept(cold_jets, monkeypatch):

@@ -187,6 +187,23 @@ def test_degenerate_span_rejected(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("span", ["0.0, nan", "0.0, inf", "-inf, 0.0"])
+def test_non_finite_span_exits_config(tmp_path, capsys, command, span):
+    body = PENDULA_BODY.replace("t_span = 0.0, 5.0", f"t_span = {span}")
+    path = write_config(tmp_path, body)
+    assert cli.main([command, "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {path}: time span must be finite")
+
+
+def test_a_system_only_file_loads_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "bare.ini"
+    path.write_text("[system]\ncatalog = pendula\n")
+    assert load_config(str(path)) == config.RunConfig(
+        source=str(path), system_name="pendula")
+
+
 def test_defaults_and_override():
     cfg = config.RunConfig(source="x", system_name="pendula")
     assert cfg.t_span == (0.0, 30.0)
@@ -769,9 +786,8 @@ def test_verify_makes_one_jet_per_flat_chart_grid(tmp_path, capsys,
 def test_a_warm_verify_builds_and_keys_nothing(tmp_path, capsys,
                                               monkeypatch, cold_jets):
     # a second verify of calogero4, at another seed, parses no
-    # expression, builds no system, makes no grid jet and walks no jet
-    # key: its entry, the integrals' scalars and the flat-chart jets are
-    # those of the first
+    # expression, builds no system and makes no jet: its entry, the
+    # integrals' scalars and the flat-chart jets are those of the first
     path = write_config(tmp_path, CALOGERO_SHORT, out=str(tmp_path / "out"))
     assert cli.main(["verify", "--config", path]) == 0
     calls = []
@@ -782,7 +798,7 @@ def test_a_warm_verify_builds_and_keys_nothing(tmp_path, capsys,
             return real(*args, **kwargs)
         return call
 
-    for module, name in ((expr, "parse"), (expr, "_generated"),
+    for module, name in ((expr, "parse"), (expr, "_jet_ops"),
                          (model, "build_system"), (catalog, "build_system")):
         monkeypatch.setattr(module, name,
                             counting(name, getattr(module, name)))
@@ -829,7 +845,6 @@ def test_held_entries_leave_no_trace_in_later_outputs(tmp_path, capsys,
 
     warm = [_outputs(argv(k), capsys) for k in range(len(runs))]
     for k in range(len(runs)):
-        expr._JETS.clear()
         catalog._ENTRIES.clear()
         assert _outputs(argv(k), capsys) == warm[k]
     assert [w[0] for w in warm] == [0] * len(runs)

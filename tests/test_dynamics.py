@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import walker
 from conftest import (
-    PENDULA_P0, full_field, make_pendula_like, phase_point, reduced_field,
+    PENDULA_P0, full_field, pendula_like, phase_point, reduced_field,
     reduced_hamiltonian, two_call_field, two_call_reduced, zip_dop853,
 )
 from walker import matrix_derivative
@@ -112,7 +112,7 @@ def decoupled_pendula():
 
 @pytest.fixture(scope="module")
 def pendula():
-    return make_pendula_like()
+    return pendula_like()
 
 
 def _with_clocks(sys, y):
@@ -200,6 +200,20 @@ def test_error_decreases_with_rtol():
 def test_degenerate_span_rejected():
     with pytest.raises(DynamicsError, match="degenerate"):
         integrate(oscillator_rhs, [1.0, 0.0], (1.0, 1.0))
+
+
+@pytest.mark.parametrize("t_span", [(0.0, math.nan), (0.0, math.inf),
+                                    (-math.inf, 0.0), (math.nan, 1.0)])
+def test_non_finite_span_rejected_before_any_field_call(t_span):
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        return np.array([1.0, 0.0])
+
+    with pytest.raises(DynamicsError, match="non-finite integration span"):
+        integrate(field, [1.0, 0.0], t_span)
+    assert calls == []
 
 
 @pytest.mark.parametrize("atol, rtol", [(0.0, 1e-8), (-1e-12, 1e-8),

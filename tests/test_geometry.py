@@ -15,7 +15,7 @@ import pytest
 
 import walker
 from conftest import (
-    PENDULA_P0, make_pendula_like, metric_derivative, metric_second_derivative,
+    PENDULA_P0, metric_derivative, metric_second_derivative, pendula_like,
     phase_value,
 )
 
@@ -131,7 +131,7 @@ def rotating_frame_tensor():
 
 @pytest.fixture(scope="module")
 def pendula():
-    return make_pendula_like()
+    return pendula_like()
 
 
 @pytest.fixture(scope="module")
@@ -653,22 +653,10 @@ def test_characteristic_identity_any_potential(flat4):
     assert res <= 1e-12
 
 
-def test_characteristic_potential_text_compiles_once(generations):
-    # a potential given as text parses to one tree, so its jet is found
-    # again by the next call: one jet made for T, one for V
-    g = MetricField(("x", "y"), [["1", "0"], ["0", "1"]])
-    T = TensorField2(("x", "y"), [["y", "0"], ["0", "x"]], "mixed")
-    for x in (0.1, 0.2, 0.3, 0.4, 0.5):
-        characteristic_condition(T, "x*y", g, (x, 0.7))
-    compiled = [list(exprs) for exprs, *_ in generations]
-    assert compiled.count([expr.parse("x*y")]) == 1
-    assert len(compiled) == 2
-
-
 def test_characteristic_quartet_potential(flat4):
     """Both quadratic-integral tensors preserve closedness for the
     pairwise inverse-square potential away from collisions."""
-    V = pairwise_inverse_square()
+    V = model._GridJet((pairwise_inverse_square(),), X4, (), 2)  # made once
     T1 = TensorField2(X4, quartet_first_tensor(), "mixed")
     T2 = TensorField2(X4, quartet_second_tensor(), "mixed")
 

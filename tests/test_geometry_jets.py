@@ -459,8 +459,8 @@ def test_grid_jets_stack_the_float_form_bit_for_bit(command, name,
 
 @pytest.fixture
 def compiles(generations):
-    """The jets made from a cold cache, each as ``(exprs, names, wrt,
-    order, form)``."""
+    """The jets made in the test, each as ``(exprs, names, wrt, order,
+    form)``."""
     return generations
 
 
@@ -503,8 +503,7 @@ def test_curvature_compiles_do_not_grow_with_points(name, compiles,
     counts = []
     for points in (10, 1000):
         compiles.clear()
-        expr._JETS.clear()   # each run makes its own jets and entry
-        catalog._ENTRIES.clear()
+        catalog._ENTRIES.clear()   # each run makes its own entry and jets
         path = write_config(tmp_path, f"[system]\ncatalog = {name}\n"
                                       f"[verification]\npoints = {points}\n"
                                       f"[output]\ndirectory = {tmp_path}\n")
@@ -527,7 +526,7 @@ def test_commands_make_each_grid_jet_once(command, name, points, count,
     # verify: the characteristic rows of K_2 and K_3 share one order-2
     # jet of the pair potential; curvature: the leaf metrics of all the
     # blocks of points share one jet; a second run in the process makes
-    # no grid jet and walks no jet key: its item holds them
+    # no grid jet and no jet at all: its item holds them
     made = []
     real = model._GridJet.__init__
 
@@ -546,17 +545,17 @@ def test_commands_make_each_grid_jet_once(command, name, points, count,
         V = catalog.load(name).cartesian.hamiltonian.scalar
         assert [exprs for exprs in made if exprs == (V,)] == [(V,)]
     made.clear()
-    walks = []
-    real_generated = expr._generated
+    jets = []
+    real_ops = expr._jet_ops
 
-    def walking(*args):
-        walks.append(args[0])
-        return real_generated(*args)
+    def making(*args):
+        jets.append(args[0])
+        return real_ops(*args)
 
-    monkeypatch.setattr(expr, "_generated", walking)
+    monkeypatch.setattr(expr, "_jet_ops", making)
     assert cli.main([command, "--config", path,
                      "--out", str(tmp_path / "out")]) == 0
-    assert made == [] and walks == []
+    assert made == [] and jets == []
 
 
 def test_bracket_rows_evaluate_each_integral_once(monkeypatch, tmp_path):

@@ -509,90 +509,28 @@ def test_only_the_float_form_is_compiled(monkeypatch, cold_jets):
 
 
 # ---------------------------------------------------------------------------
-# the jet cache
+# what a jet is
 
-def _forms(exprs, names=("x", "y"), wrt=("x", "y"), order=1):
-    return (expr.compile(exprs, names, wrt, order),
-            expr.compile(exprs, names, wrt, order, stack=True),
-            expr.jet_lines(exprs, names, wrt, order))
-
-
-def test_equal_trees_built_apart_share_one_entry(generations):
-    text = ["x*sin(y) + 1/x", "exp(x)^2 - abs(y)"]
-    first = _forms([parse(t) for t in text])
-    again = _forms([parse(t) for t in text])
-    assert [g[4] for g in generations] == ["float", "stack", "lines"]
-    assert first[0] is again[0] and first[1] is again[1]
-    # the parts of jet_lines are the same, in a namespace of its own
-    assert first[2][:2] == again[2][:2] and first[2][3] is again[2][3]
-    assert first[2][2] == again[2][2] and first[2][2] is not again[2][2]
-    assert len(expr._JETS) == 3
-
-
-def test_what_a_jet_is_decides_a_hit(generations):
-    base = ([parse("x/y")], ("x", "y"), ("x",), 1)
-    others = [
-        ([parse(" x/y")], ("x", "y"), ("x",), 1),     # another offset
-        ([parse("x/y")], ("y", "x"), ("x",), 1),      # another name order
-        ([parse("x/y")], ("x", "y"), ("y",), 1),      # another wrt
-        ([parse("x/y")], ("x", "y"), ("x",), 2),      # another order
-    ]
-    assert others[0][0] == base[0]   # == ignores offsets; the key does not
-    for spec in [base, *others, base]:
-        expr.compile(*spec)
-    expr.compile(*base, stack=True)  # another form
-    expr.jet_lines(*base)
-    assert len(generations) == 7 and len(expr._JETS) == 7
-    # -0.0 and 0.0 are equal floats, and make different jets
+def test_what_a_jet_is_decides_a_hit():
+    # -0.0 and 0.0 are equal floats, and make jets of their own sign
     plus = [Add(Var("x"), Num(0.0)), Add(Var("x"), Num(-0.0))]
     assert plus[0] == plus[1]
-    got = [expr.compile([e], ("x",))(-0.0)[0] for e in plus]
-    assert [math.copysign(1.0, v) for v in got] == [1.0, -1.0]
-    assert len(generations) == 9
-    # a node's own offset is what its failure reports
+    for e, sign in zip(plus, (1.0, -1.0)):
+        out = np.empty((1, 1))
+        expr.compile([e], ("x",), stack=True)(np.array([-0.0]), out)
+        assert math.copysign(1.0, expr.compile([e], ("x",))(-0.0)[0]) == sign
+        assert math.copysign(1.0, out[0, 0]) == sign
+    # equal trees at other offsets: a node's own offset is what its
+    # failure reports, in both forms
+    assert Div(Var("x"), Var("y"), 3) == Div(Var("x"), Var("y"), 4)
     for offset in (3, 4):
-        with pytest.raises(DomainError) as got:
-            expr.compile([Div(Var("x"), Var("y"), offset)], ("x", "y"))(
-                1.0, 0.0)
-        assert got.value.offset == offset
-    assert len(generations) == 11
-
-
-@pytest.mark.parametrize("source, point", [
-    ("ln(x) + 1/(y-2)", (0.5, 2.0)),
-    ("x + sqrt(y - 3)", (1.0, 2.0)),
-    ("x^y", (-1.0, 0.5)),
-    ("x + 2*q", (1.0, 1.0)),
-])
-def test_a_hit_fails_as_a_fresh_jet(cold_jets, source, point):
-    def failures():
-        jets = _forms([parse(source)], order=2)
-        got = []
-        for call in (lambda: jets[0](*point),
-                     lambda: jets[1](*(np.array([v]) for v in point),
-                                     np.empty((len(jets[2][1]), 1)))):
-            with pytest.raises(expr.ExprError) as err:
+        e = [Div(Var("x"), Var("y"), offset)]
+        for call in (lambda: expr.compile(e, ("x", "y"))(1.0, 0.0),
+                     lambda: expr.compile(e, ("x", "y"), stack=True)(
+                         np.array([1.0]), np.array([0.0]), np.empty((1, 1)))):
+            with pytest.raises(DomainError) as got:
                 call()
-            got.append((type(err.value), str(err.value), err.value.offset))
-        return got
-
-    fresh = failures()
-    hits = failures()       # the same jets, from the cache
-    expr._JETS.clear()
-    assert hits == fresh == failures()
-
-
-def test_the_cache_keeps_its_bound(generations):
-    exprs = [[parse(f"x*{k}.5")] for k in range(expr.JETS_KEPT + 40)]
-    for e in exprs:
-        expr.compile(e, ("x",), stack=True)
-        assert len(expr._JETS) <= expr.JETS_KEPT
-    assert len(expr._JETS) == expr.JETS_KEPT
-    made = len(generations)
-    expr.compile(exprs[-1], ("x",), stack=True)   # kept
-    assert len(generations) == made
-    expr.compile(exprs[0], ("x",), stack=True)    # dropped for the last
-    assert len(generations) == made + 1
+            assert got.value.offset == offset
 
 
 def _config(tmp_path, name, body):
@@ -629,7 +567,7 @@ def test_no_jet_source_outlives_a_battery_pass(tmp_path, monkeypatch,
         assert cli.main([command, "--config", path,
                          "--out", str(tmp_path / f"out{k}")]) == 0
     gc.collect()
-    assert len(made) >= len(expr._JETS) > 0
+    assert made
     assert [ref for ref in made if ref() is not None] == []
 
 

@@ -24,12 +24,11 @@ from blocksep.model import (
 
 
 from conftest import (
-    PENDULA_C, PENDULA_P0, block_energy, block_of, make_pendula_like,
+    PENDULA_C, PENDULA_P0, block_energy, block_of, pendula_like,
     phase_point, position_env, reduced_hamiltonian,
 )
 from walker import matrix_derivative, matrix_values
 
-pendula_like = make_pendula_like
 
 P0 = PENDULA_P0
 C1, C2, C3 = PENDULA_C

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from conftest import PENDULA_P0, make_pendula_like
+from conftest import PENDULA_P0, make_pendula_like, pendula_like
 
 from blocksep import catalog, cli, dynamics, expr, model
 from blocksep.dynamics import (DynamicsError, IntegrationError,
@@ -119,7 +119,7 @@ def rates_per_step(traj, column, cuts):
 
 @pytest.mark.parametrize("span", [(0.0, 6.0), (0.0, -6.0)])
 def test_rates_equal_the_per_step_rates(span):
-    sys_ = make_pendula_like()
+    sys_ = pendula_like()
     traj = orbit(sys_, PENDULA_P0, span)
     for column in (0, traj.dim - 1):
         for got, want in zip(traj.rates(column, 64),
@@ -130,7 +130,7 @@ def test_rates_equal_the_per_step_rates(span):
 def test_sampling_many_times_keeps_its_memory_small():
     # the gather runs per chunk of times: an unchunked one would hold
     # 7 coefficients per output entry at once
-    sys_ = make_pendula_like()
+    sys_ = pendula_like()
     traj = orbit(sys_, PENDULA_P0, (0.0, 6.0))
     ts = np.linspace(0.0, 6.0, 100_000)
     tracemalloc.start()
@@ -144,7 +144,7 @@ def test_sampling_many_times_keeps_its_memory_small():
 
 
 def test_array_sample_names_the_first_time_outside_the_span():
-    sys_ = make_pendula_like()
+    sys_ = pendula_like()
     traj = orbit(sys_, PENDULA_P0, (0.0, 2.0))
     with pytest.raises(DynamicsError) as one:
         traj.sample(2.5)
@@ -155,7 +155,7 @@ def test_array_sample_names_the_first_time_outside_the_span():
 
 
 def test_array_clock_reads_the_array_sample():
-    sys_ = make_pendula_like()
+    sys_ = pendula_like()
     traj = orbit(sys_, PENDULA_P0, (0.0, 4.0))
     ts = np.linspace(0.0, 4.0, 200)
     for r in range(1, sys_.n + 1):
@@ -166,7 +166,7 @@ def test_array_clock_reads_the_array_sample():
 
 
 def test_compare_states_are_the_per_time_samples():
-    sys_ = make_pendula_like()
+    sys_ = pendula_like()
     cfg = IntegratorConfig(rtol=1e-8, atol=1e-10)
     report = compare_block_orbits(sys_, PENDULA_P0, 2, (0.0, 3.0), cfg)
     full = orbit(sys_, PENDULA_P0, (0.0, 3.0), cfg.rtol, cfg.atol)

@@ -37,7 +37,8 @@ def same(stacked, one_by_one):
 def cartesian():
     """calogero4's Cartesian reference: the flat metric, its 100 probe
     points at seed 1236, the potential and the tensors of K_2 and K_3
-    in all three variances."""
+    in all three variances; the potential as its order-2 jet, made once
+    for every stack and point."""
     ref = catalog.load("calogero4").cartesian
     n = len(ref.coords)
     flat = geo.MetricField(
@@ -48,7 +49,7 @@ def cartesian():
     tensors = [{v: geo.TensorField2(ref.coords, s.tensor.grid, v)
                 for v in ("covariant", "mixed", "contravariant")}
                for s in ref.integrals]
-    return flat, pts, ref.hamiltonian.scalar, tensors
+    return flat, pts, ref.potential, tensors
 
 
 @pytest.mark.parametrize("name", FAMILIES)
